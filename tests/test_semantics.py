@@ -1,6 +1,9 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sos_oracle
 from behavior_gen import gen_behavior, wrap
@@ -412,3 +415,124 @@ def test_oracle_agrees_on_random_terms_with_offers():
     for _ in range(150):
         term = gen_behavior(rng, rng.randint(0, 4), values=True)
         assert_graph_equal(wrap(term))
+
+
+# ----------------------------------------------------------------------
+# golden output: .aut text, state numbering and state forms are pinned
+
+
+def chain_text(n, m):
+    gates = ", ".join(f"g{k}" for k in range(m))
+    steps = "; ".join(f"g{k}" for k in range(m))
+    top = " ||| ".join(f"C [{gates}]" for _ in range(n))
+    return f"""
+    specification Chain [{gates}] : noexit :=
+      behaviour {top}
+      where process C [{gates}] : noexit := {steps}; stop endproc
+    endspec
+    """
+
+
+def buffer_text(n, d):
+    values = ", ".join(f"d{k}" for k in range(d))
+    pipe = "B [c0, c1]"
+    for k in range(1, n):
+        pipe = f"({pipe}) |[c{k}]| B [c{k}, c{k + 1}]"
+    inner = ", ".join(f"c{k}" for k in range(1, n))
+    return f"""
+    specification Pipe [c0, c{n}] : noexit :=
+      sorts D = {{ {values} }}
+      behaviour hide {inner} in {pipe}
+      where
+        process B [inp, out] : noexit := inp ?x: D; out !x; B [inp, out] endproc
+    endspec
+    """
+
+
+def philosophers_text(n):
+    # philosopher k takes fork k, then fork k+1, and releases both; each
+    # fork serves its two neighbours one at a time
+    def take(p, f):
+        return f"t{p}_{f}"
+
+    def rel(p, f):
+        return f"r{p}_{f}"
+
+    phils, forks, gates = [], [], []
+    for k in range(n):
+        left, right = k, (k + 1) % n
+        mine = [take(k, left), take(k, right), rel(k, left), rel(k, right)]
+        gates += mine
+        phils.append(f"P [{', '.join(mine)}]")
+    for f in range(n):
+        owner, other = f, (f - 1) % n
+        forks.append(f"F [{take(owner, f)}, {rel(owner, f)}, {take(other, f)}, {rel(other, f)}]")
+    return f"""
+    specification Phil [{', '.join(gates)}] : noexit :=
+      behaviour ({' ||| '.join(phils)}) |[{', '.join(gates)}]| ({' ||| '.join(forks)})
+      where
+        process P [tl, tr, rl, rr] : noexit := tl; tr; rl; rr; P [tl, tr, rl, rr] endproc
+        process F [a, b, c, d] : noexit := a; b; F [a, b, c, d] [] c; d; F [a, b, c, d] endproc
+    endspec
+    """
+
+
+GOLDEN_SPECS = {
+    "chain-3x3": lambda: spec_of(chain_text(3, 3)),
+    "chain-2x8": lambda: spec_of(chain_text(2, 8)),
+    "buffer-4x2": lambda: spec_of(buffer_text(4, 2)),
+    "phil-4": lambda: spec_of(philosophers_text(4)),
+    **{name: (lambda name=name: load_spec(name)) for name in LOT_FILES},
+}
+
+# sha256 of export_aut(lts) followed by every state's form text, one per line
+GOLDEN = {
+    "buffer-4x2/hide": "edb1e006b8a56de552b86fee2d73d3805c89a88779366a113a999c676a5c3da3",  # 81 states
+    "buffer-4x2/strip": "05138c815377f7300690eb63439f400ff0c784082031b9416dbb109b5395490c",  # 81 states
+    "chain-2x8/hide": "354d20ba886615a713a1d52e65acb7cc5877a9264366b426d54046c9d49dc8f6",  # 81 states
+    "chain-2x8/strip": "354d20ba886615a713a1d52e65acb7cc5877a9264366b426d54046c9d49dc8f6",  # 81 states
+    "chain-3x3/hide": "1660658e9b88212e65066477a6ecaa286e27c7520437dd00eb368df3e2b4ed5a",  # 64 states
+    "chain-3x3/strip": "1660658e9b88212e65066477a6ecaa286e27c7520437dd00eb368df3e2b4ed5a",  # 64 states
+    "client_server.lot/hide": "cddfb5e04814a6f274e240b9154e702f8df124e90fb7f4c0e8e111c56bfa00f0",  # 4 states
+    "client_server.lot/strip": "cddfb5e04814a6f274e240b9154e702f8df124e90fb7f4c0e8e111c56bfa00f0",  # 4 states
+    "deadlocked.lot/hide": "70e57509ca402e0484e6ff869f5c31291d583476c3dbf71091420f8098a616af",  # 2 states
+    "deadlocked.lot/strip": "70e57509ca402e0484e6ff869f5c31291d583476c3dbf71091420f8098a616af",  # 2 states
+    "multicast.lot/hide": "78780b2325a86782ee4aaa629c4a5c0425a08262c031b15bdef64b0698b1aa26",  # 9 states
+    "multicast.lot/strip": "e1b8dc069e1fe5b66bd4750ce32e8ec252f9669856cbb734752dea3cd1718b99",  # 9 states
+    "multicast_unordered.lot/hide": "d9c630e2641660e52cb24b2095da1f439152e0b4630ee085b178e6db410f7a37",  # 29 states
+    "multicast_unordered.lot/strip": "2017226c6f4253798aae2c32f59196a2fde92b1d277c57d1bad707834c0509b9",  # 29 states
+    "observer.lot/hide": "03cc674d2888f7ac9fd6c67915c80fdeccf0f2ee73c93b096d67893acce99b06",  # 12 states
+    "observer.lot/strip": "03cc674d2888f7ac9fd6c67915c80fdeccf0f2ee73c93b096d67893acce99b06",  # 12 states
+    "phil-4/hide": "c81fae6eaf51c3e0f170ec9388402d97b8218679837e3ad2137c1e329c831a98",  # 80 states
+    "phil-4/strip": "c81fae6eaf51c3e0f170ec9388402d97b8218679837e3ad2137c1e329c831a98",  # 80 states
+}
+
+
+def golden_digest(lts):
+    from lotoskit.verify import export_aut
+
+    text = export_aut(lts) + "\n".join(lts.form_text(s) for s in range(lts.num_states))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("hidden", [True, False], ids=["hide", "strip_hiding"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+def test_golden_output(name, hidden):
+    spec = GOLDEN_SPECS[name]()
+    if not hidden:
+        spec = strip_hiding(spec)
+    assert golden_digest(generate_lts(spec)) == GOLDEN[f"{name}/{'hide' if hidden else 'strip'}"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.booleans())
+def test_no_state_leaks_between_explorations(seed_a, seed_b, values):
+    a = wrap(gen_behavior(random.Random(seed_a), 4, values))
+    b = wrap(gen_behavior(random.Random(seed_b), 4, values), name="Other")
+    first = generate_lts(a)
+    generate_lts(b)
+    again = generate_lts(a)
+    assert again == first
+    assert [again.form_text(s) for s in range(again.num_states)] == [
+        first.form_text(s) for s in range(first.num_states)
+    ]
