@@ -1,8 +1,15 @@
 """Operational semantics: single steps and exhaustive state-space generation.
 
-A state is a closed behaviour term.  Source locations never influence
-state identity (the tree types exclude them from equality), and
-``normalize`` additionally strips them so stored states are canonical.
+A state is a closed behaviour term without source locations.
+``generate_lts`` strips the locations once, when it loads the
+specification (``normalize`` on the top behaviour and on every process
+body), and from then on builds every term through a hash-consing table
+that lives for that one call: each distinct term exists once, so
+equality is identity and a term's ``id`` is its hash; each term's printed
+form, which breaks ties in the transition order, is composed once from
+its children's; and the successors of each term and the unfolding of
+each instantiation are computed once.  The unchanged components of a
+parallel state therefore cost nothing when it steps.
 
 Value offers are expanded when an action prefix fires: a receive "?x: S"
 yields one step per value of S, with the chosen value substituted into the
@@ -20,6 +27,7 @@ import sys
 from dataclasses import dataclass, field, replace
 
 from .syntax import ast
+from .syntax.printer import pretty_node
 
 # ----------------------------------------------------------------------
 # transition labels
@@ -46,11 +54,9 @@ Action = Internal | Terminate | Observable
 
 def render_action(a: Action) -> str:
     """Canonical label text: "i", "exit", or "gate !v1 !v2"."""
-    if isinstance(a, Internal):
-        return "i"
-    if isinstance(a, Terminate):
-        return "exit"
-    return " ".join([a.gate] + [f"!{v}" for v in a.values])
+    if isinstance(a, Observable):
+        return " ".join([a.gate] + [f"!{v}" for v in a.values]) if a.values else a.gate
+    return "i" if isinstance(a, Internal) else "exit"
 
 
 # ----------------------------------------------------------------------
@@ -68,10 +74,19 @@ class UnguardedRecursionError(Exception):
 
 
 class BudgetExceededError(Exception):
-    def __init__(self, kind: str, limit: int):
-        super().__init__(f"state space exceeds the {kind} budget of {limit}")
+    """Exploration stopped at a budget; states, transitions and depth say
+    how far it got (depth is the breadth-first level being expanded)."""
+
+    def __init__(self, kind: str, limit: int, states: int, transitions: int, depth: int):
+        super().__init__(
+            f"state space exceeds the {kind} budget of {limit} (stopped after "
+            f"{states} states and {transitions} transitions at depth {depth})"
+        )
         self.kind = kind
         self.limit = limit
+        self.states = states
+        self.transitions = transitions
+        self.depth = depth
 
 
 # Unfoldings tolerated while searching for the next action.  Mutual
@@ -202,7 +217,8 @@ def substitute_values(b: ast.Behavior, env: dict[str, ast.ValueLit]) -> ast.Beha
 
 def normalize(b: ast.Behavior) -> ast.Behavior:
     """Strip source locations, giving a canonical representative.
-    Idempotent, and never changes equality (locations are not compared)."""
+    Idempotent, and never changes equality (locations are not compared).
+    Exploration calls it once per term of the specification it loads."""
     if b.loc is not None:
         b = replace(b, loc=None)
     if isinstance(b, ast.Prefix):
@@ -244,140 +260,240 @@ def unfold(inst: ast.Inst, spec: ast.Specification) -> ast.Behavior:
     return substitute_gates(target.body, dict(zip(target.formal_gates, inst.gates)))
 
 
-def successors(b: ast.Behavior, spec: ast.Specification) -> list[tuple[Action, ast.Behavior]]:
-    """All single steps from a closed behaviour, in a deterministic order."""
+def successors(
+    b: ast.Behavior, spec: ast.Specification, terms: _Terms | None = None
+) -> list[tuple[Action, ast.Behavior]]:
+    """All single steps from a closed behaviour, in a deterministic order.
+
+    ``generate_lts`` passes the term table of its exploration, into which
+    b is interned and whose loaded copy of spec it uses; without one, b
+    is normalised and interned into a fresh table."""
     # an unguarded loop may legitimately nest UNFOLD_LIMIT operator frames
     # before the fuel runs out; leave the interpreter room for that
     if sys.getrecursionlimit() < 12 * UNFOLD_LIMIT:
         sys.setrecursionlimit(12 * UNFOLD_LIMIT)
-    return _succ(b, spec, UNFOLD_LIMIT)
+    if terms is None:
+        terms = _Terms(spec)
+        b = terms.intern(normalize(b))
+    return terms.steps(b)
 
 
-def _succ(b: ast.Behavior, spec: ast.Specification, fuel: int) -> list[tuple[Action, ast.Behavior]]:
-    while isinstance(b, ast.Inst):
-        if fuel <= 0:
-            raise UnguardedRecursionError(b.process)
-        fuel -= 1
-        b = unfold(b, spec)
+class _Terms:
+    """The hash-consing table of one exploration, after Filliâtre and
+    Conchon, "Type-Safe Modular Hash-Consing" (2006).
 
-    if isinstance(b, ast.Stop):
-        return []
-    if isinstance(b, ast.Exit):
-        return [(Terminate(), ast.Stop())]
+    Terms enter through ``intern`` or the node constructors, which return
+    the one existing instance of an equal term.  A node is keyed by its
+    class, its own fields and the identities of its children, which are
+    interned first, so no lookup walks a subterm.  ``text`` maps the id
+    of every interned term to its printed form."""
 
-    if isinstance(b, ast.Prefix):
-        return _prefix_steps(b, spec)
+    def __init__(self, spec: ast.Specification):
+        self.spec = replace(
+            spec,
+            top_behavior=normalize(spec.top_behavior),
+            processes=tuple(replace(p, body=normalize(p.body)) for p in spec.processes),
+        )
+        self.text: dict[int, str] = {}
+        self._nodes: dict[tuple, ast.Behavior] = {}
+        self._steps: dict[int, list[tuple[Action, ast.Behavior]]] = {}
+        self._unfolded: dict[tuple[str, tuple[str, ...]], ast.Behavior] = {}
+        self.stop = self.intern(ast.Stop())
+        self.initial = self.intern(self.spec.top_behavior)
 
-    if isinstance(b, ast.Choice):
-        return _succ(b.left, spec, fuel) + _succ(b.right, spec, fuel)
+    # -- interning ------------------------------------------------------
 
-    if isinstance(b, ast.Par):
-        return _par_steps(b, spec, fuel)
+    def _add(self, key: tuple, node: ast.Behavior) -> ast.Behavior:
+        self._nodes[key] = node
+        self.text[id(node)] = pretty_node(node, self._text_of)
+        return node
 
-    if isinstance(b, ast.Hide):
-        out = []
-        for a, nxt in _succ(b.body, spec, fuel):
-            if isinstance(a, Observable) and a.gate in b.gates:
-                a = Internal()
-            out.append((a, ast.Hide(b.gates, nxt)))
+    def _text_of(self, b: ast.Behavior) -> str:
+        return self.text[id(b)]
+
+    def intern(self, b: ast.Behavior) -> ast.Behavior:
+        """The canonical instance of a location-free term."""
+        if id(b) in self.text:
+            return b
+        if isinstance(b, ast.Prefix):
+            return self.prefix(b.action, self.intern(b.rest))
+        if isinstance(b, ast.Par):
+            return self.par(self.intern(b.left), b.kind, b.gates, self.intern(b.right))
+        if isinstance(b, ast.Hide):
+            return self.hide(b.gates, self.intern(b.body))
+        if isinstance(b, (ast.Choice, ast.Seq, ast.Disrupt)):
+            return self.binary(type(b), self.intern(b.left), self.intern(b.right))
+        if isinstance(b, ast.Inst):
+            key: tuple = (ast.Inst, b.process, b.gates)
+        elif isinstance(b, (ast.Stop, ast.Exit)):
+            key = (type(b),)
+        else:
+            raise TypeError(f"unknown behaviour node {b!r}")
+        return self._nodes.get(key) or self._add(key, b)
+
+    def prefix(self, action: ast.ActionExpr, rest: ast.Behavior) -> ast.Behavior:
+        key = (ast.Prefix, action, id(rest))
+        return self._nodes.get(key) or self._add(key, ast.Prefix(action, rest))
+
+    def par(self, left: ast.Behavior, kind: ast.ParKind, gates: frozenset[str],
+            right: ast.Behavior) -> ast.Behavior:
+        # ParKind members live as long as the program, so their ids are
+        # stable, and an int hashes faster than an enum member
+        key = (ast.Par, id(left), id(kind), gates, id(right))
+        return self._nodes.get(key) or self._add(key, ast.Par(left, kind, gates, right))
+
+    def hide(self, gates: frozenset[str], body: ast.Behavior) -> ast.Behavior:
+        key = (ast.Hide, gates, id(body))
+        return self._nodes.get(key) or self._add(key, ast.Hide(gates, body))
+
+    def binary(self, cls: type, left: ast.Behavior, right: ast.Behavior) -> ast.Behavior:
+        key = (cls, id(left), id(right))
+        return self._nodes.get(key) or self._add(key, cls(left, right))
+
+    def unfolded(self, inst: ast.Inst) -> ast.Behavior:
+        key = (inst.process, inst.gates)
+        body = self._unfolded.get(key)
+        if body is None:
+            body = self._unfolded[key] = self.intern(unfold(inst, self.spec))
+        return body
+
+    # -- single steps ---------------------------------------------------
+
+    def steps(self, b: ast.Behavior, fuel: int = UNFOLD_LIMIT) -> list[tuple[Action, ast.Behavior]]:
+        """The successors of an interned term.  Only results computed
+        with full fuel are memoised: inside an unfolding less fuel is left,
+        and a result reused there could hide an UnguardedRecursionError."""
+        if fuel < UNFOLD_LIMIT:
+            return self._compute(b, fuel)
+        out = self._steps.get(id(b))
+        if out is None:
+            out = self._steps[id(b)] = self._compute(b, fuel)
         return out
 
-    if isinstance(b, ast.Seq):
-        out = []
-        for a, nxt in _succ(b.left, spec, fuel):
-            if isinstance(a, Terminate):
-                out.append((Internal(), b.right))
-            else:
-                out.append((a, ast.Seq(nxt, b.right)))
-        return out
+    def _compute(self, b: ast.Behavior, fuel: int) -> list[tuple[Action, ast.Behavior]]:
+        while isinstance(b, ast.Inst):
+            if fuel <= 0:
+                raise UnguardedRecursionError(b.process)
+            fuel -= 1
+            b = self.unfolded(b)
 
-    if isinstance(b, ast.Disrupt):
-        out = []
-        for a, nxt in _succ(b.left, spec, fuel):
-            if isinstance(a, Terminate):
-                out.append((a, nxt))
-            else:
-                out.append((a, ast.Disrupt(nxt, b.right)))
-        out.extend(_succ(b.right, spec, fuel))
-        return out
+        if isinstance(b, ast.Stop):
+            return []
+        if isinstance(b, ast.Exit):
+            return [(Terminate(), self.stop)]
 
-    raise TypeError(f"unknown behaviour node {b!r}")
+        if isinstance(b, ast.Prefix):
+            return self._prefix_steps(b)
 
+        if isinstance(b, ast.Choice):
+            return self.steps(b.left, fuel) + self.steps(b.right, fuel)
 
-def _prefix_steps(b: ast.Prefix, spec: ast.Specification) -> list[tuple[Action, ast.Behavior]]:
-    action = b.action
-    if isinstance(action, ast.InternalAction):
-        return [(Internal(), b.rest)]
+        if isinstance(b, ast.Par):
+            return self._par_steps(b, fuel)
 
-    receives = [o for o in action.offers if isinstance(o, ast.Receive)]
-    if not receives:
-        values = []
-        for o in action.offers:
-            assert isinstance(o, ast.Send)
-            if not isinstance(o.expr, ast.ValueLit):
-                raise ValueError(f"unbound variable '{o.expr.name}' at gate '{action.gate}'")
-            values.append(o.expr.value)
-        return [(Observable(action.gate, tuple(values)), b.rest)]
+        if isinstance(b, ast.Hide):
+            out = []
+            for a, nxt in self.steps(b.body, fuel):
+                if isinstance(a, Observable) and a.gate in b.gates:
+                    a = Internal()
+                out.append((a, self.hide(b.gates, nxt)))
+            return out
 
-    domains = []
-    for o in receives:
-        sort = spec.sort(o.sort)
-        if sort is None:
-            raise ValueError(f"sort '{o.sort}' is not declared")
-        domains.append(sort.values)
+        if isinstance(b, ast.Seq):
+            out = []
+            for a, nxt in self.steps(b.left, fuel):
+                if isinstance(a, Terminate):
+                    out.append((Internal(), b.right))
+                else:
+                    out.append((a, self.binary(ast.Seq, nxt, b.right)))
+            return out
 
-    out: list[tuple[Action, ast.Behavior]] = []
-    for chosen in itertools.product(*domains):
-        picked = iter(chosen)
-        # offers bind left to right, so a send may mention a receive
-        # variable introduced earlier in the same action
-        env: dict[str, ast.ValueLit] = {}
-        values = []
-        for o in action.offers:
-            if isinstance(o, ast.Receive):
-                v = next(picked)
-                env[o.var] = ast.ValueLit(v, o.sort)
-                values.append(v)
-            elif isinstance(o.expr, ast.ValueLit):
+        if isinstance(b, ast.Disrupt):
+            out = []
+            for a, nxt in self.steps(b.left, fuel):
+                if isinstance(a, Terminate):
+                    out.append((a, nxt))
+                else:
+                    out.append((a, self.binary(ast.Disrupt, nxt, b.right)))
+            out.extend(self.steps(b.right, fuel))
+            return out
+
+        raise TypeError(f"unknown behaviour node {b!r}")
+
+    def _prefix_steps(self, b: ast.Prefix) -> list[tuple[Action, ast.Behavior]]:
+        action = b.action
+        if isinstance(action, ast.InternalAction):
+            return [(Internal(), b.rest)]
+
+        receives = [o for o in action.offers if isinstance(o, ast.Receive)]
+        if not receives:
+            values = []
+            for o in action.offers:
+                assert isinstance(o, ast.Send)
+                if not isinstance(o.expr, ast.ValueLit):
+                    raise ValueError(f"unbound variable '{o.expr.name}' at gate '{action.gate}'")
                 values.append(o.expr.value)
-            elif o.expr.name in env:
-                values.append(env[o.expr.name].value)
-            else:
-                raise ValueError(f"unbound variable '{o.expr.name}' at gate '{action.gate}'")
-        out.append((Observable(action.gate, tuple(values)), substitute_values(b.rest, env)))
-    return out
+            return [(Observable(action.gate, tuple(values)), b.rest)]
 
+        domains = []
+        for o in receives:
+            sort = self.spec.sort(o.sort)
+            if sort is None:
+                raise ValueError(f"sort '{o.sort}' is not declared")
+            domains.append(sort.values)
 
-def _par_steps(b: ast.Par, spec: ast.Specification, fuel: int) -> list[tuple[Action, ast.Behavior]]:
-    if b.kind is ast.ParKind.INTERLEAVE:
-        def syncs(a: Action) -> bool:
-            return isinstance(a, Terminate)
-    elif b.kind is ast.ParKind.FULL:
-        def syncs(a: Action) -> bool:
-            return not isinstance(a, Internal)
-    else:
-        def syncs(a: Action) -> bool:
-            return isinstance(a, Terminate) or (
-                isinstance(a, Observable) and a.gate in b.gates
-            )
+        out: list[tuple[Action, ast.Behavior]] = []
+        for chosen in itertools.product(*domains):
+            picked = iter(chosen)
+            # offers bind left to right, so a send may mention a receive
+            # variable introduced earlier in the same action
+            env: dict[str, ast.ValueLit] = {}
+            values = []
+            for o in action.offers:
+                if isinstance(o, ast.Receive):
+                    v = next(picked)
+                    env[o.var] = ast.ValueLit(v, o.sort)
+                    values.append(v)
+                elif isinstance(o.expr, ast.ValueLit):
+                    values.append(o.expr.value)
+                elif o.expr.name in env:
+                    values.append(env[o.expr.name].value)
+                else:
+                    raise ValueError(f"unbound variable '{o.expr.name}' at gate '{action.gate}'")
+            nxt = self.intern(substitute_values(b.rest, env))
+            out.append((Observable(action.gate, tuple(values)), nxt))
+        return out
 
-    left_steps = _succ(b.left, spec, fuel)
-    right_steps = _succ(b.right, spec, fuel)
+    def _par_steps(self, b: ast.Par, fuel: int) -> list[tuple[Action, ast.Behavior]]:
+        if b.kind is ast.ParKind.INTERLEAVE:
+            def syncs(a: Action) -> bool:
+                return isinstance(a, Terminate)
+        elif b.kind is ast.ParKind.FULL:
+            def syncs(a: Action) -> bool:
+                return not isinstance(a, Internal)
+        else:
+            def syncs(a: Action) -> bool:
+                return isinstance(a, Terminate) or (
+                    isinstance(a, Observable) and a.gate in b.gates
+                )
 
-    out: list[tuple[Action, ast.Behavior]] = []
-    for a, nxt in left_steps:
-        if not syncs(a):
-            out.append((a, replace(b, left=nxt)))
-    for a, nxt in right_steps:
-        if not syncs(a):
-            out.append((a, replace(b, right=nxt)))
-    for a, lnxt in left_steps:
-        if not syncs(a):
-            continue
-        for c, rnxt in right_steps:
-            if a == c:
-                out.append((a, replace(b, left=lnxt, right=rnxt)))
-    return out
+        left_steps = self.steps(b.left, fuel)
+        right_steps = self.steps(b.right, fuel)
+
+        out: list[tuple[Action, ast.Behavior]] = []
+        for a, nxt in left_steps:
+            if not syncs(a):
+                out.append((a, self.par(nxt, b.kind, b.gates, b.right)))
+        for a, nxt in right_steps:
+            if not syncs(a):
+                out.append((a, self.par(b.left, b.kind, b.gates, nxt)))
+        for a, lnxt in left_steps:
+            if not syncs(a):
+                continue
+            for c, rnxt in right_steps:
+                if a == c:
+                    out.append((a, self.par(lnxt, b.kind, b.gates, rnxt)))
+        return out
 
 
 def strip_hiding(spec: ast.Specification) -> ast.Specification:
@@ -459,36 +575,42 @@ def generate_lts(
     state follow the per-state transition order (label text, then printed
     target), which makes the numbering reproducible.
     """
-    from .syntax.printer import pretty_behavior
-
     budget = budget or ExplorationBudget()
-    initial = normalize(spec.top_behavior)
-    ids: dict[ast.Behavior, int] = {initial: 0}
+    terms = _Terms(spec)
+    text = terms.text
+    initial = terms.initial
+    # states are interned, so a state's id identifies it
+    ids: dict[int, int] = {id(initial): 0}
     forms: list[ast.Behavior] = [initial]
     transitions: list[tuple[int, str, int]] = []
     frontier = [initial]
+    depth = 0
 
     while frontier:
         next_frontier: list[ast.Behavior] = []
         for state in frontier:
-            src = ids[state]
-            steps: dict[tuple[str, ast.Behavior], str] = {}
-            for action, target in successors(state, spec):
-                tgt = normalize(target)
-                steps.setdefault((render_action(action), tgt), pretty_behavior(tgt))
-            ordered = sorted(steps.items(), key=lambda kv: (kv[0][0], kv[1]))
-            for (label, tgt), _pretty in ordered:
-                dst = ids.get(tgt)
+            src = ids[id(state)]
+            steps: dict[tuple[str, int], ast.Behavior] = {}
+            for action, target in successors(state, spec, terms):
+                steps.setdefault((render_action(action), id(target)), target)
+            ordered = sorted(steps.items(), key=lambda kv: (kv[0][0], text[kv[0][1]]))
+            for (label, key), tgt in ordered:
+                dst = ids.get(key)
                 if dst is None:
                     dst = len(forms)
                     if dst >= budget.max_states:
-                        raise BudgetExceededError("state", budget.max_states)
-                    ids[tgt] = dst
+                        raise BudgetExceededError(
+                            "state", budget.max_states, len(forms), len(transitions), depth
+                        )
+                    ids[key] = dst
                     forms.append(tgt)
                     next_frontier.append(tgt)
                 if len(transitions) >= budget.max_transitions:
-                    raise BudgetExceededError("transition", budget.max_transitions)
+                    raise BudgetExceededError(
+                        "transition", budget.max_transitions, len(forms), len(transitions), depth
+                    )
                 transitions.append((src, label, dst))
         frontier = next_frontier
+        depth += 1
 
     return Lts(num_states=len(forms), transitions=transitions, forms=forms)

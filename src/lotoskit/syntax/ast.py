@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .diagnostics import Span
 
@@ -204,16 +205,20 @@ class Specification:
     loc: Span | None = _loc_field()
 
     def process(self, name: str) -> ProcessDef | None:
-        for p in self.processes:
-            if p.name == name:
-                return p
-        return None
+        return self._process_table.get(name)
 
     def sort(self, name: str) -> SortDecl | None:
-        for s in self.sorts:
-            if s.name == name:
-                return s
-        return None
+        return self._sort_table.get(name)
+
+    # Built on first use and kept in the instance, which is never mutated;
+    # on a duplicate name the first declaration wins, as for a linear scan.
+    @cached_property
+    def _process_table(self) -> dict[str, ProcessDef]:
+        return {p.name: p for p in reversed(self.processes)}
+
+    @cached_property
+    def _sort_table(self) -> dict[str, SortDecl]:
+        return {s.name: s for s in reversed(self.sorts)}
 
     def value_sorts(self) -> dict[str, str]:
         """Map each declared value to its sort.  Values are required to be

@@ -67,15 +67,16 @@ def _par_op(b: ast.Par) -> str:
 
 
 def pretty_behavior(b: ast.Behavior) -> str:
-    return _fmt(b, parent_level=None)
+    return pretty_node(b, pretty_behavior)
 
 
-def _fmt(b: ast.Behavior, parent_level: int | None) -> str:
+def pretty_node(b: ast.Behavior, text_of) -> str:
+    """The printed form of one node, composed from its children's printed
+    forms: ``text_of(child)`` must return ``pretty_behavior(child)``.
+    Lets a caller that caches each subterm's text print a new node without
+    walking the subterms again."""
     if isinstance(b, ast.Hide):
-        text = f"hide {_gate_set(b.gates)} in {_fmt(b.body, None)}"
-        # hide grabs everything to its right; protect it under any parent
-        return f"({text})" if parent_level is not None else text
-
+        return f"hide {_gate_set(b.gates)} in {text_of(b.body)}"
     if isinstance(b, ast.Stop):
         return "stop"
     if isinstance(b, ast.Exit):
@@ -85,9 +86,7 @@ def _fmt(b: ast.Behavior, parent_level: int | None) -> str:
             return f"{b.process} [{', '.join(b.gates)}]"
         return b.process
     if isinstance(b, ast.Prefix):
-        rest = _fmt(b.rest, _LEVEL_PREFIX)
-        if not isinstance(b.rest, ast.Hide) and _level(b.rest) < _LEVEL_PREFIX:
-            rest = f"({rest})"
+        rest = _operand(b.rest, text_of, _level(b.rest) < _LEVEL_PREFIX)
         return f"{pretty_action(b.action)}; {rest}"
 
     if isinstance(b, ast.Choice):
@@ -101,13 +100,16 @@ def _fmt(b: ast.Behavior, parent_level: int | None) -> str:
     else:
         raise TypeError(f"unknown behaviour node {b!r}")
 
-    left = _fmt(b.left, level)
-    if not isinstance(b.left, ast.Hide) and _level(b.left) < level:
-        left = f"({left})"
-    right = _fmt(b.right, level)
-    if not isinstance(b.right, ast.Hide) and _level(b.right) <= level:
-        right = f"({right})"
+    left = _operand(b.left, text_of, _level(b.left) < level)
+    right = _operand(b.right, text_of, _level(b.right) <= level)
     return f"{left} {op} {right}"
+
+
+def _operand(b: ast.Behavior, text_of, looser: bool) -> str:
+    # hide grabs everything to its right, so it is protected under any
+    # parent; other operands only when they bind looser than the parent
+    text = text_of(b)
+    return f"({text})" if looser or isinstance(b, ast.Hide) else text
 
 
 def pretty_spec(spec: ast.Specification) -> str:

@@ -9,6 +9,7 @@ Aldebaran .aut exchange format.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 
 from .semantics import Lts
@@ -304,23 +305,31 @@ def _distinguish(
     """One experiment a refuter can play to tell two non-bisimilar states
     apart: every label in the list is answered by the opponent until the
     last one, which exactly one side can perform."""
-    depth = next(r for r, blocks in enumerate(history) if blocks[s1] != blocks[s2])
-    prev = history[depth - 1]
-    sig1 = {(label, prev[dst]) for label, dst in out[s1]}
-    sig2 = {(label, prev[dst]) for label, dst in out[s2]}
-    if sig1 - sig2:
-        owner, other = s1, s2
-        label, blk = min(sig1 - sig2)
-    else:
-        owner, other = s2, s1
-        label, blk = min(sig2 - sig1)
-    replies = [dst for lab, dst in out[other] if lab == label]
-    if not replies:
-        return [label]
-    t_owner = next(dst for lab, dst in out[owner] if lab == label and prev[dst] == blk)
-    # every reply sits outside blk at this depth, so the recursion works on
-    # a pair that separated strictly earlier and terminates
-    return [label] + _distinguish(t_owner, replies[0], out, history[:depth])
+    trace: list[str] = []
+    # refinement only splits blocks, so once two states are apart they
+    # stay apart; the round that first separates the pair falls strictly
+    # with every step, and is found by walking down from the last one
+    depth = len(history) - 1
+    while True:
+        while history[depth - 1][s1] != history[depth - 1][s2]:
+            depth -= 1
+        prev = history[depth - 1]
+        sig1 = {(label, prev[dst]) for label, dst in out[s1]}
+        sig2 = {(label, prev[dst]) for label, dst in out[s2]}
+        if sig1 - sig2:
+            owner, other = s1, s2
+            label, blk = min(sig1 - sig2)
+        else:
+            owner, other = s2, s1
+            label, blk = min(sig2 - sig1)
+        trace.append(label)
+        replies = [dst for lab, dst in out[other] if lab == label]
+        if not replies:
+            return trace
+        # every reply sits outside blk in round depth - 1, so the next
+        # pair separated strictly earlier
+        s1 = next(dst for lab, dst in out[owner] if lab == label and prev[dst] == blk)
+        s2 = replies[0]
 
 
 def bisim_equiv(a: Lts, b: Lts) -> VerifyResult:
@@ -358,9 +367,9 @@ def minimize(lts: Lts) -> Lts:
         )
 
     order = {block[lts.initial]: 0}
-    queue = [block[lts.initial]]
+    queue = deque([block[lts.initial]])
     while queue:
-        blk = queue.pop(0)
+        blk = queue.popleft()
         for _, tblk in moves[blk]:
             if tblk not in order:
                 order[tblk] = len(order)

@@ -99,6 +99,7 @@ def test_lts_budget_exhaustion(capsys):
     code, _, err = run(capsys, "lts", corpus("multicast_unordered.lot"), "--max-states", "5")
     assert code == 2
     assert "budget" in err
+    assert "after 5 states" in err
 
 
 def test_lts_invalid_spec_is_operational_error(capsys, tmp_path):

@@ -333,14 +333,31 @@ def test_budget_limits_states():
     spec = load_spec("multicast_unordered.lot")
     with pytest.raises(BudgetExceededError) as exc:
         generate_lts(spec, ExplorationBudget(max_states=10))
-    assert exc.value.kind == "state"
+    err = exc.value
+    assert err.kind == "state"
+    # discovering an eleventh state breaks the budget of ten
+    assert err.states == 10 and 0 < err.transitions
+    assert err.depth >= 1
+    assert f"{err.states} states and {err.transitions} transitions at depth {err.depth}" in str(err)
 
 
 def test_budget_limits_transitions():
     spec = load_spec("multicast_unordered.lot")
     with pytest.raises(BudgetExceededError) as exc:
         generate_lts(spec, ExplorationBudget(max_transitions=20))
-    assert exc.value.kind == "transition"
+    err = exc.value
+    assert err.kind == "transition"
+    assert err.transitions == 20 and 0 < err.states <= 21
+    assert err.depth >= 1
+    assert f"{err.states} states and {err.transitions} transitions at depth {err.depth}" in str(err)
+
+
+def test_budget_reports_breadth_first_depth():
+    # a chain of 30 steps reaches depth k after k + 1 states
+    spec = spec_of(chain_text(1, 30))
+    with pytest.raises(BudgetExceededError) as exc:
+        generate_lts(spec, ExplorationBudget(max_states=12))
+    assert (exc.value.states, exc.value.transitions, exc.value.depth) == (12, 11, 11)
 
 
 def test_states_numbered_in_discovery_order(client_server_lts):

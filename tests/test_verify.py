@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -259,6 +260,26 @@ def test_distinguishing_experiment_on_immediate_difference():
     result = bisim_equiv(lts_of("a; stop"), lts_of("b; stop"))
     assert not result.ok
     assert result.trace in (["a"], ["b"])
+
+
+def chain_aut(labels):
+    lines = [f"des (0, {len(labels)}, {len(labels) + 1})"]
+    lines += [f'({k}, "{label}", {k + 1})' for k, label in enumerate(labels)]
+    return "\n".join(lines) + "\n"
+
+
+def test_long_experiment_at_default_recursion_limit():
+    # the pair separates one refinement round per chain step, so the
+    # experiment walks both chains to the end: 1,101 steps
+    labels = [f"a{k}" for k in range(1101)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        result = bisim_equiv(read_aut(chain_aut(labels[:-1])), read_aut(chain_aut(labels)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert not result.ok
+    assert result.trace == labels
 
 
 def test_random_pairs_verdict_matches_minimized_iso():
