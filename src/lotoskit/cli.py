@@ -5,7 +5,8 @@ state space), verify (deadlock, reach, safety, bisim), contract, adl.
 
 Exit codes: 0 everything holds, 1 the checked property or contract fails,
 2 the inputs cannot be processed (unreadable or invalid files, exhausted
-exploration budget), 3 command line usage errors.  Human-readable
+exploration budget, input nested beyond the recursion limit), 3 command
+line usage errors.  Human-readable
 findings go to stdout, diagnostics to stderr; --format json prints one
 machine-readable object to stdout instead.
 """
@@ -344,7 +345,7 @@ def _build_parser() -> _ArgumentParser:
     v = sub.add_parser("verify", help="check properties of a state space")
     vsub = v.add_subparsers(dest="property", required=True)
 
-    p = vsub.add_parser("deadlock", help="every state can move or has terminated")
+    p = vsub.add_parser("deadlock", help="every reachable state can move or has terminated")
     p.add_argument("file", help="behaviour file or .aut file")
     _add_no_hide(p)
     _add_budget_flags(p)
@@ -398,6 +399,10 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"lotoskit: {exc.message}", file=sys.stderr)
         return exc.code
+    except RecursionError:
+        print("lotoskit: input nested too deeply to process "
+              "(Python recursion limit reached)", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -372,7 +372,7 @@ class ContractReport:
         if self.bc_result is not None:
             status = "deadlock free" if self.bc_result.ok else self.bc_result.detail
             out.append(f"  bc: {status}")
-            if not self.bc_result.ok and self.bc_result.trace is not None:
+            if not self.bc_result.ok:
                 out.append(f"  bc: trace {self.bc_result.trace}")
         return out
 

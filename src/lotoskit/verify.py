@@ -2,15 +2,21 @@
 
 Everything here works on the Lts produced by the semantics (or read back
 from an .aut file): deadlock freedom, reachability of a labelled step,
-safety monitors run as a synchronous product, strong bisimulation with a
-distinguishing experiment as evidence, quotient minimisation, and the
-Aldebaran .aut exchange format.
+safety monitors, strong bisimulation with a distinguishing experiment as
+evidence, quotient minimisation, and the Aldebaran .aut exchange format.
+
+Deadlock, reachability and safety are one breadth-first search over
+(system state, observer state) pairs; the observers are "was the last
+step exit", "has a step matched" and the user's monitor.  Only states
+reachable from the initial one count, and traces are shortest whatever
+order the transitions are listed in.
 """
 from __future__ import annotations
 
 import re
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 from .semantics import Lts
 from .syntax.diagnostics import Diagnostic, SYNTAX_ERROR, Span, error
@@ -86,69 +92,84 @@ class VerifyResult:
 
 
 # ----------------------------------------------------------------------
-# traces
-
-def _parents(lts: Lts) -> dict[int, tuple[int, str]]:
-    """First-discovery edge per state; transition order is breadth-first,
-    so following these back gives a shortest path from the initial state."""
-    parents: dict[int, tuple[int, str]] = {}
-    for src, label, dst in lts.transitions:
-        if dst != lts.initial and dst not in parents:
-            parents[dst] = (src, label)
-    return parents
+# the search behind every check
 
 
-def _trace_to(lts: Lts, state: int, parents: dict[int, tuple[int, str]]) -> list[str] | None:
-    labels: list[str] = []
-    cur = state
-    while cur != lts.initial:
-        edge = parents.get(cur)
-        if edge is None or len(labels) >= lts.num_states:
-            return None  # disconnected or cyclically ordered input
-        cur, label = edge
-        labels.append(label)
-    labels.reverse()
-    return labels
+def _search(lts: Lts, start: object, step: Callable[[object, str], object],
+            bad: Callable[[tuple], bool]) -> tuple[tuple, list[str]] | None:
+    """Breadth-first search of the product of lts with a deterministic
+    observer: start is the observer's initial state, step(obs, label) its
+    move, and bad(pair) the goal on (system state, observer state) pairs.
+    Returns the first bad pair reachable from the initial one with a
+    shortest trace to it, or None.  step runs once per observer state and
+    distinct label."""
+    if not lts.num_states:  # des (0, 0, 0): not even an initial state
+        return None
+    root = (lts.initial, start)
+    parent: dict[tuple, tuple[tuple, str] | None] = {root: None}
+    hit = root if bad(root) else None
+    moves: dict[object, dict[str, object]] = {}
+    queue = deque([root])
+    while queue and hit is None:
+        pair = queue.popleft()
+        s, obs = pair
+        memo = moves.setdefault(obs, {})
+        for label, dst in lts.outgoing(s):
+            nobs = memo.get(label)
+            if nobs is None:
+                nobs = memo[label] = step(obs, label)
+            nxt = (dst, nobs)
+            if nxt in parent:
+                continue
+            parent[nxt] = (pair, label)
+            if bad(nxt):
+                hit = nxt
+                break
+            queue.append(nxt)
+    if hit is None:
+        return None
+    trace: list[str] = []
+    edge = parent[hit]
+    while edge is not None:
+        pair, label = edge
+        trace.append(label)
+        edge = parent[pair]
+    trace.reverse()
+    return hit, trace
 
 
 # ----------------------------------------------------------------------
 # deadlock and reachability
 
 
-def _terminated_states(lts: Lts) -> set[int]:
-    """States that only successful termination leads into.  Such a state is
-    a proper end, not a deadlock."""
-    incoming: dict[int, set[str]] = {}
-    for _, label, dst in lts.transitions:
-        incoming.setdefault(dst, set()).add(label)
-    return {s for s, labels in incoming.items() if labels == {"exit"}}
-
-
 def check_deadlock(lts: Lts) -> VerifyResult:
-    """ok when every reachable state can either move or has terminated."""
-    terminated = _terminated_states(lts)
-    parents = _parents(lts)
-    for s in range(lts.num_states):
-        if not lts.outgoing(s) and s not in terminated:
-            form = lts.form_text(s)
-            where = f"state {s}" if form is None else f"state {s} = {form}"
-            return VerifyResult(
-                ok=False,
-                detail=f"deadlock at {where}",
-                trace=_trace_to(lts, s, parents),
-            )
-    return VerifyResult(ok=True, detail=f"no deadlock in {lts.num_states} state(s)")
+    """ok when no reachable state without moves is initial or entered by a
+    step other than exit; a run that enters it by exit has terminated
+    successfully."""
+    found = _search(
+        lts, False,
+        lambda _, label: label == "exit",
+        lambda pair: not pair[1] and not lts.outgoing(pair[0]),
+    )
+    if found is None:
+        return VerifyResult(ok=True, detail=f"no deadlock in {lts.num_states} state(s)")
+    (s, _), trace = found
+    form = lts.form_text(s)
+    where = f"state {s}" if form is None else f"state {s} = {form}"
+    return VerifyResult(ok=False, detail=f"deadlock at {where}", trace=trace)
 
 
 def check_reachable(lts: Lts, pattern: LabelPattern) -> VerifyResult:
     """ok when some reachable transition matches; the trace ends with it."""
-    parents = _parents(lts)
-    for src, label, _ in lts.transitions:
-        if pattern.matches(label):
-            prefix = _trace_to(lts, src, parents)
-            trace = None if prefix is None else prefix + [label]
-            return VerifyResult(ok=True, detail=f"'{label}' is reachable", trace=trace)
-    return VerifyResult(ok=False, detail=f"no transition matches '{pattern}'")
+    found = _search(
+        lts, False,
+        lambda matched, label: matched or pattern.matches(label),
+        lambda pair: pair[1],
+    )
+    if found is None:
+        return VerifyResult(ok=False, detail=f"no transition matches '{pattern}'")
+    _, trace = found
+    return VerifyResult(ok=True, detail=f"'{trace[-1]}' is reachable", trace=trace)
 
 
 # ----------------------------------------------------------------------
@@ -224,45 +245,13 @@ def parse_monitor(text: str, filename: str = "<monitor>") -> tuple[Monitor | Non
 
 
 def check_safety(lts: Lts, monitor: Monitor) -> VerifyResult:
-    """Breadth-first product of system and monitor; ok when no bad monitor
-    state is reachable.  A violation comes with a shortest trace."""
-    start = (lts.initial, monitor.initial)
-    seen: dict[tuple[int, str], tuple[tuple[int, str], str] | None] = {start: None}
-    queue = [start]
-    hit: tuple[int, str] | None = start if monitor.initial in monitor.bad else None
-
-    while queue and hit is None:
-        next_queue: list[tuple[int, str]] = []
-        for prod in queue:
-            s, m = prod
-            for label, dst in lts.outgoing(s):
-                nxt = (dst, monitor.step(m, label))
-                if nxt in seen:
-                    continue
-                seen[nxt] = (prod, label)
-                if nxt[1] in monitor.bad:
-                    hit = nxt
-                    break
-                next_queue.append(nxt)
-            if hit is not None:
-                break
-        queue = next_queue
-
-    if hit is None:
+    """ok when the product of system and monitor reaches no bad monitor
+    state.  A violation comes with a shortest trace."""
+    found = _search(lts, monitor.initial, monitor.step, lambda pair: pair[1] in monitor.bad)
+    if found is None:
         return VerifyResult(ok=True, detail=f"monitor stays out of {sorted(monitor.bad)}")
-
-    labels: list[str] = []
-    cur: tuple[int, str] | None = hit
-    while cur is not None and seen[cur] is not None:
-        prev, label = seen[cur]  # type: ignore[misc]
-        labels.append(label)
-        cur = prev
-    labels.reverse()
-    return VerifyResult(
-        ok=False,
-        detail=f"monitor reaches bad state '{hit[1]}'",
-        trace=labels,
-    )
+    (_, state), trace = found
+    return VerifyResult(ok=False, detail=f"monitor reaches bad state '{state}'", trace=trace)
 
 
 # ----------------------------------------------------------------------

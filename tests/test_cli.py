@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -108,6 +109,24 @@ def test_lts_invalid_spec_is_operational_error(capsys, tmp_path):
     code, _, err = run(capsys, "lts", str(bad))
     assert code == 2
     assert "unknown-gate" in err
+
+
+def test_too_deep_input_is_operational_error(capsys, tmp_path):
+    deep = tmp_path / "deep.lot"
+    deep.write_text(
+        "specification Deep [a] : noexit :=\n  behaviour\n    "
+        + "a; " * 3000 + "stop\nendspec\n"
+    )
+    # a fresh interpreter's limit; exploring raises it for the process
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code, _, err = run(capsys, "verify", "deadlock", str(deep))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 2
+    assert err.startswith("lotoskit: ")
+    assert err.count("\n") == 1
 
 
 # ----------------------------------------------------------------------

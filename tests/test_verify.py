@@ -2,7 +2,10 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import check_oracle
 from behavior_gen import gen_behavior, wrap
 from conftest import load_spec
 from lotoskit import (
@@ -18,6 +21,7 @@ from lotoskit import (
     parse_monitor,
     read_aut,
 )
+from lotoskit.cli import main
 from lotoskit.semantics import strip_hiding
 from lotoskit.syntax import ast, parse_behavior
 
@@ -107,6 +111,25 @@ def test_deadlock_trace_is_shortest():
     result = check_deadlock(lts_of("a; b; c; stop [] d; stop"))
     assert not result.ok
     assert result.trace == ["d"]
+    # the same for a file that does not list its transitions breadth-first
+    result = check_deadlock(read_aut('des (0, 3, 3)\n(1, "b", 2)\n(0, "a", 1)\n(0, "c", 2)\n'))
+    assert not result.ok
+    assert result.trace == ["c"]
+
+
+def test_deadlock_witness_does_not_end_in_exit(tmp_path, capsys):
+    # exit and c both lead into the same dead state; only the run through
+    # c is stuck, the one through exit has terminated
+    result = check_deadlock(lts_of("(a; exit) [] (b; c; stop)"))
+    assert not result.ok
+    assert result.trace == ["b", "c"]
+    spec = tmp_path / "exit_or_stuck.lot"
+    spec.write_text(
+        "specification S [a, b, c] : noexit :=\n"
+        "  behaviour\n    (a; exit) [] (b; c; stop)\nendspec\n"
+    )
+    assert main(["verify", "deadlock", str(spec)]) == 1
+    assert "trace: b ; c" in capsys.readouterr().out.splitlines()
 
 
 # ----------------------------------------------------------------------
@@ -125,6 +148,16 @@ def test_unreachable(client_server_lts):
     result = check_reachable(client_server_lts, parse_label_pattern("nothing"))
     assert not result.ok
     assert result.trace is None
+
+
+def test_reach_ignores_unreachable_transitions():
+    # g leaves state 1, which state 0 cannot reach
+    lts = read_aut('des (0, 2, 3)\n(0, "e", 0)\n(1, "g", 2)\n')
+    result = check_reachable(lts, parse_label_pattern("g"))
+    assert not result.ok
+    assert result.trace is None
+    mon, _ = parse_monitor("states w bad\ninitial w\nbad bad\ntrans w bad g\n")
+    assert check_safety(lts, mon).ok
 
 
 def test_reach_trace_is_shortest():
@@ -386,12 +419,89 @@ def test_checks_work_on_read_back_systems(client_server_lts):
     assert bisim_equiv(back, client_server_lts).ok
 
 
-def test_trace_bails_out_on_unordered_input():
-    # a hand-written file whose parent edges loop; the deadlock is still
-    # found, only the trace is withheld
-    lts = read_aut(
-        'des (0, 4, 4)\n(0, "e", 0)\n(2, "a", 3)\n(3, "b", 2)\n(3, "d", 1)\n'
-    )
-    result = check_deadlock(lts)
+def test_checks_on_a_system_without_states():
+    lts = read_aut("des (0, 0, 0)\n")
+    mon, _ = parse_monitor("states a\ninitial a\nbad a\n")
+    assert check_deadlock(lts).ok
+    assert not check_reachable(lts, parse_label_pattern("*")).ok
+    assert check_safety(lts, mon).ok
+
+
+def test_deadlock_only_counts_reachable_sinks():
+    # state 1 has no moves; state 0 cannot reach it, state 2 can
+    transitions = '(0, "e", 0)\n(2, "a", 3)\n(3, "b", 2)\n(3, "d", 1)\n'
+    assert check_deadlock(read_aut("des (0, 4, 4)\n" + transitions)).ok
+    result = check_deadlock(read_aut("des (2, 4, 4)\n" + transitions))
     assert not result.ok
-    assert result.trace is None
+    assert result.detail == "deadlock at state 1"
+    assert result.trace == ["a", "d"]
+
+
+# ----------------------------------------------------------------------
+# deadlock, reach and safety against the oracle on random .aut files
+
+
+LABELS = ("a", "b", "c !v1", "c !v2", "i", "exit")
+PATTERNS = ("a", "b", "*", "c !*", "c !v2", "* !v1", "i", "exit")
+
+
+@st.composite
+def aut_systems(draw):
+    """Small files in random line order, with any initial state, so that
+    some states are unreachable and exit edges lead anywhere."""
+    n = draw(st.integers(1, 8))
+    state = st.integers(0, n - 1)
+    edge = st.tuples(state, st.sampled_from(LABELS), state)
+    edges = draw(st.lists(edge, min_size=n - 1, max_size=2 * n + 2, unique=True))
+    lines = [f"des ({draw(state)}, {len(edges)}, {n})"]
+    lines += [f'({src}, "{label}", {dst})' for src, label, dst in edges]
+    return read_aut("\n".join(lines) + "\n")
+
+
+@st.composite
+def monitors(draw):
+    """Two to four states, the last one bad; a bad initial state has its
+    own test."""
+    names = [f"m{k}" for k in range(draw(st.integers(2, 4)))]
+    name = st.sampled_from(names)
+    rules = draw(st.lists(st.tuples(name, name, st.sampled_from(PATTERNS)), min_size=2, max_size=8))
+    lines = [f"states {' '.join(names)}", f"initial {names[0]}", f"bad {names[-1]}"]
+    lines += [f"trans {src} {dst} {pat}" for src, dst, pat in rules]
+    mon, diags = parse_monitor("\n".join(lines))
+    assert mon is not None, [str(d) for d in diags]
+    return mon
+
+
+@settings(max_examples=300, deadline=None)
+@given(aut_systems())
+def test_deadlock_agrees_with_oracle(lts):
+    result = check_deadlock(lts)
+    want = check_oracle.deadlock_distance(lts)
+    assert result.ok == (want is None)
+    if not result.ok:
+        assert len(result.trace) == want
+        state = int(result.detail.split()[-1])
+        assert check_oracle.is_deadlock_witness(lts, result.trace, state)
+
+
+@settings(max_examples=300, deadline=None)
+@given(aut_systems(), st.sampled_from(PATTERNS))
+def test_reach_agrees_with_oracle(lts, text):
+    pattern = parse_label_pattern(text)
+    result = check_reachable(lts, pattern)
+    want = check_oracle.reach_distance(lts, pattern)
+    assert result.ok == (want is not None)
+    if result.ok:
+        assert len(result.trace) == want
+        assert check_oracle.is_reach_witness(lts, result.trace, pattern)
+
+
+@settings(max_examples=300, deadline=None)
+@given(aut_systems(), monitors())
+def test_safety_agrees_with_oracle(lts, mon):
+    result = check_safety(lts, mon)
+    want = check_oracle.safety_distance(lts, mon)
+    assert result.ok == (want is None)
+    if not result.ok:
+        assert len(result.trace) == want
+        assert check_oracle.is_safety_witness(lts, result.trace, mon)
