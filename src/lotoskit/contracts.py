@@ -22,6 +22,7 @@ from .semantics import ExplorationBudget, generate_lts
 from .syntax.diagnostics import (
     BAD_ARITY,
     Diagnostic,
+    SYNTAX_ERROR,
     Span,
     UNKNOWN_PREDICATE,
     error,
@@ -116,7 +117,7 @@ def parse_facts(text: str, filename: str = "<facts>") -> tuple[FactBase, list[Di
             continue
         m = line_re.match(line)
         if not m:
-            diags.append(error(f"cannot read fact: {line!r}", Span.point(line_no, 1), "syntax-error"))
+            diags.append(error(f"cannot read fact: {line!r}", Span.point(line_no, 1), SYNTAX_ERROR))
             continue
         pred = m.group(1)
         args = tuple(a.strip() for a in m.group(2).split(",")) if m.group(2) else ()

@@ -11,6 +11,12 @@ its children's; and the successors of each term and the unfolding of
 each instantiation are computed once.  The unchanged components of a
 parallel state therefore cost nothing when it steps.
 
+Recursion is unguarded when a process recurs before any action prefix
+(Milner, "Communication and Concurrency", 1989, 4.5): while computing
+the steps of a term, the processes unfolded on the current path are
+kept, and meeting one of them again raises UnguardedRecursionError.
+Exploration never changes the interpreter's recursion limit.
+
 Value offers are expanded when an action prefix fires: a receive "?x: S"
 yields one step per value of S, with the chosen value substituted into the
 continuation.  After that expansion every label is ground, so parallel
@@ -23,7 +29,6 @@ into its continuation, and that discharges a disrupting branch.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass, field, replace
 
 from .syntax import ast
@@ -87,12 +92,6 @@ class BudgetExceededError(Exception):
         self.states = states
         self.transitions = transitions
         self.depth = depth
-
-
-# Unfoldings tolerated while searching for the next action.  Mutual
-# recursion through n guard-free definitions needs n unfoldings, so this
-# only trips on genuinely unguarded loops.
-UNFOLD_LIMIT = 1000
 
 
 # ----------------------------------------------------------------------
@@ -268,10 +267,6 @@ def successors(
     ``generate_lts`` passes the term table of its exploration, into which
     b is interned and whose loaded copy of spec it uses; without one, b
     is normalised and interned into a fresh table."""
-    # an unguarded loop may legitimately nest UNFOLD_LIMIT operator frames
-    # before the fuel runs out; leave the interpreter room for that
-    if sys.getrecursionlimit() < 12 * UNFOLD_LIMIT:
-        sys.setrecursionlimit(12 * UNFOLD_LIMIT)
     if terms is None:
         terms = _Terms(spec)
         b = terms.intern(normalize(b))
@@ -298,6 +293,8 @@ class _Terms:
         self._nodes: dict[tuple, ast.Behavior] = {}
         self._steps: dict[int, list[tuple[Action, ast.Behavior]]] = {}
         self._unfolded: dict[tuple[str, tuple[str, ...]], ast.Behavior] = {}
+        # the processes being unfolded on the current path of ``steps``
+        self._unfolding: set[str] = set()
         self.stop = self.intern(ast.Stop())
         self.initial = self.intern(self.spec.top_behavior)
 
@@ -359,66 +356,72 @@ class _Terms:
 
     # -- single steps ---------------------------------------------------
 
-    def steps(self, b: ast.Behavior, fuel: int = UNFOLD_LIMIT) -> list[tuple[Action, ast.Behavior]]:
-        """The successors of an interned term.  Only results computed
-        with full fuel are memoised: inside an unfolding less fuel is left,
-        and a result reused there could hide an UnguardedRecursionError."""
-        if fuel < UNFOLD_LIMIT:
-            return self._compute(b, fuel)
+    def steps(self, b: ast.Behavior) -> list[tuple[Action, ast.Behavior]]:
+        """The successors of an interned term, computed once."""
         out = self._steps.get(id(b))
         if out is None:
-            out = self._steps[id(b)] = self._compute(b, fuel)
+            out = self._steps[id(b)] = self._compute(b)
         return out
 
-    def _compute(self, b: ast.Behavior, fuel: int) -> list[tuple[Action, ast.Behavior]]:
-        while isinstance(b, ast.Inst):
-            if fuel <= 0:
-                raise UnguardedRecursionError(b.process)
-            fuel -= 1
-            b = self.unfolded(b)
+    def _compute(self, b: ast.Behavior) -> list[tuple[Action, ast.Behavior]]:
+        # Which processes an unfolding reaches before the next action
+        # depends on the process bodies alone, not on the gates, so a
+        # process met twice on one path recurs forever.  A memoised
+        # result met no process of the path it was computed on, so
+        # reusing it cannot hide such a repeat.
+        entered: list[str] = []
+        try:
+            while isinstance(b, ast.Inst):
+                if b.process in self._unfolding:
+                    raise UnguardedRecursionError(b.process)
+                self._unfolding.add(b.process)
+                entered.append(b.process)
+                b = self.unfolded(b)
 
-        if isinstance(b, ast.Stop):
-            return []
-        if isinstance(b, ast.Exit):
-            return [(Terminate(), self.stop)]
+            if isinstance(b, ast.Stop):
+                return []
+            if isinstance(b, ast.Exit):
+                return [(Terminate(), self.stop)]
 
-        if isinstance(b, ast.Prefix):
-            return self._prefix_steps(b)
+            if isinstance(b, ast.Prefix):
+                return self._prefix_steps(b)
 
-        if isinstance(b, ast.Choice):
-            return self.steps(b.left, fuel) + self.steps(b.right, fuel)
+            if isinstance(b, ast.Choice):
+                return self.steps(b.left) + self.steps(b.right)
 
-        if isinstance(b, ast.Par):
-            return self._par_steps(b, fuel)
+            if isinstance(b, ast.Par):
+                return self._par_steps(b)
 
-        if isinstance(b, ast.Hide):
-            out = []
-            for a, nxt in self.steps(b.body, fuel):
-                if isinstance(a, Observable) and a.gate in b.gates:
-                    a = Internal()
-                out.append((a, self.hide(b.gates, nxt)))
-            return out
+            if isinstance(b, ast.Hide):
+                out = []
+                for a, nxt in self.steps(b.body):
+                    if isinstance(a, Observable) and a.gate in b.gates:
+                        a = Internal()
+                    out.append((a, self.hide(b.gates, nxt)))
+                return out
 
-        if isinstance(b, ast.Seq):
-            out = []
-            for a, nxt in self.steps(b.left, fuel):
-                if isinstance(a, Terminate):
-                    out.append((Internal(), b.right))
-                else:
-                    out.append((a, self.binary(ast.Seq, nxt, b.right)))
-            return out
+            if isinstance(b, ast.Seq):
+                out = []
+                for a, nxt in self.steps(b.left):
+                    if isinstance(a, Terminate):
+                        out.append((Internal(), b.right))
+                    else:
+                        out.append((a, self.binary(ast.Seq, nxt, b.right)))
+                return out
 
-        if isinstance(b, ast.Disrupt):
-            out = []
-            for a, nxt in self.steps(b.left, fuel):
-                if isinstance(a, Terminate):
-                    out.append((a, nxt))
-                else:
-                    out.append((a, self.binary(ast.Disrupt, nxt, b.right)))
-            out.extend(self.steps(b.right, fuel))
-            return out
+            if isinstance(b, ast.Disrupt):
+                out = []
+                for a, nxt in self.steps(b.left):
+                    if isinstance(a, Terminate):
+                        out.append((a, nxt))
+                    else:
+                        out.append((a, self.binary(ast.Disrupt, nxt, b.right)))
+                out.extend(self.steps(b.right))
+                return out
 
-        raise TypeError(f"unknown behaviour node {b!r}")
+            raise TypeError(f"unknown behaviour node {b!r}")
+        finally:
+            self._unfolding.difference_update(entered)
 
     def _prefix_steps(self, b: ast.Prefix) -> list[tuple[Action, ast.Behavior]]:
         action = b.action
@@ -464,7 +467,7 @@ class _Terms:
             out.append((Observable(action.gate, tuple(values)), nxt))
         return out
 
-    def _par_steps(self, b: ast.Par, fuel: int) -> list[tuple[Action, ast.Behavior]]:
+    def _par_steps(self, b: ast.Par) -> list[tuple[Action, ast.Behavior]]:
         if b.kind is ast.ParKind.INTERLEAVE:
             def syncs(a: Action) -> bool:
                 return isinstance(a, Terminate)
@@ -477,8 +480,8 @@ class _Terms:
                     isinstance(a, Observable) and a.gate in b.gates
                 )
 
-        left_steps = self.steps(b.left, fuel)
-        right_steps = self.steps(b.right, fuel)
+        left_steps = self.steps(b.left)
+        right_steps = self.steps(b.right)
 
         out: list[tuple[Action, ast.Behavior]] = []
         for a, nxt in left_steps:

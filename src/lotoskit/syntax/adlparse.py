@@ -18,16 +18,9 @@ its gates).
 from __future__ import annotations
 
 from ..adl import COMPONENT, CONNECTOR, ArchConfig, ArchElement
-from .diagnostics import Diagnostic, SYNTAX_ERROR, Span, error
-from .lexer import EOF, IDENT, LexFailure, STRING, Token, TokenStream
-from .parser import _Parser, _ParseFailure
-
-
-class _Bail(Exception):
-    def __init__(self, span: Span, message: str):
-        super().__init__(message)
-        self.span = span
-        self.message = message
+from .diagnostics import Diagnostic, error, has_errors
+from .lexer import EOF, IDENT, STRING, ParseFailure, TokenStream
+from .parser import _Parser
 
 
 class _AdlParser:
@@ -35,29 +28,11 @@ class _AdlParser:
         self.ts = stream
         self.diags: list[Diagnostic] = []
 
-    def _expect_punct(self, text: str) -> Token:
-        tok = self.ts.peek()
-        if not self.ts.at_punct(text):
-            raise _Bail(tok.span, f"expected '{text}', found '{tok.text}'")
-        return self.ts.next()
-
-    def _expect_kw(self, word: str) -> Token:
-        tok = self.ts.peek()
-        if not self.ts.at_kw(word):
-            raise _Bail(tok.span, f"expected '{word}', found '{tok.text}'")
-        return self.ts.next()
-
-    def _expect_ident(self, what: str) -> Token:
-        tok = self.ts.peek()
-        if tok.kind != IDENT:
-            raise _Bail(tok.span, f"expected {what}, found '{tok.text}'")
-        return self.ts.next()
-
     # ------------------------------------------------------------------
 
     def configuration(self) -> ArchConfig:
-        self._expect_kw("configuration")
-        name = self._expect_ident("a configuration name")
+        self.ts.expect_kw("configuration")
+        name = self.ts.expect_ident("a configuration name")
 
         uses: list[str] = []
         elements: list[ArchElement] = []
@@ -67,15 +42,15 @@ class _AdlParser:
         while not self.ts.at_kw("end"):
             tok = self.ts.peek()
             if tok.kind == EOF:
-                raise _Bail(tok.span, "missing 'end'")
+                raise ParseFailure(tok.span, "missing 'end'")
             part = tok.text.lower()
             if part != "use" and part in seen:
-                raise _Bail(tok.span, f"section '{part}' appears twice")
+                raise ParseFailure(tok.span, f"section '{part}' appears twice")
 
             if self.ts.accept_kw("use"):
                 path = self.ts.peek()
                 if path.kind != STRING:
-                    raise _Bail(path.span, f"expected a quoted file name, found '{path.text}'")
+                    raise ParseFailure(path.span, f"expected a quoted file name, found '{path.text}'")
                 self.ts.next()
                 uses.append(path.text)
             elif self.ts.accept_kw("components"):
@@ -83,21 +58,21 @@ class _AdlParser:
             elif self.ts.accept_kw("connectors"):
                 elements.extend(self._bindings(CONNECTOR))
             elif self.ts.accept_kw("composition"):
-                self._expect_punct("{")
+                self.ts.expect_punct("{")
                 inner = _Parser(self.ts)
                 composition = inner.behaviour()
                 self.diags.extend(inner.diagnostics)
-                self._expect_punct("}")
+                self.ts.expect_punct("}")
             else:
-                raise _Bail(tok.span, f"expected a configuration section, found '{tok.text}'")
+                raise ParseFailure(tok.span, f"expected a configuration section, found '{tok.text}'")
             seen.add(part)
 
-        end_tok = self._expect_kw("end")
+        end_tok = self.ts.expect_kw("end")
         tail = self.ts.peek()
         if tail.kind != EOF:
-            raise _Bail(tail.span, f"unexpected '{tail.text}' after end")
+            raise ParseFailure(tail.span, f"unexpected '{tail.text}' after end")
         if composition is None:
-            raise _Bail(end_tok.span, "configuration has no composition section")
+            raise ParseFailure(end_tok.span, "configuration has no composition section")
         return ArchConfig(
             name=name.text,
             uses=tuple(uses),
@@ -106,23 +81,23 @@ class _AdlParser:
         )
 
     def _bindings(self, role: str) -> list[ArchElement]:
-        self._expect_punct("{")
+        self.ts.expect_punct("{")
         out: list[ArchElement] = []
         while self.ts.peek().kind == IDENT:
             name = self.ts.next()
-            self._expect_punct("=")
-            process = self._expect_ident("a process name")
+            self.ts.expect_punct("=")
+            process = self.ts.expect_ident("a process name")
             gates: tuple[str, ...] = ()
             if self.ts.accept_punct("["):
-                names = [self._expect_ident("a gate name").text]
+                names = [self.ts.expect_ident("a gate name").text]
                 while self.ts.accept_punct(","):
-                    names.append(self._expect_ident("a gate name").text)
-                self._expect_punct("]")
+                    names.append(self.ts.expect_ident("a gate name").text)
+                self.ts.expect_punct("]")
                 gates = tuple(names)
             out.append(ArchElement(name.text, role, process.text, gates))
             if not self.ts.accept_punct(","):
                 break
-        self._expect_punct("}")
+        self.ts.expect_punct("}")
         return out
 
 
@@ -132,10 +107,8 @@ def parse_adl(text: str, filename: str = "<configuration>") -> tuple[ArchConfig 
     try:
         parser = _AdlParser(TokenStream(text))
         config = parser.configuration()
-        if any(d.severity == "error" for d in parser.diags):
+        if has_errors(parser.diags):
             return None, parser.diags
         return config, parser.diags
-    except LexFailure as exc:
-        return None, [error(exc.message, exc.span, "lex-error")]
-    except (_Bail, _ParseFailure) as exc:
-        return None, [error(exc.message, exc.span, SYNTAX_ERROR)]
+    except ParseFailure as exc:
+        return None, [error(exc.message, exc.span, exc.code)]

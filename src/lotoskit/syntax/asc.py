@@ -39,21 +39,12 @@ from .diagnostics import (
     DUPLICATE_DEFINITION,
     Diagnostic,
     MALFORMED_IC,
-    SYNTAX_ERROR,
-    Span,
     UNKNOWN_PREDICATE,
     UNKNOWN_QUERY_VARIABLE,
     error,
     has_errors,
 )
-from .lexer import EOF, IDENT, LexFailure, STRING, Token, TokenStream
-
-
-class _Bail(Exception):
-    def __init__(self, span: Span, message: str):
-        super().__init__(message)
-        self.span = span
-        self.message = message
+from .lexer import EOF, IDENT, STRING, ParseFailure, TokenStream
 
 
 _IC_SECTIONS = (
@@ -72,30 +63,12 @@ class _AscParser:
         self.ts = stream
         self.diags: list[Diagnostic] = []
 
-    def _expect_punct(self, text: str) -> Token:
-        tok = self.ts.peek()
-        if not self.ts.at_punct(text):
-            raise _Bail(tok.span, f"expected '{text}', found '{tok.text}'")
-        return self.ts.next()
-
-    def _expect_kw(self, word: str) -> Token:
-        tok = self.ts.peek()
-        if not self.ts.at_kw(word):
-            raise _Bail(tok.span, f"expected '{word}', found '{tok.text}'")
-        return self.ts.next()
-
-    def _expect_ident(self, what: str) -> Token:
-        tok = self.ts.peek()
-        if tok.kind != IDENT:
-            raise _Bail(tok.span, f"expected {what}, found '{tok.text}'")
-        return self.ts.next()
-
     # ------------------------------------------------------------------
 
     def contract(self) -> AscContract:
-        self._expect_kw("component")
-        name = self._expect_ident("a contract name")
-        self._expect_kw("where")
+        self.ts.expect_kw("component")
+        name = self.ts.expect_ident("a contract name")
+        self.ts.expect_kw("where")
 
         assertion: str | None = None
         sc: Query | None = None
@@ -106,29 +79,29 @@ class _AscParser:
         while not self.ts.at_kw("end"):
             tok = self.ts.peek()
             if tok.kind == EOF:
-                raise _Bail(tok.span, "missing 'end'")
+                raise ParseFailure(tok.span, "missing 'end'")
             part = tok.text.lower()
             if part in seen:
-                raise _Bail(tok.span, f"section '{part}' appears twice")
+                raise ParseFailure(tok.span, f"section '{part}' appears twice")
 
             if self.ts.accept_kw("assert"):
                 assertion, _span = self.ts.raw_brace_block()
             elif self.ts.accept_kw("sc"):
-                self._expect_punct("{")
+                self.ts.expect_punct("{")
                 sc = self._query()
-                self._expect_punct("}")
+                self.ts.expect_punct("}")
             elif self.ts.accept_kw("ic"):
                 ic = self._interface()
             elif self.ts.accept_kw("bc"):
                 bc = self._bc()
             else:
-                raise _Bail(tok.span, f"expected a contract section, found '{tok.text}'")
+                raise ParseFailure(tok.span, f"expected a contract section, found '{tok.text}'")
             seen.add(part)
 
-        self._expect_kw("end")
+        self.ts.expect_kw("end")
         tail = self.ts.peek()
         if tail.kind != EOF:
-            raise _Bail(tail.span, f"unexpected '{tail.text}' after end")
+            raise ParseFailure(tail.span, f"unexpected '{tail.text}' after end")
         return AscContract(name=name.text, assertion=assertion, sc=sc, ic=ic, bc=bc)
 
     # ------------------------------------------------------------------
@@ -137,10 +110,10 @@ class _AscParser:
         variables: list[str] = []
         if self.ts.at_kw("exists"):
             self.ts.next()
-            variables.append(self._expect_ident("a variable name").text)
+            variables.append(self.ts.expect_ident("a variable name").text)
             while self.ts.accept_punct(","):
-                variables.append(self._expect_ident("a variable name").text)
-            self._expect_punct(".")
+                variables.append(self.ts.expect_ident("a variable name").text)
+            self.ts.expect_punct(".")
         declared = set()
         for v in variables:
             if v in declared:
@@ -166,14 +139,14 @@ class _AscParser:
         return Query(tuple(variables), tuple(atoms))
 
     def _atom(self, variables: set[str]) -> Atom:
-        pred = self._expect_ident("a predicate name")
-        self._expect_punct("(")
+        pred = self.ts.expect_ident("a predicate name")
+        self.ts.expect_punct("(")
         terms: list[Term] = []
         if not self.ts.at_punct(")"):
             terms.append(self._term(variables))
             while self.ts.accept_punct(","):
                 terms.append(self._term(variables))
-        self._expect_punct(")")
+        self.ts.expect_punct(")")
 
         arity = PREDICATES.get(pred.text)
         if arity is None:
@@ -185,18 +158,18 @@ class _AscParser:
         return Atom(pred.text, tuple(terms))
 
     def _term(self, variables: set[str]) -> Term:
-        tok = self._expect_ident("a term")
+        tok = self.ts.expect_ident("a term")
         return Var(tok.text) if tok.text in variables else Const(tok.text)
 
     # ------------------------------------------------------------------
 
     def _interface(self) -> InterfaceContract:
-        self._expect_punct("{")
+        self.ts.expect_punct("{")
         parts: dict[str, tuple] = {}
         while not self.ts.at_punct("}"):
             tok = self.ts.peek()
             if tok.kind != IDENT or tok.text.lower() not in _IC_SECTIONS:
-                raise _Bail(
+                raise ParseFailure(
                     tok.span,
                     f"expected one of {', '.join(_IC_SECTIONS)}, found '{tok.text}'",
                 )
@@ -204,7 +177,7 @@ class _AscParser:
             self.ts.next()
             if section in parts:
                 self.diags.append(error(f"'{section}' appears twice", tok.span, MALFORMED_IC))
-            self._expect_punct("{")
+            self.ts.expect_punct("{")
             if section in ("processes", "external_in"):
                 parts[section] = self._name_list()
             elif section in ("in_ports", "out_ports"):
@@ -213,8 +186,8 @@ class _AscParser:
                 parts[section] = self._pair_list("->")
             else:
                 parts[section] = self._flow_list()
-            self._expect_punct("}")
-        self._expect_punct("}")
+            self.ts.expect_punct("}")
+        self.ts.expect_punct("}")
         return InterfaceContract(
             participants=parts.get("processes", ()),
             in_ports=parts.get("in_ports", ()),
@@ -230,7 +203,7 @@ class _AscParser:
         if self.ts.peek().kind == IDENT:
             names.append(self.ts.next().text)
             while self.ts.accept_punct(","):
-                names.append(self._expect_ident("a name").text)
+                names.append(self.ts.expect_ident("a name").text)
         return tuple(names)
 
     def _pair_list(self, sep: str) -> tuple[tuple[str, str], ...]:
@@ -242,19 +215,19 @@ class _AscParser:
         return tuple(pairs)
 
     def _pair(self, sep: str) -> tuple[str, str]:
-        a = self._expect_ident("a name")
-        self._expect_punct(sep)
-        b = self._expect_ident("a name")
+        a = self.ts.expect_ident("a name")
+        self.ts.expect_punct(sep)
+        b = self.ts.expect_ident("a name")
         return (a.text, b.text)
 
     def _flow_list(self) -> tuple[tuple[str, str, str], ...]:
         flows: list[tuple[str, str, str]] = []
         while self.ts.peek().kind == IDENT:
             msg = self.ts.next()
-            self._expect_punct(":")
-            src = self._expect_ident("an output port")
-            self._expect_punct("->")
-            dst = self._expect_ident("an input port")
+            self.ts.expect_punct(":")
+            src = self.ts.expect_ident("an output port")
+            self.ts.expect_punct("->")
+            dst = self.ts.expect_ident("an input port")
             flows.append((msg.text, src.text, dst.text))
             if not self.ts.accept_punct(","):
                 break
@@ -265,11 +238,11 @@ class _AscParser:
     def _bc(self) -> BcRef | None:
         if self.ts.accept_kw("none"):
             return None
-        name = self._expect_ident("a behaviour name")
-        self._expect_kw("from")
+        name = self.ts.expect_ident("a behaviour name")
+        self.ts.expect_kw("from")
         tok = self.ts.peek()
         if tok.kind != STRING:
-            raise _Bail(tok.span, f"expected a quoted file name, found '{tok.text}'")
+            raise ParseFailure(tok.span, f"expected a quoted file name, found '{tok.text}'")
         self.ts.next()
         return BcRef(name.text, tok.text)
 
@@ -283,7 +256,5 @@ def parse_asc(text: str, filename: str = "<contract>") -> tuple[AscContract | No
         if has_errors(parser.diags):
             return None, parser.diags
         return contract, parser.diags
-    except LexFailure as exc:
-        return None, [error(exc.message, exc.span, "lex-error")]
-    except _Bail as exc:
-        return None, [error(exc.message, exc.span, SYNTAX_ERROR)]
+    except ParseFailure as exc:
+        return None, [error(exc.message, exc.span, exc.code)]

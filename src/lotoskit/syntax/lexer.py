@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .diagnostics import Span
+from .diagnostics import LEX_ERROR, SYNTAX_ERROR, Span
 
 IDENT = "ident"
 STRING = "string"
@@ -44,11 +44,20 @@ class Token:
         return "end of input" if self.kind == EOF else f"'{self.text}'"
 
 
-class LexFailure(Exception):
+class ParseFailure(Exception):
+    """Bail-out of the lexer or a parser; each parser's entry point turns
+    it into one diagnostic with the failure's code."""
+
+    code = SYNTAX_ERROR
+
     def __init__(self, span: Span, message: str):
         super().__init__(message)
         self.span = span
         self.message = message
+
+
+class LexFailure(ParseFailure):
+    code = LEX_ERROR
 
 
 class Lexer:
@@ -192,6 +201,24 @@ class TokenStream:
         if self.at_kw(word):
             return self.next()
         return None
+
+    def expect_punct(self, text: str) -> Token:
+        tok = self.peek()
+        if not self.at_punct(text):
+            raise ParseFailure(tok.span, f"expected '{text}', found '{tok.text}'")
+        return self.next()
+
+    def expect_kw(self, word: str) -> Token:
+        tok = self.peek()
+        if not self.at_kw(word):
+            raise ParseFailure(tok.span, f"expected '{word}', found '{tok.text}'")
+        return self.next()
+
+    def expect_ident(self, what: str) -> Token:
+        tok = self.peek()
+        if tok.kind != IDENT:
+            raise ParseFailure(tok.span, f"expected {what}, found '{tok.text}'")
+        return self.next()
 
     def raw_brace_block(self) -> tuple[str, Span]:
         if self._buffered is not None:

@@ -40,25 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import ast
-from .diagnostics import (
-    Diagnostic,
-    LIBRARY_NOT_SUPPORTED,
-    SYNTAX_ERROR,
-    Span,
-    error,
-)
-from .lexer import EOF, IDENT, LexFailure, Token, TokenStream
+from .diagnostics import Diagnostic, LIBRARY_NOT_SUPPORTED, error
+from .lexer import EOF, IDENT, ParseFailure, Token, TokenStream
 
 _FUNCTIONALITIES = ("noexit", "exit")
-
-
-class _ParseFailure(Exception):
-    """Internal bail-out; converted to a diagnostic at the entry points."""
-
-    def __init__(self, span: Span, message: str):
-        super().__init__(message)
-        self.span = span
-        self.message = message
 
 
 @dataclass
@@ -81,30 +66,6 @@ class _Parser:
         self.value_sorts: dict[str, str] = {}
 
     # ------------------------------------------------------------------
-    # token plumbing
-
-    def _fail(self, span: Span, message: str) -> _ParseFailure:
-        return _ParseFailure(span, message)
-
-    def _expect_punct(self, text: str) -> Token:
-        tok = self.ts.peek()
-        if not self.ts.at_punct(text):
-            raise self._fail(tok.span, f"expected '{text}', found '{tok.text}'")
-        return self.ts.next()
-
-    def _expect_kw(self, word: str) -> Token:
-        tok = self.ts.peek()
-        if not self.ts.at_kw(word):
-            raise self._fail(tok.span, f"expected '{word}', found '{tok.text}'")
-        return self.ts.next()
-
-    def _expect_ident(self, what: str) -> Token:
-        tok = self.ts.peek()
-        if tok.kind != IDENT:
-            raise self._fail(tok.span, f"expected {what}, found '{tok.text}'")
-        return self.ts.next()
-
-    # ------------------------------------------------------------------
     # header pieces
 
     def _gate_list(self, empty_brackets_ok: bool = True) -> tuple[tuple[str, ...], bool]:
@@ -119,10 +80,10 @@ class _Parser:
             return (), False
         if self.ts.accept_punct("]"):
             return (), True
-        names = [self._expect_ident("a gate name").text]
+        names = [self.ts.expect_ident("a gate name").text]
         while self.ts.accept_punct(","):
-            names.append(self._expect_ident("a gate name").text)
-        self._expect_punct("]")
+            names.append(self.ts.expect_ident("a gate name").text)
+        self.ts.expect_punct("]")
         return tuple(names), True
 
     def _functionality(self) -> str:
@@ -130,23 +91,23 @@ class _Parser:
         for f in _FUNCTIONALITIES:
             if self.ts.accept_kw(f):
                 return f
-        raise self._fail(tok.span, f"expected 'noexit' or 'exit', found '{tok.text}'")
+        raise ParseFailure(tok.span, f"expected 'noexit' or 'exit', found '{tok.text}'")
 
     def _sorts_section(self) -> list[ast.SortDecl]:
         decls: list[ast.SortDecl] = []
         while self.ts.peek().kind == IDENT and not self.ts.at_kw("behaviour") and not self.ts.at_kw("behavior"):
             name_tok = self.ts.next()
-            self._expect_punct("=")
-            self._expect_punct("{")
-            values = [self._expect_ident("a value name").text]
+            self.ts.expect_punct("=")
+            self.ts.expect_punct("{")
+            values = [self.ts.expect_ident("a value name").text]
             while self.ts.accept_punct(","):
-                values.append(self._expect_ident("a value name").text)
-            self._expect_punct("}")
+                values.append(self.ts.expect_ident("a value name").text)
+            self.ts.expect_punct("}")
             decls.append(ast.SortDecl(name_tok.text, tuple(values), loc=name_tok.span))
             for v in values:
                 self.value_sorts.setdefault(v, name_tok.text)
         if not decls:
-            raise self._fail(self.ts.peek().span, "expected at least one sort declaration")
+            raise ParseFailure(self.ts.peek().span, "expected at least one sort declaration")
         return decls
 
     # ------------------------------------------------------------------
@@ -182,10 +143,10 @@ class _Parser:
                 kind, gates = ast.ParKind.FULL, frozenset()
             elif self.ts.at_punct("|["):
                 op = self.ts.next()
-                names = [self._expect_ident("a gate name").text]
+                names = [self.ts.expect_ident("a gate name").text]
                 while self.ts.accept_punct(","):
-                    names.append(self._expect_ident("a gate name").text)
-                self._expect_punct("]|")
+                    names.append(self.ts.expect_ident("a gate name").text)
+                self.ts.expect_punct("]|")
                 kind, gates = ast.ParKind.GATES, frozenset(names)
             else:
                 return left
@@ -201,39 +162,46 @@ class _Parser:
         return left
 
     def _prefix(self) -> ast.Behavior:
-        tok = self.ts.peek()
-        if tok.kind == IDENT and not self._is_behaviour_keyword(tok):
+        # a loop, not a recursion per "a;", so long prefix chains parse
+        actions: list[ast.ActionExpr] = []
+        while True:
+            tok = self.ts.peek()
+            if tok.kind != IDENT or self._is_behaviour_keyword(tok):
+                rest = self._atom()
+                break
             # identifier: action prefix or process instantiation
             name = self.ts.next()
             if name.text == "i" and self.ts.at_punct(";"):
                 self.ts.next()
-                return ast.Prefix(ast.InternalAction(loc=name.span), self._prefix(), loc=name.span)
-            if self.ts.at_punct("!") or self.ts.at_punct("?"):
-                action = self._finish_action(name)
-                self._expect_punct(";")
-                return ast.Prefix(action, self._prefix(), loc=name.span)
-            if self.ts.at_punct(";"):
+                actions.append(ast.InternalAction(loc=name.span))
+            elif self.ts.at_punct("!") or self.ts.at_punct("?"):
+                actions.append(self._finish_action(name))
+                self.ts.expect_punct(";")
+            elif self.ts.at_punct(";"):
                 self.ts.next()
-                action = ast.Comm(name.text, (), loc=name.span)
-                return ast.Prefix(action, self._prefix(), loc=name.span)
-            gates, _ = self._gate_list(empty_brackets_ok=False)
-            return ast.Inst(name.text, gates, loc=name.span)
-        return self._atom()
+                actions.append(ast.Comm(name.text, (), loc=name.span))
+            else:
+                gates, _ = self._gate_list(empty_brackets_ok=False)
+                rest = ast.Inst(name.text, gates, loc=name.span)
+                break
+        for action in reversed(actions):
+            rest = ast.Prefix(action, rest, loc=action.loc)
+        return rest
 
     def _finish_action(self, gate: Token) -> ast.Comm:
         offers: list[ast.Offer] = []
         while True:
             if self.ts.accept_punct("!"):
-                val = self._expect_ident("a value or variable name")
+                val = self.ts.expect_ident("a value or variable name")
                 if val.text in self.value_sorts:
                     expr: ast.ValueExpr = ast.ValueLit(val.text, self.value_sorts[val.text], loc=val.span)
                 else:
                     expr = ast.VarRef(val.text, loc=val.span)
                 offers.append(ast.Send(expr, loc=val.span))
             elif self.ts.accept_punct("?"):
-                var = self._expect_ident("a variable name")
-                self._expect_punct(":")
-                sort = self._expect_ident("a sort name")
+                var = self.ts.expect_ident("a variable name")
+                self.ts.expect_punct(":")
+                sort = self.ts.expect_ident("a sort name")
                 offers.append(ast.Receive(var.text, sort.text, loc=var.span))
             else:
                 return ast.Comm(gate.text, tuple(offers), loc=gate.span)
@@ -252,28 +220,28 @@ class _Parser:
         if self.ts.accept_kw("exit"):
             return ast.Exit(loc=tok.span)
         if self.ts.accept_kw("hide"):
-            names = [self._expect_ident("a gate name").text]
+            names = [self.ts.expect_ident("a gate name").text]
             while self.ts.accept_punct(","):
-                names.append(self._expect_ident("a gate name").text)
-            self._expect_kw("in")
+                names.append(self.ts.expect_ident("a gate name").text)
+            self.ts.expect_kw("in")
             body = self.behaviour()
             return ast.Hide(frozenset(names), body, loc=tok.span)
         if self.ts.accept_punct("("):
             inner = self.behaviour()
-            self._expect_punct(")")
+            self.ts.expect_punct(")")
             return inner
-        raise self._fail(tok.span, f"expected a behaviour expression, found '{tok.text}'")
+        raise ParseFailure(tok.span, f"expected a behaviour expression, found '{tok.text}'")
 
     # ------------------------------------------------------------------
     # top level
 
     def specification(self) -> ast.Specification:
-        head = self._expect_kw("specification")
-        name = self._expect_ident("a specification name")
+        head = self.ts.expect_kw("specification")
+        name = self.ts.expect_ident("a specification name")
         gates, _ = self._gate_list()
-        self._expect_punct(":")
+        self.ts.expect_punct(":")
         self._functionality()
-        self._expect_punct(":=")
+        self.ts.expect_punct(":=")
 
         if self.ts.at_kw("library"):
             lib = self.ts.next()
@@ -286,7 +254,7 @@ class _Parser:
             )
             while not self.ts.at_kw("endlib"):
                 if self.ts.peek().kind == EOF:
-                    raise self._fail(lib.span, "unterminated library section")
+                    raise ParseFailure(lib.span, "unterminated library section")
                 self.ts.next()
             self.ts.next()
 
@@ -296,7 +264,7 @@ class _Parser:
 
         if not (self.ts.accept_kw("behaviour") or self.ts.accept_kw("behavior")):
             tok = self.ts.peek()
-            raise self._fail(tok.span, f"expected 'behaviour', found '{tok.text}'")
+            raise ParseFailure(tok.span, f"expected 'behaviour', found '{tok.text}'")
         top = self.behaviour()
 
         processes: list[ast.ProcessDef] = []
@@ -305,12 +273,12 @@ class _Parser:
                 processes.append(self._process_def())
             if not processes:
                 tok = self.ts.peek()
-                raise self._fail(tok.span, f"expected a process definition, found '{tok.text}'")
+                raise ParseFailure(tok.span, f"expected a process definition, found '{tok.text}'")
 
-        self._expect_kw("endspec")
+        self.ts.expect_kw("endspec")
         tail = self.ts.peek()
         if tail.kind != EOF:
-            raise self._fail(tail.span, f"unexpected '{tail.text}' after endspec")
+            raise ParseFailure(tail.span, f"unexpected '{tail.text}' after endspec")
 
         return ast.Specification(
             name=name.text,
@@ -322,16 +290,16 @@ class _Parser:
         )
 
     def _process_def(self) -> ast.ProcessDef:
-        head = self._expect_kw("process")
-        name = self._expect_ident("a process name")
+        head = self.ts.expect_kw("process")
+        name = self.ts.expect_ident("a process name")
         gates, _ = self._gate_list()
-        self._expect_punct(":")
+        self.ts.expect_punct(":")
         func = self._functionality()
-        self._expect_punct(":=")
+        self.ts.expect_punct(":=")
         body = self.behaviour()
         if not (self.ts.accept_kw("endproc") or self.ts.accept_kw("endprocess")):
             tok = self.ts.peek()
-            raise self._fail(tok.span, f"expected 'endproc', found '{tok.text}'")
+            raise ParseFailure(tok.span, f"expected 'endproc', found '{tok.text}'")
         return ast.ProcessDef(name.text, gates, func, body, loc=head.span)
 
 
@@ -345,10 +313,8 @@ def parse_spec(text: str, filename: str = "<input>") -> ParseResult:
         parser = _Parser(TokenStream(text))
         spec = parser.specification()
         return ParseResult(spec, parser.diagnostics)
-    except LexFailure as exc:
-        return ParseResult(None, [error(exc.message, exc.span, "lex-error")])
-    except _ParseFailure as exc:
-        return ParseResult(None, [error(exc.message, exc.span, SYNTAX_ERROR)])
+    except ParseFailure as exc:
+        return ParseResult(None, [error(exc.message, exc.span, exc.code)])
 
 
 def parse_behavior(
@@ -364,9 +330,7 @@ def parse_behavior(
         b = parser.behaviour()
         tail = parser.ts.peek()
         if tail.kind != EOF:
-            raise parser._fail(tail.span, f"unexpected '{tail.text}' after behaviour")
+            raise ParseFailure(tail.span, f"unexpected '{tail.text}' after behaviour")
         return b, parser.diagnostics
-    except LexFailure as exc:
-        return None, [error(exc.message, exc.span, "lex-error")]
-    except _ParseFailure as exc:
-        return None, [error(exc.message, exc.span, SYNTAX_ERROR)]
+    except ParseFailure as exc:
+        return None, [error(exc.message, exc.span, exc.code)]

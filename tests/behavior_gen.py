@@ -1,9 +1,9 @@
 """Seeded random behaviour terms for the property tests.
 
 Plain random.Random so a failure reproduces from the seed alone.  The
-terms never instantiate processes (recursion is exercised by the corpus
-and by dedicated tests) and optionally carry value offers over one
-two-value sort."""
+terms optionally carry value offers over one two-value sort.  They
+instantiate processes only when asked to (``procs``), at the leaves,
+guarded or not."""
 from __future__ import annotations
 
 import random
@@ -14,27 +14,41 @@ GATES = ("a", "b", "c")
 SORT = ast.SortDecl("V", ("v1", "v2"))
 
 
-def gen_behavior(rng: random.Random, depth: int, values: bool = False) -> ast.Behavior:
+def gen_behavior(
+    rng: random.Random, depth: int, values: bool = False, procs: int = 0
+) -> ast.Behavior:
+    """With procs > 0, a leaf may also instantiate one of P0..P{procs-1}
+    on gates drawn from GATES."""
     if depth <= 0:
-        return ast.Stop() if rng.random() < 0.7 else ast.Exit()
+        return _gen_leaf(rng, procs)
+
+    def sub() -> ast.Behavior:
+        return gen_behavior(rng, depth - 1, values, procs)
+
     pick = rng.randrange(12)
     if pick < 4:
-        return ast.Prefix(_gen_action(rng, values), gen_behavior(rng, depth - 1, values))
+        return ast.Prefix(_gen_action(rng, values), sub())
     if pick < 6:
-        return ast.Choice(gen_behavior(rng, depth - 1, values), gen_behavior(rng, depth - 1, values))
+        return ast.Choice(sub(), sub())
     if pick < 8:
         kind = rng.choice((ast.ParKind.INTERLEAVE, ast.ParKind.FULL, ast.ParKind.GATES))
         gates = frozenset()
         if kind is ast.ParKind.GATES:
             gates = frozenset(rng.sample(GATES, rng.randint(1, len(GATES))))
-        return ast.Par(gen_behavior(rng, depth - 1, values), kind, gates, gen_behavior(rng, depth - 1, values))
+        return ast.Par(sub(), kind, gates, sub())
     if pick == 8:
         hidden = frozenset(rng.sample(GATES, rng.randint(1, 2)))
-        return ast.Hide(hidden, gen_behavior(rng, depth - 1, values))
+        return ast.Hide(hidden, sub())
     if pick == 9:
-        return ast.Seq(gen_behavior(rng, depth - 1, values), gen_behavior(rng, depth - 1, values))
+        return ast.Seq(sub(), sub())
     if pick == 10:
-        return ast.Disrupt(gen_behavior(rng, depth - 1, values), gen_behavior(rng, depth - 1, values))
+        return ast.Disrupt(sub(), sub())
+    return _gen_leaf(rng, procs)
+
+
+def _gen_leaf(rng: random.Random, procs: int) -> ast.Behavior:
+    if procs and rng.random() < 0.5:
+        return ast.Inst(f"P{rng.randrange(procs)}", tuple(rng.choice(GATES) for _ in GATES))
     return ast.Stop() if rng.random() < 0.7 else ast.Exit()
 
 

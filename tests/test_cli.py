@@ -117,7 +117,8 @@ def test_too_deep_input_is_operational_error(capsys, tmp_path):
         "specification Deep [a] : noexit :=\n  behaviour\n    "
         + "a; " * 3000 + "stop\nendspec\n"
     )
-    # a fresh interpreter's limit; exploring raises it for the process
+    # a fresh interpreter's limit, whatever ran earlier in this process;
+    # validation still nests once per prefix
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
@@ -127,6 +128,19 @@ def test_too_deep_input_is_operational_error(capsys, tmp_path):
     assert code == 2
     assert err.startswith("lotoskit: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["lts"], ["verify", "deadlock"]])
+def test_unguarded_recursion_is_operational_error(capsys, tmp_path, command):
+    loop = tmp_path / "loop.lot"
+    loop.write_text(
+        "specification L [a] : noexit := behaviour P [a]\n"
+        "where process P [g] : noexit := P [g] endproc\nendspec\n"
+    )
+    code, out, err = run(capsys, *command, str(loop))
+    assert code == 2
+    assert out == ""
+    assert err == "lotoskit: process 'P' recurses without an intervening action\n"
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -172,6 +173,22 @@ def test_missing_semicolon_after_offers():
     b, diags = parse_behavior("g !x stop")
     assert b is None and has_errors(diags)
     assert any("';'" in d.message for d in diags)
+
+
+def test_long_prefix_chain_parses_at_default_recursion_limit():
+    text = "specification S [a] : noexit := behaviour " + "a; " * 3000 + "stop endspec"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        result = parse_spec(text)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.ok and result.diagnostics == []
+    b, depth = result.spec.top_behavior, 0
+    while isinstance(b, ast.Prefix):
+        assert b.action.gate == "a" and b.loc.col == b.action.loc.col
+        b, depth = b.rest, depth + 1
+    assert depth == 3000 and isinstance(b, ast.Stop)
 
 
 # ----------------------------------------------------------------------

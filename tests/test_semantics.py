@@ -1,12 +1,13 @@
 import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sos_oracle
-from behavior_gen import gen_behavior, wrap
+from behavior_gen import GATES, gen_behavior, wrap
 from conftest import LOT_FILES, load_spec
 from lotoskit import (
     BudgetExceededError,
@@ -310,6 +311,94 @@ def test_mutual_unguarded_recursion():
     with pytest.raises(UnguardedRecursionError) as exc:
         generate_lts(spec)
     assert exc.value.process in ("P", "Q")
+
+
+def test_long_guard_free_chain_is_not_unguarded_recursion():
+    defs = "".join(
+        f"process P{k} [g] : noexit := P{k + 1} [g] endproc\n" for k in range(1001)
+    )
+    spec = spec_of(
+        "specification T [a] : noexit := behaviour P0 [a] where\n"
+        + defs
+        + "process P1001 [g] : noexit := g; stop endproc\nendspec\n"
+    )
+    lts = generate_lts(spec)
+    assert lts.num_states == 2 and lts.transitions == [(0, "a", 1)]
+
+
+def test_cycle_entered_below_its_head_names_first_repeat():
+    spec = spec_of("""
+    specification T [a] : noexit :=
+      behaviour P0 [a]
+      where
+        process P0 [g] : noexit := P1 [g] endproc
+        process P1 [g] : noexit := P2 [g] [] g; stop endproc
+        process P2 [g] : noexit := P1 [g] endproc
+    endspec
+    """)
+    with pytest.raises(UnguardedRecursionError) as exc:
+        generate_lts(spec)
+    assert exc.value.process == "P1"
+
+
+def _guard_free_calls(b):
+    """The processes b instantiates before any action prefix."""
+    out, stack = set(), [b]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Inst):
+            out.add(node.process)
+        elif isinstance(node, ast.Hide):
+            stack.append(node.body)
+        elif isinstance(node, ast.Seq):
+            stack.append(node.left)
+        elif isinstance(node, (ast.Choice, ast.Par, ast.Disrupt)):
+            stack.extend((node.left, node.right))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_unguarded_recursion_is_a_guard_free_cycle(seed, count):
+    rng = random.Random(seed)
+    procs = tuple(
+        ast.ProcessDef(f"P{k}", GATES, "noexit", gen_behavior(rng, rng.randint(0, 3), procs=count))
+        for k in range(count)
+    )
+    spec = ast.Specification("R", GATES, (), procs, ast.Inst("P0", GATES))
+    calls = {p.name: _guard_free_calls(p.body) for p in procs}
+
+    def beyond(name):
+        seen, stack = set(), list(calls[name])
+        while stack:
+            q = stack.pop()
+            if q not in seen:
+                seen.add(q)
+                stack.extend(calls[q])
+        return seen
+
+    on_cycle = {p for p in calls if p in beyond(p)}
+    try:
+        # few states: the printed form of "g; (P [g] || P [g])" doubles per step
+        generate_lts(spec, ExplorationBudget(max_states=6, max_transitions=60))
+    except UnguardedRecursionError as exc:
+        assert exc.process in on_cycle
+        return
+    except BudgetExceededError:
+        pass
+    # the initial state unfolds P0 and everything it calls guard-free
+    assert not on_cycle & ({"P0"} | beyond("P0"))
+
+
+def test_exploration_leaves_the_recursion_limit_alone():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        generate_lts(load_spec("multicast_unordered.lot"))
+        successors(behavior("a; stop"), EMPTY)
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_guarded_mutual_recursion_is_fine():
