@@ -29,7 +29,8 @@ into its continuation, and that discharges a disrupting branch.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .syntax import ast
 from .syntax.printer import pretty_node
@@ -541,9 +542,6 @@ class Lts:
     transitions: list[tuple[int, str, int]]
     initial: int = 0
     forms: list[ast.Behavior] | None = None
-    _outgoing: dict[int, list[tuple[str, int]]] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def num_transitions(self) -> int:
@@ -556,13 +554,14 @@ class Lts:
             return None
         return pretty_behavior(self.forms[state])
 
-    def outgoing(self, state: int) -> list[tuple[str, int]]:
-        if self._outgoing is None:
-            table: dict[int, list[tuple[str, int]]] = {s: [] for s in range(self.num_states)}
-            for src, label, dst in self.transitions:
-                table[src].append((label, dst))
-            self._outgoing = table
-        return self._outgoing[state]
+    @cached_property
+    def out(self) -> list[list[tuple[str, int]]]:
+        """Per state, its (label, target) moves in transition order; built
+        once, on first use."""
+        table: list[list[tuple[str, int]]] = [[] for _ in range(self.num_states)]
+        for src, label, dst in self.transitions:
+            table[src].append((label, dst))
+        return table
 
     def labels(self) -> list[str]:
         return sorted({label for _, label, _ in self.transitions})

@@ -10,6 +10,12 @@ Deadlock, reachability and safety are one breadth-first search over
 step exit", "has a step matched" and the user's monitor.  Only states
 reachable from the initial one count, and traces are shortest whatever
 order the transitions are listed in.
+
+Bisimulation and minimize share one worklist partition refinement: a
+round signs again only the states with a target that moved in the round
+before, and the rounds are kept as a split tree (each block's parent and
+round of birth), which the distinguishing experiment reads.  The checks
+and minimize read a system's moves from its table Lts.out.
 """
 from __future__ import annotations
 
@@ -109,12 +115,13 @@ def _search(lts: Lts, start: object, step: Callable[[object, str], object],
     parent: dict[tuple, tuple[tuple, str] | None] = {root: None}
     hit = root if bad(root) else None
     moves: dict[object, dict[str, object]] = {}
+    out = lts.out
     queue = deque([root])
     while queue and hit is None:
         pair = queue.popleft()
         s, obs = pair
         memo = moves.setdefault(obs, {})
-        for label, dst in lts.outgoing(s):
+        for label, dst in out[s]:
             nobs = memo.get(label)
             if nobs is None:
                 nobs = memo[label] = step(obs, label)
@@ -149,7 +156,7 @@ def check_deadlock(lts: Lts) -> VerifyResult:
     found = _search(
         lts, False,
         lambda _, label: label == "exit",
-        lambda pair: not pair[1] and not lts.outgoing(pair[0]),
+        lambda pair: not pair[1] and not lts.out[pair[0]],
     )
     if found is None:
         return VerifyResult(ok=True, detail=f"no deadlock in {lts.num_states} state(s)")
@@ -258,77 +265,152 @@ def check_safety(lts: Lts, monitor: Monitor) -> VerifyResult:
 # strong bisimulation
 
 
-def _refine(num_states: int, out: list[list[tuple[str, int]]]) -> tuple[list[int], list[list[int]]]:
-    """Partition refinement; returns the stable block assignment and the
-    whole refinement history (coarsest first)."""
-    block = [0] * num_states
-    history = [block]
+def _refine(out: list[list[tuple[str, int]]]) -> tuple[list[int], list[int], list[int]]:
+    """Partition refinement by signatures.  Round 0 puts every state in one
+    block; round r splits each block of round r - 1 by its members'
+    signatures, the sets of (label, block of target) pairs, and the first
+    round that moves no state ends the loop.
+
+    A round signs again only the states with a target that moved in the
+    round before.  Such a state has a target in a block born in that
+    round, which no other state of its block has, so the states not
+    signed stay together and apart from the signed ones.  While most
+    states move, a round signs them all, and neither predecessor lists
+    nor block members are built.  A block that splits keeps its id for
+    its largest part and gives each other part a new one.  Instead of
+    every round's blocks, the result keeps the split tree: each block's
+    parent and the round it was born in, from which _block_at recovers
+    any round's blocks.  Memory is O(n + m).
+
+    Returns (block, parent, born): each state's block in the stable
+    partition, and per block the block it split from (-1 for the first)
+    and its round of birth."""
+    n = len(out)
+    block = [0] * n
+    parent, born = [-1], [0]
+    preds: list[list[int]] | None = None
+    members: list[set[int]] | None = None  # built with preds
+    # round 1: every target is in block 0, so a set of labels will do
+    rounds = 1
+    signed: dict[tuple[int, frozenset], list[int]] = {}
+    for s in range(n):
+        labels = set()  # a plain loop: cheaper than a comprehension here
+        for label, _ in out[s]:
+            labels.add(label)
+        signed.setdefault((0, frozenset(labels)), []).append(s)
     while True:
-        keys: dict[tuple[int, frozenset[tuple[str, int]]], int] = {}
-        new = []
-        for s in range(num_states):
-            sig = frozenset((label, block[dst]) for label, dst in out[s])
-            key = (block[s], sig)
-            if key not in keys:
-                keys[key] = len(keys)
-            new.append(keys[key])
-        if new == block:
-            return block, history
-        block = new
-        history.append(block)
+        if preds is None and len(signed) == len(parent):  # every block signed alike
+            return block, parent, born
+        parts: dict[int, list[list[int]]] = {}
+        for (b, _), group in signed.items():
+            parts.setdefault(b, []).append(group)
+        moved: list[int] = []
+        for b, groups in parts.items():
+            # the members of b not signed form one more part
+            unsigned = 0 if members is None else len(members[b]) - sum(map(len, groups))
+            if not unsigned and len(groups) == 1:
+                continue
+            largest = max(groups, key=len)
+            if len(largest) > unsigned:  # else the unsigned part keeps b
+                if members is not None:
+                    rest = members[b].difference(*groups)
+                    members[b] = set(largest)
+                    if rest:
+                        groups.append(list(rest))
+                groups.remove(largest)
+            elif members is not None:
+                for group in groups:
+                    members[b].difference_update(group)
+            for group in groups:
+                c = len(parent)
+                parent.append(b)
+                born.append(rounds)
+                if members is not None:
+                    members.append(set(group))
+                for s in group:
+                    block[s] = c
+                moved.extend(group)
+        if not moved:
+            return block, parent, born
+        if preds is None and 2 * len(moved) < n:
+            preds = [[] for _ in range(n)]
+            members = [set() for _ in parent]
+            for s in range(n):
+                members[block[s]].add(s)
+                for _, dst in out[s]:
+                    preds[dst].append(s)
+        todo = range(n) if preds is None else {p for s in moved for p in preds[s]}
+        del parts, groups, moved  # not to hold them while the next round signs
+        rounds += 1
+        signed = {}
+        for s in todo:
+            sig = set()
+            for label, dst in out[s]:
+                sig.add((label, block[dst]))
+            signed.setdefault((block[s], frozenset(sig)), []).append(s)
 
 
-def _out_table(lts: Lts, offset: int = 0) -> list[list[tuple[str, int]]]:
-    table: list[list[tuple[str, int]]] = [[] for _ in range(lts.num_states)]
-    for src, label, dst in lts.transitions:
-        table[src].append((label, dst + offset))
-    return table
+def _block_at(parent: list[int], born: list[int], blk: int, r: int) -> int:
+    """The block that held the members of blk after round r."""
+    while born[blk] > r:
+        blk = parent[blk]
+    return blk
 
 
 def _distinguish(
     s1: int,
     s2: int,
     out: list[list[tuple[str, int]]],
-    history: list[list[int]],
+    block: list[int],
+    parent: list[int],
+    born: list[int],
 ) -> list[str]:
     """One experiment a refuter can play to tell two non-bisimilar states
     apart: every label in the list is answered by the opponent until the
-    last one, which exactly one side can perform."""
+    last one, which exactly one side can perform.
+
+    Each step looks at the round r that first separated the pair, found
+    where their branches of the split tree meet.  Their signatures
+    differ in the blocks of round r - 1; the side with a move the other
+    cannot match takes the smallest such label (the first listed such
+    move of that label), the other answers with its first move of that
+    label, and that new pair was separated before round r."""
     trace: list[str] = []
-    # refinement only splits blocks, so once two states are apart they
-    # stay apart; the round that first separates the pair falls strictly
-    # with every step, and is found by walking down from the last one
-    depth = len(history) - 1
     while True:
-        while history[depth - 1][s1] != history[depth - 1][s2]:
-            depth -= 1
-        prev = history[depth - 1]
-        sig1 = {(label, prev[dst]) for label, dst in out[s1]}
-        sig2 = {(label, prev[dst]) for label, dst in out[s2]}
-        if sig1 - sig2:
-            owner, other = s1, s2
-            label, blk = min(sig1 - sig2)
-        else:
-            owner, other = s2, s1
-            label, blk = min(sig2 - sig1)
+        # the pair split in round r where their branches of the split
+        # tree meet: lift the later-born block until the two are one
+        x, y = block[s1], block[s2]
+        while x != y:
+            if born[x] < born[y]:
+                x, y = y, x
+            r = born[x]
+            x = parent[x]
+        pair = (s1, s2)
+        sigs = [[(label, _block_at(parent, born, block[dst], r - 1)) for label, dst in out[s]]
+                for s in pair]
+        owner = 0 if set(sigs[0]) - set(sigs[1]) else 1
+        theirs = set(sigs[1 - owner])
+        label, k = min((move[0], k) for k, move in enumerate(sigs[owner]) if move not in theirs)
         trace.append(label)
-        replies = [dst for lab, dst in out[other] if lab == label]
+        replies = [dst for lab, dst in out[pair[1 - owner]] if lab == label]
         if not replies:
             return trace
-        # every reply sits outside blk in round depth - 1, so the next
-        # pair separated strictly earlier
-        s1 = next(dst for lab, dst in out[owner] if lab == label and prev[dst] == blk)
-        s2 = replies[0]
+        s1, s2 = out[pair[owner]][k][1], replies[0]
 
 
 def bisim_equiv(a: Lts, b: Lts) -> VerifyResult:
     """Strong bisimulation equivalence of two systems."""
-    out = _out_table(a) + _out_table(b, offset=a.num_states)
-    block, history = _refine(a.num_states + b.num_states, out)
-    s1, s2 = a.initial, a.num_states + b.initial
+    offset = a.num_states
+    # b's rows with targets shifted past a's states, built from b's
+    # transitions: copying b.out would hold two tables of b at once
+    out = a.out + [[] for _ in range(b.num_states)]
+    for src, label, dst in b.transitions:
+        out[offset + src].append((label, offset + dst))
+    block, parent, born = _refine(out)
+    s1, s2 = a.initial, offset + b.initial
     if block[s1] == block[s2]:
         return VerifyResult(ok=True, detail="strongly bisimilar")
-    trace = _distinguish(s1, s2, out, history)
+    trace = _distinguish(s1, s2, out, block, parent, born)
     return VerifyResult(
         ok=False,
         detail="not strongly bisimilar; evidence is a distinguishing experiment "
@@ -341,8 +423,8 @@ def minimize(lts: Lts) -> Lts:
     """Quotient by strong bisimilarity, renumbered breadth-first from the
     initial block (per block, transitions ordered by label text then by
     the target block's smallest original state)."""
-    out = _out_table(lts)
-    block, _ = _refine(lts.num_states, out)
+    out = lts.out
+    block, _, _ = _refine(out)
 
     rep: dict[int, int] = {}
     for s in range(lts.num_states):

@@ -193,7 +193,7 @@ def bfs_dist(lts):
     queue = [lts.initial]
     while queue:
         s = queue.pop(0)
-        for _, dst in lts.outgoing(s):
+        for _, dst in lts.out[s]:
             if dst not in dist:
                 dist[dst] = dist[s] + 1
                 queue.append(dst)
@@ -208,7 +208,7 @@ def shortest_deadlock(lts):
     dead = [
         dist[s]
         for s in range(lts.num_states)
-        if s in dist and not lts.outgoing(s) and incoming.get(s) != {"exit"}
+        if s in dist and not lts.out[s] and incoming.get(s) != {"exit"}
     ]
     return min(dead) if dead else None
 
@@ -233,7 +233,7 @@ def shortest_violation(lts, monitor):
         if m in monitor.bad:
             best = dist[(s, m)]
             break
-        for label, dst in lts.outgoing(s):
+        for label, dst in lts.out[s]:
             nxt = (dst, monitor.step(m, label))
             if nxt not in dist:
                 dist[nxt] = dist[(s, m)] + 1

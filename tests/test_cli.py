@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from conftest import CORPUS
+from lotoskit import semantics
 from lotoskit.cli import main
 
 
@@ -128,6 +129,17 @@ def test_too_deep_input_is_operational_error(capsys, tmp_path):
     assert code == 2
     assert err.startswith("lotoskit: ")
     assert err.count("\n") == 1
+
+
+def test_out_of_memory_is_operational_error(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(semantics, "generate_lts", exhausted)
+    code, out, err = run(capsys, "lts", corpus("client_server.lot"))
+    assert code == 2
+    assert out == ""
+    assert err == "lotoskit: out of memory\n"
 
 
 @pytest.mark.parametrize("command", [["lts"], ["verify", "deadlock"]])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import check_oracle
+import refine_oracle
 from behavior_gen import gen_behavior, wrap
 from conftest import load_spec
 from lotoskit import (
@@ -23,6 +24,7 @@ from lotoskit import (
 )
 from lotoskit.cli import main
 from lotoskit.semantics import strip_hiding
+from lotoskit.verify import _block_at, _refine
 from lotoskit.syntax import ast, parse_behavior
 
 
@@ -329,6 +331,73 @@ def test_random_pairs_verdict_matches_minimized_iso():
             and ma.num_transitions == mb.num_transitions
         )
         assert verdict == (same_shape and bisim_equiv(ma, mb).ok)
+
+
+def test_experiment_on_a_long_layered_chain():
+    # 5,000 layers of two states each against a chain one step longer:
+    # the pair separates in round 5,001, one round per layer, so a
+    # refinement that signs every state in every round needs about 5,000
+    # passes over 15,000 states
+    layers = 5000
+    edges = [(2 * k + i, 2 * k + 2 + j) for k in range(layers) for i in (0, 1) for j in (0, 1)
+             if (i, j) != (1, 0)]
+    lines = [f"des (0, {len(edges)}, {2 * layers + 2})"]
+    lines += [f'({src}, "a", {dst})' for src, dst in edges]
+    layered = read_aut("\n".join(lines) + "\n")
+    result = bisim_equiv(layered, read_aut(chain_aut(["a"] * (layers + 1))))
+    assert not result.ok
+    assert result.trace == ["a"] * (layers + 1)
+
+
+def test_experiment_tie_takes_first_listed_move():
+    # both a-moves of two's initial state lead where one cannot follow,
+    # and the first listed is played; the first side of the pair with
+    # such a move plays, so the other order gives one's own a-move
+    two = read_aut('des (0, 4, 5)\n(0, "a", 2)\n(0, "a", 1)\n(1, "b", 3)\n(2, "c", 4)\n')
+    one = read_aut('des (0, 2, 3)\n(0, "a", 1)\n(1, "d", 2)\n')
+    assert bisim_equiv(two, one).trace == ["a", "c"]
+    assert bisim_equiv(one, two).trace == ["a", "d"]
+
+
+@st.composite
+def aut_pairs(draw):
+    """Two files of 1-8 states over a, b and c, in random line order and
+    with any initial state."""
+    systems = []
+    for _ in range(2):
+        n = draw(st.integers(1, 8))
+        state = st.integers(0, n - 1)
+        edge = st.tuples(state, st.sampled_from("abc"), state)
+        edges = draw(st.lists(edge, max_size=3 * n, unique=True))
+        lines = [f"des ({draw(state)}, {len(edges)}, {n})"]
+        lines += [f'({src}, "{label}", {dst})' for src, label, dst in edges]
+        systems.append(read_aut("\n".join(lines) + "\n"))
+    return systems
+
+
+@settings(max_examples=300, deadline=None)
+@given(aut_pairs())
+def test_refinement_agrees_with_oracle(pair):
+    a, b = pair
+    offset = a.num_states
+    out = a.out + [[(label, dst + offset) for label, dst in moves] for moves in b.out]
+    history = refine_oracle.refine(out)
+    block, parent, born = _refine(out)
+    assert max(born) == len(history) - 1
+    for r, want in enumerate(history):
+        got = [_block_at(parent, born, block[s], r) for s in range(len(out))]
+        assert refine_oracle.same_partition(got, want), r
+
+    s1, s2 = a.initial, offset + b.initial
+    result = bisim_equiv(a, b)
+    assert result.ok == (history[-1][s1] == history[-1][s2])
+    if not result.ok:
+        assert refine_oracle.is_experiment(out, history[-1], s1, s2, result.trace)
+        assert result.trace == refine_oracle.experiment(out, history, s1, s2)
+
+    for x in pair:
+        want = refine_oracle.quotient_aut(x.out, x.initial, refine_oracle.refine(x.out)[-1])
+        assert export_aut(minimize(x)) == want
 
 
 # ----------------------------------------------------------------------
