@@ -290,14 +290,16 @@ def _refine(out: list[list[tuple[str, int]]]) -> tuple[list[int], list[int], lis
     parent, born = [-1], [0]
     preds: list[list[int]] | None = None
     members: list[set[int]] | None = None  # built with preds
-    # round 1: every target is in block 0, so a set of labels will do
+    # a signature is keyed as its sorted tuple, which takes less memory
+    # than a frozenset; round 1: every target is in block 0, so the
+    # labels will do
     rounds = 1
-    signed: dict[tuple[int, frozenset], list[int]] = {}
+    signed: dict[tuple[int, tuple], list[int]] = {}
     for s in range(n):
         labels = set()  # a plain loop: cheaper than a comprehension here
         for label, _ in out[s]:
             labels.add(label)
-        signed.setdefault((0, frozenset(labels)), []).append(s)
+        signed.setdefault((0, tuple(sorted(labels))), []).append(s)
     while True:
         if preds is None and len(signed) == len(parent):  # every block signed alike
             return block, parent, born
@@ -347,7 +349,7 @@ def _refine(out: list[list[tuple[str, int]]]) -> tuple[list[int], list[int], lis
             sig = set()
             for label, dst in out[s]:
                 sig.add((label, block[dst]))
-            signed.setdefault((block[s], frozenset(sig)), []).append(s)
+            signed.setdefault((block[s], tuple(sorted(sig))), []).append(s)
 
 
 def _block_at(parent: list[int], born: list[int], blk: int, r: int) -> int:
