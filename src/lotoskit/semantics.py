@@ -17,14 +17,21 @@ the steps of a term, the processes unfolded on the current path are
 kept, and meeting one of them again raises UnguardedRecursionError.
 Exploration never changes the interpreter's recursion limit.
 
+A step is a (label, term) pair whose label is the text the transition
+system carries: "i" for the internal action, "exit" for successful
+termination, and "g !v1 !v2" for gate g with its offered values.  The text
+is built once, where the step is made.  The validator reserves "i" and
+"exit" as gate names, so the first word of a label tells the three apart
+and names the gate that hide and gate-set parallel test.
+
 Value offers are expanded when an action prefix fires: a receive "?x: S"
 yields one step per value of S, with the chosen value substituted into the
 continuation.  After that expansion every label is ground, so parallel
 synchronisation is plain label equality.
 
-Successful termination is a distinguished label (rendered "exit") that all
-parallel operators synchronise on, that enable turns into an internal step
-into its continuation, and that discharges a disrupting branch.
+Successful termination ("exit") is the label that all parallel operators
+synchronise on, that enable turns into an internal step into its
+continuation, and that discharges a disrupting branch.
 """
 from __future__ import annotations
 
@@ -34,36 +41,6 @@ from functools import cached_property
 
 from .syntax import ast
 from .syntax.printer import pretty_node
-
-# ----------------------------------------------------------------------
-# transition labels
-
-
-@dataclass(frozen=True)
-class Internal:
-    """The unobservable action."""
-
-
-@dataclass(frozen=True)
-class Terminate:
-    """Successful termination (the delta event)."""
-
-
-@dataclass(frozen=True)
-class Observable:
-    gate: str
-    values: tuple[str, ...] = ()
-
-
-Action = Internal | Terminate | Observable
-
-
-def render_action(a: Action) -> str:
-    """Canonical label text: "i", "exit", or "gate !v1 !v2"."""
-    if isinstance(a, Observable):
-        return " ".join([a.gate] + [f"!{v}" for v in a.values]) if a.values else a.gate
-    return "i" if isinstance(a, Internal) else "exit"
-
 
 # ----------------------------------------------------------------------
 # errors
@@ -262,8 +239,9 @@ def unfold(inst: ast.Inst, spec: ast.Specification) -> ast.Behavior:
 
 def successors(
     b: ast.Behavior, spec: ast.Specification, terms: _Terms | None = None
-) -> list[tuple[Action, ast.Behavior]]:
-    """All single steps from a closed behaviour, in a deterministic order.
+) -> list[tuple[str, ast.Behavior]]:
+    """All single steps from a closed behaviour, in a deterministic order,
+    as (label text, successor) pairs: "i", "exit" or "g !v1 !v2".
 
     ``generate_lts`` passes the term table of its exploration, into which
     b is interned and whose loaded copy of spec it uses; without one, b
@@ -292,7 +270,7 @@ class _Terms:
         )
         self.text: dict[int, str] = {}
         self._nodes: dict[tuple, ast.Behavior] = {}
-        self._steps: dict[int, list[tuple[Action, ast.Behavior]]] = {}
+        self._steps: dict[int, list[tuple[str, ast.Behavior]]] = {}
         self._unfolded: dict[tuple[str, tuple[str, ...]], ast.Behavior] = {}
         # the processes being unfolded on the current path of ``steps``
         self._unfolding: set[str] = set()
@@ -357,14 +335,14 @@ class _Terms:
 
     # -- single steps ---------------------------------------------------
 
-    def steps(self, b: ast.Behavior) -> list[tuple[Action, ast.Behavior]]:
+    def steps(self, b: ast.Behavior) -> list[tuple[str, ast.Behavior]]:
         """The successors of an interned term, computed once."""
         out = self._steps.get(id(b))
         if out is None:
             out = self._steps[id(b)] = self._compute(b)
         return out
 
-    def _compute(self, b: ast.Behavior) -> list[tuple[Action, ast.Behavior]]:
+    def _compute(self, b: ast.Behavior) -> list[tuple[str, ast.Behavior]]:
         # Which processes an unfolding reaches before the next action
         # depends on the process bodies alone, not on the gates, so a
         # process met twice on one path recurs forever.  A memoised
@@ -382,7 +360,7 @@ class _Terms:
             if isinstance(b, ast.Stop):
                 return []
             if isinstance(b, ast.Exit):
-                return [(Terminate(), self.stop)]
+                return [("exit", self.stop)]
 
             if isinstance(b, ast.Prefix):
                 return self._prefix_steps(b)
@@ -396,16 +374,16 @@ class _Terms:
             if isinstance(b, ast.Hide):
                 out = []
                 for a, nxt in self.steps(b.body):
-                    if isinstance(a, Observable) and a.gate in b.gates:
-                        a = Internal()
+                    if a.partition(" ")[0] in b.gates:
+                        a = "i"
                     out.append((a, self.hide(b.gates, nxt)))
                 return out
 
             if isinstance(b, ast.Seq):
                 out = []
                 for a, nxt in self.steps(b.left):
-                    if isinstance(a, Terminate):
-                        out.append((Internal(), b.right))
+                    if a == "exit":
+                        out.append(("i", b.right))
                     else:
                         out.append((a, self.binary(ast.Seq, nxt, b.right)))
                 return out
@@ -413,7 +391,7 @@ class _Terms:
             if isinstance(b, ast.Disrupt):
                 out = []
                 for a, nxt in self.steps(b.left):
-                    if isinstance(a, Terminate):
+                    if a == "exit":
                         out.append((a, nxt))
                     else:
                         out.append((a, self.binary(ast.Disrupt, nxt, b.right)))
@@ -424,67 +402,55 @@ class _Terms:
         finally:
             self._unfolding.difference_update(entered)
 
-    def _prefix_steps(self, b: ast.Prefix) -> list[tuple[Action, ast.Behavior]]:
+    def _prefix_steps(self, b: ast.Prefix) -> list[tuple[str, ast.Behavior]]:
         action = b.action
         if isinstance(action, ast.InternalAction):
-            return [(Internal(), b.rest)]
-
-        receives = [o for o in action.offers if isinstance(o, ast.Receive)]
-        if not receives:
-            values = []
-            for o in action.offers:
-                assert isinstance(o, ast.Send)
-                if not isinstance(o.expr, ast.ValueLit):
-                    raise ValueError(f"unbound variable '{o.expr.name}' at gate '{action.gate}'")
-                values.append(o.expr.value)
-            return [(Observable(action.gate, tuple(values)), b.rest)]
+            return [("i", b.rest)]
 
         domains = []
-        for o in receives:
-            sort = self.spec.sort(o.sort)
-            if sort is None:
-                raise ValueError(f"sort '{o.sort}' is not declared")
-            domains.append(sort.values)
+        for o in action.offers:
+            if isinstance(o, ast.Receive):
+                sort = self.spec.sort(o.sort)
+                if sort is None:
+                    raise ValueError(f"sort '{o.sort}' is not declared")
+                domains.append(sort.values)
 
-        out: list[tuple[Action, ast.Behavior]] = []
+        out: list[tuple[str, ast.Behavior]] = []
         for chosen in itertools.product(*domains):
             picked = iter(chosen)
             # offers bind left to right, so a send may mention a receive
             # variable introduced earlier in the same action
             env: dict[str, ast.ValueLit] = {}
-            values = []
+            label = action.gate
             for o in action.offers:
                 if isinstance(o, ast.Receive):
                     v = next(picked)
                     env[o.var] = ast.ValueLit(v, o.sort)
-                    values.append(v)
                 elif isinstance(o.expr, ast.ValueLit):
-                    values.append(o.expr.value)
+                    v = o.expr.value
                 elif o.expr.name in env:
-                    values.append(env[o.expr.name].value)
+                    v = env[o.expr.name].value
                 else:
                     raise ValueError(f"unbound variable '{o.expr.name}' at gate '{action.gate}'")
-            nxt = self.intern(substitute_values(b.rest, env))
-            out.append((Observable(action.gate, tuple(values)), nxt))
+                label += " !" + v
+            out.append((label, self.intern(substitute_values(b.rest, env))))
         return out
 
-    def _par_steps(self, b: ast.Par) -> list[tuple[Action, ast.Behavior]]:
+    def _par_steps(self, b: ast.Par) -> list[tuple[str, ast.Behavior]]:
         if b.kind is ast.ParKind.INTERLEAVE:
-            def syncs(a: Action) -> bool:
-                return isinstance(a, Terminate)
+            def syncs(a: str) -> bool:
+                return a == "exit"
         elif b.kind is ast.ParKind.FULL:
-            def syncs(a: Action) -> bool:
-                return not isinstance(a, Internal)
+            def syncs(a: str) -> bool:
+                return a != "i"
         else:
-            def syncs(a: Action) -> bool:
-                return isinstance(a, Terminate) or (
-                    isinstance(a, Observable) and a.gate in b.gates
-                )
+            def syncs(a: str) -> bool:
+                return a == "exit" or a.partition(" ")[0] in b.gates
 
         left_steps = self.steps(b.left)
         right_steps = self.steps(b.right)
 
-        out: list[tuple[Action, ast.Behavior]] = []
+        out: list[tuple[str, ast.Behavior]] = []
         for a, nxt in left_steps:
             if not syncs(a):
                 out.append((a, self.par(nxt, b.kind, b.gates, b.right)))
@@ -593,8 +559,8 @@ def generate_lts(
         for state in frontier:
             src = ids[id(state)]
             steps: dict[tuple[str, int], ast.Behavior] = {}
-            for action, target in successors(state, spec, terms):
-                steps.setdefault((render_action(action), id(target)), target)
+            for label, target in successors(state, spec, terms):
+                steps.setdefault((label, id(target)), target)
             ordered = sorted(steps.items(), key=lambda kv: (kv[0][0], text[kv[0][1]]))
             for (label, key), tgt in ordered:
                 dst = ids.get(key)

@@ -89,11 +89,8 @@ class _AdlParser:
             process = self.ts.expect_ident("a process name")
             gates: tuple[str, ...] = ()
             if self.ts.accept_punct("["):
-                names = [self.ts.expect_ident("a gate name").text]
-                while self.ts.accept_punct(","):
-                    names.append(self.ts.expect_ident("a gate name").text)
+                gates = tuple(self.ts.expect_idents("a gate name"))
                 self.ts.expect_punct("]")
-                gates = tuple(names)
             out.append(ArchElement(name.text, role, process.text, gates))
             if not self.ts.accept_punct(","):
                 break

@@ -110,9 +110,7 @@ class _AscParser:
         variables: list[str] = []
         if self.ts.at_kw("exists"):
             self.ts.next()
-            variables.append(self.ts.expect_ident("a variable name").text)
-            while self.ts.accept_punct(","):
-                variables.append(self.ts.expect_ident("a variable name").text)
+            variables = self.ts.expect_idents("a variable name")
             self.ts.expect_punct(".")
         declared = set()
         for v in variables:
@@ -199,12 +197,9 @@ class _AscParser:
         )
 
     def _name_list(self) -> tuple[str, ...]:
-        names: list[str] = []
-        if self.ts.peek().kind == IDENT:
-            names.append(self.ts.next().text)
-            while self.ts.accept_punct(","):
-                names.append(self.ts.expect_ident("a name").text)
-        return tuple(names)
+        if self.ts.peek().kind != IDENT:
+            return ()
+        return tuple(self.ts.expect_idents("a name"))
 
     def _pair_list(self, sep: str) -> tuple[tuple[str, str], ...]:
         pairs: list[tuple[str, str]] = []

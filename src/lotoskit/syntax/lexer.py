@@ -220,6 +220,14 @@ class TokenStream:
             raise ParseFailure(tok.span, f"expected {what}, found '{tok.text}'")
         return self.next()
 
+    def expect_idents(self, what: str) -> list[str]:
+        """IDENT ("," IDENT)*: the texts of one or more comma-separated
+        identifiers, each described as what in a diagnostic."""
+        names = [self.expect_ident(what).text]
+        while self.accept_punct(","):
+            names.append(self.expect_ident(what).text)
+        return names
+
     def raw_brace_block(self) -> tuple[str, Span]:
         if self._buffered is not None:
             # Lookahead already consumed part of the raw region; rewind.

@@ -80,9 +80,7 @@ class _Parser:
             return (), False
         if self.ts.accept_punct("]"):
             return (), True
-        names = [self.ts.expect_ident("a gate name").text]
-        while self.ts.accept_punct(","):
-            names.append(self.ts.expect_ident("a gate name").text)
+        names = self.ts.expect_idents("a gate name")
         self.ts.expect_punct("]")
         return tuple(names), True
 
@@ -99,9 +97,7 @@ class _Parser:
             name_tok = self.ts.next()
             self.ts.expect_punct("=")
             self.ts.expect_punct("{")
-            values = [self.ts.expect_ident("a value name").text]
-            while self.ts.accept_punct(","):
-                values.append(self.ts.expect_ident("a value name").text)
+            values = self.ts.expect_idents("a value name")
             self.ts.expect_punct("}")
             decls.append(ast.SortDecl(name_tok.text, tuple(values), loc=name_tok.span))
             for v in values:
@@ -143,9 +139,7 @@ class _Parser:
                 kind, gates = ast.ParKind.FULL, frozenset()
             elif self.ts.at_punct("|["):
                 op = self.ts.next()
-                names = [self.ts.expect_ident("a gate name").text]
-                while self.ts.accept_punct(","):
-                    names.append(self.ts.expect_ident("a gate name").text)
+                names = self.ts.expect_idents("a gate name")
                 self.ts.expect_punct("]|")
                 kind, gates = ast.ParKind.GATES, frozenset(names)
             else:
@@ -220,9 +214,7 @@ class _Parser:
         if self.ts.accept_kw("exit"):
             return ast.Exit(loc=tok.span)
         if self.ts.accept_kw("hide"):
-            names = [self.ts.expect_ident("a gate name").text]
-            while self.ts.accept_punct(","):
-                names.append(self.ts.expect_ident("a gate name").text)
+            names = self.ts.expect_idents("a gate name")
             self.ts.expect_kw("in")
             body = self.behaviour()
             return ast.Hide(frozenset(names), body, loc=tok.span)

@@ -2,7 +2,10 @@
 
 The parser only enforces shape; everything name-related lives here:
 declaration uniqueness, gate scoping, process instantiation arity,
-variable binding, and the reserved action name "i".
+variable binding, and the reserved names: "i" everywhere, and "exit" as
+a gate name.  Transition labels are text whose first word is the gate,
+"i" or "exit", so a gate with either name would read as the internal
+action or as successful termination.
 """
 from __future__ import annotations
 
@@ -22,6 +25,12 @@ from .diagnostics import (
 )
 
 
+_RESERVED = {
+    "i": "'i' is reserved for the internal action",
+    "exit": "'exit' is reserved for successful termination",
+}
+
+
 def validate_spec(spec: ast.Specification) -> list[Diagnostic]:
     return _Validator(spec).run()
 
@@ -36,6 +45,13 @@ class _Validator:
 
     def _err(self, message: str, loc, code: str) -> None:
         self.out.append(error(message, loc, code))
+
+    def _reserved(self, name: str, loc, gate: bool = False) -> bool:
+        """Report name if it is reserved: "i" always, "exit" as a gate."""
+        if name == "i" or (gate and name == "exit"):
+            self._err(_RESERVED[name], loc, RESERVED_NAME)
+            return True
+        return False
 
     # ------------------------------------------------------------------
 
@@ -52,14 +68,12 @@ class _Validator:
         seen_sorts: set[str] = set()
         seen_values: set[str] = set()
         for s in spec.sorts:
-            if s.name == "i":
-                self._err("'i' is reserved for the internal action", s.loc, RESERVED_NAME)
+            self._reserved(s.name, s.loc)
             if s.name in seen_sorts:
                 self._err(f"sort '{s.name}' is declared twice", s.loc, DUPLICATE_DEFINITION)
             seen_sorts.add(s.name)
             for v in s.values:
-                if v == "i":
-                    self._err("'i' is reserved for the internal action", s.loc, RESERVED_NAME)
+                self._reserved(v, s.loc)
                 # values are globally unique so "!v" resolves without a sort annotation
                 if v in seen_values:
                     self._err(f"value '{v}' is declared twice", s.loc, DUPLICATE_DEFINITION)
@@ -69,8 +83,7 @@ class _Validator:
 
         seen_procs: set[str] = set()
         for p in spec.processes:
-            if p.name == "i":
-                self._err("'i' is reserved for the internal action", p.loc, RESERVED_NAME)
+            self._reserved(p.name, p.loc)
             if p.name in seen_procs:
                 self._err(f"process '{p.name}' is defined twice", p.loc, DUPLICATE_DEFINITION)
             seen_procs.add(p.name)
@@ -79,63 +92,49 @@ class _Validator:
     def _check_gate_decls(self, gates: tuple[str, ...], loc) -> None:
         seen: set[str] = set()
         for g in gates:
-            if g == "i":
-                self._err("'i' is reserved for the internal action", loc, RESERVED_NAME)
+            self._reserved(g, loc, gate=True)
             if g in seen:
                 self._err(f"gate '{g}' is listed twice", loc, DUPLICATE_DEFINITION)
             seen.add(g)
 
     # ------------------------------------------------------------------
 
-    def _check_behavior(self, b: ast.Behavior, gates: frozenset[str], vars_: dict[str, str]) -> None:
-        if isinstance(b, (ast.Stop, ast.Exit)):
-            return
+    def _check_behavior(self, top: ast.Behavior, gates: frozenset[str], vars_: dict[str, str]) -> None:
+        # an explicit stack, so a long prefix chain needs no recursion;
+        # pushing the right operand first keeps the pre-order, and with it
+        # the order of the diagnostics
+        stack = [(top, gates, vars_)]
+        while stack:
+            b, gates, vars_ = stack.pop()
+            if isinstance(b, ast.Prefix):
+                stack.append((b.rest, gates, self._check_action(b.action, gates, vars_)))
+            elif isinstance(b, (ast.Choice, ast.Seq, ast.Disrupt, ast.Par)):
+                if isinstance(b, ast.Par):
+                    self._check_gate_uses(sorted(b.gates), gates, b.loc)
+                stack.append((b.right, gates, vars_))
+                stack.append((b.left, gates, vars_))
+            elif isinstance(b, ast.Hide):
+                for g in sorted(b.gates):
+                    self._reserved(g, b.loc, gate=True)
+                stack.append((b.body, gates | b.gates, vars_))
+            elif isinstance(b, ast.Inst):
+                target = self.processes.get(b.process)
+                if target is None:
+                    self._err(f"process '{b.process}' is not defined", b.loc, UNKNOWN_PROCESS)
+                elif len(b.gates) != len(target.formal_gates):
+                    self._err(
+                        f"process '{b.process}' takes {len(target.formal_gates)} gate(s), got {len(b.gates)}",
+                        b.loc,
+                        GATE_ARITY_MISMATCH,
+                    )
+                self._check_gate_uses(b.gates, gates, b.loc)
+            elif not isinstance(b, (ast.Stop, ast.Exit)):
+                raise TypeError(f"unknown behaviour node {b!r}")
 
-        if isinstance(b, ast.Prefix):
-            rest_vars = self._check_action(b.action, gates, vars_)
-            self._check_behavior(b.rest, gates, rest_vars)
-            return
-
-        if isinstance(b, (ast.Choice, ast.Seq, ast.Disrupt)):
-            self._check_behavior(b.left, gates, vars_)
-            self._check_behavior(b.right, gates, vars_)
-            return
-
-        if isinstance(b, ast.Par):
-            for g in sorted(b.gates):
-                if g == "i":
-                    self._err("'i' is reserved for the internal action", b.loc, RESERVED_NAME)
-                elif g not in gates:
-                    self._err(f"gate '{g}' is not in scope", b.loc, UNKNOWN_GATE)
-            self._check_behavior(b.left, gates, vars_)
-            self._check_behavior(b.right, gates, vars_)
-            return
-
-        if isinstance(b, ast.Hide):
-            for g in sorted(b.gates):
-                if g == "i":
-                    self._err("'i' is reserved for the internal action", b.loc, RESERVED_NAME)
-            self._check_behavior(b.body, gates | b.gates, vars_)
-            return
-
-        if isinstance(b, ast.Inst):
-            target = self.processes.get(b.process)
-            if target is None:
-                self._err(f"process '{b.process}' is not defined", b.loc, UNKNOWN_PROCESS)
-            elif len(b.gates) != len(target.formal_gates):
-                self._err(
-                    f"process '{b.process}' takes {len(target.formal_gates)} gate(s), got {len(b.gates)}",
-                    b.loc,
-                    GATE_ARITY_MISMATCH,
-                )
-            for g in b.gates:
-                if g == "i":
-                    self._err("'i' is reserved for the internal action", b.loc, RESERVED_NAME)
-                elif g not in gates:
-                    self._err(f"gate '{g}' is not in scope", b.loc, UNKNOWN_GATE)
-            return
-
-        raise TypeError(f"unknown behaviour node {b!r}")
+    def _check_gate_uses(self, used, gates: frozenset[str], loc) -> None:
+        for g in used:
+            if not self._reserved(g, loc, gate=True) and g not in gates:
+                self._err(f"gate '{g}' is not in scope", loc, UNKNOWN_GATE)
 
     def _check_action(
         self, a: ast.ActionExpr, gates: frozenset[str], vars_: dict[str, str]
@@ -158,9 +157,7 @@ class _Validator:
             else:
                 if offer.sort not in self.sorts:
                     self._err(f"sort '{offer.sort}' is not declared", offer.loc, UNKNOWN_SORT)
-                if offer.var == "i":
-                    self._err("'i' is reserved for the internal action", offer.loc, RESERVED_NAME)
-                elif offer.var in self.values:
+                if not self._reserved(offer.var, offer.loc) and offer.var in self.values:
                     self._err(
                         f"variable '{offer.var}' shadows a declared value", offer.loc, SHADOWS_VALUE
                     )

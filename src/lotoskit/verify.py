@@ -401,7 +401,12 @@ def _distinguish(
 
 
 def bisim_equiv(a: Lts, b: Lts) -> VerifyResult:
-    """Strong bisimulation equivalence of two systems."""
+    """Strong bisimulation equivalence of two systems.  A system without
+    states (des (0, 0, 0)) is equivalent only to another without states."""
+    if not a.num_states or not b.num_states:
+        if a.num_states == b.num_states:
+            return VerifyResult(ok=True, detail="strongly bisimilar")
+        return VerifyResult(ok=False, detail="not strongly bisimilar; only one system has states")
     offset = a.num_states
     # b's rows with targets shifted past a's states, built from b's
     # transitions: copying b.out would hold two tables of b at once
@@ -425,6 +430,8 @@ def minimize(lts: Lts) -> Lts:
     """Quotient by strong bisimilarity, renumbered breadth-first from the
     initial block (per block, transitions ordered by label text then by
     the target block's smallest original state)."""
+    if not lts.num_states:  # des (0, 0, 0): not even an initial state
+        return Lts(num_states=0, transitions=[])
     out = lts.out
     block, _, _ = _refine(out)
 

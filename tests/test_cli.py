@@ -131,6 +131,54 @@ def test_too_deep_input_is_operational_error(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_check_accepts_a_long_prefix_chain(capsys, tmp_path):
+    deep = tmp_path / "deep.lot"
+    deep.write_text(
+        "specification Deep [a] : noexit :=\n  behaviour\n    "
+        + "a; " * 3000 + "stop\nendspec\n"
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code, out, err = run(capsys, "check", str(deep))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, out, err) == (0, "Deep: ok (0 process(es), 0 sort(s))\n", "")
+
+
+def test_exit_gate_is_reserved(capsys, tmp_path):
+    spec = tmp_path / "exit_gate.lot"
+    spec.write_text(
+        "specification S [exit] : noexit := behaviour P [exit] where\n"
+        "process P [g] : noexit := g; stop endproc endspec\n"
+    )
+    code, _, err = run(capsys, "check", str(spec))
+    assert code == 1
+    assert "reserved-name" in err
+    code, out, _ = run(capsys, "verify", "deadlock", str(spec))
+    assert code == 2
+    assert out == ""
+
+
+def test_bisim_system_without_states_against_one_with_states(capsys, tmp_path):
+    empty = tmp_path / "empty.aut"
+    empty.write_text("des (0, 0, 0)\n")
+    one = tmp_path / "one.aut"
+    one.write_text('des (0, 1, 2)\n(0, "a", 1)\n')
+    for pair in ((empty, one), (one, empty)):
+        code, out, err = run(capsys, "verify", "bisim", *map(str, pair))
+        assert code == 1
+        assert out == "bisim: violated (not strongly bisimilar; only one system has states)\n"
+        assert err == ""
+
+
+def test_bisim_two_systems_without_states(capsys, tmp_path):
+    empty = tmp_path / "empty.aut"
+    empty.write_text("des (0, 0, 0)\n")
+    code, out, err = run(capsys, "verify", "bisim", str(empty), str(empty))
+    assert (code, out, err) == (0, "bisim: ok (strongly bisimilar)\n", "")
+
+
 def test_out_of_memory_is_operational_error(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError

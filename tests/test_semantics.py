@@ -18,11 +18,7 @@ from lotoskit import (
     successors,
 )
 from lotoskit.semantics import (
-    Internal,
-    Observable,
-    Terminate,
     normalize,
-    render_action,
     strip_hiding,
     substitute_gates,
     unfold,
@@ -40,7 +36,7 @@ def behavior(text, value_sorts=None):
 
 
 def labels_of(b, spec=EMPTY):
-    return sorted(render_action(a) for a, _ in successors(b, spec))
+    return sorted(a for a, _ in successors(b, spec))
 
 
 # ----------------------------------------------------------------------
@@ -53,17 +49,17 @@ def test_stop_has_no_steps():
 
 def test_exit_terminates_once():
     steps = successors(ast.Exit(), EMPTY)
-    assert steps == [(Terminate(), ast.Stop())]
+    assert steps == [("exit", ast.Stop())]
 
 
 def test_prefix_steps_to_rest():
     steps = successors(behavior("a; stop"), EMPTY)
-    assert steps == [(Observable("a"), ast.Stop())]
+    assert steps == [("a", ast.Stop())]
 
 
 def test_internal_prefix():
     steps = successors(behavior("i; stop"), EMPTY)
-    assert steps == [(Internal(), ast.Stop())]
+    assert steps == [("i", ast.Stop())]
 
 
 def test_choice_offers_both_sides():
@@ -77,7 +73,7 @@ def test_interleave_never_syncs_observables():
 def test_gate_sync_required():
     b = behavior("a; stop |[a]| a; stop")
     steps = successors(b, EMPTY)
-    assert [render_action(a) for a, _ in steps] == ["a"]
+    assert [a for a, _ in steps] == ["a"]
 
 
 def test_gate_sync_blocks_unmatched():
@@ -114,7 +110,7 @@ def test_hide_keeps_other_gates():
 def test_enable_turns_termination_into_internal():
     b = behavior("exit >> a; stop")
     steps = successors(b, EMPTY)
-    assert [(render_action(x), y) for x, y in steps] == [("i", behavior("a; stop"))]
+    assert steps == [("i", behavior("a; stop"))]
 
 
 def test_enable_waits_for_termination():
@@ -134,7 +130,7 @@ def test_disrupt_survives_left_steps():
 def test_termination_discharges_disruption():
     b = behavior("exit [> b; stop")
     steps = successors(b, EMPTY)
-    assert (Terminate(), ast.Stop()) in steps
+    assert ("exit", ast.Stop()) in steps
 
 
 # value offers
@@ -148,13 +144,13 @@ SORTED = ast.Specification(
 def test_receive_expands_in_declaration_order():
     b = behavior("g ?x: V; stop")
     steps = successors(b, SORTED)
-    assert [render_action(a) for a, _ in steps] == ["g !v1", "g !v2"]
+    assert [a for a, _ in steps] == ["g !v1", "g !v2"]
 
 
 def test_received_value_flows_into_continuation():
     b = behavior("g ?x: V; h !x; stop")
     steps = successors(b, SORTED)
-    conts = {render_action(a): labels_of(nxt, SORTED) for a, nxt in steps}
+    conts = {a: labels_of(nxt, SORTED) for a, nxt in steps}
     assert conts == {"g !v1": ["h !v1"], "g !v2": ["h !v2"]}
 
 

@@ -148,6 +148,23 @@ def test_reserved_name_i():
     assert "reserved-name" in codes(diags)
 
 
+def test_reserved_gate_name_exit():
+    # a gate called exit would offer a step labelled like termination
+    text = spec_with("g; stop").replace("[g, h]", "[g, exit]")
+    assert codes(check(text)) == ["reserved-name"]
+
+    diags = check(spec_with("hide exit in g; stop"))
+    assert codes(diags) == ["reserved-name"]
+    assert diags[0].message == "'exit' is reserved for successful termination"
+
+    # elsewhere exit is an ordinary name
+    assert check(spec_with("g ?exit: A; stop", sorts="A = { v }")) == []
+
+
 def test_all_problems_reported_not_just_first():
     diags = check(spec_with("q; r; stop"))
     assert codes(diags) == ["unknown-gate", "unknown-gate"]
+
+    # in source order, left operand before right
+    diags = check(spec_with("q; stop [] r; stop ||| s; stop"))
+    assert [d.message for d in diags] == [f"gate '{g}' is not in scope" for g in "qrs"]

@@ -496,6 +496,11 @@ def test_checks_on_a_system_without_states():
     assert check_safety(lts, mon).ok
 
 
+def test_minimize_system_without_states():
+    small = minimize(read_aut("des (0, 0, 0)\n"))
+    assert export_aut(small) == "des (0, 0, 0)\n"
+
+
 def test_deadlock_only_counts_reachable_sinks():
     # state 1 has no moves; state 0 cannot reach it, state 2 can
     transitions = '(0, "e", 0)\n(2, "a", 3)\n(3, "b", 2)\n(3, "d", 1)\n'
