@@ -6,21 +6,23 @@ while identifiers themselves stay case-sensitive).
 
 Identifiers may contain internal hyphens (``Client-Server``); there is no
 arithmetic anywhere in these grammars, so the reading is unambiguous.
-Comments: ``(* ... *)`` (nesting allowed) and ``/* ... */``.
+Comments are ``(* ... *)`` and ``/* ... */``, and both nest.  Each kind
+counts only its own opener, so ``(*`` inside ``/* ... */`` is plain text.
+
+Tokens are matched by one compiled regular expression; a token's span is
+worked out from its offsets and the line starts, found once per text.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from bisect import bisect_right
 
-from .diagnostics import LEX_ERROR, SYNTAX_ERROR, Span
+from .diagnostics import LEX_ERROR, NESTING_TOO_DEEP, SYNTAX_ERROR, Span
 
 IDENT = "ident"
 STRING = "string"
 PUNCT = "punct"
 EOF = "eof"
-
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*")
 
 # Longest match first.
 _PUNCTUATION = (
@@ -28,14 +30,27 @@ _PUNCTUATION = (
     "[", "]", "(", ")", "{", "}", ";", ":", ",", "!", "?", "=", ".",
 )
 
+_CLOSERS = {"(*": "*)", "/*": "*/"}
+_SPACE = re.compile(r"[ \t\r\n]*")
+_COMMENT = "comment"
+# Whitespace, then a token or a comment opener.  The group names are the
+# token kinds; a comment opener comes before the punctuation "(".
+_TOKEN = re.compile(
+    rf"{_SPACE.pattern}(?:(?P<{IDENT}>[A-Za-z][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*)"
+    rf'|(?P<{STRING}>"[^"\n]*")'
+    rf"|(?P<{_COMMENT}>{'|'.join(map(re.escape, _CLOSERS))})"
+    rf"|(?P<{PUNCT}>{'|'.join(map(re.escape, _PUNCTUATION))}))"
+)
+_BRACE = re.compile(r"[{}]")
 
-@dataclass(frozen=True)
+
 class Token:
-    kind: str
-    text: str
-    span: Span
-    start: int  # character offset into the source
-    end: int
+    __slots__ = ("kind", "text", "span")
+
+    def __init__(self, kind: str, text: str, span: Span):
+        self.kind = kind
+        self.text = text
+        self.span = span
 
     def is_kw(self, word: str) -> bool:
         return self.kind == IDENT and self.text.lower() == word
@@ -60,107 +75,88 @@ class LexFailure(ParseFailure):
     code = LEX_ERROR
 
 
+class NestingFailure(ParseFailure):
+    code = NESTING_TOO_DEEP
+
+
 class Lexer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
+        self._line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
 
-    def _advance(self, n: int) -> None:
-        for _ in range(n):
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
+    def _point(self, pos: int) -> Span:
+        line = bisect_right(self._line_starts, pos)
+        return Span.point(line, pos - self._line_starts[line - 1] + 1)
+
+    def _skip_trivia(self) -> int:
+        """Move past whitespace and comments; returns the new offset."""
+        text = self.text
+        pos = _SPACE.match(text, self.pos).end()
+        while text[pos:pos + 2] in _CLOSERS:
+            pos = _SPACE.match(text, self._skip_comment(pos)).end()
+        self.pos = pos
+        return pos
+
+    def _skip_comment(self, start: int) -> int:
+        """The offset just past the comment opened at start, which may
+        nest comments of its own kind."""
+        text = self.text
+        opener = text[start:start + 2]
+        closer = _CLOSERS[opener]
+        depth, pos = 1, start + 2
+        while True:
+            close = text.find(closer, pos)
+            if close < 0:
+                raise LexFailure(self._point(start),
+                                 f"unterminated comment ('{opener}' without '{closer}')")
+            # an opener may overlap the closer, as in "(*)", and wins
+            nested = text.find(opener, pos, close + 1)
+            if nested >= 0:
+                depth, pos = depth + 1, nested + 2
             else:
-                self.col += 1
-            self.pos += 1
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-            elif self.text.startswith("(*", self.pos):
-                self._skip_block("(*", "*)")
-            elif self.text.startswith("/*", self.pos):
-                self._skip_block("/*", "*/")
-            else:
-                return
-
-    def _skip_block(self, opener: str, closer: str) -> None:
-        start = Span.point(self.line, self.col)
-        depth = 0
-        while self.pos < len(self.text):
-            if self.text.startswith(opener, self.pos):
-                depth += 1
-                self._advance(2)
-            elif self.text.startswith(closer, self.pos):
-                depth -= 1
-                self._advance(2)
+                depth, pos = depth - 1, close + 2
                 if depth == 0:
-                    return
-            else:
-                self._advance(1)
-        raise LexFailure(start, f"unterminated comment ('{opener}' without '{closer}')")
+                    return pos
 
     def next_token(self) -> Token:
-        self._skip_trivia()
-        start, line, col = self.pos, self.line, self.col
-        if self.pos >= len(self.text):
-            return Token(EOF, "", Span.point(line, col), start, start)
-
-        m = _IDENT_RE.match(self.text, self.pos)
-        if m:
-            self._advance(m.end() - m.start())
-            return Token(IDENT, m.group(), Span(line, col, self.line, self.col),
-                         start, self.pos)
-
-        if self.text[self.pos] == '"':
-            self._advance(1)
-            chunk_start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos] not in '"\n':
-                self._advance(1)
-            if self.pos >= len(self.text) or self.text[self.pos] != '"':
-                raise LexFailure(Span.point(line, col), "unterminated string literal")
-            value = self.text[chunk_start:self.pos]
-            self._advance(1)
-            return Token(STRING, value, Span(line, col, self.line, self.col),
-                         start, self.pos)
-
-        for p in _PUNCTUATION:
-            if self.text.startswith(p, self.pos):
-                self._advance(len(p))
-                return Token(PUNCT, p, Span(line, col, self.line, self.col),
-                             start, self.pos)
-
-        raise LexFailure(Span.point(line, col),
-                         f"unexpected character {self.text[self.pos]!r}")
+        text = self.text
+        m = _TOKEN.match(text, self.pos)
+        while m is not None and m.lastgroup == _COMMENT:
+            m = _TOKEN.match(text, self._skip_comment(m.start(_COMMENT)))
+        if m is None:
+            pos = self._skip_trivia()
+            if pos == len(text):
+                return Token(EOF, "", self._point(pos))
+            ch = text[pos]
+            raise LexFailure(self._point(pos), "unterminated string literal" if ch == '"'
+                             else f"unexpected character {ch!r}")
+        kind = m.lastgroup
+        value = m.group(kind)
+        self.pos = end = m.end()
+        pos = end - len(value)
+        starts = self._line_starts
+        line = bisect_right(starts, pos)
+        col = pos - starts[line - 1] + 1
+        return Token(kind, value[1:-1] if kind == STRING else value,
+                     Span(line, col, line, col + len(value)))
 
     def raw_brace_block(self) -> tuple[str, Span]:
         """Read a ``{ ... }`` block as raw text (used for stored-not-parsed
         sections).  Braces inside must balance; everything else is free
         text.  Returns the inner text, stripped."""
-        self._skip_trivia()
-        open_span = Span.point(self.line, self.col)
-        if self.pos >= len(self.text) or self.text[self.pos] != "{":
+        pos = self._skip_trivia()
+        open_span = self._point(pos)
+        if not self.text.startswith("{", pos):
             raise LexFailure(open_span, "expected '{'")
-        self._advance(1)
-        depth = 1
-        chunk_start = self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    body = self.text[chunk_start:self.pos]
-                    self._advance(1)
-                    end = Span.point(self.line, self.col)
-                    return body.strip(), Span(open_span.line, open_span.col,
-                                              end.line, end.col)
-            self._advance(1)
+        depth = 0
+        for m in _BRACE.finditer(self.text, pos):
+            depth += 1 if m.group() == "{" else -1
+            if depth == 0:
+                self.pos = end = m.end()
+                close = self._point(end)
+                return self.text[pos + 1:m.start()].strip(), Span(
+                    open_span.line, open_span.col, close.line, close.col)
         raise LexFailure(open_span, "unterminated '{' block")
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 from . import ast
 from .diagnostics import Diagnostic, LIBRARY_NOT_SUPPORTED, error
-from .lexer import EOF, IDENT, ParseFailure, Token, TokenStream
+from .lexer import EOF, IDENT, NestingFailure, ParseFailure, Token, TokenStream
 
 _FUNCTIONALITIES = ("noexit", "exit")
 
@@ -110,9 +110,7 @@ class _Parser:
     # behaviour expressions, loosest binding first
 
     def behaviour(self) -> ast.Behavior:
-        return self._enable()
-
-    def _enable(self) -> ast.Behavior:
+        # b_enable itself, so that a nesting level costs one frame fewer
         left = self._disrupt()
         while self.ts.at_punct(">>"):
             op = self.ts.next()
@@ -213,15 +211,20 @@ class _Parser:
             return ast.Stop(loc=tok.span)
         if self.ts.accept_kw("exit"):
             return ast.Exit(loc=tok.span)
-        if self.ts.accept_kw("hide"):
-            names = self.ts.expect_idents("a gate name")
-            self.ts.expect_kw("in")
-            body = self.behaviour()
-            return ast.Hide(frozenset(names), body, loc=tok.span)
-        if self.ts.accept_punct("("):
-            inner = self.behaviour()
-            self.ts.expect_punct(")")
-            return inner
+        # "hide" and "(" are where the parser recurses; running out of stack
+        # below them is reported at the deepest one that can still raise
+        try:
+            if self.ts.accept_kw("hide"):
+                names = self.ts.expect_idents("a gate name")
+                self.ts.expect_kw("in")
+                body = self.behaviour()
+                return ast.Hide(frozenset(names), body, loc=tok.span)
+            if self.ts.accept_punct("("):
+                inner = self.behaviour()
+                self.ts.expect_punct(")")
+                return inner
+        except RecursionError:
+            raise NestingFailure(tok.span, f"'{tok.text}' nested too deeply to parse") from None
         raise ParseFailure(tok.span, f"expected a behaviour expression, found '{tok.text}'")
 
     # ------------------------------------------------------------------

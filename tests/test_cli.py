@@ -146,6 +146,23 @@ def test_check_accepts_a_long_prefix_chain(capsys, tmp_path):
     assert (code, out, err) == (0, "Deep: ok (0 process(es), 0 sort(s))\n", "")
 
 
+def test_check_reports_too_deep_nesting(capsys, tmp_path):
+    deep = tmp_path / "deep.lot"
+    deep.write_text(
+        "specification Deep [a] : noexit :=\n  behaviour\n    "
+        + "(" * 300 + "a; stop" + ")" * 300 + "\nendspec\n"
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code, out, err = run(capsys, "check", str(deep))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 1
+    assert "error[nesting-too-deep]: '(' nested too deeply to parse" in err
+    assert out == f"{deep}: 1 error(s)\n"
+
+
 def test_exit_gate_is_reserved(capsys, tmp_path):
     spec = tmp_path / "exit_gate.lot"
     spec.write_text(

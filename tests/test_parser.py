@@ -5,6 +5,9 @@ import pytest
 
 from behavior_gen import GATES, SORT, gen_behavior
 from lotoskit.syntax import ast, has_errors, parse_behavior, parse_spec, pretty_behavior, pretty_spec
+from lotoskit.syntax.adlparse import parse_adl
+from lotoskit.syntax.asc import parse_asc
+from lotoskit.syntax.diagnostics import NESTING_TOO_DEEP
 from lotoskit.syntax.lexer import EOF, IDENT, PUNCT, STRING, LexFailure, TokenStream
 
 
@@ -189,6 +192,41 @@ def test_long_prefix_chain_parses_at_default_recursion_limit():
         assert b.action.gate == "a" and b.loc.col == b.action.loc.col
         b, depth = b.rest, depth + 1
     assert depth == 3000 and isinstance(b, ast.Stop)
+
+
+def _parse_nested(depth, opener, closer):
+    """Each entry point on a behaviour nested depth levels deep, at a fresh
+    interpreter's recursion limit: (name, tree or None, diagnostics)."""
+    body = opener * depth + "g; stop" + closer * depth
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        result = parse_spec(f"specification S [g] : noexit := behaviour {body} endspec")
+        behaviour = parse_behavior(body)
+        config = parse_adl(f"configuration C composition {{ {body} }} end")
+    finally:
+        sys.setrecursionlimit(limit)
+    return [("spec", result.spec, result.diagnostics), ("behaviour", *behaviour), ("adl", *config)]
+
+
+@pytest.mark.parametrize("opener, closer", [("(", ")"), ("hide g in ", "")])
+def test_deep_nesting_is_a_diagnostic(opener, closer):
+    for name, tree, diags in _parse_nested(130, opener, closer):
+        assert tree is not None and diags == [], name
+    for name, tree, diags in _parse_nested(300, opener, closer):
+        assert tree is None, name
+        assert [d.code for d in diags] == [NESTING_TOO_DEEP], name
+        assert diags[0].message == f"'{opener.split()[0]}' nested too deeply to parse"
+
+
+def test_deeply_nested_contract_block_parses():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        contract, diags = parse_asc("component C where assert {" + "{" * 3000 + "}" * 3000 + "} end")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert diags == [] and contract.assertion == "{" * 3000 + "}" * 3000
 
 
 # ----------------------------------------------------------------------
