@@ -3,7 +3,8 @@
 Plain random.Random so a failure reproduces from the seed alone.  The
 terms optionally carry value offers over one two-value sort.  They
 instantiate processes only when asked to (``procs``), at the leaves,
-guarded or not."""
+guarded or not.  Only when asked to (``sends``) does a value action send
+a variable bound by an earlier receive on the same path."""
 from __future__ import annotations
 
 import random
@@ -15,19 +16,28 @@ SORT = ast.SortDecl("V", ("v1", "v2"))
 
 
 def gen_behavior(
-    rng: random.Random, depth: int, values: bool = False, procs: int = 0
+    rng: random.Random,
+    depth: int,
+    values: bool = False,
+    procs: int = 0,
+    sends: bool = False,
+    bound: frozenset[str] = frozenset(),
 ) -> ast.Behavior:
     """With procs > 0, a leaf may also instantiate one of P0..P{procs-1}
-    on gates drawn from GATES."""
+    on gates drawn from GATES.  With sends (and values), a send may name a
+    variable of bound, the receives made earlier on the path."""
     if depth <= 0:
         return _gen_leaf(rng, procs)
 
-    def sub() -> ast.Behavior:
-        return gen_behavior(rng, depth - 1, values, procs)
+    def sub(bound: frozenset[str] = bound) -> ast.Behavior:
+        return gen_behavior(rng, depth - 1, values, procs, sends, bound)
 
     pick = rng.randrange(12)
     if pick < 4:
-        return ast.Prefix(_gen_action(rng, values), sub())
+        action = _gen_action(rng, values, bound if sends else None)
+        if isinstance(action, ast.Comm):
+            bound = bound | {o.var for o in action.offers if isinstance(o, ast.Receive)}
+        return ast.Prefix(action, sub(bound))
     if pick < 6:
         return ast.Choice(sub(), sub())
     if pick < 8:
@@ -40,6 +50,7 @@ def gen_behavior(
         hidden = frozenset(rng.sample(GATES, rng.randint(1, 2)))
         return ast.Hide(hidden, sub())
     if pick == 9:
+        # what the left operand receives does not reach the right one
         return ast.Seq(sub(), sub())
     if pick == 10:
         return ast.Disrupt(sub(), sub())
@@ -52,7 +63,11 @@ def _gen_leaf(rng: random.Random, procs: int) -> ast.Behavior:
     return ast.Stop() if rng.random() < 0.7 else ast.Exit()
 
 
-def _gen_action(rng: random.Random, values: bool) -> ast.ActionExpr:
+def _gen_action(
+    rng: random.Random, values: bool, bound: frozenset[str] | None
+) -> ast.ActionExpr:
+    """bound is None unless sends may name variables; offers bind left to
+    right, so a send may also name a receive earlier in the same action."""
     if rng.random() < 0.15:
         return ast.InternalAction()
     gate = rng.choice(GATES)
@@ -61,9 +76,15 @@ def _gen_action(rng: random.Random, values: bool) -> ast.ActionExpr:
     offers = []
     for _ in range(rng.randint(1, 2)):
         if rng.random() < 0.5:
-            offers.append(ast.Send(ast.ValueLit(rng.choice(SORT.values), SORT.name)))
+            if bound and rng.random() < 0.5:
+                offers.append(ast.Send(ast.VarRef(rng.choice(sorted(bound)))))
+            else:
+                offers.append(ast.Send(ast.ValueLit(rng.choice(SORT.values), SORT.name)))
         else:
-            offers.append(ast.Receive(rng.choice(("x", "y")), SORT.name))
+            var = rng.choice(("x", "y"))
+            offers.append(ast.Receive(var, SORT.name))
+            if bound is not None:
+                bound = bound | {var}
     return ast.Comm(gate, tuple(offers))
 
 

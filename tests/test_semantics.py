@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sos_oracle
-from behavior_gen import GATES, gen_behavior, wrap
+from behavior_gen import GATES, SORT, gen_behavior, wrap
 from conftest import LOT_FILES, load_spec
 from lotoskit import (
     BudgetExceededError,
@@ -515,7 +515,7 @@ def test_oracle_agrees_on_random_terms():
 def test_oracle_agrees_on_random_terms_with_offers():
     rng = random.Random(12)
     for _ in range(150):
-        term = gen_behavior(rng, rng.randint(0, 4), values=True)
+        term = gen_behavior(rng, rng.randint(0, 4), values=True, sends=True)
         assert_graph_equal(wrap(term))
 
 
@@ -626,11 +626,54 @@ def test_golden_output(name, hidden):
     assert golden_digest(generate_lts(spec)) == GOLDEN[f"{name}/{'hide' if hidden else 'strip'}"]
 
 
+def random_system(seed):
+    """One to three processes over GATES, instantiated on actual gates
+    drawn from GATES, with value offers and variable sends; half the
+    bodies sit under a hide that a renamed gate may be captured by."""
+    rng = random.Random(seed)
+    count = rng.randint(1, 3)
+
+    def term(depth):
+        return gen_behavior(rng, depth, values=True, procs=count, sends=True)
+
+    def body():
+        b = term(rng.randint(1, 4))
+        if rng.random() < 0.5:
+            b = ast.Hide(frozenset(rng.sample(GATES, rng.randint(1, 2))), b)
+        return b
+
+    procs = tuple(ast.ProcessDef(f"P{k}", GATES, "noexit", body()) for k in range(count))
+    return ast.Specification("R", GATES, (SORT,), procs, term(rng.randint(0, 2)))
+
+
+def system_outcome(spec):
+    """.aut text and state forms, or the error exploration stops with."""
+    from lotoskit.verify import export_aut
+
+    try:
+        lts = generate_lts(spec, ExplorationBudget(max_states=60, max_transitions=600))
+    except (BudgetExceededError, UnguardedRecursionError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}\n"
+    forms = "\n".join(lts.form_text(s) for s in range(lts.num_states))
+    return export_aut(lts) + forms + "\n"
+
+
+def test_golden_random_systems():
+    digest = hashlib.sha256()
+    for seed in range(300):
+        digest.update(system_outcome(random_system(seed)).encode())
+    assert digest.hexdigest() == RANDOM_SYSTEMS_GOLDEN
+
+
+# sha256 over system_outcome(random_system(seed)) for seeds 0..299
+RANDOM_SYSTEMS_GOLDEN = "8de33e93183dfb179403a37d1e798c8cf2219c6f870b0f57e4164cbcda0a5b71"
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.booleans())
 def test_no_state_leaks_between_explorations(seed_a, seed_b, values):
-    a = wrap(gen_behavior(random.Random(seed_a), 4, values))
-    b = wrap(gen_behavior(random.Random(seed_b), 4, values), name="Other")
+    a = wrap(gen_behavior(random.Random(seed_a), 4, values, sends=True))
+    b = wrap(gen_behavior(random.Random(seed_b), 4, values, sends=True), name="Other")
     first = generate_lts(a)
     generate_lts(b)
     again = generate_lts(a)
