@@ -1,15 +1,17 @@
 """Operational semantics: single steps and exhaustive state-space generation.
 
 A state is a closed behaviour term without source locations.
-``generate_lts`` strips the locations once, when it loads the
-specification (``normalize`` on the top behaviour and on every process
-body), and from then on builds every term through a hash-consing table
-that lives for that one call: each distinct term exists once, so
-equality is identity and a term's ``id`` is its hash; each term's printed
-form, which breaks ties in the transition order, is composed once from
-its children's; and the successors of each term and the unfolding of
-each instantiation are computed once.  The unchanged components of a
-parallel state therefore cost nothing when it steps.
+``generate_lts`` builds every term through a hash-consing table that
+lives for that one call.  A tree from the specification enters it by one
+walk over an explicit stack, which drops the source locations and at the
+same time puts actual gates for formals (unfolding an instantiation) or
+received values for variables (firing an action).  Inside the table each
+distinct term exists once, so equality is identity and a term's ``id``
+is its hash; each term's printed form, which breaks ties in the
+transition order, is composed once from its children's; and the
+successors of each term and the unfolding of each instantiation are
+computed once.  The unchanged components of a parallel state therefore
+cost nothing when it steps.
 
 Recursion is unguarded when a process recurs before any action prefix
 (Milner, "Communication and Concurrency", 1989, 4.5): while computing
@@ -99,142 +101,72 @@ def collect_gates(b: ast.Behavior) -> set[str]:
     return out
 
 
-def substitute_gates(b: ast.Behavior, mapping: dict[str, str]) -> ast.Behavior:
-    """Rename free gates.  Hide binds gates; bound occurrences are kept,
-    and a bound gate that would capture a renamed one is freshened first."""
-    mapping = {k: v for k, v in mapping.items() if k != v}
-    if not mapping:
-        return b
-
-    if isinstance(b, (ast.Stop, ast.Exit)):
-        return b
-    if isinstance(b, ast.Prefix):
-        action = b.action
-        if isinstance(action, ast.Comm) and action.gate in mapping:
-            action = replace(action, gate=mapping[action.gate])
-        return replace(b, action=action, rest=substitute_gates(b.rest, mapping))
-    if isinstance(b, (ast.Choice, ast.Seq, ast.Disrupt)):
-        return replace(
-            b,
-            left=substitute_gates(b.left, mapping),
-            right=substitute_gates(b.right, mapping),
-        )
-    if isinstance(b, ast.Par):
-        return replace(
-            b,
-            left=substitute_gates(b.left, mapping),
-            gates=frozenset(mapping.get(g, g) for g in b.gates),
-            right=substitute_gates(b.right, mapping),
-        )
-    if isinstance(b, ast.Inst):
-        return replace(b, gates=tuple(mapping.get(g, g) for g in b.gates))
-    if isinstance(b, ast.Hide):
-        inner = {k: v for k, v in mapping.items() if k not in b.gates}
-        if not inner:
-            return b
-        captured = sorted(b.gates & set(inner.values()))
-        body, bound = b.body, b.gates
-        if captured:
-            taken = collect_gates(b.body) | set(inner.values()) | bound
-            freshened: dict[str, str] = {}
-            for g in captured:
-                n = 1
-                while f"{g}#{n}" in taken:
-                    n += 1
-                freshened[g] = f"{g}#{n}"
-                taken.add(f"{g}#{n}")
-            body = substitute_gates(body, freshened)
-            bound = frozenset(freshened.get(g, g) for g in bound)
-        return ast.Hide(bound, substitute_gates(body, inner))
-    raise TypeError(f"unknown behaviour node {b!r}")
+def _bind(
+    hide: ast.Hide, gates: dict[str, str] | None
+) -> tuple[frozenset[str], dict[str, str] | None]:
+    """The gates hide binds and the renaming of its body, when gates
+    renames the gates free around it.  The renaming reaches the body
+    except for the bound gates; a bound gate that a new name would be
+    captured by is itself renamed, to a fresh name."""
+    if not gates:
+        return hide.gates, None
+    inner = {k: v for k, v in gates.items() if k not in hide.gates}
+    captured = sorted(hide.gates & set(inner.values()))
+    if not captured:
+        return hide.gates, inner
+    taken = collect_gates(hide.body) | set(inner.values()) | hide.gates
+    for g in captured:
+        n = 1
+        while f"{g}#{n}" in taken:
+            n += 1
+        inner[g] = f"{g}#{n}"
+        taken.add(inner[g])
+    return frozenset(inner.get(g, g) for g in hide.gates), inner
 
 
-def substitute_values(b: ast.Behavior, env: dict[str, ast.ValueLit]) -> ast.Behavior:
-    """Replace free value variables by literals.  Receives bind variables,
-    so a re-bound name stops substituting in the continuation."""
-    if not env:
-        return b
-    if isinstance(b, (ast.Stop, ast.Exit, ast.Inst)):
-        return b
-    if isinstance(b, ast.Prefix):
-        action = b.action
-        rest_env = env
-        if isinstance(action, ast.Comm):
-            offers = []
-            for o in action.offers:
-                if isinstance(o, ast.Send):
-                    e = o.expr
-                    if isinstance(e, ast.VarRef) and e.name in env:
-                        o = replace(o, expr=env[e.name])
-                    offers.append(o)
-                else:
-                    if o.var in rest_env:
-                        if rest_env is env:
-                            rest_env = dict(env)
-                        del rest_env[o.var]
-                    offers.append(o)
-            action = replace(action, offers=tuple(offers))
-        return replace(b, action=action, rest=substitute_values(b.rest, rest_env))
-    if isinstance(b, (ast.Choice, ast.Seq, ast.Disrupt)):
-        return replace(
-            b,
-            left=substitute_values(b.left, env),
-            right=substitute_values(b.right, env),
-        )
-    if isinstance(b, ast.Par):
-        return replace(
-            b,
-            left=substitute_values(b.left, env),
-            right=substitute_values(b.right, env),
-        )
-    if isinstance(b, ast.Hide):
-        return replace(b, body=substitute_values(b.body, env))
-    raise TypeError(f"unknown behaviour node {b!r}")
+def _rewrite_action(
+    action: ast.ActionExpr, gates: dict[str, str] | None, env: dict[str, ast.ValueLit] | None
+) -> tuple[ast.ActionExpr, dict[str, ast.ValueLit] | None]:
+    """action without locations, its gate renamed and the variables it
+    sends replaced, and the env of its continuation, less the variables
+    its receives bind.  A send is looked up in env as the action found
+    it, also after a receive of the same name earlier in the action."""
+    if isinstance(action, ast.InternalAction):
+        return _INTERNAL, env
+    offers: list[ast.Offer] = []
+    rest_env = env
+    for o in action.offers:
+        if isinstance(o, ast.Receive):
+            offers.append(ast.Receive(o.var, o.sort))
+            if rest_env and o.var in rest_env:
+                if rest_env is env:
+                    rest_env = dict(env)
+                del rest_env[o.var]
+        elif isinstance(o.expr, ast.ValueLit):
+            offers.append(ast.Send(ast.ValueLit(o.expr.value, o.expr.sort)))
+        elif env and o.expr.name in env:
+            offers.append(ast.Send(env[o.expr.name]))
+        else:
+            offers.append(ast.Send(ast.VarRef(o.expr.name)))
+    gate = gates.get(action.gate, action.gate) if gates else action.gate
+    return ast.Comm(gate, tuple(offers)), rest_env
+
+
+_INTERNAL = ast.InternalAction()
+# marks an entry of the interning stack whose children are done
+_BUILD = object()
+_EMPTY = ast.Specification("", (), (), (), ast.Stop())
 
 
 def normalize(b: ast.Behavior) -> ast.Behavior:
     """Strip source locations, giving a canonical representative.
     Idempotent, and never changes equality (locations are not compared).
-    Exploration calls it once per term of the specification it loads."""
-    if b.loc is not None:
-        b = replace(b, loc=None)
-    if isinstance(b, ast.Prefix):
-        action = b.action
-        if action.loc is not None:
-            action = replace(action, loc=None)
-        if isinstance(action, ast.Comm):
-            offers = tuple(_normalize_offer(o) for o in action.offers)
-            if offers != action.offers:
-                action = replace(action, offers=offers)
-        return replace(b, action=action, rest=normalize(b.rest))
-    if isinstance(b, (ast.Choice, ast.Seq, ast.Disrupt, ast.Par)):
-        return replace(b, left=normalize(b.left), right=normalize(b.right))
-    if isinstance(b, ast.Hide):
-        return replace(b, body=normalize(b.body))
-    return b
-
-
-def _normalize_offer(o: ast.Offer) -> ast.Offer:
-    if o.loc is not None:
-        o = replace(o, loc=None)
-    if isinstance(o, ast.Send) and o.expr.loc is not None:
-        o = replace(o, expr=replace(o.expr, loc=None))
-    return o
+    Exploration does the same as terms enter its table."""
+    return _Terms(_EMPTY).intern(b)
 
 
 # ----------------------------------------------------------------------
 # single steps
-
-
-def unfold(inst: ast.Inst, spec: ast.Specification) -> ast.Behavior:
-    """Replace an instantiation by the defining body, actual gates in
-    place of formals."""
-    target = spec.process(inst.process)
-    if target is None:
-        raise ValueError(f"process '{inst.process}' is not defined")
-    if len(inst.gates) != len(target.formal_gates):
-        raise ValueError(f"gate arity mismatch instantiating '{inst.process}'")
-    return substitute_gates(target.body, dict(zip(target.formal_gates, inst.gates)))
 
 
 def successors(
@@ -244,11 +176,10 @@ def successors(
     as (label text, successor) pairs: "i", "exit" or "g !v1 !v2".
 
     ``generate_lts`` passes the term table of its exploration, into which
-    b is interned and whose loaded copy of spec it uses; without one, b
-    is normalised and interned into a fresh table."""
+    b is interned; without one, b is interned into a fresh table."""
     if terms is None:
         terms = _Terms(spec)
-        b = terms.intern(normalize(b))
+        b = terms.intern(b)
     return terms.steps(b)
 
 
@@ -263,11 +194,7 @@ class _Terms:
     of every interned term to its printed form."""
 
     def __init__(self, spec: ast.Specification):
-        self.spec = replace(
-            spec,
-            top_behavior=normalize(spec.top_behavior),
-            processes=tuple(replace(p, body=normalize(p.body)) for p in spec.processes),
-        )
+        self.spec = spec
         self.text: dict[int, str] = {}
         self._nodes: dict[tuple, ast.Behavior] = {}
         self._steps: dict[int, list[tuple[str, ast.Behavior]]] = {}
@@ -287,25 +214,65 @@ class _Terms:
     def _text_of(self, b: ast.Behavior) -> str:
         return self.text[id(b)]
 
-    def intern(self, b: ast.Behavior) -> ast.Behavior:
-        """The canonical instance of a location-free term."""
-        if id(b) in self.text:
+    def intern(
+        self,
+        b: ast.Behavior,
+        gates: dict[str, str] | None = None,
+        env: dict[str, ast.ValueLit] | None = None,
+    ) -> ast.Behavior:
+        """The canonical instance of b, which may come from any tree: built
+        without source locations, its free gates renamed by gates and its
+        free variables replaced by env's values.  A hide binds its gates,
+        and one that would capture a renamed gate g binds g#n instead, n
+        the smallest such that g#n is no gate of its body, no new name and
+        no bound gate.  A receive binds its variable for the continuation.
+        The walk keeps its own stack, so a deep term costs no recursion."""
+        if not gates and not env and id(b) in self.text:
             return b
-        if isinstance(b, ast.Prefix):
-            return self.prefix(b.action, self.intern(b.rest))
-        if isinstance(b, ast.Par):
-            return self.par(self.intern(b.left), b.kind, b.gates, self.intern(b.right))
-        if isinstance(b, ast.Hide):
-            return self.hide(b.gates, self.intern(b.body))
-        if isinstance(b, (ast.Choice, ast.Seq, ast.Disrupt)):
-            return self.binary(type(b), self.intern(b.left), self.intern(b.right))
-        if isinstance(b, ast.Inst):
-            key: tuple = (ast.Inst, b.process, b.gates)
-        elif isinstance(b, (ast.Stop, ast.Exit)):
-            key = (type(b),)
-        else:
-            raise TypeError(f"unknown behaviour node {b!r}")
-        return self._nodes.get(key) or self._add(key, b)
+        done: list[ast.Behavior] = []
+        # (node, gates, env) to visit, or (node, _BUILD, fields) to build
+        # from the children last put on done
+        todo: list[tuple] = [(b, gates, env)]
+        while todo:
+            node, gates, env = todo.pop()
+            if gates is _BUILD:
+                if isinstance(node, ast.Prefix):
+                    done.append(self.prefix(env, done.pop()))
+                elif isinstance(node, ast.Hide):
+                    done.append(self.hide(env, done.pop()))
+                else:
+                    right = done.pop()
+                    if isinstance(node, ast.Par):
+                        done.append(self.par(done.pop(), node.kind, env, right))
+                    else:
+                        done.append(self.binary(type(node), done.pop(), right))
+            elif not gates and not env and id(node) in self.text:
+                done.append(node)
+            elif isinstance(node, ast.Prefix):
+                action, rest_env = _rewrite_action(node.action, gates, env)
+                todo.append((node, _BUILD, action))
+                todo.append((node.rest, gates, rest_env))
+            elif isinstance(node, ast.Hide):
+                bound, inner = _bind(node, gates)
+                todo.append((node, _BUILD, bound))
+                todo.append((node.body, inner, env))
+            elif isinstance(node, (ast.Choice, ast.Seq, ast.Disrupt, ast.Par)):
+                sync = None
+                if isinstance(node, ast.Par):
+                    sync = frozenset(gates.get(g, g) for g in node.gates) if gates else node.gates
+                todo.append((node, _BUILD, sync))
+                todo.append((node.right, gates, env))
+                todo.append((node.left, gates, env))
+            elif isinstance(node, ast.Inst):
+                actual = tuple(gates.get(g, g) for g in node.gates) if gates else node.gates
+                key: tuple = (ast.Inst, node.process, actual)
+                done.append(self._nodes.get(key) or self._add(key, ast.Inst(node.process, actual)))
+            elif isinstance(node, (ast.Stop, ast.Exit)):
+                key = (type(node),)
+                done.append(self._nodes.get(key) or self._add(key, type(node)()))
+            else:
+                raise TypeError(f"unknown behaviour node {node!r}")
+        return done[0]
 
     def prefix(self, action: ast.ActionExpr, rest: ast.Behavior) -> ast.Behavior:
         key = (ast.Prefix, action, id(rest))
@@ -327,10 +294,18 @@ class _Terms:
         return self._nodes.get(key) or self._add(key, cls(left, right))
 
     def unfolded(self, inst: ast.Inst) -> ast.Behavior:
+        """The defining body of inst's process, actual gates in place of
+        formals."""
         key = (inst.process, inst.gates)
         body = self._unfolded.get(key)
         if body is None:
-            body = self._unfolded[key] = self.intern(unfold(inst, self.spec))
+            target = self.spec.process(inst.process)
+            if target is None:
+                raise ValueError(f"process '{inst.process}' is not defined")
+            if len(inst.gates) != len(target.formal_gates):
+                raise ValueError(f"gate arity mismatch instantiating '{inst.process}'")
+            formals = dict(zip(target.formal_gates, inst.gates))
+            body = self._unfolded[key] = self.intern(target.body, formals)
         return body
 
     # -- single steps ---------------------------------------------------
@@ -433,7 +408,7 @@ class _Terms:
                 else:
                     raise ValueError(f"unbound variable '{o.expr.name}' at gate '{action.gate}'")
                 label += " !" + v
-            out.append((label, self.intern(substitute_values(b.rest, env))))
+            out.append((label, self.intern(b.rest, env=env)))
         return out
 
     def _par_steps(self, b: ast.Par) -> list[tuple[str, ast.Behavior]]:

@@ -8,6 +8,7 @@ so tests and tools can match on it without parsing message text.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # Stable diagnostic codes.  Keep these in sync with README.md.
 LEX_ERROR = "lex-error"
@@ -29,9 +30,10 @@ MALFORMED_IC = "malformed-ic"
 UNKNOWN_QUERY_VARIABLE = "unknown-query-variable"
 
 
-@dataclass(frozen=True)
-class Span:
-    """Half-open source span; columns count characters, tabs included."""
+class Span(NamedTuple):
+    """Half-open source span; columns count characters, tabs included.
+    A named tuple, which is cheaper to build than a frozen dataclass: the
+    lexer makes one per token."""
 
     line: int
     col: int

@@ -498,6 +498,8 @@ def read_aut(text: str) -> Lts:
         if not m:
             raise ValueError(f"bad .aut transition: {ln!r}")
         src, label, dst = int(m.group(1)), m.group(2), int(m.group(3))
+        if not label.strip():
+            raise ValueError(f"blank label in .aut transition: {ln!r}")
         if src >= num_states or dst >= num_states:
             raise ValueError(f"state out of range in: {ln!r}")
         transitions.append((src, label, dst))

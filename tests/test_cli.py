@@ -112,37 +112,69 @@ def test_lts_invalid_spec_is_operational_error(capsys, tmp_path):
     assert "unknown-gate" in err
 
 
+def run_at_default_limit(capsys, *argv):
+    """run at a fresh interpreter's recursion limit, whatever ran earlier
+    in this process"""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        return run(capsys, *argv)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def write_chain(tmp_path, in_process=False):
+    """A spec whose behaviour is a 3,000-action prefix chain: bare, or as
+    the body of a process entered on renamed gates, starting with a
+    receive whose variable the 2,999 sends after it offer."""
+    deep = tmp_path / "deep.lot"
+    if in_process:
+        deep.write_text(
+            "specification Deep [a] : noexit :=\n  sorts S = { v }\n  behaviour\n    P [a]\n"
+            "  where\n    process P [g] : noexit :=\n      g ?x: S; "
+            + "g !x; " * 2999 + "stop\n    endproc\nendspec\n"
+        )
+    else:
+        deep.write_text(
+            "specification Deep [a] : noexit :=\n  behaviour\n    "
+            + "a; " * 3000 + "stop\nendspec\n"
+        )
+    return deep
+
+
 def test_too_deep_input_is_operational_error(capsys, tmp_path):
     deep = tmp_path / "deep.lot"
     deep.write_text(
         "specification Deep [a] : noexit :=\n  behaviour\n    "
-        + "a; " * 3000 + "stop\nendspec\n"
+        + " [] ".join(["a; stop"] * 600) + "\nendspec\n"
     )
-    # a fresh interpreter's limit, whatever ran earlier in this process;
-    # validation still nests once per prefix
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        code, _, err = run(capsys, "verify", "deadlock", str(deep))
-    finally:
-        sys.setrecursionlimit(limit)
+    # the steps of a choice are computed from those of its operands
+    code, _, err = run_at_default_limit(capsys, "verify", "deadlock", str(deep))
     assert code == 2
     assert err.startswith("lotoskit: ")
     assert err.count("\n") == 1
 
 
-def test_check_accepts_a_long_prefix_chain(capsys, tmp_path):
-    deep = tmp_path / "deep.lot"
-    deep.write_text(
-        "specification Deep [a] : noexit :=\n  behaviour\n    "
-        + "a; " * 3000 + "stop\nendspec\n"
+@pytest.mark.parametrize("in_process", [False, True], ids=["bare", "process-body"])
+def test_long_prefix_chain_explores(capsys, tmp_path, in_process):
+    deep = write_chain(tmp_path, in_process)
+    label = "a !v" if in_process else "a"
+    code, out, err = run_at_default_limit(capsys, "lts", str(deep))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["des (0, 3000, 3001)"] + [
+        f'({k}, "{label}", {k + 1})' for k in range(3000)
+    ]
+    code, out, err = run_at_default_limit(capsys, "verify", "deadlock", str(deep))
+    assert (code, err) == (1, "")
+    assert out == (
+        "deadlock: violated (deadlock at state 3000 = stop)\ntrace: "
+        + " ; ".join([label] * 3000) + "\n"
     )
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        code, out, err = run(capsys, "check", str(deep))
-    finally:
-        sys.setrecursionlimit(limit)
+
+
+def test_check_accepts_a_long_prefix_chain(capsys, tmp_path):
+    deep = write_chain(tmp_path)
+    code, out, err = run_at_default_limit(capsys, "check", str(deep))
     assert (code, out, err) == (0, "Deep: ok (0 process(es), 0 sort(s))\n", "")
 
 
@@ -152,12 +184,7 @@ def test_check_reports_too_deep_nesting(capsys, tmp_path):
         "specification Deep [a] : noexit :=\n  behaviour\n    "
         + "(" * 300 + "a; stop" + ")" * 300 + "\nendspec\n"
     )
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        code, out, err = run(capsys, "check", str(deep))
-    finally:
-        sys.setrecursionlimit(limit)
+    code, out, err = run_at_default_limit(capsys, "check", str(deep))
     assert code == 1
     assert "error[nesting-too-deep]: '(' nested too deeply to parse" in err
     assert out == f"{deep}: 1 error(s)\n"
@@ -328,6 +355,17 @@ def test_verify_accepts_aut_input(capsys, tmp_path):
 
     code, _, err = run(capsys, "verify", "deadlock", str(tmp_path / "junk.aut"))
     assert code == 2
+
+
+@pytest.mark.parametrize("label", ["", "   "], ids=["empty", "spaces"])
+def test_blank_aut_label_is_operational_error(capsys, tmp_path, label):
+    blank = tmp_path / "blank.aut"
+    line = f'(0, "{label}", 1)'
+    blank.write_text(f"des (0, 1, 2)\n{line}\n")
+    for argv in (("reach", str(blank), "a"), ("safety", str(blank), corpus("multicast_order.mon"))):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"lotoskit: '{blank}': blank label in .aut transition: {line!r}\n"
 
 
 # ----------------------------------------------------------------------

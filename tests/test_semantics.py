@@ -17,12 +17,7 @@ from lotoskit import (
     parse_spec,
     successors,
 )
-from lotoskit.semantics import (
-    normalize,
-    strip_hiding,
-    substitute_gates,
-    unfold,
-)
+from lotoskit.semantics import normalize, strip_hiding
 from lotoskit.syntax import ast, parse_behavior
 
 
@@ -219,16 +214,18 @@ endspec
 """)
 
 
-def test_unfold_substitutes_actuals():
-    body = unfold(RECURSIVE.top_behavior, RECURSIVE)
-    assert body == behavior("g; Q [h]")
+def test_instantiation_puts_actuals_for_formals():
+    # P [g, h] unfolds to g; Q [h], and Q [h] to h; stop
+    (label, nxt), = successors(RECURSIVE.top_behavior, RECURSIVE)
+    assert (label, nxt) == ("g", behavior("Q [h]"))
+    assert successors(nxt, RECURSIVE) == [("h", ast.Stop())]
 
 
-def test_unfold_checks_arity():
-    with pytest.raises(ValueError):
-        unfold(ast.Inst("Q", ("g", "h")), RECURSIVE)
-    with pytest.raises(ValueError):
-        unfold(ast.Inst("Missing"), RECURSIVE)
+def test_instantiation_checks_definition_and_arity():
+    with pytest.raises(ValueError, match="gate arity mismatch instantiating 'Q'"):
+        successors(ast.Inst("Q", ("g", "h")), RECURSIVE)
+    with pytest.raises(ValueError, match="process 'Missing' is not defined"):
+        successors(ast.Inst("Missing"), RECURSIVE)
 
 
 def test_gate_swap_is_simultaneous():
@@ -246,16 +243,43 @@ def test_gate_swap_is_simultaneous():
     assert [label for _, label, _ in lts.transitions] == ["h", "g"]
 
 
-def test_substitute_gates_avoids_capture():
+def forms_of(lts):
+    return [lts.form_text(s) for s in range(lts.num_states)]
+
+
+def test_renaming_freshens_a_capturing_hide():
     # renaming g to a must not let the hide of a swallow it
-    b = behavior("hide a in g; a; stop")
-    renamed = substitute_gates(b, {"g": "a"})
-    assert isinstance(renamed, ast.Hide)
-    fresh = next(iter(renamed.gates))
-    assert fresh != "a"
-    assert renamed.body == ast.Prefix(
-        ast.Comm("a"), ast.Prefix(ast.Comm(fresh), ast.Stop())
-    )
+    spec = spec_of("""
+    specification T [a] : noexit :=
+      behaviour P [a]
+      where process P [g] : noexit := hide a in g; a; stop endproc
+    endspec
+    """)
+    assert forms_of(generate_lts(spec)) == [
+        "P [a]", "hide a#1 in a#1; stop", "hide a#1 in stop",
+    ]
+
+
+def test_fresh_gate_skips_a_name_already_taken():
+    # Q is entered with a#1 as an actual gate, so its hide of a, which
+    # would capture g's a, must take a#2
+    spec = spec_of("""
+    specification T [a] : noexit :=
+      behaviour P [a]
+      where
+        process P [g] : noexit := hide a in g; Q [g, a] endproc
+        process Q [g, h] : noexit := hide a in g; h; a; stop endproc
+    endspec
+    """)
+    lts = generate_lts(spec)
+    assert forms_of(lts) == [
+        "P [a]",
+        "hide a#1 in Q [a, a#1]",
+        "hide a#1 in hide a#2 in a#1; a#2; stop",
+        "hide a#1 in hide a#2 in a#2; stop",
+        "hide a#1 in hide a#2 in stop",
+    ]
+    assert [label for _, label, _ in lts.transitions] == ["a", "a", "i", "i"]
 
 
 def test_capture_avoidance_end_to_end():

@@ -474,6 +474,8 @@ def test_read_aut_errors():
         'des (0, 2, 2)\n(0, "a", 1)',           # count mismatch
         'des (0, 1, 2)\nnope',                  # bad transition line
         'des (5, 0, 2)',                        # initial out of range
+        'des (0, 1, 2)\n(0, "", 1)',            # empty label
+        'des (0, 1, 2)\n(0, "   ", 1)',         # blank label
     ]
     for text in cases:
         with pytest.raises(ValueError):
