@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .syntax import ast
-from .syntax.printer import pretty_node
+from .syntax.printer import pretty_behavior, pretty_node
 
 # ----------------------------------------------------------------------
 # errors
@@ -129,8 +129,8 @@ def _rewrite_action(
 ) -> tuple[ast.ActionExpr, dict[str, ast.ValueLit] | None]:
     """action without locations, its gate renamed and the variables it
     sends replaced, and the env of its continuation, less the variables
-    its receives bind.  A send is looked up in env as the action found
-    it, also after a receive of the same name earlier in the action."""
+    its receives bind.  Offers bind left to right, so a send after a
+    receive of its name in the same action is left to that receive."""
     if isinstance(action, ast.InternalAction):
         return _INTERNAL, env
     offers: list[ast.Offer] = []
@@ -144,8 +144,8 @@ def _rewrite_action(
                 del rest_env[o.var]
         elif isinstance(o.expr, ast.ValueLit):
             offers.append(ast.Send(ast.ValueLit(o.expr.value, o.expr.sort)))
-        elif env and o.expr.name in env:
-            offers.append(ast.Send(env[o.expr.name]))
+        elif rest_env and o.expr.name in rest_env:
+            offers.append(ast.Send(rest_env[o.expr.name]))
         else:
             offers.append(ast.Send(ast.VarRef(o.expr.name)))
     gate = gates.get(action.gate, action.gate) if gates else action.gate
@@ -208,11 +208,8 @@ class _Terms:
 
     def _add(self, key: tuple, node: ast.Behavior) -> ast.Behavior:
         self._nodes[key] = node
-        self.text[id(node)] = pretty_node(node, self._text_of)
+        self.text[id(node)] = pretty_node(node, self.text)
         return node
-
-    def _text_of(self, b: ast.Behavior) -> str:
-        return self.text[id(b)]
 
     def intern(
         self,
@@ -489,8 +486,6 @@ class Lts:
         return len(self.transitions)
 
     def form_text(self, state: int) -> str | None:
-        from .syntax.printer import pretty_behavior
-
         if self.forms is None:
             return None
         return pretty_behavior(self.forms[state])

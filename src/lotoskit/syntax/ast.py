@@ -175,6 +175,23 @@ class Inst(Behavior):
     loc: Span | None = _loc_field()
 
 
+# The binary operators, loosest first: token -> (precedence level, node
+# class, ParKind of a parallel form or None).  Every one associates to the
+# left.  This is all the parser and the printer know of precedence; the
+# parallel forms share one level, because the printer reads a node's
+# level by its class.  "|[" opens a gate list that "]|" closes.
+OPERATORS: dict[str, tuple[int, type, ParKind | None]] = {
+    ">>": (0, Seq, None),
+    "[>": (1, Disrupt, None),
+    "|||": (2, Par, ParKind.INTERLEAVE),
+    "||": (2, Par, ParKind.FULL),
+    "|[": (2, Par, ParKind.GATES),
+    "[]": (3, Choice, None),
+}
+# the action prefix "a; B" binds tighter than every binary operator
+PREFIX_LEVEL = 4
+
+
 # ---------------------------------------------------------------------------
 # Declarations
 # ---------------------------------------------------------------------------

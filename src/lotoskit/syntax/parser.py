@@ -25,6 +25,8 @@ Grammar (keywords case-insensitive, identifiers case-sensitive)::
     action      ::= "i" | IDENT offer*
     offer       ::= "!" IDENT | "?" IDENT ":" IDENT
 
+The binary levels come from ``ast.OPERATORS``, the table the printer
+reads too; ``behaviour`` parses them by precedence climbing.
 All binary operators associate to the left.  Precedence, tightest first:
 ";", "[]", the parallel operators, "[>", ">>".  "hide ... in" extends as
 far right as possible.
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 
 from . import ast
 from .diagnostics import Diagnostic, LIBRARY_NOT_SUPPORTED, error
-from .lexer import EOF, IDENT, NestingFailure, ParseFailure, Token, TokenStream
+from .lexer import EOF, IDENT, PUNCT, NestingFailure, ParseFailure, Token, TokenStream
 
 _FUNCTIONALITIES = ("noexit", "exit")
 
@@ -107,51 +109,31 @@ class _Parser:
         return decls
 
     # ------------------------------------------------------------------
-    # behaviour expressions, loosest binding first
+    # behaviour expressions
 
-    def behaviour(self) -> ast.Behavior:
-        # b_enable itself, so that a nesting level costs one frame fewer
-        left = self._disrupt()
-        while self.ts.at_punct(">>"):
-            op = self.ts.next()
-            right = self._disrupt()
-            left = ast.Seq(left, right, loc=op.span)
-        return left
-
-    def _disrupt(self) -> ast.Behavior:
-        left = self._par()
-        while self.ts.at_punct("[>"):
-            op = self.ts.next()
-            right = self._par()
-            left = ast.Disrupt(left, right, loc=op.span)
-        return left
-
-    def _par(self) -> ast.Behavior:
-        left = self._choice()
-        while True:
-            if self.ts.at_punct("|||"):
-                op = self.ts.next()
-                kind, gates = ast.ParKind.INTERLEAVE, frozenset()
-            elif self.ts.at_punct("||"):
-                op = self.ts.next()
-                kind, gates = ast.ParKind.FULL, frozenset()
-            elif self.ts.at_punct("|["):
-                op = self.ts.next()
-                names = self.ts.expect_idents("a gate name")
-                self.ts.expect_punct("]|")
-                kind, gates = ast.ParKind.GATES, frozenset(names)
-            else:
-                return left
-            right = self._choice()
-            left = ast.Par(left, kind, gates, right, loc=op.span)
-
-    def _choice(self) -> ast.Behavior:
+    def behaviour(self, level: int = 0) -> ast.Behavior:
+        """Precedence climbing over ast.OPERATORS: an operand, then every
+        operator of at least this level, each with a right operand of the
+        operators binding strictly tighter, so that all associate to the
+        left.  A "(" or "hide" level costs three frames: this, _prefix and
+        _atom."""
         left = self._prefix()
-        while self.ts.at_punct("[]"):
-            op = self.ts.next()
-            right = self._prefix()
-            left = ast.Choice(left, right, loc=op.span)
-        return left
+        while True:
+            op = self.ts.peek()
+            entry = ast.OPERATORS.get(op.text) if op.kind == PUNCT else None
+            if entry is None or entry[0] < level:
+                return left
+            self.ts.next()
+            op_level, node, kind = entry
+            gates: frozenset[str] = frozenset()
+            if kind is ast.ParKind.GATES:
+                gates = frozenset(self.ts.expect_idents("a gate name"))
+                self.ts.expect_punct("]|")
+            right = self.behaviour(op_level + 1)
+            if kind is None:
+                left = node(left, right, loc=op.span)
+            else:
+                left = ast.Par(left, kind, gates, right, loc=op.span)
 
     def _prefix(self) -> ast.Behavior:
         # a loop, not a recursion per "a;", so long prefix chains parse

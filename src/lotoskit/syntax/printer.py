@@ -2,7 +2,8 @@
 
 The printer is the inverse of the parser: for every valid tree,
 ``parse(pretty(t))`` is structurally identical to ``t``.  Parenthesization
-follows the documented precedence (tightest to loosest):
+follows the precedence levels of ``ast.OPERATORS``, the parser's table
+(tightest to loosest):
 
     action-prefix ;   >   choice []   >   parallel ||| || |[...]|
     >   disrupt [>    >   enable >>
@@ -15,26 +16,15 @@ from __future__ import annotations
 
 from . import ast
 
-_LEVEL_SEQ = 0
-_LEVEL_DISRUPT = 1
-_LEVEL_PAR = 2
-_LEVEL_CHOICE = 3
-_LEVEL_PREFIX = 4
-_LEVEL_ATOM = 5
-
-
-def _level(b: ast.Behavior) -> int:
-    if isinstance(b, ast.Seq):
-        return _LEVEL_SEQ
-    if isinstance(b, ast.Disrupt):
-        return _LEVEL_DISRUPT
-    if isinstance(b, ast.Par):
-        return _LEVEL_PAR
-    if isinstance(b, ast.Choice):
-        return _LEVEL_CHOICE
-    if isinstance(b, ast.Prefix):
-        return _LEVEL_PREFIX
-    return _LEVEL_ATOM  # Stop, Exit, Inst, Hide (hide handled separately)
+# (node class, or ParKind of a parallel node) -> (level, operator token)
+_BINARY = {
+    node if kind is None else kind: (level, token)
+    for token, (level, node, kind) in ast.OPERATORS.items()
+}
+# How tightly each node binds as an operand.  A hide extends as far right
+# as it can, so it is protected under any parent; the other nodes that
+# are not binary bind as tightly as the action prefix.
+_LEVELS = {node: level for level, node, _ in ast.OPERATORS.values()} | {ast.Hide: -1}
 
 
 def pretty_value(e: ast.ValueExpr) -> str:
@@ -58,58 +48,54 @@ def _gate_set(gates: frozenset[str]) -> str:
     return ", ".join(sorted(gates))
 
 
-def _par_op(b: ast.Par) -> str:
-    if b.kind is ast.ParKind.INTERLEAVE:
-        return "|||"
-    if b.kind is ast.ParKind.FULL:
-        return "||"
-    return f"|[{_gate_set(b.gates)}]|"
-
-
 def pretty_behavior(b: ast.Behavior) -> str:
-    return pretty_node(b, pretty_behavior)
+    """The canonical text of b, composed bottom-up without recursion, so
+    that a deep tree prints too."""
+    # in reverse preorder every node comes after all of its descendants
+    preorder, todo = [], [b]
+    while todo:
+        node = todo.pop()
+        preorder.append(node)
+        todo.extend(ast.children(node))
+    text: dict[int, str] = {}
+    for node in reversed(preorder):
+        text[id(node)] = pretty_node(node, text)
+    return text[id(b)]
 
 
-def pretty_node(b: ast.Behavior, text_of) -> str:
+def pretty_node(b: ast.Behavior, text: dict[int, str]) -> str:
     """The printed form of one node, composed from its children's printed
-    forms: ``text_of(child)`` must return ``pretty_behavior(child)``.
-    Lets a caller that caches each subterm's text print a new node without
+    forms: ``text[id(child)]`` must be ``pretty_behavior(child)``.  Lets a
+    caller that keeps each subterm's text print a new node without
     walking the subterms again."""
-    if isinstance(b, ast.Hide):
-        return f"hide {_gate_set(b.gates)} in {text_of(b.body)}"
-    if isinstance(b, ast.Stop):
-        return "stop"
-    if isinstance(b, ast.Exit):
-        return "exit"
-    if isinstance(b, ast.Inst):
-        if b.gates:
-            return f"{b.process} [{', '.join(b.gates)}]"
-        return b.process
-    if isinstance(b, ast.Prefix):
-        rest = _operand(b.rest, text_of, _level(b.rest) < _LEVEL_PREFIX)
-        return f"{pretty_action(b.action)}; {rest}"
-
-    if isinstance(b, ast.Choice):
-        op, level = "[]", _LEVEL_CHOICE
-    elif isinstance(b, ast.Par):
-        op, level = _par_op(b), _LEVEL_PAR
-    elif isinstance(b, ast.Disrupt):
-        op, level = "[>", _LEVEL_DISRUPT
-    elif isinstance(b, ast.Seq):
-        op, level = ">>", _LEVEL_SEQ
-    else:
+    op = _BINARY.get(b.kind if type(b) is ast.Par else type(b))
+    if op is None:
+        if isinstance(b, ast.Prefix):
+            rest = text[id(b.rest)]
+            if _LEVELS.get(type(b.rest), ast.PREFIX_LEVEL) < ast.PREFIX_LEVEL:
+                rest = f"({rest})"
+            return f"{pretty_action(b.action)}; {rest}"
+        if isinstance(b, ast.Hide):
+            return f"hide {_gate_set(b.gates)} in {text[id(b.body)]}"
+        if isinstance(b, ast.Stop):
+            return "stop"
+        if isinstance(b, ast.Exit):
+            return "exit"
+        if isinstance(b, ast.Inst):
+            if b.gates:
+                return f"{b.process} [{', '.join(b.gates)}]"
+            return b.process
         raise TypeError(f"unknown behaviour node {b!r}")
 
-    left = _operand(b.left, text_of, _level(b.left) < level)
-    right = _operand(b.right, text_of, _level(b.right) <= level)
-    return f"{left} {op} {right}"
-
-
-def _operand(b: ast.Behavior, text_of, looser: bool) -> str:
-    # hide grabs everything to its right, so it is protected under any
-    # parent; other operands only when they bind looser than the parent
-    text = text_of(b)
-    return f"({text})" if looser or isinstance(b, ast.Hide) else text
+    level, token = op
+    if type(b) is ast.Par and b.kind is ast.ParKind.GATES:
+        token = f"{token}{_gate_set(b.gates)}]|"
+    left, right = text[id(b.left)], text[id(b.right)]
+    if _LEVELS.get(type(b.left), ast.PREFIX_LEVEL) < level:
+        left = f"({left})"
+    if _LEVELS.get(type(b.right), ast.PREFIX_LEVEL) <= level:
+        right = f"({right})"
+    return f"{left} {token} {right}"
 
 
 def pretty_spec(spec: ast.Specification) -> str:

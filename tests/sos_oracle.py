@@ -54,8 +54,9 @@ def subst_val(b: ast.Behavior, name: str, value: ast.ValueLit) -> ast.Behavior:
             offers = []
             for o in action.offers:
                 if isinstance(o, ast.Send):
+                    # a receive of name earlier in the action binds it
                     e = o.expr
-                    if isinstance(e, ast.VarRef) and e.name == name:
+                    if isinstance(e, ast.VarRef) and e.name == name and not rebound:
                         o = ast.Send(value)
                     offers.append(o)
                 else:

@@ -112,6 +112,20 @@ def test_lts_invalid_spec_is_operational_error(capsys, tmp_path):
     assert "unknown-gate" in err
 
 
+def test_lts_send_after_rebinding_receive(capsys, tmp_path):
+    spec = tmp_path / "rebind.lot"
+    spec.write_text(
+        "specification Rebind [g] : noexit :=\n  sorts S = { v1, v2 }\n"
+        "  behaviour\n    g ?x: S; g ?x: S !x; stop\nendspec\n"
+    )
+    code, out, err = run(capsys, "lts", str(spec))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "des (0, 4, 3)",
+        '(0, "g !v1", 1)', '(0, "g !v2", 1)', '(1, "g !v1 !v1", 2)', '(1, "g !v2 !v2", 2)',
+    ]
+
+
 def run_at_default_limit(capsys, *argv):
     """run at a fresh interpreter's recursion limit, whatever ran earlier
     in this process"""
@@ -172,6 +186,18 @@ def test_long_prefix_chain_explores(capsys, tmp_path, in_process):
     )
 
 
+def test_deadlocked_long_chain_prints_its_state(capsys, tmp_path):
+    deep = tmp_path / "deep.lot"
+    form = "b; " + "a; " * 2999 + "stop |[b]| stop"
+    deep.write_text(
+        "specification Deep [a, b] : noexit :=\n  behaviour\n    (b; "
+        + "a; " * 2999 + "stop) |[b]| stop\nendspec\n"
+    )
+    code, out, err = run_at_default_limit(capsys, "verify", "deadlock", str(deep))
+    assert (code, err) == (1, "")
+    assert out == f"deadlock: violated (deadlock at state 0 = {form})\ntrace: <empty>\n"
+
+
 def test_check_accepts_a_long_prefix_chain(capsys, tmp_path):
     deep = write_chain(tmp_path)
     code, out, err = run_at_default_limit(capsys, "check", str(deep))
@@ -182,7 +208,7 @@ def test_check_reports_too_deep_nesting(capsys, tmp_path):
     deep = tmp_path / "deep.lot"
     deep.write_text(
         "specification Deep [a] : noexit :=\n  behaviour\n    "
-        + "(" * 300 + "a; stop" + ")" * 300 + "\nendspec\n"
+        + "(" * 1000 + "a; stop" + ")" * 1000 + "\nendspec\n"
     )
     code, out, err = run_at_default_limit(capsys, "check", str(deep))
     assert code == 1

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lex_oracle import PUNCTUATION, OracleLexer
-from lotoskit.syntax.lexer import EOF, LexFailure, Lexer, TokenStream
+from lotoskit.syntax import ast
+from lotoskit.syntax.lexer import EOF, PUNCT, LexFailure, Lexer, TokenStream
 
 ALPHABET = (
     "(*", "*)", "/*", "*/", '"', "{", "}", "\n", "\t", "\r", " ", "-", "_",
@@ -77,3 +78,12 @@ def test_each_comment_kind_nests_only_its_own_opener():
         with pytest.raises(LexFailure) as exc:
             TokenStream(text).next()
         assert "unterminated comment" in exc.value.message
+
+
+@pytest.mark.parametrize("token", sorted(ast.OPERATORS))
+def test_every_operator_lexes_as_one_token(token):
+    ts = TokenStream(f"P {token} Q")
+    ts.next()
+    tok = ts.next()
+    assert (tok.kind, tok.text) == (PUNCT, token)
+    assert ts.next().text == "Q"

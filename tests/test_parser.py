@@ -211,9 +211,9 @@ def _parse_nested(depth, opener, closer):
 
 @pytest.mark.parametrize("opener, closer", [("(", ")"), ("hide g in ", "")])
 def test_deep_nesting_is_a_diagnostic(opener, closer):
-    for name, tree, diags in _parse_nested(130, opener, closer):
+    for name, tree, diags in _parse_nested(250, opener, closer):
         assert tree is not None and diags == [], name
-    for name, tree, diags in _parse_nested(300, opener, closer):
+    for name, tree, diags in _parse_nested(1000, opener, closer):
         assert tree is None, name
         assert [d.code for d in diags] == [NESTING_TOO_DEEP], name
         assert diags[0].message == f"'{opener.split()[0]}' nested too deeply to parse"
@@ -346,6 +346,40 @@ def test_printer_parenthesises_right_nesting():
 
 def test_printer_keeps_prefix_chains_flat():
     assert pretty_behavior(parse_ok("a; b; c; stop")) == "a; b; c; stop"
+
+
+def _binary(token, left, right):
+    """left op right, built from the operator table alone."""
+    _, node, kind = ast.OPERATORS[token]
+    if kind is None:
+        return node(left, right)
+    gates = frozenset({"g"}) if kind is ast.ParKind.GATES else frozenset()
+    return ast.Par(left, kind, gates, right)
+
+
+@pytest.mark.parametrize("second", sorted(ast.OPERATORS))
+@pytest.mark.parametrize("first", sorted(ast.OPERATORS))
+def test_operator_pairs_follow_the_table(first, second):
+    p, q, r = ast.Inst("P"), ast.Inst("Q"), ast.Inst("R")
+    if ast.OPERATORS[second][0] > ast.OPERATORS[first][0]:
+        tree = _binary(first, p, _binary(second, q, r))
+    else:  # equal levels associate to the left
+        tree = _binary(second, _binary(first, p, q), r)
+    op1, op2 = (token + "g]|" if token == "|[" else token for token in (first, second))
+    text = f"P {op1} Q {op2} R"
+    back = parse_ok(text)
+    assert back == tree
+    # each binary node is located at its operator token
+    binary = [b for b in (back, *ast.children(back)) if ast.children(b)]
+    assert sorted(b.loc.col for b in binary) == [3, 6 + len(op1)]
+    assert pretty_behavior(tree) == text
+
+
+def test_each_node_class_has_one_level():
+    levels = {}
+    for level, node, _ in ast.OPERATORS.values():
+        assert levels.setdefault(node, level) == level, node
+    assert max(levels.values()) < ast.PREFIX_LEVEL
 
 
 def test_random_round_trip_plain():

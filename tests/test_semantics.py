@@ -172,6 +172,15 @@ def test_rebinding_receive_shields_inner_use():
     assert hs == ["h !v1", "h !v2"]
 
 
+def test_send_after_a_rebinding_receive_sends_what_it_received():
+    spec = ast.Specification("T", ("g",), SORTED.sorts, (), behavior("g ?x: V; g ?x: V !x; stop"))
+    assert_graph_equal(spec)
+    lts = generate_lts(spec)
+    assert (lts.num_states, lts.transitions) == (3, [
+        (0, "g !v1", 1), (0, "g !v2", 1), (1, "g !v1 !v1", 2), (1, "g !v2 !v2", 2),
+    ])
+
+
 def test_value_sync_is_label_equality():
     b = behavior("g ?x: V; stop |[g]| g !v2; stop", value_sorts={"v2": "V"})
     assert labels_of(b, SORTED) == ["g !v2"]
@@ -690,7 +699,7 @@ def test_golden_random_systems():
 
 
 # sha256 over system_outcome(random_system(seed)) for seeds 0..299
-RANDOM_SYSTEMS_GOLDEN = "8de33e93183dfb179403a37d1e798c8cf2219c6f870b0f57e4164cbcda0a5b71"
+RANDOM_SYSTEMS_GOLDEN = "fcdda839a5927d6dabb48d03dda7afb4b1fa87a48f3a0970620cdbfd8a051732"
 
 
 @settings(max_examples=60, deadline=None)
