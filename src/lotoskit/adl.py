@@ -12,7 +12,8 @@ by its bound process, so the whole verification tool chain applies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .syntax import ast
 
@@ -39,10 +40,12 @@ class ArchConfig:
     composition: ast.Behavior  # instantiates elements by name, no gates
 
     def element(self, name: str) -> ArchElement | None:
-        for e in self.elements:
-            if e.name == name:
-                return e
-        return None
+        return self._element_table.get(name)
+
+    # built on first use; on a duplicate name the first declaration wins
+    @cached_property
+    def _element_table(self) -> dict[str, ArchElement]:
+        return {e.name: e for e in reversed(self.elements)}
 
 
 @dataclass(frozen=True)
@@ -113,10 +116,9 @@ def validate_config(
                 )
             )
 
-    element_names = {e.name for e in config.elements}
-    for node in _walk(config.composition):
+    for node in ast.walk(config.composition):
         if isinstance(node, ast.Inst):
-            if node.process not in element_names:
+            if config.element(node.process) is None:
                 out.append(
                     ConfigDiagnostic(
                         "unresolved-element",
@@ -136,32 +138,20 @@ def validate_config(
     return out
 
 
-def _walk(b: ast.Behavior):
-    yield b
-    for c in ast.children(b):
-        yield from _walk(c)
-
-
 def _coupling_violations(config: ArchConfig) -> list[ConfigDiagnostic]:
     """Components on opposite sides of a synchronising parallel operator
     must not share a synchronised gate; only connectors mediate."""
     out: list[ConfigDiagnostic] = []
 
-    def instances(b: ast.Behavior) -> list[ArchElement]:
-        found = []
-        for node in _walk(b):
-            if isinstance(node, ast.Inst):
-                e = config.element(node.process)
-                if e is not None:
-                    found.append(e)
-        return found
+    def components(b: ast.Behavior) -> list[ArchElement]:
+        found = (config.element(n.process) for n in ast.walk(b) if isinstance(n, ast.Inst))
+        return [e for e in found if e is not None and e.role == COMPONENT]
 
-    for node in _walk(config.composition):
+    for node in ast.walk(config.composition):
         if not isinstance(node, ast.Par) or node.kind is ast.ParKind.INTERLEAVE:
             continue
-        left = [e for e in instances(node.left) if e.role == COMPONENT]
-        right = [e for e in instances(node.right) if e.role == COMPONENT]
-        for l in left:
+        right = components(node.right)
+        for l in components(node.left):
             for r in right:
                 shared = set(l.gates) & set(r.gates)
                 if node.kind is ast.ParKind.GATES:
@@ -185,63 +175,44 @@ def flatten(config: ArchConfig, sources: list[ast.Specification]) -> ast.Specifi
     """Build the specification a valid configuration denotes.  The result
     parses, validates and explores with the ordinary machinery; its top
     gates are the unhidden gates of the composition in first-use order."""
-    elements = {e.name: e for e in config.elements}
 
-    def rewrite(b: ast.Behavior) -> ast.Behavior:
-        if isinstance(b, ast.Inst):
-            e = elements.get(b.process)
-            if e is None:
-                raise ValueError(f"'{b.process}' is not a declared instance")
-            return ast.Inst(e.process, e.gates)
-        if isinstance(b, ast.Prefix):
-            return ast.Prefix(b.action, rewrite(b.rest))
-        if isinstance(b, (ast.Choice, ast.Seq, ast.Disrupt)):
-            return type(b)(rewrite(b.left), rewrite(b.right))
-        if isinstance(b, ast.Par):
-            return ast.Par(rewrite(b.left), b.kind, b.gates, rewrite(b.right))
+    def bind(b: ast.Behavior) -> ast.Behavior:
+        if not isinstance(b, ast.Inst):
+            return b
+        e = config.element(b.process)
+        if e is None:
+            raise ValueError(f"'{b.process}' is not a declared instance")
+        return replace(b, process=e.process, gates=e.gates)
+
+    top = ast.rebuild(config.composition, bind)
+
+    # the free gates in first use, on a stack of (node, gates hidden there)
+    top_gates: dict[str, None] = {}
+    todo = [(top, frozenset())]
+    while todo:
+        b, hidden = todo.pop()
         if isinstance(b, ast.Hide):
-            return ast.Hide(b.gates, rewrite(b.body))
-        return b
+            hidden = hidden | b.gates
+        elif isinstance(b, ast.Inst):
+            top_gates.update(dict.fromkeys(g for g in b.gates if g not in hidden))
+        elif isinstance(b, ast.Prefix) and isinstance(b.action, ast.Comm):
+            if b.action.gate not in hidden:
+                top_gates[b.action.gate] = None
+        todo.extend((c, hidden) for c in reversed(ast.children(b)))
 
-    top = rewrite(config.composition)
-
-    top_gates: list[str] = []
-
-    def free_gates(b: ast.Behavior, hidden: frozenset[str]) -> None:
-        if isinstance(b, ast.Hide):
-            free_gates(b.body, hidden | b.gates)
-            return
-        if isinstance(b, ast.Inst):
-            for g in b.gates:
-                if g not in hidden and g not in top_gates:
-                    top_gates.append(g)
-        if isinstance(b, ast.Prefix) and isinstance(b.action, ast.Comm):
-            g = b.action.gate
-            if g not in hidden and g not in top_gates:
-                top_gates.append(g)
-        for c in ast.children(b):
-            free_gates(c, hidden)
-
-    free_gates(top, frozenset())
-
-    sorts: list[ast.SortDecl] = []
-    sort_names: set[str] = set()
-    processes: list[ast.ProcessDef] = []
-    process_names: set[str] = set()
+    # on a name declared by more than one source the first wins
+    sorts: dict[str, ast.SortDecl] = {}
+    processes: dict[str, ast.ProcessDef] = {}
     for spec in sources:
         for s in spec.sorts:
-            if s.name not in sort_names:
-                sort_names.add(s.name)
-                sorts.append(s)
+            sorts.setdefault(s.name, s)
         for p in spec.processes:
-            if p.name not in process_names:
-                process_names.add(p.name)
-                processes.append(p)
+            processes.setdefault(p.name, p)
 
     return ast.Specification(
         name=config.name,
         top_gates=tuple(top_gates),
-        sorts=tuple(sorts),
-        processes=tuple(processes),
+        sorts=tuple(sorts.values()),
+        processes=tuple(processes.values()),
         top_behavior=top,
     )

@@ -249,9 +249,8 @@ def _cmd_contract(args: argparse.Namespace) -> int:
             base_dir=Path(args.file).parent,
             budget=_budget(args),
         )
-    except contractsmod.ContractCheckError as exc:
-        raise CliError(2, str(exc)) from exc
-    except (semantics.BudgetExceededError, semantics.UnguardedRecursionError) as exc:
+    except (contractsmod.ContractCheckError, semantics.BudgetExceededError,
+            semantics.UnguardedRecursionError) as exc:
         raise CliError(2, str(exc)) from exc
 
     payload = {
@@ -295,7 +294,8 @@ def _cmd_adl(args: argparse.Namespace) -> int:
         flat = adlmod.flatten(config, sources)
         problems = validate_spec(flat)
         if has_errors(problems):
-            _print_diags(problems, args.flatten)
+            # the composition's spans are positions in the configuration
+            _print_diags(problems, args.file)
             raise CliError(2, "flattened specification is not valid")
         Path(args.flatten).write_text(pretty_spec(flat))
         flattened_to = args.flatten

@@ -281,12 +281,12 @@ def check_interface(ic: InterfaceContract) -> list[Violation]:
 
     produced = {m for m, _ in ic.out_msgs} | set(ic.external_in)
     consumed = {m for m, _ in ic.in_msgs}
-    for msg in _unique_in_order(m for m, _ in ic.in_msgs):
+    for msg in dict.fromkeys(m for m, _ in ic.in_msgs):
         if msg not in produced:
             out.append(
                 Violation("C3", f"input message '{msg}' is never produced: not an output message and not external")
             )
-    for msg in _unique_in_order(m for m, _ in ic.out_msgs):
+    for msg in dict.fromkeys(m for m, _ in ic.out_msgs):
         if msg not in consumed:
             out.append(Violation("C4", f"output message '{msg}' is never consumed"))
 
@@ -297,16 +297,6 @@ def check_interface(ic: InterfaceContract) -> list[Violation]:
             out.append(Violation("bad-flow", f"flow of '{msg}' from '{src}' has no matching output message"))
         if (msg, dst) not in in_pairs:
             out.append(Violation("bad-flow", f"flow of '{msg}' into '{dst}' has no matching input message"))
-    return out
-
-
-def _unique_in_order(items) -> list[str]:
-    seen: set[str] = set()
-    out: list[str] = []
-    for x in items:
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
     return out
 
 

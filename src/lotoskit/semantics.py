@@ -81,23 +81,12 @@ class BudgetExceededError(Exception):
 def collect_gates(b: ast.Behavior) -> set[str]:
     """Every gate name occurring in the term, bound or free."""
     out: set[str] = set()
-    stack = [b]
-    while stack:
-        node = stack.pop()
+    for node in ast.walk(b):
         if isinstance(node, ast.Prefix):
             if isinstance(node.action, ast.Comm):
                 out.add(node.action.gate)
-            stack.append(node.rest)
-        elif isinstance(node, ast.Par):
-            out |= node.gates
-            stack.extend((node.left, node.right))
-        elif isinstance(node, ast.Hide):
-            out |= node.gates
-            stack.append(node.body)
-        elif isinstance(node, ast.Inst):
-            out |= set(node.gates)
-        elif isinstance(node, (ast.Choice, ast.Seq, ast.Disrupt)):
-            stack.extend((node.left, node.right))
+        elif isinstance(node, (ast.Par, ast.Hide, ast.Inst)):
+            out.update(node.gates)
     return out
 
 
@@ -443,13 +432,7 @@ def strip_hiding(spec: ast.Specification) -> ast.Specification:
     used to inspect or monitor interactions a composition encapsulates."""
 
     def strip(b: ast.Behavior) -> ast.Behavior:
-        if isinstance(b, ast.Hide):
-            return strip(b.body)
-        if isinstance(b, ast.Prefix):
-            return replace(b, rest=strip(b.rest))
-        if isinstance(b, (ast.Choice, ast.Seq, ast.Disrupt, ast.Par)):
-            return replace(b, left=strip(b.left), right=strip(b.right))
-        return b
+        return ast.rebuild(b, lambda n: n.body if isinstance(n, ast.Hide) else n)
 
     return replace(
         spec,

@@ -5,12 +5,20 @@ deliberately ignore the source span (`loc`): the state-space explorer
 uses behaviour trees as state identities, and two syntactically equal
 continuations reached through different source positions must collapse
 into one state.
+
+This module is also the one place that knows which fields of a node hold
+its behaviour children (``_CHILD_FIELDS``).  Traverse a tree with
+``walk`` (every node, in preorder) or rebuild it with ``rebuild`` (a new
+tree, bottom-up); both keep their own stack, so a deep tree costs no
+recursion.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import is_not
 
 from .diagnostics import Span
 
@@ -248,14 +256,51 @@ class Specification:
         return table
 
 
+# The fields of each behaviour node class that hold its behaviour
+# children, left to right.
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    Stop: (), Exit: (), Inst: (), Prefix: ("rest",), Hide: ("body",),
+    Choice: ("left", "right"), Par: ("left", "right"),
+    Seq: ("left", "right"), Disrupt: ("left", "right"),
+}
+
+
 def children(b: Behavior) -> tuple[Behavior, ...]:
-    """Direct behaviour children of a node, for generic tree walks."""
-    if isinstance(b, Prefix):
-        return (b.rest,)
-    if isinstance(b, (Choice, Seq, Disrupt)):
-        return (b.left, b.right)
-    if isinstance(b, Par):
-        return (b.left, b.right)
-    if isinstance(b, Hide):
-        return (b.body,)
-    return ()
+    """Direct behaviour children of a node, left to right."""
+    return tuple(getattr(b, name) for name in _CHILD_FIELDS[type(b)])
+
+
+def walk(b: Behavior) -> Iterator[Behavior]:
+    """Every node of b in preorder, left operand before right."""
+    todo = [b]
+    while todo:
+        node = todo.pop()
+        yield node
+        for name in reversed(_CHILD_FIELDS[type(node)]):
+            todo.append(getattr(node, name))
+
+
+def rebuild(b: Behavior, f: Callable[[Behavior], Behavior]) -> Behavior:
+    """b rebuilt bottom-up: each node gets its rebuilt children, keeping
+    its other fields and its location (a node whose children are all
+    unchanged is kept as it is), and is then replaced by f(node).  f sees
+    the nodes in postorder, left operand before right."""
+    done: list[Behavior] = []
+    # (node, False) to visit, or (node, True) to build from its children,
+    # the last len(fields) entries of done
+    todo: list[tuple[Behavior, bool]] = [(b, False)]
+    while todo:
+        node, build = todo.pop()
+        fields = _CHILD_FIELDS[type(node)]
+        if fields and not build:
+            todo.append((node, True))
+            for name in reversed(fields):
+                todo.append((getattr(node, name), False))
+            continue
+        if fields:
+            new = done[-len(fields):]
+            del done[-len(fields):]
+            if any(map(is_not, new, [getattr(node, name) for name in fields])):
+                node = replace(node, **dict(zip(fields, new)))
+        done.append(f(node))
+    return done[0]

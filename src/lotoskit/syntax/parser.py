@@ -145,15 +145,17 @@ class _Parser:
                 break
             # identifier: action prefix or process instantiation
             name = self.ts.next()
-            if name.text == "i" and self.ts.at_punct(";"):
+            after = self.ts.peek()
+            follow = after.text if after.kind == PUNCT else None
+            if follow == ";":
                 self.ts.next()
-                actions.append(ast.InternalAction(loc=name.span))
-            elif self.ts.at_punct("!") or self.ts.at_punct("?"):
+                if name.text == "i":
+                    actions.append(ast.InternalAction(loc=name.span))
+                else:
+                    actions.append(ast.Comm(name.text, (), loc=name.span))
+            elif follow in ("!", "?"):
                 actions.append(self._finish_action(name))
                 self.ts.expect_punct(";")
-            elif self.ts.at_punct(";"):
-                self.ts.next()
-                actions.append(ast.Comm(name.text, (), loc=name.span))
             else:
                 gates, _ = self._gate_list(empty_brackets_ok=False)
                 rest = ast.Inst(name.text, gates, loc=name.span)

@@ -51,14 +51,9 @@ def _gate_set(gates: frozenset[str]) -> str:
 def pretty_behavior(b: ast.Behavior) -> str:
     """The canonical text of b, composed bottom-up without recursion, so
     that a deep tree prints too."""
-    # in reverse preorder every node comes after all of its descendants
-    preorder, todo = [], [b]
-    while todo:
-        node = todo.pop()
-        preorder.append(node)
-        todo.extend(ast.children(node))
     text: dict[int, str] = {}
-    for node in reversed(preorder):
+    # in reverse preorder every node comes after all of its descendants
+    for node in reversed(list(ast.walk(b))):
         text[id(node)] = pretty_node(node, text)
     return text[id(b)]
 

@@ -119,6 +119,20 @@ def test_duplicate_instance_name():
     assert "duplicate-name" in codes(config_of(text))
 
 
+def test_duplicate_instance_resolves_to_first_declaration():
+    # the composition's 'left' is the first 'left' declared, as in element()
+    synced = GOOD.replace("( left ||| right )", "( left || right )")
+    coupled = synced.replace("left = Client [la, lb],", "left = Client [ra, rb],\n    left = Client [la, lb],")
+    apart = synced.replace("left = Client [la, lb],", "left = Client [la, lb],\n    left = Client [ra, rb],")
+    config = config_of(coupled)
+    assert config.element("left").gates == ("ra", "rb")
+    assert [str(v) for v in validate_config(config, [PROCS])] == [
+        "[duplicate-name] instance 'left' is declared twice",
+        "[direct-component-coupling] components 'left' and 'right' synchronise directly on gate 'ra'",
+    ]
+    assert codes(config_of(apart)) == ["duplicate-name"]
+
+
 def test_duplicate_process_across_sources():
     out = codes(config_of(GOOD), sources=(PROCS, PROCS))
     assert "duplicate-name" in out

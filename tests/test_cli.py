@@ -173,17 +173,46 @@ def test_too_deep_input_is_operational_error(capsys, tmp_path):
 def test_long_prefix_chain_explores(capsys, tmp_path, in_process):
     deep = write_chain(tmp_path, in_process)
     label = "a !v" if in_process else "a"
-    code, out, err = run_at_default_limit(capsys, "lts", str(deep))
-    assert (code, err) == (0, "")
-    assert out.splitlines() == ["des (0, 3000, 3001)"] + [
-        f'({k}, "{label}", {k + 1})' for k in range(3000)
-    ]
-    code, out, err = run_at_default_limit(capsys, "verify", "deadlock", str(deep))
-    assert (code, err) == (1, "")
-    assert out == (
-        "deadlock: violated (deadlock at state 3000 = stop)\ntrace: "
-        + " ; ".join([label] * 3000) + "\n"
+    # --no-hide rebuilds the specification without its hides first
+    for flags in ((), ("--no-hide",)):
+        code, out, err = run_at_default_limit(capsys, "lts", str(deep), *flags)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["des (0, 3000, 3001)"] + [
+            f'({k}, "{label}", {k + 1})' for k in range(3000)
+        ]
+        code, out, err = run_at_default_limit(capsys, "verify", "deadlock", str(deep), *flags)
+        assert (code, err) == (1, "")
+        assert out == (
+            "deadlock: violated (deadlock at state 3000 = stop)\ntrace: "
+            + " ; ".join([label] * 3000) + "\n"
+        )
+
+
+def test_adl_composition_of_many_instances(capsys, tmp_path):
+    count = 1500
+    (tmp_path / "parts.lot").write_text(
+        "specification Parts [g] : noexit :=\n  behaviour stop\n  where\n"
+        "    process Comp [p] : noexit := p; Comp [p] endproc\n"
+        "    process Link [p, q] : noexit := p; q; Link [p, q] endproc\nendspec\n"
     )
+    components = ",\n".join(f"    c{k} = Comp [g{k}]" for k in range(count))
+    config = tmp_path / "many.adl"
+    config.write_text(
+        f'configuration Many\n  use "parts.lot"\n  components {{\n{components}\n  }}\n'
+        "  connectors {\n    n = Link [g0, g1]\n  }\n  composition {\n    "
+        + " ||| ".join(f"c{k}" for k in range(count)) + " ||| n\n  }\nend\n"
+    )
+    code, out, err = run_at_default_limit(capsys, "adl", str(config))
+    assert (code, out, err) == (0, f"Many: ok ({count} component(s), 1 connector(s))\n", "")
+    flat = tmp_path / "flat.lot"
+    code, out, err = run_at_default_limit(capsys, "adl", str(config), "--flatten", str(flat))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == f"flattened -> {flat}"
+    text = flat.read_text()
+    assert text.startswith(
+        "specification Many [" + ", ".join(f"g{k}" for k in range(count)) + "] : noexit :=\n"
+    )
+    assert " ||| ".join(f"Comp [g{k}]" for k in range(count)) + " ||| Link [g0, g1]\n" in text
 
 
 def test_deadlocked_long_chain_prints_its_state(capsys, tmp_path):
@@ -462,6 +491,25 @@ def test_adl_flatten_round_trip(capsys, tmp_path):
     assert flat.exists()
     code, _, _ = run(capsys, "verify", "bisim", str(flat), corpus("client_server.lot"))
     assert code == 0
+
+
+def test_adl_flatten_diagnostics_point_into_the_configuration(capsys, tmp_path):
+    # wiring a component to the reserved gate "i" passes the architectural
+    # checks; the flattened specification's validation catches it
+    for name in ("client_server.adl", "client_server.lot"):
+        (tmp_path / name).write_text((CORPUS / name).read_text())
+    config = tmp_path / "client_server.adl"
+    config.write_text(config.read_text().replace("Client [invClt, terClt]", "Client [i, terClt]"))
+    flat = tmp_path / "flat.lot"
+    code, out, err = run(capsys, "adl", str(config), "--flatten", str(flat))
+    assert (code, out) == (2, "")
+    # the derived top gate list has no position of its own
+    assert err.splitlines() == [
+        f"{config}:1:1: error[reserved-name]: 'i' is reserved for the internal action",
+        f"{config}:13:7: error[reserved-name]: 'i' is reserved for the internal action",
+        "lotoskit: flattened specification is not valid",
+    ]
+    assert not flat.exists()
 
 
 def test_adl_violations_exit_code(capsys, tmp_path):

@@ -275,6 +275,17 @@ def test_duplicate_message_reported_once():
     assert violation_codes(ic) == ["C3"]
 
 
+def test_message_violations_in_first_declaration_order():
+    ic = InterfaceContract(
+        participants=("A",),
+        in_ports=(("pin", "A"),),
+        out_ports=(("pout", "A"),),
+        in_msgs=(("z", "pin"), ("b", "pin"), ("z", "pin"), ("a", "pin")),
+        out_msgs=(("y", "pout"), ("c", "pout"), ("y", "pout")),
+    )
+    assert [v.message.split("'")[1] for v in check_interface(ic)] == ["z", "b", "a", "y", "c"]
+
+
 # ----------------------------------------------------------------------
 # contract files
 
