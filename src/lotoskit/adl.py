@@ -12,6 +12,7 @@ by its bound process, so the whole verification tool chain applies.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -140,30 +141,64 @@ def validate_config(
 
 def _coupling_violations(config: ArchConfig) -> list[ConfigDiagnostic]:
     """Components on opposite sides of a synchronising parallel operator
-    must not share a synchronised gate; only connectors mediate."""
+    must not share a synchronised gate; only connectors mediate.
+
+    One walk lists the composition's component instances in preorder, in
+    which each operand's instances are a contiguous run, and notes for
+    each synchronising operator where its operands' runs begin and end.
+    An index from each gate to the positions of the instances that carry
+    it then finds the coupled pairs of an operator from the gates of its
+    smaller operand, so the work is O(n log n) plus the pairs reported.
+    Pairs come per operator in preorder, left instance before right, as
+    a walk of both operands at every operator would list them."""
+    comps: list[ArchElement] = []
+    # per synchronising operator in preorder: [node, start of its left
+    # run, start of its right run, end of its right run]
+    spans: list[list] = []
+    todo: list = [config.composition]
+    while todo:
+        node = todo.pop()
+        if type(node) is list:  # an operand of spans' entry node ends here
+            node.append(len(comps))
+        elif isinstance(node, ast.Par) and node.kind is not ast.ParKind.INTERLEAVE:
+            span = [node, len(comps)]
+            spans.append(span)
+            todo += [span, node.right, span, node.left]
+        else:
+            if isinstance(node, ast.Inst):
+                e = config.element(node.process)
+                if e is not None and e.role == COMPONENT:
+                    comps.append(e)
+            todo.extend(reversed(ast.children(node)))
+
+    carriers: dict[str, list[int]] = {}
+    for k, e in enumerate(comps):
+        for g in set(e.gates):
+            carriers.setdefault(g, []).append(k)
+
     out: list[ConfigDiagnostic] = []
-
-    def components(b: ast.Behavior) -> list[ArchElement]:
-        found = (config.element(n.process) for n in ast.walk(b) if isinstance(n, ast.Inst))
-        return [e for e in found if e is not None and e.role == COMPONENT]
-
-    for node in ast.walk(config.composition):
-        if not isinstance(node, ast.Par) or node.kind is ast.ParKind.INTERLEAVE:
-            continue
-        right = components(node.right)
-        for l in components(node.left):
-            for r in right:
-                shared = set(l.gates) & set(r.gates)
-                if node.kind is ast.ParKind.GATES:
-                    shared &= node.gates
-                if shared:
-                    out.append(
-                        ConfigDiagnostic(
-                            "direct-component-coupling",
-                            f"components '{l.name}' and '{r.name}' synchronise directly "
-                            f"on gate '{sorted(shared)[0]}'",
-                        )
-                    )
+    for node, lo, mid, hi in spans:
+        smaller = range(lo, mid) if mid - lo <= hi - mid else range(mid, hi)
+        gates = {g for k in smaller for g in comps[k].gates}
+        if node.kind is ast.ParKind.GATES:
+            gates &= node.gates
+        pairs: set[tuple[int, int]] = set()
+        for g in gates:
+            at = carriers[g]
+            left = at[bisect_left(at, lo):bisect_left(at, mid)]
+            right = at[bisect_left(at, mid):bisect_left(at, hi)]
+            pairs.update((l, r) for l in left for r in right)
+        for l, r in sorted(pairs):
+            shared = set(comps[l].gates) & set(comps[r].gates)
+            if node.kind is ast.ParKind.GATES:
+                shared &= node.gates
+            out.append(
+                ConfigDiagnostic(
+                    "direct-component-coupling",
+                    f"components '{comps[l].name}' and '{comps[r].name}' synchronise directly "
+                    f"on gate '{min(shared)}'",
+                )
+            )
     return out
 
 

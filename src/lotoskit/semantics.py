@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 from .syntax import ast
 from .syntax.printer import pretty_behavior, pretty_node
@@ -455,35 +454,59 @@ class ExplorationBudget:
 class Lts:
     """Explicit transition system.  States are 0..num_states-1 in
     breadth-first discovery order, 0 initial; per state, transitions are
-    ordered by label text then by printed target form, and the global list
-    is grouped by source state.  forms maps states back to behaviour terms
-    when the system was generated from one (None when read from a file)."""
+    ordered by label text then by printed target form.  forms maps states
+    back to behaviour terms when the system was generated from one (None
+    when read from a file).
 
-    num_states: int
-    transitions: list[tuple[int, str, int]]
+    The per-state rows ``out`` are the only storage of the transitions:
+    out[s] lists the moves of state s as (label id, target) pairs.
+    ``label_text`` is the id -> text table.  It holds each label of the
+    transitions once, sorted, so ids compare as their texts do."""
+
+    out: list[list[tuple[int, int]]]
+    label_text: list[str]
     initial: int = 0
     forms: list[ast.Behavior] | None = None
 
+    @classmethod
+    def from_rows(cls, out: list[list[tuple[int, int]]], label_ids: dict[str, int],
+                  initial: int = 0, forms: list[ast.Behavior] | None = None) -> Lts:
+        """The system of rows whose label ids number the keys of label_ids
+        0, 1, ... in any order; unless that is text order already, the
+        rows are renumbered to it in place."""
+        texts = sorted(label_ids)
+        ids = [label_ids[text] for text in texts]
+        if ids != list(range(len(ids))):
+            new = [0] * len(ids)
+            for k, lab in enumerate(ids):
+                new[lab] = k
+            for row in out:
+                for k, (lab, dst) in enumerate(row):
+                    row[k] = (new[lab], dst)
+        return cls(out, texts, initial, forms)
+
+    @property
+    def num_states(self) -> int:
+        return len(self.out)
+
     @property
     def num_transitions(self) -> int:
-        return len(self.transitions)
+        return sum(map(len, self.out))
+
+    @property
+    def transitions(self) -> list[tuple[int, str, int]]:
+        """(source, label text, target) triples, listed per source state in
+        row order; built on each use."""
+        text = self.label_text
+        return [(src, text[lab], dst) for src, row in enumerate(self.out) for lab, dst in row]
 
     def form_text(self, state: int) -> str | None:
         if self.forms is None:
             return None
         return pretty_behavior(self.forms[state])
 
-    @cached_property
-    def out(self) -> list[list[tuple[str, int]]]:
-        """Per state, its (label, target) moves in transition order; built
-        once, on first use."""
-        table: list[list[tuple[str, int]]] = [[] for _ in range(self.num_states)]
-        for src, label, dst in self.transitions:
-            table[src].append((label, dst))
-        return table
-
     def labels(self) -> list[str]:
-        return sorted({label for _, label, _ in self.transitions})
+        return list(self.label_text)
 
 
 def generate_lts(
@@ -503,35 +526,46 @@ def generate_lts(
     # states are interned, so a state's id identifies it
     ids: dict[int, int] = {id(initial): 0}
     forms: list[ast.Behavior] = [initial]
-    transitions: list[tuple[int, str, int]] = []
+    # states are expanded in the order they are numbered, so the row
+    # appended for a state is out[its number]
+    out: list[list[tuple[int, int]]] = []
+    label_ids: dict[str, int] = {}
+    count = 0
     frontier = [initial]
     depth = 0
 
     while frontier:
         next_frontier: list[ast.Behavior] = []
         for state in frontier:
-            src = ids[id(state)]
-            steps: dict[tuple[str, int], ast.Behavior] = {}
+            row: list[tuple[int, int]] = []
+            out.append(row)
+            # a printed form names one interned term, so (label, printed
+            # target) both drops repeated steps and orders them
+            steps: dict[tuple[str, str], ast.Behavior] = {}
             for label, target in successors(state, spec, terms):
-                steps.setdefault((label, id(target)), target)
-            ordered = sorted(steps.items(), key=lambda kv: (kv[0][0], text[kv[0][1]]))
-            for (label, key), tgt in ordered:
+                steps.setdefault((label, text[id(target)]), target)
+            for (label, _), tgt in sorted(steps.items()):
+                key = id(tgt)
                 dst = ids.get(key)
                 if dst is None:
                     dst = len(forms)
                     if dst >= budget.max_states:
                         raise BudgetExceededError(
-                            "state", budget.max_states, len(forms), len(transitions), depth
+                            "state", budget.max_states, len(forms), count, depth
                         )
                     ids[key] = dst
                     forms.append(tgt)
                     next_frontier.append(tgt)
-                if len(transitions) >= budget.max_transitions:
+                if count >= budget.max_transitions:
                     raise BudgetExceededError(
-                        "transition", budget.max_transitions, len(forms), len(transitions), depth
+                        "transition", budget.max_transitions, len(forms), count, depth
                     )
-                transitions.append((src, label, dst))
+                lab = label_ids.get(label)
+                if lab is None:
+                    lab = label_ids[label] = len(label_ids)
+                row.append((lab, dst))
+                count += 1
         frontier = next_frontier
         depth += 1
 
-    return Lts(num_states=len(forms), transitions=transitions, forms=forms)
+    return Lts.from_rows(out, label_ids, forms=forms)

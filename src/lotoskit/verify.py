@@ -14,15 +14,22 @@ order the transitions are listed in.
 Bisimulation and minimize share one worklist partition refinement: a
 round signs again only the states with a target that moved in the round
 before, and the rounds are kept as a split tree (each block's parent and
-round of birth), which the distinguishing experiment reads.  The checks
-and minimize read a system's moves from its table Lts.out.
+round of birth), which the distinguishing experiment reads.
+
+All of it reads a system's one transition table: the rows Lts.out of
+(label id, target) pairs, with Lts.label_text turning ids back into
+text.  Ids are numbered in label-text order, so the search memoises
+observer moves per id, refinement signs states with plain ints, and
+sorting by id orders moves by label text for minimize and the
+experiment.  bisim_equiv joins two tables over their merged labels.
+read_aut fills the rows straight from the text.
 """
 from __future__ import annotations
 
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .semantics import Lts
 from .syntax.diagnostics import Diagnostic, SYNTAX_ERROR, Span, error
@@ -102,34 +109,46 @@ class VerifyResult:
 
 
 def _search(lts: Lts, start: object, step: Callable[[object, str], object],
-            bad: Callable[[tuple], bool]) -> tuple[tuple, list[str]] | None:
+            bad: Callable[[int, object], bool]) -> tuple[tuple[int, object], list[str]] | None:
     """Breadth-first search of the product of lts with a deterministic
     observer: start is the observer's initial state, step(obs, label) its
-    move, and bad(pair) the goal on (system state, observer state) pairs.
-    Returns the first bad pair reachable from the initial one with a
-    shortest trace to it, or None.  step runs once per observer state and
-    distinct label."""
+    move, and bad(state, obs) the goal on (system state, observer state)
+    pairs.  Returns the first bad pair reachable from the initial one with
+    a shortest trace to it, or None.  step runs once per observer state
+    and distinct label."""
     if not lts.num_states:  # des (0, 0, 0): not even an initial state
         return None
-    root = (lts.initial, start)
-    parent: dict[tuple, tuple[tuple, str] | None] = {root: None}
-    hit = root if bad(root) else None
-    moves: dict[object, dict[str, object]] = {}
+    n, text = lts.num_states, lts.label_text
+    # observers are numbered as met, and a pair is keyed as the int
+    # observer number * n + state; moves[k][label id] is the number of
+    # observer k's move on that label, None until first needed
+    observers = [start]
+    number = {start: 0}
+    moves: list[list[int | None]] = [[None] * len(text)]
+    root = lts.initial
+    parent: dict[int, tuple[int, int] | None] = {root: None}
+    hit = root if bad(root, start) else None
     out = lts.out
     queue = deque([root])
     while queue and hit is None:
-        pair = queue.popleft()
-        s, obs = pair
-        memo = moves.setdefault(obs, {})
-        for label, dst in out[s]:
-            nobs = memo.get(label)
-            if nobs is None:
-                nobs = memo[label] = step(obs, label)
-            nxt = (dst, nobs)
+        key = queue.popleft()
+        k, s = divmod(key, n)
+        memo = moves[k]
+        for lab, dst in out[s]:
+            j = memo[lab]
+            if j is None:
+                nobs = step(observers[k], text[lab])
+                j = number.get(nobs)
+                if j is None:
+                    j = number[nobs] = len(observers)
+                    observers.append(nobs)
+                    moves.append([None] * len(text))
+                memo[lab] = j
+            nxt = j * n + dst
             if nxt in parent:
                 continue
-            parent[nxt] = (pair, label)
-            if bad(nxt):
+            parent[nxt] = (key, lab)
+            if bad(dst, observers[j]):
                 hit = nxt
                 break
             queue.append(nxt)
@@ -138,11 +157,12 @@ def _search(lts: Lts, start: object, step: Callable[[object, str], object],
     trace: list[str] = []
     edge = parent[hit]
     while edge is not None:
-        pair, label = edge
-        trace.append(label)
-        edge = parent[pair]
+        key, lab = edge
+        trace.append(text[lab])
+        edge = parent[key]
     trace.reverse()
-    return hit, trace
+    k, s = divmod(hit, n)
+    return (s, observers[k]), trace
 
 
 # ----------------------------------------------------------------------
@@ -156,7 +176,7 @@ def check_deadlock(lts: Lts) -> VerifyResult:
     found = _search(
         lts, False,
         lambda _, label: label == "exit",
-        lambda pair: not pair[1] and not lts.out[pair[0]],
+        lambda s, exited: not exited and not lts.out[s],
     )
     if found is None:
         return VerifyResult(ok=True, detail=f"no deadlock in {lts.num_states} state(s)")
@@ -171,7 +191,7 @@ def check_reachable(lts: Lts, pattern: LabelPattern) -> VerifyResult:
     found = _search(
         lts, False,
         lambda matched, label: matched or pattern.matches(label),
-        lambda pair: pair[1],
+        lambda _, matched: matched,
     )
     if found is None:
         return VerifyResult(ok=False, detail=f"no transition matches '{pattern}'")
@@ -254,7 +274,7 @@ def parse_monitor(text: str, filename: str = "<monitor>") -> tuple[Monitor | Non
 def check_safety(lts: Lts, monitor: Monitor) -> VerifyResult:
     """ok when the product of system and monitor reaches no bad monitor
     state.  A violation comes with a shortest trace."""
-    found = _search(lts, monitor.initial, monitor.step, lambda pair: pair[1] in monitor.bad)
+    found = _search(lts, monitor.initial, monitor.step, lambda _, state: state in monitor.bad)
     if found is None:
         return VerifyResult(ok=True, detail=f"monitor stays out of {sorted(monitor.bad)}")
     (_, state), trace = found
@@ -265,11 +285,13 @@ def check_safety(lts: Lts, monitor: Monitor) -> VerifyResult:
 # strong bisimulation
 
 
-def _refine(out: list[list[tuple[str, int]]]) -> tuple[list[int], list[int], list[int]]:
-    """Partition refinement by signatures.  Round 0 puts every state in one
-    block; round r splits each block of round r - 1 by its members'
-    signatures, the sets of (label, block of target) pairs, and the first
-    round that moves no state ends the loop.
+def _refine(out: list[list[tuple[int, int]]], num_labels: int
+            ) -> tuple[list[int], list[int], list[int]]:
+    """Partition refinement by signatures over rows of (label id, target)
+    with ids below num_labels.  Round 0 puts every state in one block;
+    round r splits each block of round r - 1 by its members' signatures,
+    the sets of (label, block of target) pairs, and the first round that
+    moves no state ends the loop.
 
     A round signs again only the states with a target that moved in the
     round before.  Such a state has a target in a block born in that
@@ -290,17 +312,19 @@ def _refine(out: list[list[tuple[str, int]]]) -> tuple[list[int], list[int], lis
     parent, born = [-1], [0]
     preds: list[list[int]] | None = None
     members: list[set[int]] | None = None  # built with preds
-    # a signature is keyed as its sorted tuple, which takes less memory
-    # than a frozenset; round 1: every target is in block 0, so the
-    # labels will do
-    rounds = 1
-    signed: dict[tuple[int, tuple], list[int]] = {}
-    for s in range(n):
-        labels = set()  # a plain loop: cheaper than a comprehension here
-        for label, _ in out[s]:
-            labels.add(label)
-        signed.setdefault((0, tuple(sorted(labels))), []).append(s)
+    rounds = 0
+    todo: Iterable[int] = range(n)
     while True:
+        rounds += 1
+        # a move (label, target) signs as the int block of target *
+        # num_labels + label, and a signature is keyed as its sorted
+        # tuple, which takes less memory than a frozenset
+        signed: dict[tuple[int, tuple], list[int]] = {}
+        for s in todo:
+            sig = set()  # a plain loop: cheaper than a comprehension here
+            for label, dst in out[s]:
+                sig.add(block[dst] * num_labels + label)
+            signed.setdefault((block[s], tuple(sorted(sig))), []).append(s)
         if preds is None and len(signed) == len(parent):  # every block signed alike
             return block, parent, born
         parts: dict[int, list[list[int]]] = {}
@@ -342,14 +366,7 @@ def _refine(out: list[list[tuple[str, int]]]) -> tuple[list[int], list[int], lis
                 for _, dst in out[s]:
                     preds[dst].append(s)
         todo = range(n) if preds is None else {p for s in moved for p in preds[s]}
-        del parts, groups, moved  # not to hold them while the next round signs
-        rounds += 1
-        signed = {}
-        for s in todo:
-            sig = set()
-            for label, dst in out[s]:
-                sig.add((label, block[dst]))
-            signed.setdefault((block[s], tuple(sorted(sig))), []).append(s)
+        del signed, parts, groups, moved  # not to hold them while the next round signs
 
 
 def _block_at(parent: list[int], born: list[int], blk: int, r: int) -> int:
@@ -362,11 +379,11 @@ def _block_at(parent: list[int], born: list[int], blk: int, r: int) -> int:
 def _distinguish(
     s1: int,
     s2: int,
-    out: list[list[tuple[str, int]]],
+    out: list[list[tuple[int, int]]],
     block: list[int],
     parent: list[int],
     born: list[int],
-) -> list[str]:
+) -> list[int]:
     """One experiment a refuter can play to tell two non-bisimilar states
     apart: every label in the list is answered by the opponent until the
     last one, which exactly one side can perform.
@@ -400,6 +417,23 @@ def _distinguish(
         s1, s2 = out[pair[owner]][k][1], replies[0]
 
 
+def _joined(a: Lts, b: Lts) -> tuple[list[list[tuple[int, int]]], list[str]]:
+    """The rows of a followed by those of b, targets shifted past a's
+    states, over the merged label table, which is also returned.  When
+    the merged table is a's, a's rows are used as they are."""
+    text = sorted(set(a.label_text).union(b.label_text))
+    number = {t: k for k, t in enumerate(text)}
+    offset = a.num_states
+    if text == a.label_text:
+        out = list(a.out)
+    else:
+        ids = [number[t] for t in a.label_text]
+        out = [[(ids[lab], dst) for lab, dst in row] for row in a.out]
+    ids = [number[t] for t in b.label_text]
+    out += [[(ids[lab], offset + dst) for lab, dst in row] for row in b.out]
+    return out, text
+
+
 def bisim_equiv(a: Lts, b: Lts) -> VerifyResult:
     """Strong bisimulation equivalence of two systems.  A system without
     states (des (0, 0, 0)) is equivalent only to another without states."""
@@ -407,14 +441,9 @@ def bisim_equiv(a: Lts, b: Lts) -> VerifyResult:
         if a.num_states == b.num_states:
             return VerifyResult(ok=True, detail="strongly bisimilar")
         return VerifyResult(ok=False, detail="not strongly bisimilar; only one system has states")
-    offset = a.num_states
-    # b's rows with targets shifted past a's states, built from b's
-    # transitions: copying b.out would hold two tables of b at once
-    out = a.out + [[] for _ in range(b.num_states)]
-    for src, label, dst in b.transitions:
-        out[offset + src].append((label, offset + dst))
-    block, parent, born = _refine(out)
-    s1, s2 = a.initial, offset + b.initial
+    out, text = _joined(a, b)
+    block, parent, born = _refine(out, len(text))
+    s1, s2 = a.initial, a.num_states + b.initial
     if block[s1] == block[s2]:
         return VerifyResult(ok=True, detail="strongly bisimilar")
     trace = _distinguish(s1, s2, out, block, parent, born)
@@ -422,7 +451,7 @@ def bisim_equiv(a: Lts, b: Lts) -> VerifyResult:
         ok=False,
         detail="not strongly bisimilar; evidence is a distinguishing experiment "
         "whose last step only one side can answer",
-        trace=trace,
+        trace=[text[lab] for lab in trace],
     )
 
 
@@ -431,15 +460,16 @@ def minimize(lts: Lts) -> Lts:
     initial block (per block, transitions ordered by label text then by
     the target block's smallest original state)."""
     if not lts.num_states:  # des (0, 0, 0): not even an initial state
-        return Lts(num_states=0, transitions=[])
+        return Lts(out=[], label_text=[])
     out = lts.out
-    block, _, _ = _refine(out)
+    block, _, _ = _refine(out, len(lts.label_text))
 
     rep: dict[int, int] = {}
     for s in range(lts.num_states):
         rep.setdefault(block[s], s)
 
-    moves: dict[int, list[tuple[str, int]]] = {}
+    # label ids sort as their texts do
+    moves: dict[int, list[tuple[int, int]]] = {}
     for blk, r in rep.items():
         moves[blk] = sorted(
             {(label, block[dst]) for label, dst in out[r]},
@@ -455,15 +485,15 @@ def minimize(lts: Lts) -> Lts:
                 order[tblk] = len(order)
                 queue.append(tblk)
 
-    transitions: list[tuple[int, str, int]] = []
-    for blk in sorted(order, key=order.get):  # type: ignore[arg-type]
-        for label, tblk in moves[blk]:
-            transitions.append((order[blk], label, order[tblk]))
-
+    # the quotient's table: the labels its rows use, in the same order
+    blocks = sorted(order, key=order.get)  # type: ignore[arg-type]
+    used = sorted({label for blk in blocks for label, _ in moves[blk]})
+    ids = {label: k for k, label in enumerate(used)}
+    rows = [[(ids[label], order[tblk]) for label, tblk in moves[blk]] for blk in blocks]
     forms = None
     if lts.forms is not None:
-        forms = [lts.forms[rep[blk]] for blk in sorted(order, key=order.get)]  # type: ignore[arg-type]
-    return Lts(num_states=len(order), transitions=transitions, forms=forms)
+        forms = [lts.forms[rep[blk]] for blk in blocks]
+    return Lts(rows, [lts.label_text[label] for label in used], forms=forms)
 
 
 # ----------------------------------------------------------------------
@@ -471,29 +501,96 @@ def minimize(lts: Lts) -> Lts:
 
 _AUT_HEADER = re.compile(r"des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*\Z")
 _AUT_LINE = re.compile(r"\(\s*(\d+)\s*,\s*\"([^\"]*)\"\s*,\s*(\d+)\s*\)\s*\Z")
+# A line as export_aut writes it, or else the rest of the text.  A label
+# holds no character at which str.splitlines breaks a line, so a line
+# matched is one whole line of the per-line reader.
+_AUT_CANONICAL_HEADER = re.compile(r"des \(([0-9]+), ([0-9]+), ([0-9]+)\)\n")
+_AUT_CANONICAL_LINE = re.compile(
+    r'\(([0-9]+), "([^"\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)", ([0-9]+)\)\n|(?s:.+)'
+)
 
 
 def export_aut(lts: Lts) -> str:
     """Aldebaran format: header des (initial, transitions, states), then
     one (source, "label", target) line per transition.  Byte-stable for a
     given system."""
+    quoted = [f', "{label}", ' for label in lts.label_text]
     lines = [f"des ({lts.initial}, {lts.num_transitions}, {lts.num_states})"]
-    for src, label, dst in lts.transitions:
-        lines.append(f'({src}, "{label}", {dst})')
+    lines += [f"({src}{quoted[lab]}{dst})" for src, row in enumerate(lts.out) for lab, dst in row]
     return "\n".join(lines) + "\n"
 
 
 def read_aut(text: str) -> Lts:
-    """Parse Aldebaran text; raises ValueError on malformed input."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    """Parse Aldebaran text; raises ValueError on malformed input.
+
+    Lines spelled as export_aut writes them are read on a fast path, one
+    regular expression scan that fills the rows; from the first other
+    line on, the rest goes through the per-line reader, which accepts
+    every spelling and gives the same errors."""
+    head = _AUT_CANONICAL_HEADER.match(text)
+    if head is None:
+        return _read_aut_lines(text)
+    initial, num_trans, num_states = (int(g) for g in head.groups())
+    # Every other quoted string is a label: the header has no quotes and
+    # a transition line two.  Numbered in text order before the scan, the
+    # labels need no renumbering after it.  The scan finds each of its own
+    # labels here but the blank ones, which are left out for it to reject,
+    # and in text that reads, every string here is a label.
+    quoted = sorted(label for label in set(text.split('"')[1::2]) if label.strip())
+    label_ids = dict(zip(quoted, range(len(quoted))))
+    out: list[list[tuple[int, int]]] = []
+    rest = ""
+    for m in _AUT_CANONICAL_LINE.finditer(text, head.end()):
+        s, label, d = m.groups()
+        if d is None:
+            rest = m.group()
+            break
+        src, dst = int(s), int(d)
+        try:
+            lab = label_ids[label]
+        except KeyError:
+            raise ValueError(f"blank label in .aut transition: {m.group()[:-1]!r}") from None
+        if src >= num_states or dst >= num_states:
+            raise ValueError(f"state out of range in: {m.group()[:-1]!r}")
+        try:
+            out[src].append((lab, dst))
+        except IndexError:
+            _grow(out, src, num_states)
+            out[src].append((lab, dst))
+    return _read_aut_body(_aut_lines(rest), initial, num_trans, num_states, out, label_ids)
+
+
+def _grow(out: list[list[tuple[int, int]]], src: int, num_states: int) -> None:
+    """Makes rows up to src, at least doubling their number but never past
+    num_states: a large state count in the header costs nothing before
+    the lines are checked."""
+    size = min(num_states, max(src + 1, 2 * len(out)))
+    out.extend([] for _ in range(size - len(out)))
+
+
+def _aut_lines(text: str) -> list[str]:
+    return [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+
+
+def _read_aut_lines(text: str) -> Lts:
+    """read_aut line by line, for every spelling the format allows."""
+    lines = _aut_lines(text)
     if not lines:
         raise ValueError("empty .aut input")
     head = _AUT_HEADER.match(lines[0])
     if not head:
         raise ValueError(f"bad .aut header: {lines[0]!r}")
     initial, num_trans, num_states = (int(g) for g in head.groups())
-    transitions: list[tuple[int, str, int]] = []
-    for ln in lines[1:]:
+    return _read_aut_body(lines[1:], initial, num_trans, num_states, [], {})
+
+
+def _read_aut_body(lines: list[str], initial: int, num_trans: int, num_states: int,
+                   out: list[list[tuple[int, int]]], label_ids: dict[str, int]) -> Lts:
+    """Adds the transition lines to the rows read so far, checks the
+    counts and builds the system.  label_ids numbers 0, 1, ... the labels
+    met so far and any more known to come; a new label takes the next
+    id."""
+    for ln in lines:
         m = _AUT_LINE.match(ln)
         if not m:
             raise ValueError(f"bad .aut transition: {ln!r}")
@@ -502,11 +599,16 @@ def read_aut(text: str) -> Lts:
             raise ValueError(f"blank label in .aut transition: {ln!r}")
         if src >= num_states or dst >= num_states:
             raise ValueError(f"state out of range in: {ln!r}")
-        transitions.append((src, label, dst))
-    if len(transitions) != num_trans:
-        raise ValueError(
-            f"header promises {num_trans} transition(s), found {len(transitions)}"
-        )
+        lab = label_ids.get(label)
+        if lab is None:
+            lab = label_ids[label] = len(label_ids)
+        if src >= len(out):
+            _grow(out, src, num_states)
+        out[src].append((lab, dst))
+    found = sum(map(len, out))
+    if found != num_trans:
+        raise ValueError(f"header promises {num_trans} transition(s), found {found}")
     if initial >= num_states and num_states > 0:
         raise ValueError("initial state out of range")
-    return Lts(num_states=num_states, transitions=transitions, initial=initial)
+    out.extend([] for _ in range(num_states - len(out)))
+    return Lts.from_rows(out, label_ids, initial)

@@ -233,8 +233,8 @@ def shortest_violation(lts, monitor):
         if m in monitor.bad:
             best = dist[(s, m)]
             break
-        for label, dst in lts.out[s]:
-            nxt = (dst, monitor.step(m, label))
+        for lab, dst in lts.out[s]:
+            nxt = (dst, monitor.step(m, lts.label_text[lab]))
             if nxt not in dist:
                 dist[nxt] = dist[(s, m)] + 1
                 queue.append(nxt)

@@ -1,4 +1,7 @@
+import adl_oracle
 from conftest import load_spec
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from lotoskit import (
     bisim_equiv,
     flatten,
@@ -9,7 +12,7 @@ from lotoskit import (
     validate_config,
     validate_spec,
 )
-from lotoskit.adl import COMPONENT, CONNECTOR, ArchConfig, ArchElement
+from lotoskit.adl import COMPONENT, CONNECTOR, ArchConfig, ArchElement, _coupling_violations
 from lotoskit.syntax import ast, has_errors, parse_behavior
 
 
@@ -201,6 +204,65 @@ def test_gate_subset_sync_limits_coupling():
 
 def test_component_connector_sync_is_fine():
     assert codes(config_of(GOOD)) == []
+
+
+COUPLING_GATES = ("g0", "g1", "g2")
+
+
+@st.composite
+def coupling_configs(draw):
+    """Configurations over three gates, so that many pairs share one: up
+    to eight elements, names drawn with repeats (the first declaration
+    wins), and a composition of every operator over their names and one
+    undeclared name."""
+    gate_tuples = st.lists(st.sampled_from(COUPLING_GATES), max_size=3).map(tuple)
+    elements = draw(st.lists(
+        st.builds(ArchElement, st.sampled_from([f"e{k}" for k in range(6)]),
+                  st.sampled_from([COMPONENT, COMPONENT, CONNECTOR]), st.just("P"), gate_tuples),
+        max_size=8,
+    ))
+    names = sorted({e.name for e in elements} | {"undeclared"})
+    gate_sets = st.frozensets(st.sampled_from(COUPLING_GATES), max_size=3)
+    leaves = st.sampled_from(names).map(ast.Inst)
+    composition = draw(st.recursive(leaves, lambda kids: st.one_of(
+        st.builds(ast.Par, kids, st.sampled_from(list(ast.ParKind)), gate_sets, kids),
+        st.builds(ast.Hide, gate_sets, kids),
+        st.builds(ast.Choice, kids, kids),
+        st.builds(ast.Seq, kids, kids),
+        st.builds(ast.Disrupt, kids, kids),
+        st.builds(ast.Prefix, st.just(ast.InternalAction()), kids),
+    ), max_leaves=12))
+    return ArchConfig("C", (), tuple(elements), composition)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coupling_configs())
+def test_coupling_agrees_with_oracle(config):
+    assert _coupling_violations(config) == adl_oracle.coupling_violations(config)
+
+
+def test_coupling_many_violations_agree_with_oracle():
+    # 40 components on one gate, joined left-deep, right-deep and as a
+    # balanced tree: every pair across each operator couples
+    elements = tuple(ArchElement(f"c{k}", COMPONENT, "P", ("g", f"h{k % 3}")) for k in range(40))
+    for kind, gates in ((ast.ParKind.GATES, frozenset({"g", "h1"})), (ast.ParKind.FULL, frozenset())):
+        insts = [ast.Inst(e.name) for e in elements]
+        left_deep = insts[0]
+        for inst in insts[1:]:
+            left_deep = ast.Par(left_deep, kind, gates, inst)
+        right_deep = insts[-1]
+        for inst in reversed(insts[:-1]):
+            right_deep = ast.Par(inst, kind, gates, right_deep)
+        balanced = insts
+        while len(balanced) > 1:
+            joined = [ast.Par(balanced[k], kind, gates, balanced[k + 1])
+                      for k in range(0, len(balanced) - 1, 2)]
+            balanced = joined + balanced[2 * len(joined):]
+        for composition in (left_deep, right_deep, balanced[0]):
+            config = ArchConfig("C", (), elements, composition)
+            got = _coupling_violations(config)
+            assert len(got) == 40 * 39 // 2
+            assert got == adl_oracle.coupling_violations(config)
 
 
 # ----------------------------------------------------------------------

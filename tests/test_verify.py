@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import check_oracle
 import refine_oracle
 from behavior_gen import gen_behavior, wrap
-from conftest import load_spec
+from conftest import LOT_FILES, load_spec
 from lotoskit import (
     Lts,
     bisim_equiv,
@@ -24,7 +24,7 @@ from lotoskit import (
 )
 from lotoskit.cli import main
 from lotoskit.semantics import strip_hiding
-from lotoskit.verify import _block_at, _refine
+from lotoskit.verify import _block_at, _joined, _read_aut_lines, _refine
 from lotoskit.syntax import ast, parse_behavior
 
 
@@ -359,6 +359,38 @@ def test_experiment_tie_takes_first_listed_move():
     assert bisim_equiv(one, two).trace == ["a", "d"]
 
 
+def test_bisim_over_a_subset_of_labels():
+    # b's labels are a subset of a's, so the joined table is a's own
+    a = read_aut('des (0, 3, 4)\n(0, "a", 1)\n(1, "b", 2)\n(3, "z", 3)\n')
+    b = read_aut('des (0, 1, 2)\n(0, "a", 1)\n')
+    rows = [list(row) for row in a.out]
+    assert bisim_equiv(a, b).trace == ["a", "b"]
+    assert bisim_equiv(b, a).trace == ["a", "b"]
+    assert a.out == rows
+    # a label only an unreachable state has changes nothing
+    c = read_aut('des (0, 2, 3)\n(0, "a", 1)\n(1, "b", 2)\n')
+    assert bisim_equiv(a, c).ok and bisim_equiv(c, a).ok
+
+
+def test_bisim_over_disjoint_labels():
+    a = read_aut('des (0, 1, 2)\n(0, "b", 1)\n')
+    b = read_aut('des (0, 1, 2)\n(0, "a", 1)\n')
+    assert bisim_equiv(a, b).trace == ["b"]
+    assert bisim_equiv(b, a).trace == ["a"]
+
+
+def test_bisim_over_labels_that_interleave_in_text_order():
+    # merged, the tables are a, b, c, d: both systems' label ids change,
+    # and the experiment still takes the owner's smallest label by text
+    a = read_aut('des (0, 3, 4)\n(0, "d", 1)\n(0, "b", 2)\n(2, "d", 3)\n')
+    b = read_aut('des (0, 3, 4)\n(0, "d", 1)\n(0, "c", 2)\n(0, "a", 3)\n')
+    assert a.labels() == ["b", "d"] and b.labels() == ["a", "c", "d"]
+    assert bisim_equiv(a, b).trace == ["b"]
+    assert bisim_equiv(b, a).trace == ["a"]
+    same = read_aut('des (0, 3, 4)\n(0, "b", 1)\n(1, "d", 2)\n(0, "d", 3)\n')
+    assert bisim_equiv(a, same).ok
+
+
 @st.composite
 def aut_pairs(draw):
     """Two files of 1-8 states over a, b and c, in random line order and
@@ -380,9 +412,13 @@ def aut_pairs(draw):
 def test_refinement_agrees_with_oracle(pair):
     a, b = pair
     offset = a.num_states
-    out = a.out + [[(label, dst + offset) for label, dst in moves] for moves in b.out]
+    # the oracle reads label texts, per state in row order, from the
+    # transitions; _refine reads the joined table of label ids
+    out = text_rows(a) + text_rows(b, offset)
+    joined, text = _joined(a, b)
+    assert [[(text[lab], dst) for lab, dst in row] for row in joined] == out
     history = refine_oracle.refine(out)
-    block, parent, born = _refine(out)
+    block, parent, born = _refine(joined, len(text))
     assert max(born) == len(history) - 1
     for r, want in enumerate(history):
         got = [_block_at(parent, born, block[s], r) for s in range(len(out))]
@@ -396,8 +432,17 @@ def test_refinement_agrees_with_oracle(pair):
         assert result.trace == refine_oracle.experiment(out, history, s1, s2)
 
     for x in pair:
-        want = refine_oracle.quotient_aut(x.out, x.initial, refine_oracle.refine(x.out)[-1])
+        moves = text_rows(x)
+        want = refine_oracle.quotient_aut(moves, x.initial, refine_oracle.refine(moves)[-1])
         assert export_aut(minimize(x)) == want
+
+
+def text_rows(lts, offset=0):
+    """Per state, its (label text, target + offset) moves in row order."""
+    rows = [[] for _ in range(lts.num_states)]
+    for src, label, dst in lts.transitions:
+        rows[src].append((label, dst + offset))
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -423,6 +468,13 @@ def test_minimize_is_idempotent(multicast_unordered):
     again = minimize(small)
     assert again.num_states == small.num_states
     assert again.transitions == small.transitions
+
+
+def test_minimize_drops_labels_of_unreachable_states():
+    lts = read_aut('des (0, 2, 3)\n(0, "a", 1)\n(2, "z", 2)\n')
+    small = minimize(lts)
+    assert lts.labels() == ["a", "z"] and small.labels() == ["a"]
+    assert small == read_aut(export_aut(small))
 
 
 def test_minimize_keeps_representative_forms():
@@ -460,6 +512,19 @@ def test_round_trip(client_server_lts):
     assert export_aut(back) == text
 
 
+@pytest.mark.parametrize("hide", [True, False])
+@pytest.mark.parametrize("name", LOT_FILES)
+def test_read_aut_gives_back_what_export_aut_wrote(name, hide):
+    spec = load_spec(name)
+    systems = [generate_lts(spec if hide else strip_hiding(spec))]
+    systems.append(minimize(systems[0]))
+    for x in systems:
+        back = read_aut(export_aut(x))
+        assert (back.num_states, back.initial) == (x.num_states, x.initial)
+        assert back.labels() == x.labels()
+        assert back.transitions == x.transitions
+
+
 def test_read_aut_tolerates_blank_lines_and_spacing():
     lts = read_aut('des ( 0 , 1 , 2 )\n\n( 0 , "a b" , 1 )\n')
     assert lts.num_states == 2
@@ -480,6 +545,75 @@ def test_read_aut_errors():
     for text in cases:
         with pytest.raises(ValueError):
             read_aut(text)
+
+
+# characters str.splitlines breaks a line at, besides \n and \r
+LINE_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+SPACES = (" ", "  ", "\t", " \t ")
+# each ASCII digit respelled as itself, in Arabic-Indic and in fullwidth
+DIGIT_SPELLINGS = {str(k): (str(k), chr(0x660 + k), chr(0xFF10 + k)) for k in range(10)}
+
+
+MUTATIONS = ("crlf", "no final newline", "blank line", "spacing", "line break", "digits", "zeros")
+
+
+@st.composite
+def aut_texts(draw):
+    """.aut text as export_aut writes it, with states, the initial state
+    and the header count in or just out of range and blank labels or
+    labels holding a line break, then up to three of MUTATIONS applied:
+    CRLF, no final newline, a blank line anywhere (also first), spaces
+    and tabs in and around one line's tuple (also the header's), a line
+    break other than \n anywhere, one number in non-ASCII digits and
+    one zero-padded."""
+    n = draw(st.integers(0, 4))
+    state = st.sampled_from([*range(n)] * 3 + [n])  # n itself is out of range
+    label = st.sampled_from(["a", "b !v", "c", " a", "a\x1fb"] * 3 + ["", "  ", "\t"]
+                            + [f"a{c}b" for c in LINE_BREAKS])
+    edges = draw(st.lists(st.tuples(state, label, state), max_size=6))
+    count = len(edges) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    # each line as its separators and numbers: (text, number, text, ...)
+    lines = [["des (", str(draw(state)), ", ", str(count), ", ", str(n), ")"]]
+    lines += [["(", str(src), f', "{lab}", ', str(dst), ")"] for src, lab, dst in edges]
+    mutations = draw(st.sets(st.sampled_from(MUTATIONS), max_size=3))
+    pick = st.integers(0, len(lines) - 1)
+    if "digits" in mutations or "zeros" in mutations:
+        line = lines[draw(pick)]
+        k = draw(st.sampled_from(range(1, len(line), 2)))
+        if "zeros" in mutations:
+            line[k] = "0" * draw(st.integers(1, 2)) + line[k]
+        if "digits" in mutations and line[k].isdigit():
+            line[k] = "".join(draw(st.sampled_from(DIGIT_SPELLINGS[c])) for c in line[k])
+    if "spacing" in mutations:
+        line = lines[draw(pick)]
+        space = st.sampled_from(SPACES)
+        for k in range(0, len(line), 2):
+            if draw(st.booleans()):
+                line[k] = draw(space) + line[k].strip(" ") + draw(space)
+    texts = ["".join(line) for line in lines]
+    if "blank line" in mutations:
+        texts.insert(draw(st.integers(0, len(texts))), draw(st.sampled_from(["", " ", "\t"])))
+    text = ("\r\n" if "crlf" in mutations else "\n").join(texts)
+    if "no final newline" not in mutations:
+        text += "\r\n" if "crlf" in mutations else "\n"
+    if "line break" in mutations:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(LINE_BREAKS)) + text[at:]
+    return text
+
+
+def read_or_error(reader, text):
+    try:
+        lts = reader(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    return lts.num_states, lts.initial, lts.labels(), lts.transitions
+
+
+@settings(max_examples=500, deadline=None)
+@given(aut_texts())
+def test_read_aut_agrees_with_the_per_line_reader(text):
+    assert read_or_error(read_aut, text) == read_or_error(_read_aut_lines, text)
 
 
 def test_checks_work_on_read_back_systems(client_server_lts):
