@@ -543,6 +543,49 @@ def test_adl_missing_source_is_operational(capsys, tmp_path):
 
 
 # ----------------------------------------------------------------------
+# invalid inputs, one per kind of file
+
+
+INVALID_INPUTS = {
+    "specification": (
+        "bad.lot", "specification S [g] : noexit :=\n  behaviour\n    q; stop\nendspec\n",
+        ["lts", "{}"], ["3:5: error[unknown-gate]: gate 'q' is not in scope"],
+    ),
+    "monitor": (
+        "bad.mon", "states a\n",
+        ["verify", "safety", corpus("multicast.lot"), "{}"],
+        ["1:1: error[syntax-error]: monitor has no initial state"],
+    ),
+    "contract": (
+        "bad.asc", "component C where\n  sc { exists x . nosuch(x) }\nend\n",
+        ["contract", "{}"], ["2:19: error[unknown-predicate]: unknown predicate 'nosuch'"],
+    ),
+    "fact base": (
+        "bad.facts", "inherit(A).\nclass(B)\nbogus\n",
+        ["contract", corpus("observer.asc"), "--facts", "{}"],
+        ["1:1: error[bad-arity]: 'inherit' takes 2 argument(s)",
+         "3:1: error[syntax-error]: cannot read fact: 'bogus'"],
+    ),
+    "configuration": (
+        "bad.adl", "configuration C\n  components { a = }\nend\n",
+        ["adl", "{}"], ["2:20: error[syntax-error]: expected a process name, found '}'"],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", INVALID_INPUTS)
+def test_invalid_input_prints_its_diagnostics(capsys, tmp_path, kind):
+    name, text, argv, diagnostics = INVALID_INPUTS[kind]
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, *(arg.format(path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"{path}:{d}" for d in diagnostics] + [
+        f"lotoskit: '{path}' is not a valid {kind}"
+    ]
+
+
+# ----------------------------------------------------------------------
 # usage errors
 
 
