@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import TypeVar
 
 from . import adl as adlmod
 from . import contracts as contractsmod
@@ -65,21 +67,30 @@ def _read_file(path: str) -> str:
         raise CliError(2, f"cannot read '{path}': {exc}") from exc
 
 
-def _load_spec(path: str, *, strict: bool = True) -> tuple[ast.Specification | None, list[Diagnostic]]:
-    """Parse and validate a behaviour file.  With strict=True any error
-    aborts with exit code 2 (the caller needs a working specification)."""
-    text = _read_file(path)
-    result = parse_spec(text, path)
-    diags = list(result.diagnostics)
-    spec = result.spec
-    if spec is not None:
-        diags.extend(validate_spec(spec))
+Value = TypeVar("Value")
+
+
+def _load(path: str, kind: str, parse: Callable[[str], tuple[Value | None, list[Diagnostic]]]) -> Value:
+    """Read and parse a file; any error prints the diagnostics and aborts
+    with exit code 2 (the caller needs a working value)."""
+    value, diags = parse(_read_file(path))
     if has_errors(diags):
-        spec = None
-    if strict and spec is None:
         _print_diags(diags, path)
-        raise CliError(2, f"'{path}' is not a valid specification")
-    return spec, diags
+        raise CliError(2, f"'{path}' is not a valid {kind}")
+    return value
+
+
+def _checked_spec(text: str) -> tuple[ast.Specification | None, list[Diagnostic]]:
+    """Parse and validate a specification; no tree when there is an error."""
+    result = parse_spec(text)
+    diags = list(result.diagnostics)
+    if result.spec is not None:
+        diags.extend(validate_spec(result.spec))
+    return (None if has_errors(diags) else result.spec), diags
+
+
+def _load_spec(path: str) -> ast.Specification:
+    return _load(path, "specification", _checked_spec)
 
 
 def _budget(args: argparse.Namespace) -> semantics.ExplorationBudget:
@@ -91,22 +102,25 @@ def _budget(args: argparse.Namespace) -> semantics.ExplorationBudget:
 def _generate(spec: ast.Specification, args: argparse.Namespace) -> semantics.Lts:
     if getattr(args, "no_hide", False):
         spec = semantics.strip_hiding(spec)
-    try:
-        return semantics.generate_lts(spec, _budget(args))
-    except (semantics.BudgetExceededError, semantics.UnguardedRecursionError) as exc:
-        raise CliError(2, str(exc)) from exc
+    return semantics.generate_lts(spec, _budget(args))
 
 
 def _load_lts(path: str, args: argparse.Namespace) -> semantics.Lts:
-    """A transition system from either a behaviour file or an .aut file."""
-    if path.endswith(".aut"):
-        try:
-            return verify.read_aut(_read_file(path))
-        except ValueError as exc:
-            raise CliError(2, f"'{path}': {exc}") from exc
-    spec, _ = _load_spec(path)
-    assert spec is not None
-    return _generate(spec, args)
+    """A transition system from either a behaviour file or an .aut file;
+    the exploration budget bounds both."""
+    if not path.endswith(".aut"):
+        return _generate(_load_spec(path), args)
+    try:
+        lts = verify.read_aut(_read_file(path))
+    except ValueError as exc:
+        raise CliError(2, f"'{path}': {exc}") from exc
+    budget = _budget(args)
+    for kind, size, limit in (("state", lts.num_states, budget.max_states),
+                              ("transition", lts.num_transitions, budget.max_transitions)):
+        if size > limit:
+            raise CliError(2, f"'{path}' has {size} {kind}s, more than the {kind} "
+                              f"budget of {limit}")
+    return lts
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
@@ -139,7 +153,7 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    spec, diags = _load_spec(args.file, strict=False)
+    spec, diags = _checked_spec(_read_file(args.file))
     ok = not has_errors(diags)
     if args.format == "json":
         payload = {
@@ -162,9 +176,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_lts(args: argparse.Namespace) -> int:
-    spec, _ = _load_spec(args.file)
-    assert spec is not None
-    lts = _generate(spec, args)
+    lts = _generate(_load_spec(args.file), args)
     if args.minimize:
         lts = verify.minimize(lts)
     aut = verify.export_aut(lts)
@@ -216,10 +228,7 @@ def _cmd_verify_reach(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_safety(args: argparse.Namespace) -> int:
-    monitor, diags = verify.parse_monitor(_read_file(args.monitor), args.monitor)
-    if monitor is None:
-        _print_diags(diags, args.monitor)
-        raise CliError(2, f"'{args.monitor}' is not a valid monitor")
+    monitor = _load(args.monitor, "monitor", verify.parse_monitor)
     return _verify_result(args, "safety", verify.check_safety(_load_lts(args.file, args), monitor))
 
 
@@ -230,28 +239,14 @@ def _cmd_verify_bisim(args: argparse.Namespace) -> int:
 
 
 def _cmd_contract(args: argparse.Namespace) -> int:
-    contract, diags = parse_asc(_read_file(args.file), args.file)
-    if contract is None:
-        _print_diags(diags, args.file)
-        raise CliError(2, f"'{args.file}' is not a valid contract")
-
-    facts = None
-    if args.facts:
-        facts, fact_diags = contractsmod.parse_facts(_read_file(args.facts), args.facts)
-        if has_errors(fact_diags):
-            _print_diags(fact_diags, args.facts)
-            raise CliError(2, f"'{args.facts}' is not a valid fact base")
-
-    try:
-        report = contractsmod.check_asc(
-            contract,
-            facts,
-            base_dir=Path(args.file).parent,
-            budget=_budget(args),
-        )
-    except (contractsmod.ContractCheckError, semantics.BudgetExceededError,
-            semantics.UnguardedRecursionError) as exc:
-        raise CliError(2, str(exc)) from exc
+    contract = _load(args.file, "contract", parse_asc)
+    facts = _load(args.facts, "fact base", contractsmod.parse_facts) if args.facts else None
+    report = contractsmod.check_asc(
+        contract,
+        facts,
+        base_dir=Path(args.file).parent,
+        budget=_budget(args),
+    )
 
     payload = {
         "command": "contract",
@@ -274,17 +269,9 @@ def _cmd_contract(args: argparse.Namespace) -> int:
 
 
 def _cmd_adl(args: argparse.Namespace) -> int:
-    config, diags = parse_adl(_read_file(args.file), args.file)
-    if config is None:
-        _print_diags(diags, args.file)
-        raise CliError(2, f"'{args.file}' is not a valid configuration")
-
+    config = _load(args.file, "configuration", parse_adl)
     base = Path(args.file).parent
-    sources = []
-    for use in config.uses:
-        spec, _ = _load_spec(str(base / use))
-        assert spec is not None
-        sources.append(spec)
+    sources = [_load_spec(str(base / use)) for use in config.uses]
 
     violations = adlmod.validate_config(config, sources)
     ok = not violations
@@ -399,6 +386,10 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"lotoskit: {exc.message}", file=sys.stderr)
         return exc.code
+    except (semantics.BudgetExceededError, semantics.UnguardedRecursionError,
+            contractsmod.ContractCheckError) as exc:
+        print(f"lotoskit: {exc}", file=sys.stderr)
+        return 2
     except RecursionError:
         print("lotoskit: input nested too deeply to process "
               "(Python recursion limit reached)", file=sys.stderr)

@@ -28,6 +28,8 @@ from .syntax.diagnostics import (
     error,
     has_errors,
 )
+from .syntax.parser import parse_spec
+from .syntax.validator import validate_spec
 from .verify import VerifyResult, check_deadlock
 
 # predicate name -> arity; the only predicates facts and queries may use
@@ -102,7 +104,7 @@ class FactBase:
 _FACT_LINE_COMMENT = "%"
 
 
-def parse_facts(text: str, filename: str = "<facts>") -> tuple[FactBase, list[Diagnostic]]:
+def parse_facts(text: str) -> tuple[FactBase, list[Diagnostic]]:
     """One fact per line, "predicate(arg, arg)." with an optional trailing
     dot; '%' starts a comment.  All problems are reported, not just the
     first."""
@@ -398,16 +400,13 @@ def check_asc(
 
 
 def _check_bc(bc: BcRef, base_dir: Path, budget: ExplorationBudget | None) -> VerifyResult:
-    from .syntax.parser import parse_spec
-    from .syntax.validator import validate_spec
-
     path = base_dir / bc.path
     try:
         text = path.read_text()
     except OSError as exc:
         raise ContractCheckError(f"cannot read behaviour '{bc.name}': {exc}") from exc
 
-    result = parse_spec(text, str(path))
+    result = parse_spec(text)
     if result.spec is None or has_errors(result.diagnostics):
         first = next(d for d in result.diagnostics if d.severity == "error")
         raise ContractCheckError(f"behaviour '{bc.name}' does not parse: {first}")

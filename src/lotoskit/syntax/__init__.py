@@ -6,7 +6,7 @@ adlparse submodules; importing them here would create an import cycle
 with the modules that define their target types.
 """
 from . import ast
-from .diagnostics import Diagnostic, Span, error, has_errors, warning
+from .diagnostics import Diagnostic, Span, error, has_errors
 from .parser import ParseResult, parse_behavior, parse_spec
 from .printer import pretty_behavior, pretty_spec
 from .validator import validate_spec
@@ -23,5 +23,4 @@ __all__ = [
     "pretty_behavior",
     "pretty_spec",
     "validate_spec",
-    "warning",
 ]

@@ -44,7 +44,7 @@ from .diagnostics import (
     error,
     has_errors,
 )
-from .lexer import EOF, IDENT, STRING, ParseFailure, TokenStream
+from .lexer import IDENT, ParseFailure, TokenStream, parse_or_bail
 
 
 _IC_SECTIONS = (
@@ -61,7 +61,7 @@ _IC_SECTIONS = (
 class _AscParser:
     def __init__(self, stream: TokenStream):
         self.ts = stream
-        self.diags: list[Diagnostic] = []
+        self.diagnostics: list[Diagnostic] = []
 
     # ------------------------------------------------------------------
 
@@ -69,42 +69,22 @@ class _AscParser:
         self.ts.expect_kw("component")
         name = self.ts.expect_ident("a contract name")
         self.ts.expect_kw("where")
-
-        assertion: str | None = None
-        sc: Query | None = None
-        ic: InterfaceContract | None = None
-        bc: BcRef | None = None
-        seen: set[str] = set()
-
-        while not self.ts.at_kw("end"):
-            tok = self.ts.peek()
-            if tok.kind == EOF:
-                raise ParseFailure(tok.span, "missing 'end'")
-            part = tok.text.lower()
-            if part in seen:
-                raise ParseFailure(tok.span, f"section '{part}' appears twice")
-
-            if self.ts.accept_kw("assert"):
-                assertion, _span = self.ts.raw_brace_block()
-            elif self.ts.accept_kw("sc"):
-                self.ts.expect_punct("{")
-                sc = self._query()
-                self.ts.expect_punct("}")
-            elif self.ts.accept_kw("ic"):
-                ic = self._interface()
-            elif self.ts.accept_kw("bc"):
-                bc = self._bc()
-            else:
-                raise ParseFailure(tok.span, f"expected a contract section, found '{tok.text}'")
-            seen.add(part)
-
-        self.ts.expect_kw("end")
-        tail = self.ts.peek()
-        if tail.kind != EOF:
-            raise ParseFailure(tail.span, f"unexpected '{tail.text}' after end")
-        return AscContract(name=name.text, assertion=assertion, sc=sc, ic=ic, bc=bc)
+        parts, _ = self.ts.sections("contract", {
+            "assert": lambda: self.ts.raw_brace_block()[0],
+            "sc": self._sc,
+            "ic": self._interface,
+            "bc": self._bc,
+        })
+        return AscContract(name.text, parts.get("assert"), parts.get("sc"),
+                           parts.get("ic"), parts.get("bc"))
 
     # ------------------------------------------------------------------
+
+    def _sc(self) -> Query:
+        self.ts.expect_punct("{")
+        sc = self._query()
+        self.ts.expect_punct("}")
+        return sc
 
     def _query(self) -> Query:
         variables: list[str] = []
@@ -115,7 +95,7 @@ class _AscParser:
         declared = set()
         for v in variables:
             if v in declared:
-                self.diags.append(
+                self.diagnostics.append(
                     error(f"variable '{v}' is declared twice", self.ts.peek().span, DUPLICATE_DEFINITION)
                 )
             declared.add(v)
@@ -127,7 +107,7 @@ class _AscParser:
         used = {t.name for a in atoms for t in a.args if isinstance(t, Var)}
         for v in variables:
             if v not in used:
-                self.diags.append(
+                self.diagnostics.append(
                     error(
                         f"variable '{v}' does not occur in the query",
                         self.ts.peek().span,
@@ -148,9 +128,9 @@ class _AscParser:
 
         arity = PREDICATES.get(pred.text)
         if arity is None:
-            self.diags.append(error(f"unknown predicate '{pred.text}'", pred.span, UNKNOWN_PREDICATE))
+            self.diagnostics.append(error(f"unknown predicate '{pred.text}'", pred.span, UNKNOWN_PREDICATE))
         elif arity != len(terms):
-            self.diags.append(
+            self.diagnostics.append(
                 error(f"'{pred.text}' takes {arity} argument(s), got {len(terms)}", pred.span, BAD_ARITY)
             )
         return Atom(pred.text, tuple(terms))
@@ -174,7 +154,7 @@ class _AscParser:
             section = tok.text.lower()
             self.ts.next()
             if section in parts:
-                self.diags.append(error(f"'{section}' appears twice", tok.span, MALFORMED_IC))
+                self.diagnostics.append(error(f"'{section}' appears twice", tok.span, MALFORMED_IC))
             self.ts.expect_punct("{")
             if section in ("processes", "external_in"):
                 parts[section] = self._name_list()
@@ -235,21 +215,12 @@ class _AscParser:
             return None
         name = self.ts.expect_ident("a behaviour name")
         self.ts.expect_kw("from")
-        tok = self.ts.peek()
-        if tok.kind != STRING:
-            raise ParseFailure(tok.span, f"expected a quoted file name, found '{tok.text}'")
-        self.ts.next()
-        return BcRef(name.text, tok.text)
+        return BcRef(name.text, self.ts.expect_file_name())
 
 
-def parse_asc(text: str, filename: str = "<contract>") -> tuple[AscContract | None, list[Diagnostic]]:
+def parse_asc(text: str) -> tuple[AscContract | None, list[Diagnostic]]:
     """Parse a contract file.  Returns (contract, diagnostics); the
     contract is None whenever the diagnostics contain an error."""
-    try:
-        parser = _AscParser(TokenStream(text))
-        contract = parser.contract()
-        if has_errors(parser.diags):
-            return None, parser.diags
-        return contract, parser.diags
-    except ParseFailure as exc:
-        return None, [error(exc.message, exc.span, exc.code)]
+    parser = _AscParser(TokenStream(text))
+    contract, diags = parse_or_bail(parser.contract, parser.diagnostics)
+    return (None if has_errors(diags) else contract), diags

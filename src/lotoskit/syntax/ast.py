@@ -1,10 +1,11 @@
 """Abstract syntax of the Basic LOTOS subset with finite-sort value offers.
 
 All nodes are frozen dataclasses.  Structural equality and hashing
-deliberately ignore the source span (`loc`): the state-space explorer
-uses behaviour trees as state identities, and two syntactically equal
-continuations reached through different source positions must collapse
-into one state.
+deliberately ignore the source span (`loc`), so that a tree equals its
+printed-and-parsed copy, and so that the explorer's interning table can
+key an action by its value: equal actions written at different source
+positions are one key.  Interned terms themselves are compared by
+identity.
 
 This module is also the one place that knows which fields of a node hold
 its behaviour children (``_CHILD_FIELDS``).  Traverse a tree with

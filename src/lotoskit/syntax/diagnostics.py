@@ -50,7 +50,7 @@ class Span(NamedTuple):
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str  # "error" | "warning"
+    severity: str  # "error", the one severity any check reports
     span: Span
     message: str
     code: str
@@ -61,10 +61,6 @@ class Diagnostic:
 
 def error(message: str, span: Span | None, code: str) -> Diagnostic:
     return Diagnostic("error", span or Span.point(1, 1), message, code)
-
-
-def warning(message: str, span: Span | None, code: str) -> Diagnostic:
-    return Diagnostic("warning", span or Span.point(1, 1), message, code)
 
 
 def has_errors(diagnostics: list[Diagnostic]) -> bool:

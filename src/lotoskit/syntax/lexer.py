@@ -11,13 +11,20 @@ counts only its own opener, so ``(*`` inside ``/* ... */`` is plain text.
 
 Tokens are matched by one compiled regular expression; a token's span is
 worked out from its offsets and the line starts, found once per text.
+
+What the parsers share beyond tokens lives here too: ``TokenStream`` checks
+the end of input and reads the keyword-led sections of .asc and .adl files,
+and ``parse_or_bail`` turns a bail-out into the one diagnostic a parser
+entry point returns.
 """
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections.abc import Callable
+from typing import TypeVar
 
-from .diagnostics import LEX_ERROR, NESTING_TOO_DEEP, SYNTAX_ERROR, Span
+from .diagnostics import LEX_ERROR, NESTING_TOO_DEEP, SYNTAX_ERROR, Diagnostic, Span, error
 
 IDENT = "ident"
 STRING = "string"
@@ -60,8 +67,8 @@ class Token:
 
 
 class ParseFailure(Exception):
-    """Bail-out of the lexer or a parser; each parser's entry point turns
-    it into one diagnostic with the failure's code."""
+    """Bail-out of the lexer or a parser; parse_or_bail turns it into one
+    diagnostic with the failure's code."""
 
     code = SYNTAX_ERROR
 
@@ -216,6 +223,12 @@ class TokenStream:
             raise ParseFailure(tok.span, f"expected {what}, found '{tok.text}'")
         return self.next()
 
+    def expect_file_name(self) -> str:
+        tok = self.peek()
+        if tok.kind != STRING:
+            raise ParseFailure(tok.span, f"expected a quoted file name, found '{tok.text}'")
+        return self.next().text
+
     def expect_idents(self, what: str) -> list[str]:
         """IDENT ("," IDENT)*: the texts of one or more comma-separated
         identifiers, each described as what in a diagnostic."""
@@ -224,8 +237,50 @@ class TokenStream:
             names.append(self.expect_ident(what).text)
         return names
 
+    def expect_eof(self, after: str) -> None:
+        """Nothing may follow the closing word after."""
+        tail = self.peek()
+        if tail.kind != EOF:
+            raise ParseFailure(tail.span, f"unexpected '{tail.text}' after {after}")
+
+    def sections(self, what: str, handlers: dict[str, Callable[[], object]],
+                 repeatable: frozenset[str] = frozenset()) -> tuple[dict[str, object], Token]:
+        """Sections led by a keyword of handlers, in any order, up to "end"
+        and the end of input; each appears at most once unless it is
+        repeatable.  Returns each section's last handler result, and the
+        "end" token."""
+        found: dict[str, object] = {}
+        while not self.at_kw("end"):
+            tok = self.peek()
+            if tok.kind == EOF:
+                raise ParseFailure(tok.span, "missing 'end'")
+            part = tok.text.lower()
+            if part in found and part not in repeatable:
+                raise ParseFailure(tok.span, f"section '{part}' appears twice")
+            handler = handlers.get(part) if tok.kind == IDENT else None
+            if handler is None:
+                raise ParseFailure(tok.span, f"expected a {what} section, found '{tok.text}'")
+            self.next()
+            found[part] = handler()
+        end = self.next()
+        self.expect_eof("end")
+        return found, end
+
     def raw_brace_block(self) -> tuple[str, Span]:
         if self._buffered is not None:
             # Lookahead already consumed part of the raw region; rewind.
             raise RuntimeError("raw_brace_block called with buffered lookahead")
         return self.lexer.raw_brace_block()
+
+
+Value = TypeVar("Value")
+
+
+def parse_or_bail(read: Callable[[], Value],
+                  diagnostics: list[Diagnostic]) -> tuple[Value | None, list[Diagnostic]]:
+    """read()'s value and the diagnostics a parser collected meanwhile,
+    or no value and the one diagnostic of a bail-out.  Never raises."""
+    try:
+        return read(), diagnostics
+    except ParseFailure as exc:
+        return None, [error(exc.message, exc.span, exc.code)]

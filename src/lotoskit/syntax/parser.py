@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 from . import ast
 from .diagnostics import Diagnostic, LIBRARY_NOT_SUPPORTED, error
-from .lexer import EOF, IDENT, PUNCT, NestingFailure, ParseFailure, Token, TokenStream
+from .lexer import EOF, IDENT, PUNCT, NestingFailure, ParseFailure, Token, TokenStream, parse_or_bail
 
 _FUNCTIONALITIES = ("noexit", "exit")
 
@@ -70,21 +70,19 @@ class _Parser:
     # ------------------------------------------------------------------
     # header pieces
 
-    def _gate_list(self, empty_brackets_ok: bool = True) -> tuple[tuple[str, ...], bool]:
-        """Parse an optional bracketed gate list; returns (gates, present).
+    def _gate_list(self, empty_brackets_ok: bool = True) -> tuple[str, ...]:
+        """Parse an optional bracketed gate list.
 
         In behaviour position "[]" is the choice operator, so instantiation
         sites pass empty_brackets_ok=False and "P [] Q" stays a choice.
         """
         if empty_brackets_ok and self.ts.accept_punct("[]"):
-            return (), True
-        if not self.ts.accept_punct("["):
-            return (), False
-        if self.ts.accept_punct("]"):
-            return (), True
+            return ()
+        if not self.ts.accept_punct("[") or self.ts.accept_punct("]"):
+            return ()
         names = self.ts.expect_idents("a gate name")
         self.ts.expect_punct("]")
-        return tuple(names), True
+        return tuple(names)
 
     def _functionality(self) -> str:
         tok = self.ts.peek()
@@ -157,7 +155,7 @@ class _Parser:
                 actions.append(self._finish_action(name))
                 self.ts.expect_punct(";")
             else:
-                gates, _ = self._gate_list(empty_brackets_ok=False)
+                gates = self._gate_list(empty_brackets_ok=False)
                 rest = ast.Inst(name.text, gates, loc=name.span)
                 break
         for action in reversed(actions):
@@ -217,7 +215,7 @@ class _Parser:
     def specification(self) -> ast.Specification:
         head = self.ts.expect_kw("specification")
         name = self.ts.expect_ident("a specification name")
-        gates, _ = self._gate_list()
+        gates = self._gate_list()
         self.ts.expect_punct(":")
         self._functionality()
         self.ts.expect_punct(":=")
@@ -255,9 +253,7 @@ class _Parser:
                 raise ParseFailure(tok.span, f"expected a process definition, found '{tok.text}'")
 
         self.ts.expect_kw("endspec")
-        tail = self.ts.peek()
-        if tail.kind != EOF:
-            raise ParseFailure(tail.span, f"unexpected '{tail.text}' after endspec")
+        self.ts.expect_eof("endspec")
 
         return ast.Specification(
             name=name.text,
@@ -271,7 +267,7 @@ class _Parser:
     def _process_def(self) -> ast.ProcessDef:
         head = self.ts.expect_kw("process")
         name = self.ts.expect_ident("a process name")
-        gates, _ = self._gate_list()
+        gates = self._gate_list()
         self.ts.expect_punct(":")
         func = self._functionality()
         self.ts.expect_punct(":=")
@@ -286,30 +282,22 @@ class _Parser:
 # entry points
 
 
-def parse_spec(text: str, filename: str = "<input>") -> ParseResult:
+def parse_spec(text: str) -> ParseResult:
     """Parse a full specification.  Never raises; errors become diagnostics."""
-    try:
-        parser = _Parser(TokenStream(text))
-        spec = parser.specification()
-        return ParseResult(spec, parser.diagnostics)
-    except ParseFailure as exc:
-        return ParseResult(None, [error(exc.message, exc.span, exc.code)])
+    parser = _Parser(TokenStream(text))
+    return ParseResult(*parse_or_bail(parser.specification, parser.diagnostics))
 
 
 def parse_behavior(
-    text: str,
-    filename: str = "<input>",
-    value_sorts: dict[str, str] | None = None,
+    text: str, value_sorts: dict[str, str] | None = None
 ) -> tuple[ast.Behavior | None, list[Diagnostic]]:
     """Parse a bare behaviour expression (used by tests and the ADL layer)."""
-    try:
-        parser = _Parser(TokenStream(text))
-        if value_sorts:
-            parser.value_sorts.update(value_sorts)
+    parser = _Parser(TokenStream(text))
+    parser.value_sorts.update(value_sorts or {})
+
+    def read() -> ast.Behavior:
         b = parser.behaviour()
-        tail = parser.ts.peek()
-        if tail.kind != EOF:
-            raise ParseFailure(tail.span, f"unexpected '{tail.text}' after behaviour")
-        return b, parser.diagnostics
-    except ParseFailure as exc:
-        return None, [error(exc.message, exc.span, exc.code)]
+        parser.ts.expect_eof("behaviour")
+        return b
+
+    return parse_or_bail(read, parser.diagnostics)

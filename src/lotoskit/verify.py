@@ -221,7 +221,7 @@ class Monitor:
         return state
 
 
-def parse_monitor(text: str, filename: str = "<monitor>") -> tuple[Monitor | None, list[Diagnostic]]:
+def parse_monitor(text: str) -> tuple[Monitor | None, list[Diagnostic]]:
     """Line format: "states a b ...", "initial a", "bad a ...",
     "trans src dst label-pattern"; '#' starts a comment."""
     states: list[str] = []

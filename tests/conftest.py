@@ -13,7 +13,7 @@ LOT_FILES = sorted(p.name for p in CORPUS.glob("*.lot"))
 def load_spec(name: str):
     """Parse and validate a corpus behaviour file; fails the test on any
     error so the corpus itself acts as a fixture sanity check."""
-    result = parse_spec((CORPUS / name).read_text(), name)
+    result = parse_spec((CORPUS / name).read_text())
     assert result.ok, [str(d) for d in result.diagnostics]
     problems = validate_spec(result.spec)
     assert not has_errors(problems), [str(d) for d in problems]

@@ -73,7 +73,7 @@ def test_parse_configuration():
 
 def test_parse_corpus_configurations(corpus_dir):
     for path in sorted(corpus_dir.glob("*.adl")):
-        config, diags = parse_adl(path.read_text(), path.name)
+        config, diags = parse_adl(path.read_text())
         assert config is not None, (path.name, [str(d) for d in diags])
 
 

@@ -412,6 +412,40 @@ def test_verify_accepts_aut_input(capsys, tmp_path):
     assert code == 2
 
 
+SMALL_AUT = 'des (0, 2, 3)\n(0, "a", 1)\n(1, "b", 2)\n'
+LONGER_AUT = 'des (0, 3, 4)\n(0, "a", 1)\n(1, "b", 2)\n(2, "c", 3)\n'
+
+
+def test_budget_bounds_aut_input(capsys, tmp_path):
+    small = tmp_path / "small.aut"
+    small.write_text(SMALL_AUT)
+    code, out, err = run(capsys, "verify", "deadlock", str(small),
+                         "--max-states", "1", "--max-transitions", "1")
+    assert (code, out) == (2, "")
+    assert err == f"lotoskit: '{small}' has 3 states, more than the state budget of 1\n"
+
+    code, out, err = run(capsys, "verify", "deadlock", str(small), "--max-transitions", "1")
+    assert (code, out) == (2, "")
+    assert err == f"lotoskit: '{small}' has 2 transitions, more than the transition budget of 1\n"
+
+    # a file exactly at its budget is read
+    code, out, _ = run(capsys, "verify", "deadlock", str(small),
+                       "--max-states", "3", "--max-transitions", "2")
+    assert code == 1 and "trace: a ; b" in out
+
+
+@pytest.mark.parametrize("over_budget", [0, 1], ids=["first", "second"])
+def test_bisim_with_an_aut_file_over_budget(capsys, tmp_path, over_budget):
+    small, longer = tmp_path / "small.aut", tmp_path / "longer.aut"
+    small.write_text(SMALL_AUT)
+    longer.write_text(LONGER_AUT)
+    files = [small, small]
+    files[over_budget] = longer
+    code, out, err = run(capsys, "verify", "bisim", *map(str, files), "--max-states", "3")
+    assert (code, out) == (2, "")
+    assert err == f"lotoskit: '{longer}' has 4 states, more than the state budget of 3\n"
+
+
 @pytest.mark.parametrize("label", ["", "   "], ids=["empty", "spaces"])
 def test_blank_aut_label_is_operational_error(capsys, tmp_path, label):
     blank = tmp_path / "blank.aut"

@@ -326,7 +326,7 @@ def test_lex_error_reported_as_diagnostic():
 
 def test_corpus_files_parse(corpus_dir):
     for path in sorted(corpus_dir.glob("*.lot")):
-        result = parse_spec(path.read_text(), path.name)
+        result = parse_spec(path.read_text())
         assert result.ok, (path.name, [str(d) for d in result.diagnostics])
 
 
@@ -405,8 +405,8 @@ def test_random_round_trip_with_offers():
 
 def test_corpus_specs_round_trip(corpus_dir):
     for path in sorted(corpus_dir.glob("*.lot")):
-        first = parse_spec(path.read_text(), path.name).spec
+        first = parse_spec(path.read_text()).spec
         text = pretty_spec(first)
-        second = parse_spec(text, path.name + "#printed").spec
+        second = parse_spec(text).spec
         assert second is not None
         assert second == first, path.name

@@ -26,7 +26,7 @@ def test_clean_spec_has_no_diagnostics():
 
 def test_clean_corpus(corpus_dir):
     for path in sorted(corpus_dir.glob("*.lot")):
-        result = parse_spec(path.read_text(), path.name)
+        result = parse_spec(path.read_text())
         assert validate_spec(result.spec) == [], path.name
 
 
