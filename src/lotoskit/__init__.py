@@ -2,7 +2,7 @@
 finite-sort value offers: parsing, state-space generation, property
 verification, design contracts, and architecture configurations."""
 
-from .adl import ArchConfig, ArchElement, ConfigDiagnostic, flatten, validate_config
+from .adl import ArchConfig, ArchElement, flatten, validate_config
 from .contracts import (
     AscContract,
     ContractCheckError,
@@ -59,7 +59,6 @@ __all__ = [
     "ArchElement",
     "AscContract",
     "BudgetExceededError",
-    "ConfigDiagnostic",
     "ContractCheckError",
     "ContractReport",
     "Diagnostic",

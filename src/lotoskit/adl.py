@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .syntax import ast
+from .syntax.diagnostics import Violation
 
 COMPONENT = "component"
 CONNECTOR = "connector"
@@ -49,68 +50,50 @@ class ArchConfig:
         return {e.name: e for e in reversed(self.elements)}
 
 
-@dataclass(frozen=True)
-class ConfigDiagnostic:
-    code: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"[{self.code}] {self.message}"
-
-
 # ----------------------------------------------------------------------
 # validation
 
 
-def validate_config(
-    config: ArchConfig, sources: list[ast.Specification]
-) -> list[ConfigDiagnostic]:
-    out: list[ConfigDiagnostic] = []
+def validate_config(config: ArchConfig, sources: list[ast.Specification]) -> list[Violation]:
+    out: list[Violation] = []
 
     processes: dict[str, ast.ProcessDef] = {}
     for spec in sources:
         for p in spec.processes:
             if p.name in processes:
-                out.append(
-                    ConfigDiagnostic(
-                        "duplicate-name",
-                        f"process '{p.name}' is defined by more than one source",
-                    )
-                )
+                out.append(Violation("duplicate-name", f"process '{p.name}' is defined by more than one source"))
             else:
                 processes[p.name] = p
 
     seen: set[str] = set()
     for e in config.elements:
         if e.name in seen:
-            out.append(
-                ConfigDiagnostic("duplicate-name", f"instance '{e.name}' is declared twice")
-            )
+            out.append(Violation("duplicate-name", f"instance '{e.name}' is declared twice"))
         seen.add(e.name)
 
     components = [e for e in config.elements if e.role == COMPONENT]
     if len(components) < 2:
         out.append(
-            ConfigDiagnostic(
+            Violation(
                 "too-few-components",
                 f"an architecture needs at least two components, found {len(components)}",
             )
         )
     if not any(e.role == CONNECTOR for e in config.elements):
-        out.append(ConfigDiagnostic("no-connector", "an architecture needs at least one connector"))
+        out.append(Violation("no-connector", "an architecture needs at least one connector"))
 
     for e in config.elements:
         target = processes.get(e.process)
         if target is None:
             out.append(
-                ConfigDiagnostic(
+                Violation(
                     "unresolved-element",
                     f"instance '{e.name}' binds process '{e.process}', which no source defines",
                 )
             )
         elif len(e.gates) != len(target.formal_gates):
             out.append(
-                ConfigDiagnostic(
+                Violation(
                     "gate-mismatch",
                     f"instance '{e.name}': process '{e.process}' takes "
                     f"{len(target.formal_gates)} gate(s), got {len(e.gates)}",
@@ -121,14 +104,14 @@ def validate_config(
         if isinstance(node, ast.Inst):
             if config.element(node.process) is None:
                 out.append(
-                    ConfigDiagnostic(
+                    Violation(
                         "unresolved-element",
                         f"composition instantiates '{node.process}', which is not a declared instance",
                     )
                 )
             elif node.gates:
                 out.append(
-                    ConfigDiagnostic(
+                    Violation(
                         "gate-mismatch",
                         f"instance '{node.process}' already carries its gates; "
                         "the composition must use the bare name",
@@ -139,7 +122,7 @@ def validate_config(
     return out
 
 
-def _coupling_violations(config: ArchConfig) -> list[ConfigDiagnostic]:
+def _coupling_violations(config: ArchConfig) -> list[Violation]:
     """Components on opposite sides of a synchronising parallel operator
     must not share a synchronised gate; only connectors mediate.
 
@@ -176,7 +159,7 @@ def _coupling_violations(config: ArchConfig) -> list[ConfigDiagnostic]:
         for g in set(e.gates):
             carriers.setdefault(g, []).append(k)
 
-    out: list[ConfigDiagnostic] = []
+    out: list[Violation] = []
     for node, lo, mid, hi in spans:
         smaller = range(lo, mid) if mid - lo <= hi - mid else range(mid, hi)
         gates = {g for k in smaller for g in comps[k].gates}
@@ -193,7 +176,7 @@ def _coupling_violations(config: ArchConfig) -> list[ConfigDiagnostic]:
             if node.kind is ast.ParKind.GATES:
                 shared &= node.gates
             out.append(
-                ConfigDiagnostic(
+                Violation(
                     "direct-component-coupling",
                     f"components '{comps[l].name}' and '{comps[r].name}' synchronise directly "
                     f"on gate '{min(shared)}'",

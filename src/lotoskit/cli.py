@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Callable
 from pathlib import Path
@@ -22,7 +23,7 @@ from typing import TypeVar
 from . import adl as adlmod
 from . import contracts as contractsmod
 from . import semantics, verify
-from .syntax import ast, has_errors, parse_spec, pretty_spec, validate_spec
+from .syntax import ast, parse_spec, pretty_spec, validate_spec
 from .syntax.adlparse import parse_adl
 from .syntax.asc import parse_asc
 from .syntax.diagnostics import Diagnostic
@@ -52,7 +53,7 @@ def _print_diags(diags: list[Diagnostic], path: str) -> None:
 
 def _diag_json(d: Diagnostic) -> dict:
     return {
-        "severity": d.severity,
+        "severity": "error",
         "line": d.span.line,
         "col": d.span.col,
         "code": d.code,
@@ -63,8 +64,15 @@ def _diag_json(d: Diagnostic) -> dict:
 def _read_file(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(2, f"cannot read '{path}': {exc}") from exc
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(2, f"cannot write '{path}': {exc}") from exc
 
 
 Value = TypeVar("Value")
@@ -74,19 +82,20 @@ def _load(path: str, kind: str, parse: Callable[[str], tuple[Value | None, list[
     """Read and parse a file; any error prints the diagnostics and aborts
     with exit code 2 (the caller needs a working value)."""
     value, diags = parse(_read_file(path))
-    if has_errors(diags):
+    if diags:
         _print_diags(diags, path)
         raise CliError(2, f"'{path}' is not a valid {kind}")
     return value
 
 
 def _checked_spec(text: str) -> tuple[ast.Specification | None, list[Diagnostic]]:
-    """Parse and validate a specification; no tree when there is an error."""
-    result = parse_spec(text)
-    diags = list(result.diagnostics)
-    if result.spec is not None:
-        diags.extend(validate_spec(result.spec))
-    return (None if has_errors(diags) else result.spec), diags
+    """Parse and validate a specification, with the readers' contract: a
+    tree exactly when there are no diagnostics."""
+    spec, diags = parse_spec(text)
+    if spec is None:
+        return None, diags
+    diags = validate_spec(spec)
+    return (None if diags else spec), diags
 
 
 def _load_spec(path: str) -> ast.Specification:
@@ -154,7 +163,7 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
 
 def _cmd_check(args: argparse.Namespace) -> int:
     spec, diags = _checked_spec(_read_file(args.file))
-    ok = not has_errors(diags)
+    ok = not diags
     if args.format == "json":
         payload = {
             "command": "check",
@@ -170,8 +179,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(f"{spec.name}: ok ({len(spec.processes)} process(es), "
                   f"{len(spec.sorts)} sort(s))")
         else:
-            errors = sum(1 for d in diags if d.severity == "error")
-            print(f"{args.file}: {errors} error(s)")
+            print(f"{args.file}: {len(diags)} error(s)")
     return 0 if ok else 1
 
 
@@ -181,7 +189,7 @@ def _cmd_lts(args: argparse.Namespace) -> int:
         lts = verify.minimize(lts)
     aut = verify.export_aut(lts)
     if args.output:
-        Path(args.output).write_text(aut)
+        _write_file(args.output, aut)
     payload = {
         "command": "lts",
         "ok": True,
@@ -280,11 +288,11 @@ def _cmd_adl(args: argparse.Namespace) -> int:
     if ok and args.flatten:
         flat = adlmod.flatten(config, sources)
         problems = validate_spec(flat)
-        if has_errors(problems):
+        if problems:
             # the composition's spans are positions in the configuration
             _print_diags(problems, args.file)
             raise CliError(2, "flattened specification is not valid")
-        Path(args.flatten).write_text(pretty_spec(flat))
+        _write_file(args.flatten, pretty_spec(flat))
         flattened_to = args.flatten
 
     payload = {
@@ -382,7 +390,14 @@ def _build_parser() -> _ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away; send what is still buffered to devnull, so
+        # that the flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except CliError as exc:
         print(f"lotoskit: {exc.message}", file=sys.stderr)
         return exc.code

@@ -25,9 +25,10 @@ from .syntax.diagnostics import (
     SYNTAX_ERROR,
     Span,
     UNKNOWN_PREDICATE,
+    Violation,
     error,
-    has_errors,
 )
+from .syntax.lexer import parse_or_bail
 from .syntax.parser import parse_spec
 from .syntax.validator import validate_spec
 from .verify import VerifyResult, check_deadlock
@@ -104,10 +105,10 @@ class FactBase:
 _FACT_LINE_COMMENT = "%"
 
 
-def parse_facts(text: str) -> tuple[FactBase, list[Diagnostic]]:
+def parse_facts(text: str) -> tuple[FactBase | None, list[Diagnostic]]:
     """One fact per line, "predicate(arg, arg)." with an optional trailing
     dot; '%' starts a comment.  All problems are reported, not just the
-    first."""
+    first, and then there is no fact base."""
     fb = FactBase()
     diags: list[Diagnostic] = []
     line_re = re.compile(
@@ -137,7 +138,7 @@ def parse_facts(text: str) -> tuple[FactBase, list[Diagnostic]]:
             )
             continue
         fb.add(Fact(pred, args))
-    return fb, diags
+    return parse_or_bail(lambda: fb, diags)
 
 
 # ----------------------------------------------------------------------
@@ -237,15 +238,6 @@ class InterfaceContract:
     out_msgs: tuple[tuple[str, str], ...] = ()
     external_in: tuple[str, ...] = ()
     flows: tuple[tuple[str, str, str], ...] = ()  # (message, out port, in port)
-
-
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"[{self.code}] {self.message}"
 
 
 def check_interface(ic: InterfaceContract) -> list[Violation]:
@@ -403,16 +395,14 @@ def _check_bc(bc: BcRef, base_dir: Path, budget: ExplorationBudget | None) -> Ve
     path = base_dir / bc.path
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ContractCheckError(f"cannot read behaviour '{bc.name}': {exc}") from exc
 
-    result = parse_spec(text)
-    if result.spec is None or has_errors(result.diagnostics):
-        first = next(d for d in result.diagnostics if d.severity == "error")
-        raise ContractCheckError(f"behaviour '{bc.name}' does not parse: {first}")
-    problems = validate_spec(result.spec)
-    if has_errors(problems):
-        first = next(d for d in problems if d.severity == "error")
-        raise ContractCheckError(f"behaviour '{bc.name}' is not valid: {first}")
+    spec, diags = parse_spec(text)
+    if diags:
+        raise ContractCheckError(f"behaviour '{bc.name}' does not parse: {diags[0]}")
+    problems = validate_spec(spec)
+    if problems:
+        raise ContractCheckError(f"behaviour '{bc.name}' is not valid: {problems[0]}")
 
-    return check_deadlock(generate_lts(result.spec, budget))
+    return check_deadlock(generate_lts(spec, budget))

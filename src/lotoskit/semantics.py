@@ -505,9 +505,6 @@ class Lts:
             return None
         return pretty_behavior(self.forms[state])
 
-    def labels(self) -> list[str]:
-        return list(self.label_text)
-
 
 def generate_lts(
     spec: ast.Specification,

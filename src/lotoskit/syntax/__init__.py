@@ -6,18 +6,16 @@ adlparse submodules; importing them here would create an import cycle
 with the modules that define their target types.
 """
 from . import ast
-from .diagnostics import Diagnostic, Span, error, has_errors
-from .parser import ParseResult, parse_behavior, parse_spec
+from .diagnostics import Diagnostic, Span, error
+from .parser import parse_behavior, parse_spec
 from .printer import pretty_behavior, pretty_spec
 from .validator import validate_spec
 
 __all__ = [
     "Diagnostic",
-    "ParseResult",
     "Span",
     "ast",
     "error",
-    "has_errors",
     "parse_behavior",
     "parse_spec",
     "pretty_behavior",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from ..adl import COMPONENT, CONNECTOR, ArchConfig, ArchElement
 from . import ast
-from .diagnostics import Diagnostic, has_errors
+from .diagnostics import Diagnostic
 from .lexer import IDENT, ParseFailure, TokenStream, parse_or_bail
 from .parser import _Parser
 
@@ -27,7 +27,6 @@ from .parser import _Parser
 class _AdlParser:
     def __init__(self, stream: TokenStream):
         self.ts = stream
-        self.diagnostics: list[Diagnostic] = []
 
     # ------------------------------------------------------------------
 
@@ -48,9 +47,7 @@ class _AdlParser:
 
     def _composition(self) -> ast.Behavior:
         self.ts.expect_punct("{")
-        inner = _Parser(self.ts)
-        composition = inner.behaviour()
-        self.diagnostics.extend(inner.diagnostics)
+        composition = _Parser(self.ts).behaviour()
         self.ts.expect_punct("}")
         return composition
 
@@ -74,7 +71,5 @@ class _AdlParser:
 
 def parse_adl(text: str) -> tuple[ArchConfig | None, list[Diagnostic]]:
     """Parse a configuration file.  Returns (config, diagnostics); the
-    config is None whenever an error is reported."""
-    parser = _AdlParser(TokenStream(text))
-    config, diags = parse_or_bail(parser.configuration, parser.diagnostics)
-    return (None if has_errors(diags) else config), diags
+    config is None exactly when there is a diagnostic."""
+    return parse_or_bail(_AdlParser(TokenStream(text)).configuration, [])

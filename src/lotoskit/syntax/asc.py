@@ -42,7 +42,6 @@ from .diagnostics import (
     UNKNOWN_PREDICATE,
     UNKNOWN_QUERY_VARIABLE,
     error,
-    has_errors,
 )
 from .lexer import IDENT, ParseFailure, TokenStream, parse_or_bail
 
@@ -220,7 +219,6 @@ class _AscParser:
 
 def parse_asc(text: str) -> tuple[AscContract | None, list[Diagnostic]]:
     """Parse a contract file.  Returns (contract, diagnostics); the
-    contract is None whenever the diagnostics contain an error."""
+    contract is None exactly when there is a diagnostic."""
     parser = _AscParser(TokenStream(text))
-    contract, diags = parse_or_bail(parser.contract, parser.diagnostics)
-    return (None if has_errors(diags) else contract), diags
+    return parse_or_bail(parser.contract, parser.diagnostics)

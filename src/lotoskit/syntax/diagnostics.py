@@ -4,6 +4,9 @@ A diagnostic never raises; parsers and validators collect them and hand
 the list back to the caller.  Every diagnostic carries a source span
 (1-based line/column, end exclusive) and a stable machine-readable code
 so tests and tools can match on it without parsing message text.
+
+A violation is what a rule check over a well-formed input finds (a
+contract's interface, a configuration): a code and a message, no span.
 """
 from __future__ import annotations
 
@@ -50,18 +53,27 @@ class Span(NamedTuple):
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str  # "error", the one severity any check reports
+    """An error found in an input text; every reader and check reports
+    errors only, so a reader's value is None exactly when it reports any."""
+
     span: Span
     message: str
     code: str
 
     def __str__(self) -> str:
-        return f"{self.span}: {self.severity}[{self.code}]: {self.message}"
+        return f"{self.span}: error[{self.code}]: {self.message}"
 
 
 def error(message: str, span: Span | None, code: str) -> Diagnostic:
-    return Diagnostic("error", span or Span.point(1, 1), message, code)
+    return Diagnostic(span or Span.point(1, 1), message, code)
 
 
-def has_errors(diagnostics: list[Diagnostic]) -> bool:
-    return any(d.severity == "error" for d in diagnostics)
+@dataclass(frozen=True)
+class Violation:
+    """A rule a contract's interface or a configuration breaks."""
+
+    code: str
+    message: str
+
+    def __str__(self) -> str:
+        return f"[{self.code}] {self.message}"

@@ -14,8 +14,8 @@ worked out from its offsets and the line starts, found once per text.
 
 What the parsers share beyond tokens lives here too: ``TokenStream`` checks
 the end of input and reads the keyword-led sections of .asc and .adl files,
-and ``parse_or_bail`` turns a bail-out into the one diagnostic a parser
-entry point returns.
+and ``parse_or_bail`` gives every reader its one contract: a value exactly
+when there are no diagnostics, and a bail-out as one diagnostic.
 """
 from __future__ import annotations
 
@@ -278,9 +278,12 @@ Value = TypeVar("Value")
 
 def parse_or_bail(read: Callable[[], Value],
                   diagnostics: list[Diagnostic]) -> tuple[Value | None, list[Diagnostic]]:
-    """read()'s value and the diagnostics a parser collected meanwhile,
-    or no value and the one diagnostic of a bail-out.  Never raises."""
+    """The one contract of every reader: a value exactly when there are no
+    diagnostics.  read()'s value when it added nothing to diagnostics;
+    else no value and what it added, or the one diagnostic of a bail-out.
+    Never raises."""
     try:
-        return read(), diagnostics
+        value = read()
     except ParseFailure as exc:
         return None, [error(exc.message, exc.span, exc.code)]
+    return (None if diagnostics else value), diagnostics

@@ -3,8 +3,7 @@
 Grammar (keywords case-insensitive, identifiers case-sensitive)::
 
     spec        ::= "specification" IDENT gates ":" func ":="
-                    library? sorts? "behaviour" behaviour where? "endspec"
-    library     ::= "library" IDENT ("," IDENT)* "endlib"
+                    sorts? "behaviour" behaviour where? "endspec"
     sorts       ::= "sorts" sortdecl+
     sortdecl    ::= IDENT "=" "{" IDENT ("," IDENT)* "}"
     where       ::= "where" procdef+
@@ -36,34 +35,27 @@ next token decides: "!", "?" or ";" continue an action, anything else is
 an instantiation.  Send offers "!v" are resolved against the declared sort
 values at parse time; unknown names become variable references and are
 checked later by the validator.
+
+A LOTOS "library" clause after ":=" is rejected at its keyword, like any
+other shape the parser does not read, but with its own code
+(library-not-supported): finite sorts stand in for data types.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import ast
-from .diagnostics import Diagnostic, LIBRARY_NOT_SUPPORTED, error
-from .lexer import EOF, IDENT, PUNCT, NestingFailure, ParseFailure, Token, TokenStream, parse_or_bail
+from .diagnostics import Diagnostic, LIBRARY_NOT_SUPPORTED
+from .lexer import IDENT, PUNCT, NestingFailure, ParseFailure, Token, TokenStream, parse_or_bail
 
 _FUNCTIONALITIES = ("noexit", "exit")
 
 
-@dataclass
-class ParseResult:
-    """Outcome of a parse: a tree when successful, plus any diagnostics."""
-
-    spec: ast.Specification | None
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.spec is not None
+class LibraryFailure(ParseFailure):
+    code = LIBRARY_NOT_SUPPORTED
 
 
 class _Parser:
     def __init__(self, stream: TokenStream):
         self.ts = stream
-        self.diagnostics: list[Diagnostic] = []
         # value name -> sort name, from the sorts section; guides offer parsing
         self.value_sorts: dict[str, str] = {}
 
@@ -221,19 +213,8 @@ class _Parser:
         self.ts.expect_punct(":=")
 
         if self.ts.at_kw("library"):
-            lib = self.ts.next()
-            self.diagnostics.append(
-                error(
-                    "library sections are not supported; declare finite sorts instead",
-                    lib.span,
-                    LIBRARY_NOT_SUPPORTED,
-                )
-            )
-            while not self.ts.at_kw("endlib"):
-                if self.ts.peek().kind == EOF:
-                    raise ParseFailure(lib.span, "unterminated library section")
-                self.ts.next()
-            self.ts.next()
+            raise LibraryFailure(self.ts.peek().span,
+                                 "library sections are not supported; declare finite sorts instead")
 
         sorts: list[ast.SortDecl] = []
         if self.ts.accept_kw("sorts"):
@@ -282,16 +263,18 @@ class _Parser:
 # entry points
 
 
-def parse_spec(text: str) -> ParseResult:
-    """Parse a full specification.  Never raises; errors become diagnostics."""
-    parser = _Parser(TokenStream(text))
-    return ParseResult(*parse_or_bail(parser.specification, parser.diagnostics))
+def parse_spec(text: str) -> tuple[ast.Specification | None, list[Diagnostic]]:
+    """Parse a full specification.  Returns (spec, diagnostics); the spec
+    is None exactly when there is a diagnostic.  Never raises."""
+    return parse_or_bail(_Parser(TokenStream(text)).specification, [])
 
 
 def parse_behavior(
     text: str, value_sorts: dict[str, str] | None = None
 ) -> tuple[ast.Behavior | None, list[Diagnostic]]:
-    """Parse a bare behaviour expression (used by tests and the ADL layer)."""
+    """Parse a bare behaviour expression, reading the names in value_sorts
+    as values of their sorts.  Returns (behaviour, diagnostics) like
+    parse_spec."""
     parser = _Parser(TokenStream(text))
     parser.value_sorts.update(value_sorts or {})
 
@@ -300,4 +283,4 @@ def parse_behavior(
         parser.ts.expect_eof("behaviour")
         return b
 
-    return parse_or_bail(read, parser.diagnostics)
+    return parse_or_bail(read, [])

@@ -6,12 +6,12 @@ left/right pair.  Quadratic in the depth of a composition, but obviously
 what the rule says."""
 from __future__ import annotations
 
-from lotoskit.adl import COMPONENT, ArchConfig, ArchElement, ConfigDiagnostic
+from lotoskit.adl import COMPONENT, ArchConfig, ArchElement, Violation
 from lotoskit.syntax import ast
 
 
-def coupling_violations(config: ArchConfig) -> list[ConfigDiagnostic]:
-    out: list[ConfigDiagnostic] = []
+def coupling_violations(config: ArchConfig) -> list[Violation]:
+    out: list[Violation] = []
 
     def components(b: ast.Behavior) -> list[ArchElement]:
         found = (config.element(n.process) for n in ast.walk(b) if isinstance(n, ast.Inst))
@@ -28,7 +28,7 @@ def coupling_violations(config: ArchConfig) -> list[ConfigDiagnostic]:
                     shared &= node.gates
                 if shared:
                     out.append(
-                        ConfigDiagnostic(
+                        Violation(
                             "direct-component-coupling",
                             f"components '{l.name}' and '{r.name}' synchronise directly "
                             f"on gate '{sorted(shared)[0]}'",

@@ -3,7 +3,6 @@ from pathlib import Path
 import pytest
 
 from lotoskit import generate_lts, parse_spec, validate_spec
-from lotoskit.syntax import has_errors
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -13,11 +12,11 @@ LOT_FILES = sorted(p.name for p in CORPUS.glob("*.lot"))
 def load_spec(name: str):
     """Parse and validate a corpus behaviour file; fails the test on any
     error so the corpus itself acts as a fixture sanity check."""
-    result = parse_spec((CORPUS / name).read_text())
-    assert result.ok, [str(d) for d in result.diagnostics]
-    problems = validate_spec(result.spec)
-    assert not has_errors(problems), [str(d) for d in problems]
-    return result.spec
+    spec, diags = parse_spec((CORPUS / name).read_text())
+    assert spec is not None, [str(d) for d in diags]
+    problems = validate_spec(spec)
+    assert not problems, [str(d) for d in problems]
+    return spec
 
 
 @pytest.fixture(scope="session")

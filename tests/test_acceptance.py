@@ -261,7 +261,7 @@ def test_criterion_7_determinism_and_shortest_traces(verdict):
             ok = False
         if want is not None and got.trace is not None and len(got.trace) != want:
             ok = False
-        for label in lts.labels():
+        for label in lts.label_text:
             pattern = parse_label_pattern(label)
             reach = check_reachable(lts, pattern)
             want_len = shortest_match(lts, pattern)

@@ -13,13 +13,13 @@ from lotoskit import (
     validate_spec,
 )
 from lotoskit.adl import COMPONENT, CONNECTOR, ArchConfig, ArchElement, _coupling_violations
-from lotoskit.syntax import ast, has_errors, parse_behavior
+from lotoskit.syntax import ast, parse_behavior
 
 
 def spec_of(text):
-    result = parse_spec(text)
-    assert result.ok, [str(d) for d in result.diagnostics]
-    return result.spec
+    spec, diags = parse_spec(text)
+    assert spec is not None, [str(d) for d in diags]
+    return spec
 
 
 PROCS = spec_of("""
@@ -87,7 +87,7 @@ def test_composition_required():
         "composition {\n    ( left ||| right ) |[la, lb, ra, rb]| mid\n  }", ""
     )
     config, diags = parse_adl(text)
-    assert config is None and has_errors(diags)
+    assert config is None and diags
 
 
 def test_parse_error_has_location():
@@ -312,11 +312,11 @@ def test_flatten_merges_sources_first_wins():
 
 def test_flattened_spec_is_valid_and_explorable():
     flat = flatten(config_of(GOOD), [PROCS])
-    assert not has_errors(validate_spec(flat))
+    assert not validate_spec(flat)
     lts = generate_lts(flat)
     assert lts.num_states > 0
     # and it survives a print/parse cycle
-    again = parse_spec(pretty_spec(flat)).spec
+    again, _ = parse_spec(pretty_spec(flat))
     assert again == flat
 
 

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,10 +61,73 @@ def test_check_json_carries_diagnostics(capsys, tmp_path):
     assert payload["diagnostics"][0]["line"] == 1
 
 
-def test_unreadable_file_is_operational_error(capsys):
-    code, _, err = run(capsys, "check", "no/such/file.lot")
-    assert code == 2
-    assert "cannot read" in err
+def test_library_clause_file_is_rejected(capsys, tmp_path):
+    # the behaviour names an unknown gate too; nothing past the clause is checked
+    path = tmp_path / "lib.lot"
+    path.write_text("specification S [g] : noexit :=\n  library NaturalNumber endlib\n  behaviour q; stop\nendspec\n")
+    message = "library sections are not supported; declare finite sorts instead"
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 1
+    assert err == f"{path}:2:3: error[library-not-supported]: {message}\n"
+    assert out == f"{path}: 1 error(s)\n"
+    code, out, _ = run(capsys, "check", str(path), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["diagnostics"] == [{
+        "severity": "error", "line": 2, "col": 3,
+        "code": "library-not-supported", "message": message,
+    }]
+    code, out, err = run(capsys, "lts", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"lotoskit: '{path}' is not a valid specification"
+
+
+def test_unreadable_file_is_operational_error(capsys, tmp_path):
+    undecodable = tmp_path / "bad.lot"
+    undecodable.write_bytes(b"specification S \xff")
+    undecodable_aut = tmp_path / "bad.aut"
+    undecodable_aut.write_bytes(b"des (0, 0, 1)\n\xff")
+    contract = tmp_path / "bad_bc.asc"
+    contract.write_text('component C where\n  bc B from "bad.lot"\nend\n')
+    for argv in (
+        ["check", "no/such/file.lot"],
+        ["check", str(undecodable)],
+        ["verify", "deadlock", str(undecodable_aut)],
+        ["contract", corpus("observer.asc"), "--facts", str(undecodable)],
+        ["contract", str(contract)],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "cannot read" in err, argv
+
+
+def test_unwritable_output_is_operational_error(capsys, tmp_path):
+    for argv in (
+        ["lts", corpus("client_server.lot"), "-o", str(tmp_path / "no" / "out.aut")],
+        ["lts", corpus("client_server.lot"), "-o", str(tmp_path)],
+        ["adl", corpus("client_server.adl"), "--flatten", str(tmp_path)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"lotoskit: cannot write '{argv[-1]}': "), argv
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # one output that fits the stdout buffer, so that the pipe breaks at
+    # the last flush, and one that does not, so that it breaks mid-print
+    chain = tmp_path / "chain.lot"
+    chain.write_text("specification S [a] : noexit := behaviour " + "a; " * 2000 + "stop endspec\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for path in (corpus("client_server.lot"), str(chain)):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "lotoskit.cli", "lts", path], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2, path
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr, proc.stderr
 
 
 # ----------------------------------------------------------------------

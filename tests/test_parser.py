@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from behavior_gen import GATES, SORT, gen_behavior
-from lotoskit.syntax import ast, has_errors, parse_behavior, parse_spec, pretty_behavior, pretty_spec
+from lotoskit.syntax import ast, parse_behavior, parse_spec, pretty_behavior, pretty_spec
 from lotoskit.syntax.adlparse import parse_adl
 from lotoskit.syntax.asc import parse_asc
 from lotoskit.syntax.diagnostics import NESTING_TOO_DEEP
@@ -84,7 +84,7 @@ def test_lexer_hyphenated_identifier():
 
 def parse_ok(text, value_sorts=None):
     b, diags = parse_behavior(text, value_sorts=value_sorts)
-    assert b is not None and not has_errors(diags), [str(d) for d in diags]
+    assert b is not None and not diags, [str(d) for d in diags]
     return b
 
 
@@ -169,12 +169,12 @@ def test_receive_offer():
 
 def test_trailing_garbage_is_an_error():
     b, diags = parse_behavior("a; stop stop")
-    assert b is None and has_errors(diags)
+    assert b is None and diags
 
 
 def test_missing_semicolon_after_offers():
     b, diags = parse_behavior("g !x stop")
-    assert b is None and has_errors(diags)
+    assert b is None and diags
     assert any("';'" in d.message for d in diags)
 
 
@@ -183,11 +183,11 @@ def test_long_prefix_chain_parses_at_default_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        result = parse_spec(text)
+        spec, diags = parse_spec(text)
     finally:
         sys.setrecursionlimit(limit)
-    assert result.ok and result.diagnostics == []
-    b, depth = result.spec.top_behavior, 0
+    assert spec is not None and diags == []
+    b, depth = spec.top_behavior, 0
     while isinstance(b, ast.Prefix):
         assert b.action.gate == "a" and b.loc.col == b.action.loc.col
         b, depth = b.rest, depth + 1
@@ -201,12 +201,12 @@ def _parse_nested(depth, opener, closer):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        result = parse_spec(f"specification S [g] : noexit := behaviour {body} endspec")
+        spec = parse_spec(f"specification S [g] : noexit := behaviour {body} endspec")
         behaviour = parse_behavior(body)
         config = parse_adl(f"configuration C composition {{ {body} }} end")
     finally:
         sys.setrecursionlimit(limit)
-    return [("spec", result.spec, result.diagnostics), ("behaviour", *behaviour), ("adl", *config)]
+    return [("spec", *spec), ("behaviour", *behaviour), ("adl", *config)]
 
 
 @pytest.mark.parametrize("opener, closer", [("(", ")"), ("hide g in ", "")])
@@ -242,22 +242,21 @@ endspec
 
 
 def test_minimal_specification():
-    result = parse_spec(MINIMAL)
-    assert result.ok
-    spec = result.spec
+    spec, _ = parse_spec(MINIMAL)
+    assert spec is not None
     assert spec.name == "S"
     assert spec.top_gates == ("g",)
     assert spec.sorts == () and spec.processes == ()
 
 
 def test_spelling_behavior_also_accepted():
-    result = parse_spec(MINIMAL.replace("behaviour", "behavior"))
-    assert result.ok
+    spec, _ = parse_spec(MINIMAL.replace("behaviour", "behavior"))
+    assert spec is not None
 
 
 def test_keywords_are_case_insensitive():
     text = MINIMAL.replace("specification", "SPECIFICATION").replace("endspec", "EndSpec")
-    assert parse_spec(text).ok
+    assert parse_spec(text)[0] is not None
 
 
 def test_sorts_and_processes():
@@ -273,9 +272,8 @@ def test_sorts_and_processes():
         endproc
     endspec
     """
-    result = parse_spec(text)
-    assert result.ok
-    spec = result.spec
+    spec, _ = parse_spec(text)
+    assert spec is not None
     assert spec.sorts == (ast.SortDecl("V", ("v1", "v2")),)
     assert spec.processes[0].name == "P"
     assert spec.processes[0].formal_gates == ("h",)
@@ -289,45 +287,45 @@ def test_endprocess_accepted():
         "endspec",
         "where process P [h] : noexit := h; stop endprocess endspec",
     )
-    assert parse_spec(text).ok
+    assert parse_spec(text)[0] is not None
 
 
-def test_library_clause_is_flagged_and_skipped():
+def test_library_clause_is_rejected():
     text = MINIMAL.replace("behaviour", "library Standard endlib\n  behaviour")
-    result = parse_spec(text)
-    assert result.spec is not None
-    assert any(d.code == "library-not-supported" for d in result.diagnostics)
+    spec, diags = parse_spec(text)
+    assert spec is None
+    assert [d.code for d in diags] == ["library-not-supported"]
 
 
 def test_missing_endspec():
-    result = parse_spec(MINIMAL.replace("endspec", ""))
-    assert not result.ok
-    assert any(d.code == "syntax-error" for d in result.diagnostics)
+    spec, diags = parse_spec(MINIMAL.replace("endspec", ""))
+    assert spec is None
+    assert any(d.code == "syntax-error" for d in diags)
 
 
 def test_garbage_after_endspec():
-    result = parse_spec(MINIMAL + "leftover")
-    assert not result.ok
+    spec, _ = parse_spec(MINIMAL + "leftover")
+    assert spec is None
 
 
 def test_error_spans_point_at_the_problem():
-    result = parse_spec("specification S [g] : wrong :=\n  behaviour stop\nendspec")
-    assert not result.ok
-    d = result.diagnostics[0]
+    spec, diags = parse_spec("specification S [g] : wrong :=\n  behaviour stop\nendspec")
+    assert spec is None
+    d = diags[0]
     assert d.span.line == 1
     assert "noexit" in d.message
 
 
 def test_lex_error_reported_as_diagnostic():
-    result = parse_spec("specification S [g] : noexit := behaviour $ endspec")
-    assert not result.ok
-    assert result.diagnostics[0].code == "lex-error"
+    spec, diags = parse_spec("specification S [g] : noexit := behaviour $ endspec")
+    assert spec is None
+    assert diags[0].code == "lex-error"
 
 
 def test_corpus_files_parse(corpus_dir):
     for path in sorted(corpus_dir.glob("*.lot")):
-        result = parse_spec(path.read_text())
-        assert result.ok, (path.name, [str(d) for d in result.diagnostics])
+        spec, diags = parse_spec(path.read_text())
+        assert spec is not None, (path.name, [str(d) for d in diags])
 
 
 # ----------------------------------------------------------------------
@@ -405,8 +403,8 @@ def test_random_round_trip_with_offers():
 
 def test_corpus_specs_round_trip(corpus_dir):
     for path in sorted(corpus_dir.glob("*.lot")):
-        first = parse_spec(path.read_text()).spec
+        first, _ = parse_spec(path.read_text())
         text = pretty_spec(first)
-        second = parse_spec(text).spec
+        second, _ = parse_spec(text)
         assert second is not None
         assert second == first, path.name

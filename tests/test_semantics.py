@@ -203,9 +203,9 @@ def test_unbound_send_raises():
 
 
 def spec_of(text):
-    result = parse_spec(text)
-    assert result.ok, [str(d) for d in result.diagnostics]
-    return result.spec
+    spec, diags = parse_spec(text)
+    assert spec is not None, [str(d) for d in diags]
+    return spec
 
 
 RECURSIVE = spec_of("""
@@ -513,11 +513,11 @@ def test_source_locations_do_not_split_states():
 def test_strip_hiding_reveals_gates(multicast):
     hidden = generate_lts(multicast)
     revealed = generate_lts(strip_hiding(multicast))
-    assert not any(label.startswith("inv") for label in hidden.labels() if label != "invClt !op1")
-    assert any(label.startswith("inv !") for label in revealed.labels())
-    assert any(label.startswith("ter !") for label in revealed.labels())
+    assert not any(label.startswith("inv") for label in hidden.label_text if label != "invClt !op1")
+    assert any(label.startswith("inv !") for label in revealed.label_text)
+    assert any(label.startswith("ter !") for label in revealed.label_text)
     # the internal step the enable operator introduces is untouched
-    assert "i" in revealed.labels() and "i" in hidden.labels()
+    assert "i" in revealed.label_text and "i" in hidden.label_text
 
 
 # ----------------------------------------------------------------------

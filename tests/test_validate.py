@@ -1,10 +1,10 @@
-from lotoskit.syntax import has_errors, parse_spec, validate_spec
+from lotoskit.syntax import parse_spec, validate_spec
 
 
 def check(text):
-    result = parse_spec(text)
-    assert result.ok, [str(d) for d in result.diagnostics]
-    return validate_spec(result.spec)
+    spec, diags = parse_spec(text)
+    assert spec is not None, [str(d) for d in diags]
+    return validate_spec(spec)
 
 
 def codes(diags):
@@ -26,8 +26,8 @@ def test_clean_spec_has_no_diagnostics():
 
 def test_clean_corpus(corpus_dir):
     for path in sorted(corpus_dir.glob("*.lot")):
-        result = parse_spec(path.read_text())
-        assert validate_spec(result.spec) == [], path.name
+        spec, _ = parse_spec(path.read_text())
+        assert validate_spec(spec) == [], path.name
 
 
 def test_duplicate_sort():
