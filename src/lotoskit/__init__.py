@@ -19,6 +19,7 @@ from .contracts import (
 )
 from .semantics import (
     BudgetExceededError,
+    Exploration,
     ExplorationBudget,
     Lts,
     UnguardedRecursionError,
@@ -62,6 +63,7 @@ __all__ = [
     "ContractCheckError",
     "ContractReport",
     "Diagnostic",
+    "Exploration",
     "ExplorationBudget",
     "Fact",
     "FactBase",

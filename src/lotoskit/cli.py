@@ -108,28 +108,44 @@ def _budget(args: argparse.Namespace) -> semantics.ExplorationBudget:
     )
 
 
-def _generate(spec: ast.Specification, args: argparse.Namespace) -> semantics.Lts:
-    if getattr(args, "no_hide", False):
-        spec = semantics.strip_hiding(spec)
-    return semantics.generate_lts(spec, _budget(args))
+def _spec(path: str, args: argparse.Namespace) -> ast.Specification:
+    """The specification of a behaviour file, its hiding removed under
+    --no-hide."""
+    spec = _load_spec(path)
+    return semantics.strip_hiding(spec) if getattr(args, "no_hide", False) else spec
+
+
+def _read_lts(path: str, args: argparse.Namespace) -> semantics.Lts:
+    """An .aut file, held to the exploration budget by its header before
+    any row is built."""
+    text = _read_file(path)
+    budget = _budget(args)
+    try:
+        _, transitions, states = verify.aut_header(text)
+        for kind, size, limit in (("state", states, budget.max_states),
+                                  ("transition", transitions, budget.max_transitions)):
+            if size > limit:
+                raise CliError(2, f"'{path}' has {size} {kind}s, more than the {kind} "
+                                  f"budget of {limit}")
+        return verify.read_aut(text)
+    except ValueError as exc:
+        raise CliError(2, f"'{path}': {exc}") from exc
 
 
 def _load_lts(path: str, args: argparse.Namespace) -> semantics.Lts:
     """A transition system from either a behaviour file or an .aut file;
     the exploration budget bounds both."""
-    if not path.endswith(".aut"):
-        return _generate(_load_spec(path), args)
-    try:
-        lts = verify.read_aut(_read_file(path))
-    except ValueError as exc:
-        raise CliError(2, f"'{path}': {exc}") from exc
-    budget = _budget(args)
-    for kind, size, limit in (("state", lts.num_states, budget.max_states),
-                              ("transition", lts.num_transitions, budget.max_transitions)):
-        if size > limit:
-            raise CliError(2, f"'{path}' has {size} {kind}s, more than the {kind} "
-                              f"budget of {limit}")
-    return lts
+    if path.endswith(".aut"):
+        return _read_lts(path, args)
+    return semantics.generate_lts(_spec(path, args), _budget(args))
+
+
+def _system(path: str, args: argparse.Namespace) -> semantics.Lts | semantics.Exploration:
+    """The system deadlock, reach and safety search: an .aut file, or a
+    behaviour file explored only as far as the search reads it."""
+    if path.endswith(".aut"):
+        return _read_lts(path, args)
+    return semantics.Exploration(_spec(path, args), _budget(args))
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
@@ -184,7 +200,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_lts(args: argparse.Namespace) -> int:
-    lts = _generate(_load_spec(args.file), args)
+    lts = semantics.generate_lts(_spec(args.file, args), _budget(args))
     if args.minimize:
         lts = verify.minimize(lts)
     aut = verify.export_aut(lts)
@@ -224,7 +240,7 @@ def _verify_result(args: argparse.Namespace, name: str, result: verify.VerifyRes
 
 
 def _cmd_verify_deadlock(args: argparse.Namespace) -> int:
-    return _verify_result(args, "deadlock", verify.check_deadlock(_load_lts(args.file, args)))
+    return _verify_result(args, "deadlock", verify.check_deadlock(_system(args.file, args)))
 
 
 def _cmd_verify_reach(args: argparse.Namespace) -> int:
@@ -232,12 +248,12 @@ def _cmd_verify_reach(args: argparse.Namespace) -> int:
         pattern = verify.parse_label_pattern(args.pattern)
     except ValueError as exc:
         raise CliError(3, f"bad pattern: {exc}") from exc
-    return _verify_result(args, "reach", verify.check_reachable(_load_lts(args.file, args), pattern))
+    return _verify_result(args, "reach", verify.check_reachable(_system(args.file, args), pattern))
 
 
 def _cmd_verify_safety(args: argparse.Namespace) -> int:
     monitor = _load(args.monitor, "monitor", verify.parse_monitor)
-    return _verify_result(args, "safety", verify.check_safety(_load_lts(args.file, args), monitor))
+    return _verify_result(args, "safety", verify.check_safety(_system(args.file, args), monitor))
 
 
 def _cmd_verify_bisim(args: argparse.Namespace) -> int:

@@ -1,10 +1,11 @@
 """Operational semantics: single steps and exhaustive state-space generation.
 
-A state is a closed behaviour term without source locations.
-``generate_lts`` builds every term through a hash-consing table that
-lives for that one call.  A tree from the specification enters it by one
-walk over an explicit stack, which drops the source locations and at the
-same time puts actual gates for formals (unfolding an instantiation) or
+A state is a closed behaviour term without source locations.  An
+``Exploration`` (which ``generate_lts`` runs to the end) builds every
+term through a hash-consing table that lives as long as it does.  A
+tree from the specification enters it by one walk over an explicit
+stack, which drops the source locations and at the same time puts
+actual gates for formals (unfolding an instantiation) or
 received values for variables (firing an action).  Inside the table each
 distinct term exists once, so equality is identity and a term's ``id``
 is its hash; each term's printed form, which breaks ties in the
@@ -38,6 +39,7 @@ continuation, and that discharges a disrupting branch.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from .syntax import ast
@@ -163,8 +165,8 @@ def successors(
     """All single steps from a closed behaviour, in a deterministic order,
     as (label text, successor) pairs: "i", "exit" or "g !v1 !v2".
 
-    ``generate_lts`` passes the term table of its exploration, into which
-    b is interned; without one, b is interned into a fresh table."""
+    An exploration passes its term table, into which b is interned;
+    without one, b is interned into a fresh table."""
     if terms is None:
         terms = _Terms(spec)
         b = terms.intern(b)
@@ -489,6 +491,11 @@ class Lts:
     def num_states(self) -> int:
         return len(self.out)
 
+    def row(self, state: int) -> list[tuple[int, int]]:
+        """The moves of state, out[state]: an Lts has every row built,
+        an Exploration builds them as they are asked for."""
+        return self.out[state]
+
     @property
     def num_transitions(self) -> int:
         return sum(map(len, self.out))
@@ -506,63 +513,116 @@ class Lts:
         return pretty_behavior(self.forms[state])
 
 
+class Exploration:
+    """The breadth-first exploration of a specification, one state at a
+    time.  States are numbered in discovery order and expanded in that
+    order, so once row(s) has built the row of state s, out[0..s] are the
+    first rows of generate_lts's table: the same numbering, the same
+    transition order and the same forms.  Only the label ids differ:
+    label_text lists the labels as first met, not in text order.
+
+    The checks of verify call ``row`` for a state whose row is not in
+    out yet, so they search in lockstep with an exploration and stop
+    expanding states once they have their answer.  A budget is checked as states
+    are expanded, so it is exceeded only by an exploration that gets
+    that far."""
+
+    def __init__(self, spec: ast.Specification, budget: ExplorationBudget | None = None):
+        terms = _Terms(spec)
+        self.budget = budget or ExplorationBudget()
+        self.initial = 0
+        self.forms: list[ast.Behavior] = [terms.initial]
+        self.out: list[list[tuple[int, int]]] = []
+        self.label_text: list[str] = []
+        self.label_ids: dict[str, int] = {}
+        # the rows come from a generator that holds the lists, not self:
+        # a cycle through a suspended generator would keep the whole term
+        # table alive after the last use of the exploration, until the
+        # cyclic garbage collector ran
+        self._rows = _explore(spec, self.budget, terms,
+                              self.forms, self.out, self.label_ids, self.label_text)
+
+    @property
+    def num_states(self) -> int:
+        """The states discovered so far: all of them once every row is built."""
+        return len(self.forms)
+
+    def row(self, state: int) -> list[tuple[int, int]]:
+        """The moves of a discovered state, built first if need be (with
+        those of every state numbered below it)."""
+        out = self.out
+        while len(out) <= state:
+            next(self._rows)
+        return out[state]
+
+    def finish(self) -> None:
+        """Build the rows of every state not yet expanded."""
+        for _ in self._rows:
+            pass
+
+    def form_text(self, state: int) -> str:
+        return pretty_behavior(self.forms[state])
+
+
+def _explore(spec: ast.Specification, budget: ExplorationBudget, terms: _Terms,
+             forms: list[ast.Behavior], out: list[list[tuple[int, int]]],
+             label_ids: dict[str, int], label_text: list[str]) -> Iterator[None]:
+    """Appends the row of the next state to out on each step, and the
+    states and labels it discovers to forms, label_ids and label_text."""
+    text = terms.text
+    # states are interned, so a state's id identifies it
+    ids: dict[int, int] = {id(forms[0]): 0}
+    count = 0
+    # the breadth-first level of the state being expanded; the next
+    # level starts at state number level_end
+    depth, level_end = 0, 1
+    # forms grows as states are discovered, and the loop reaches them
+    for number, state in enumerate(forms):
+        if number == level_end:
+            depth, level_end = depth + 1, len(forms)
+        row: list[tuple[int, int]] = []
+        # a printed form names one interned term, so (label, printed
+        # target) both drops repeated steps and orders them
+        steps: dict[tuple[str, str], ast.Behavior] = {}
+        for label, target in successors(state, spec, terms):
+            steps.setdefault((label, text[id(target)]), target)
+        for (label, _), tgt in sorted(steps.items()):
+            key = id(tgt)
+            dst = ids.get(key)
+            if dst is None:
+                dst = len(forms)
+                if dst >= budget.max_states:
+                    raise BudgetExceededError(
+                        "state", budget.max_states, len(forms), count, depth
+                    )
+                ids[key] = dst
+                forms.append(tgt)
+            if count >= budget.max_transitions:
+                raise BudgetExceededError(
+                    "transition", budget.max_transitions, len(forms), count, depth
+                )
+            lab = label_ids.get(label)
+            if lab is None:
+                lab = label_ids[label] = len(label_text)
+                label_text.append(label)
+            row.append((lab, dst))
+            count += 1
+        out.append(row)
+        yield
+
+
 def generate_lts(
     spec: ast.Specification,
     budget: ExplorationBudget | None = None,
 ) -> Lts:
-    """Breadth-first exploration of every reachable state.
+    """Breadth-first exploration of every reachable state: an Exploration
+    run to the end, with its label ids renumbered into text order.
 
     New states are numbered in discovery order; ties inside one source
     state follow the per-state transition order (label text, then printed
-    target), which makes the numbering reproducible.
+    target), which makes the numbering reproducible.  The checks of verify
+    take an Exploration instead, to stop once they have their answer.
     """
-    budget = budget or ExplorationBudget()
-    terms = _Terms(spec)
-    text = terms.text
-    initial = terms.initial
-    # states are interned, so a state's id identifies it
-    ids: dict[int, int] = {id(initial): 0}
-    forms: list[ast.Behavior] = [initial]
-    # states are expanded in the order they are numbered, so the row
-    # appended for a state is out[its number]
-    out: list[list[tuple[int, int]]] = []
-    label_ids: dict[str, int] = {}
-    count = 0
-    frontier = [initial]
-    depth = 0
-
-    while frontier:
-        next_frontier: list[ast.Behavior] = []
-        for state in frontier:
-            row: list[tuple[int, int]] = []
-            out.append(row)
-            # a printed form names one interned term, so (label, printed
-            # target) both drops repeated steps and orders them
-            steps: dict[tuple[str, str], ast.Behavior] = {}
-            for label, target in successors(state, spec, terms):
-                steps.setdefault((label, text[id(target)]), target)
-            for (label, _), tgt in sorted(steps.items()):
-                key = id(tgt)
-                dst = ids.get(key)
-                if dst is None:
-                    dst = len(forms)
-                    if dst >= budget.max_states:
-                        raise BudgetExceededError(
-                            "state", budget.max_states, len(forms), count, depth
-                        )
-                    ids[key] = dst
-                    forms.append(tgt)
-                    next_frontier.append(tgt)
-                if count >= budget.max_transitions:
-                    raise BudgetExceededError(
-                        "transition", budget.max_transitions, len(forms), count, depth
-                    )
-                lab = label_ids.get(label)
-                if lab is None:
-                    lab = label_ids[label] = len(label_ids)
-                row.append((lab, dst))
-                count += 1
-        frontier = next_frontier
-        depth += 1
-
-    return Lts.from_rows(out, label_ids, forms=forms)
+    explored = Exploration(spec, budget)
+    explored.finish()
+    return Lts.from_rows(explored.out, explored.label_ids, forms=explored.forms)

@@ -1,7 +1,7 @@
 """Property checking over explicit transition systems.
 
-Everything here works on the Lts produced by the semantics (or read back
-from an .aut file): deadlock freedom, reachability of a labelled step,
+Everything here works on an Lts, generated by the semantics or read back
+from an .aut file: deadlock freedom, reachability of a labelled step,
 safety monitors, strong bisimulation with a distinguishing experiment as
 evidence, quotient minimisation, and the Aldebaran .aut exchange format.
 
@@ -9,7 +9,15 @@ Deadlock, reachability and safety are one breadth-first search over
 (system state, observer state) pairs; the observers are "was the last
 step exit", "has a step matched" and the user's monitor.  Only states
 reachable from the initial one count, and traces are shortest whatever
-order the transitions are listed in.
+order the transitions are listed in.  These three also take an
+Exploration of a specification, which builds the row of a state only
+when the search first reads it: the check runs on the fly, in lockstep
+with generation, as in OPEN/CAESAR (Garavel, TACAS 1998) and SPIN
+(Holzmann, IEEE TSE 1997).  An exploration numbers and expands states
+breadth-first, the order in which the search reads them, so the search
+meets the same rows as on the generated Lts and returns the same pair
+and trace, but expands no state past the one where it stops.  A search
+that finds nothing has read every row.
 
 Bisimulation and minimize share one worklist partition refinement: a
 round signs again only the states with a target that moved in the round
@@ -18,11 +26,12 @@ round of birth), which the distinguishing experiment reads.
 
 All of it reads a system's one transition table: the rows Lts.out of
 (label id, target) pairs, with Lts.label_text turning ids back into
-text.  Ids are numbered in label-text order, so the search memoises
-observer moves per id, refinement signs states with plain ints, and
-sorting by id orders moves by label text for minimize and the
-experiment.  bisim_equiv joins two tables over their merged labels.
-read_aut fills the rows straight from the text.
+text.  The search memoises observer moves per id.  An Lts numbers its
+ids in label-text order, so refinement signs states with plain ints,
+and sorting by id orders moves by label text for minimize and the
+experiment; an Exploration numbers them as first met.  bisim_equiv
+joins two tables over their merged labels.  read_aut fills the rows
+straight from the text.
 """
 from __future__ import annotations
 
@@ -31,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .semantics import Lts
+from .semantics import Exploration, Lts
 from .syntax.diagnostics import Diagnostic, SYNTAX_ERROR, Span, error
 
 # ----------------------------------------------------------------------
@@ -108,34 +117,51 @@ class VerifyResult:
 # the search behind every check
 
 
-def _search(lts: Lts, start: object, step: Callable[[object, str], object],
+def _search(lts: Lts | Exploration, start: object, step: Callable[[object, str], object],
             bad: Callable[[int, object], bool]) -> tuple[tuple[int, object], list[str]] | None:
     """Breadth-first search of the product of lts with a deterministic
     observer: start is the observer's initial state, step(obs, label) its
     move, and bad(state, obs) the goal on (system state, observer state)
     pairs.  Returns the first bad pair reachable from the initial one with
     a shortest trace to it, or None.  step runs once per observer state
-    and distinct label."""
+    and distinct label.
+
+    A row is read only when the search reaches its state, so on an
+    Exploration the search runs in lockstep with it, and the label table
+    may grow meanwhile."""
     if not lts.num_states:  # des (0, 0, 0): not even an initial state
         return None
-    n, text = lts.num_states, lts.label_text
+    text, out = lts.label_text, lts.out
     # observers are numbered as met, and a pair is keyed as the int
-    # observer number * n + state; moves[k][label id] is the number of
-    # observer k's move on that label, None until first needed
+    # observer number * n + state, for an n above every state number: the
+    # state count of an Lts, or the state budget of an Exploration, whose
+    # final state count is not known yet; moves[k][label id] is the
+    # number of observer k's move on that label, None until first needed
+    n = lts.num_states if isinstance(lts, Lts) else max(lts.budget.max_states, 1)
     observers = [start]
     number = {start: 0}
     moves: list[list[int | None]] = [[None] * len(text)]
     root = lts.initial
-    parent: dict[int, tuple[int, int] | None] = {root: None}
+    # each pair but the root was first reached from parent[pair] by a step
+    # labelled via[pair]; two dicts of ints make no tuple per pair
+    parent: dict[int, int] = {root: -1}
+    via: dict[int, int] = {}
     hit = root if bad(root, start) else None
-    out = lts.out
     queue = deque([root])
     while queue and hit is None:
         key = queue.popleft()
         k, s = divmod(key, n)
         memo = moves[k]
-        for lab, dst in out[s]:
-            j = memo[lab]
+        try:
+            row = out[s]
+        except IndexError:  # a state the exploration has not expanded yet
+            row = lts.row(s)
+        for lab, dst in row:
+            try:
+                j = memo[lab]
+            except IndexError:  # a label met after the memo was made
+                memo.extend([None] * (len(text) - len(memo)))
+                j = None
             if j is None:
                 nobs = step(observers[k], text[lab])
                 j = number.get(nobs)
@@ -147,7 +173,8 @@ def _search(lts: Lts, start: object, step: Callable[[object, str], object],
             nxt = j * n + dst
             if nxt in parent:
                 continue
-            parent[nxt] = (key, lab)
+            parent[nxt] = key
+            via[nxt] = lab
             if bad(dst, observers[j]):
                 hit = nxt
                 break
@@ -155,11 +182,10 @@ def _search(lts: Lts, start: object, step: Callable[[object, str], object],
     if hit is None:
         return None
     trace: list[str] = []
-    edge = parent[hit]
-    while edge is not None:
-        key, lab = edge
-        trace.append(text[lab])
-        edge = parent[key]
+    key = hit
+    while key != root:
+        trace.append(text[via[key]])
+        key = parent[key]
     trace.reverse()
     k, s = divmod(hit, n)
     return (s, observers[k]), trace
@@ -169,14 +195,16 @@ def _search(lts: Lts, start: object, step: Callable[[object, str], object],
 # deadlock and reachability
 
 
-def check_deadlock(lts: Lts) -> VerifyResult:
+def check_deadlock(lts: Lts | Exploration) -> VerifyResult:
     """ok when no reachable state without moves is initial or entered by a
     step other than exit; a run that enters it by exit has terminated
     successfully."""
+    out = lts.out
     found = _search(
         lts, False,
         lambda _, label: label == "exit",
-        lambda s, exited: not exited and not lts.out[s],
+        # on an Exploration, a target's row may not be built yet
+        lambda s, exited: not exited and not (out[s] if s < len(out) else lts.row(s)),
     )
     if found is None:
         return VerifyResult(ok=True, detail=f"no deadlock in {lts.num_states} state(s)")
@@ -186,7 +214,7 @@ def check_deadlock(lts: Lts) -> VerifyResult:
     return VerifyResult(ok=False, detail=f"deadlock at {where}", trace=trace)
 
 
-def check_reachable(lts: Lts, pattern: LabelPattern) -> VerifyResult:
+def check_reachable(lts: Lts | Exploration, pattern: LabelPattern) -> VerifyResult:
     """ok when some reachable transition matches; the trace ends with it."""
     found = _search(
         lts, False,
@@ -271,7 +299,7 @@ def parse_monitor(text: str) -> tuple[Monitor | None, list[Diagnostic]]:
     return Monitor(tuple(states), initial, frozenset(bad), tuple(rules)), diags
 
 
-def check_safety(lts: Lts, monitor: Monitor) -> VerifyResult:
+def check_safety(lts: Lts | Exploration, monitor: Monitor) -> VerifyResult:
     """ok when the product of system and monitor reaches no bad monitor
     state.  A violation comes with a shortest trace."""
     found = _search(lts, monitor.initial, monitor.step, lambda _, state: state in monitor.bad)
@@ -572,16 +600,31 @@ def _aut_lines(text: str) -> list[str]:
     return [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
 
 
-def _read_aut_lines(text: str) -> Lts:
-    """read_aut line by line, for every spelling the format allows."""
-    lines = _aut_lines(text)
+def aut_header(text: str) -> tuple[int, int, int]:
+    """The initial state, transition count and state count the header of
+    Aldebaran text declares, found without building any row; raises
+    ValueError on a missing or malformed header, as read_aut does."""
+    head = _AUT_CANONICAL_HEADER.match(text)
+    if head is None:
+        return _header(_aut_lines(text))
+    initial, num_trans, num_states = (int(g) for g in head.groups())
+    return initial, num_trans, num_states
+
+
+def _header(lines: list[str]) -> tuple[int, int, int]:
     if not lines:
         raise ValueError("empty .aut input")
     head = _AUT_HEADER.match(lines[0])
     if not head:
         raise ValueError(f"bad .aut header: {lines[0]!r}")
     initial, num_trans, num_states = (int(g) for g in head.groups())
-    return _read_aut_body(lines[1:], initial, num_trans, num_states, [], {})
+    return initial, num_trans, num_states
+
+
+def _read_aut_lines(text: str) -> Lts:
+    """read_aut line by line, for every spelling the format allows."""
+    lines = _aut_lines(text)
+    return _read_aut_body(lines[1:], *_header(lines), [], {})
 
 
 def _read_aut_body(lines: list[str], initial: int, num_trans: int, num_states: int,

@@ -88,6 +88,25 @@ def _gen_action(
     return ast.Comm(gate, tuple(offers))
 
 
+def gen_system(rng: random.Random) -> ast.Specification:
+    """One to three processes over GATES, instantiated on actual gates
+    drawn from GATES, with value offers and variable sends; half the
+    bodies sit under a hide that a renamed gate may be captured by."""
+    count = rng.randint(1, 3)
+
+    def term(depth: int) -> ast.Behavior:
+        return gen_behavior(rng, depth, values=True, procs=count, sends=True)
+
+    def body() -> ast.Behavior:
+        b = term(rng.randint(1, 4))
+        if rng.random() < 0.5:
+            b = ast.Hide(frozenset(rng.sample(GATES, rng.randint(1, 2))), b)
+        return b
+
+    procs = tuple(ast.ProcessDef(f"P{k}", GATES, "noexit", body()) for k in range(count))
+    return ast.Specification("R", GATES, (SORT,), procs, term(rng.randint(0, 2)))
+
+
 def wrap(b: ast.Behavior, name: str = "Generated") -> ast.Specification:
     """A closed specification around a bare term, ready to explore."""
     return ast.Specification(

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -344,12 +345,17 @@ def test_bisim_two_systems_without_states(capsys, tmp_path):
     assert (code, out, err) == (0, "bisim: ok (strongly bisimilar)\n", "")
 
 
-def test_out_of_memory_is_operational_error(capsys, monkeypatch):
+@pytest.mark.parametrize("command, target", [
+    (["lts"], "generate_lts"),
+    # the checks explore in lockstep, through successors
+    (["verify", "deadlock"], "successors"),
+], ids=["lts", "verify-deadlock"])
+def test_out_of_memory_is_operational_error(capsys, monkeypatch, command, target):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(semantics, "generate_lts", exhausted)
-    code, out, err = run(capsys, "lts", corpus("client_server.lot"))
+    monkeypatch.setattr(semantics, target, exhausted)
+    code, out, err = run(capsys, *command, corpus("client_server.lot"))
     assert code == 2
     assert out == ""
     assert err == "lotoskit: out of memory\n"
@@ -440,6 +446,27 @@ def test_verify_safety(capsys):
     assert "trace: invClt !op1 ; inv !Service2 !op1" in out
 
 
+def test_violation_within_budget_is_reported(capsys):
+    # the monitor is violated two steps in, before the state space
+    # outgrows the budget; lts and an ok verdict still need every state
+    lot, budget = corpus("multicast_unordered.lot"), ["--no-hide", "--max-states", "10"]
+    code, out, err = run(capsys, "verify", "safety", lot, corpus("multicast_order.mon"), *budget)
+    assert (code, err) == (1, "")
+    assert out == ("safety: violated (monitor reaches bad state 'violation')\n"
+                   "trace: invClt !op1 ; inv !Service2 !op1\n")
+
+    code, out, err = run(capsys, "lts", lot, *budget)
+    assert (code, out) == (2, "")
+    assert err == ("lotoskit: state space exceeds the state budget of 10 "
+                   "(stopped after 10 states and 12 transitions at depth 2)\n")
+
+    code, out, err = run(capsys, "verify", "safety", corpus("multicast.lot"),
+                         corpus("multicast_order.mon"), "--no-hide", "--max-states", "5")
+    assert (code, out) == (2, "")
+    assert err == ("lotoskit: state space exceeds the state budget of 5 "
+                   "(stopped after 5 states and 4 transitions at depth 4)\n")
+
+
 def test_verify_safety_bad_monitor(capsys, tmp_path):
     mon = tmp_path / "bad.mon"
     mon.write_text("states a\n")
@@ -498,6 +525,24 @@ def test_budget_bounds_aut_input(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "deadlock", str(small),
                        "--max-states", "3", "--max-transitions", "2")
     assert code == 1 and "trace: a ; b" in out
+
+
+@pytest.mark.parametrize("header", ["des (0, 1, 2000000)", "  des( 0 ,1, 2000000 )  "],
+                         ids=["canonical", "spaced"])
+def test_aut_header_over_budget_builds_no_rows(capsys, tmp_path, header):
+    # the header is held to the budget before the rows are made, so a
+    # short file that claims millions of states costs next to nothing
+    big = tmp_path / "big.aut"
+    big.write_text(f'{header}\n(1999999, "a", 0)\n')
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "deadlock", str(big), "--max-states", "10")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == f"lotoskit: '{big}' has 2000000 states, more than the state budget of 10\n"
+    assert peak < 5_000_000
 
 
 @pytest.mark.parametrize("over_budget", [0, 1], ids=["first", "second"])

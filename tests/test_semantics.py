@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sos_oracle
-from behavior_gen import GATES, SORT, gen_behavior, wrap
+from behavior_gen import GATES, gen_behavior, gen_system, wrap
 from conftest import LOT_FILES, load_spec
 from lotoskit import (
     BudgetExceededError,
@@ -660,23 +660,7 @@ def test_golden_output(name, hidden):
 
 
 def random_system(seed):
-    """One to three processes over GATES, instantiated on actual gates
-    drawn from GATES, with value offers and variable sends; half the
-    bodies sit under a hide that a renamed gate may be captured by."""
-    rng = random.Random(seed)
-    count = rng.randint(1, 3)
-
-    def term(depth):
-        return gen_behavior(rng, depth, values=True, procs=count, sends=True)
-
-    def body():
-        b = term(rng.randint(1, 4))
-        if rng.random() < 0.5:
-            b = ast.Hide(frozenset(rng.sample(GATES, rng.randint(1, 2))), b)
-        return b
-
-    procs = tuple(ast.ProcessDef(f"P{k}", GATES, "noexit", body()) for k in range(count))
-    return ast.Specification("R", GATES, (SORT,), procs, term(rng.randint(0, 2)))
+    return gen_system(random.Random(seed))
 
 
 def system_outcome(spec):

@@ -2,15 +2,20 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import check_oracle
 import refine_oracle
-from behavior_gen import gen_behavior, wrap
+from behavior_gen import gen_behavior, gen_system, wrap
 from conftest import LOT_FILES, load_spec
 from lotoskit import (
+    BudgetExceededError,
+    Exploration,
+    ExplorationBudget,
     Lts,
+    UnguardedRecursionError,
+    VerifyResult,
     bisim_equiv,
     check_deadlock,
     check_reachable,
@@ -20,7 +25,11 @@ from lotoskit import (
     minimize,
     parse_label_pattern,
     parse_monitor,
+    parse_spec,
     read_aut,
+    semantics,
+    successors,
+    validate_spec,
 )
 from lotoskit.cli import main
 from lotoskit.semantics import strip_hiding
@@ -715,3 +724,179 @@ def test_safety_agrees_with_oracle(lts, mon):
     if not result.ok:
         assert len(result.trace) == want
         assert check_oracle.is_safety_witness(lts, result.trace, mon)
+
+
+# ----------------------------------------------------------------------
+# deadlock, reach and safety in lockstep with exploration
+
+
+LOCKSTEP_MONITOR = parse_monitor(
+    "states m0 m1 bad\ninitial m0\nbad bad\n"
+    "trans m0 m1 a\ntrans m1 m0 c !*\ntrans m1 bad b !*\ntrans m0 bad exit\n"
+)[0]
+LOCKSTEP_PATTERNS = ("*", "a", "b !*", "c !v1 !*", "c !* !v2", "i", "exit")
+
+
+def lockstep_checks():
+    """(name, check, what makes its result a witness) for every check the
+    search serves."""
+    out = [("deadlock", check_deadlock, False)]
+    for text in LOCKSTEP_PATTERNS:
+        pattern = parse_label_pattern(text)
+        out.append((f"reach {text}", lambda s, p=pattern: check_reachable(s, p), True))
+    out.append(("safety", lambda s: check_safety(s, LOCKSTEP_MONITOR), False))
+    return out
+
+
+def outcome(check, system):
+    try:
+        result = check(system())
+    except BudgetExceededError as exc:
+        return str(exc)
+    return result.ok, result.detail, result.trace
+
+
+def assert_lockstep_agrees(spec, budget=None):
+    """Each check on an Exploration gives what it gives on the generated
+    system; or, where generation ran out of budget, a witness found within
+    it that the oracle accepts as shortest on the whole system."""
+    whole = None
+    for name, check, witness in lockstep_checks():
+        want = outcome(check, lambda: generate_lts(spec, budget))
+        got = outcome(check, lambda: Exploration(spec, budget))
+        if got == want:
+            continue
+        assert isinstance(want, str) and not isinstance(got, str), (name, want, got)
+        ok, detail, trace = got
+        assert ok == witness, (name, got)
+        if whole is None:
+            whole = generate_lts(spec)
+        if name == "deadlock":
+            state = int(detail.split()[3])
+            assert len(trace) == check_oracle.deadlock_distance(whole)
+            assert check_oracle.is_deadlock_witness(whole, trace, state)
+        elif name == "safety":
+            assert len(trace) == check_oracle.safety_distance(whole, LOCKSTEP_MONITOR)
+            assert check_oracle.is_safety_witness(whole, trace, LOCKSTEP_MONITOR)
+        else:
+            pattern = parse_label_pattern(name.split(" ", 1)[1])
+            assert len(trace) == check_oracle.reach_distance(whole, pattern)
+            assert check_oracle.is_reach_witness(whole, trace, pattern)
+
+
+@pytest.mark.parametrize("name", LOT_FILES)
+@pytest.mark.parametrize("hide", [True, False], ids=["hide", "strip"])
+@pytest.mark.parametrize("max_states", [None, 2, 5, 12], ids=["unbounded", "2", "5", "12"])
+def test_lockstep_agrees_on_the_corpus(name, hide, max_states):
+    spec = load_spec(name)
+    if not hide:
+        spec = strip_hiding(spec)
+    assert_lockstep_agrees(spec, None if max_states is None else ExplorationBudget(max_states))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**16), st.integers(0, 2**16))
+def test_lockstep_agrees_on_random_systems(seed, states, transitions):
+    spec = gen_system(random.Random(seed))
+    try:
+        whole = generate_lts(spec, ExplorationBudget(2000, 20000))
+    except (BudgetExceededError, UnguardedRecursionError, ValueError):
+        assume(False)
+    assert_lockstep_agrees(spec, ExplorationBudget(whole.num_states, whole.num_transitions))
+    # budgets of at most the whole system, so that most of them run out
+    assert_lockstep_agrees(spec, ExplorationBudget(1 + states % whole.num_states,
+                                                   1 + transitions % (whole.num_transitions or 1)))
+
+
+def spec_of(text):
+    spec, diags = parse_spec(text)
+    assert spec is not None, [str(d) for d in diags]
+    assert not validate_spec(spec)
+    return spec
+
+
+def pipeline(cells):
+    """cells one-place buffers of two values chained on hidden gates; the
+    value put in first reaches the output after cells - 1 internal steps."""
+    pipe = " |[".join(f"m{k}]| Cell [m{k}, m{k + 1}]" for k in range(1, cells))
+    hidden = ", ".join(f"m{k}" for k in range(1, cells))
+    return spec_of(
+        f"specification Pipe [m0, m{cells}] : noexit :=\n"
+        f"  sorts D = {{ d0, d1 }}\n"
+        f"  behaviour hide {hidden} in Cell [m0, m1] |[{pipe}\n"
+        f"  where process Cell [a, b] : noexit := a ?x: D; b !x; Cell [a, b] endproc\n"
+        f"endspec\n"
+    )
+
+
+def chains(copies, steps):
+    """copies interleaved runs of steps actions each, then stop."""
+    gates = ", ".join(f"g{k}" for k in range(steps))
+    top = " ||| ".join([f"C [{gates}]"] * copies)
+    return spec_of(
+        f"specification Chains [{gates}] : noexit := behaviour {top}\n"
+        f"  where process C [{gates}] : noexit := {'; '.join(gates.split(', '))}; stop endproc\n"
+        f"endspec\n"
+    )
+
+
+def expanded(monkeypatch, check):
+    """The states check expands, counted as calls of semantics.successors,
+    the name exploration steps states through."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return successors(*args, **kwargs)
+
+    monkeypatch.setattr(semantics, "successors", counted)
+    result = check()
+    monkeypatch.undo()
+    return result, len(calls)
+
+
+def test_lockstep_expands_only_what_the_search_reads(monkeypatch):
+    spec = pipeline(4)
+    whole, all_states = expanded(monkeypatch, lambda: generate_lts(spec))
+    assert all_states == whole.num_states == 3 ** 4
+    pattern = parse_label_pattern("m4 !d1")
+    found, some = expanded(monkeypatch, lambda: check_reachable(Exploration(spec), pattern))
+    assert found == check_reachable(whole, pattern)
+    assert found.trace == ["m0 !d1", "i", "i", "i", "m4 !d1"]
+    assert some < all_states / 2
+
+    # a chain's only deadlock is its last state, so the search needs them all
+    spec = chains(3, 3)
+    whole, all_states = expanded(monkeypatch, lambda: generate_lts(spec))
+    found, expanded_states = expanded(monkeypatch, lambda: check_deadlock(Exploration(spec)))
+    assert found == check_deadlock(whole)
+    assert found.detail.startswith(f"deadlock at state {whole.num_states - 1} = ")
+    assert expanded_states == all_states == 4 ** 3
+
+
+def test_lockstep_ok_verdict_still_needs_the_whole_budget():
+    spec = pipeline(3)
+    pattern = parse_label_pattern("m3 !d2")  # no such value
+    budget = ExplorationBudget(max_states=10)
+    with pytest.raises(BudgetExceededError) as full:
+        generate_lts(spec, budget)
+    with pytest.raises(BudgetExceededError) as lockstep:
+        check_reachable(Exploration(spec, budget), pattern)
+    assert str(lockstep.value) == str(full.value)
+    whole = Exploration(spec)
+    assert check_reachable(whole, pattern) == VerifyResult(False, "no transition matches 'm3 !d2'")
+    assert len(whole.out) == whole.num_states == 3 ** 3
+
+
+def test_lockstep_stops_before_a_recursion_it_does_not_reach():
+    # P recurses unguarded; generation reaches it, while the search for b
+    # stops at the first level
+    spec = spec_of(
+        "specification U [a, b] : noexit := behaviour b; stop [] a; P [a]\n"
+        "  where process P [g] : noexit := P [g] endproc\nendspec\n"
+    )
+    with pytest.raises(UnguardedRecursionError):
+        generate_lts(spec)
+    assert check_reachable(Exploration(spec), parse_label_pattern("b")).trace == ["b"]
+    with pytest.raises(UnguardedRecursionError):
+        check_deadlock(Exploration(spec))
