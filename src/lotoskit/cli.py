@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from pathlib import Path
 from typing import TypeVar
 
@@ -146,23 +146,6 @@ def _system(path: str, args: argparse.Namespace) -> semantics.Lts | semantics.Ex
     if path.endswith(".aut"):
         return _read_lts(path, args)
     return semantics.Exploration(_spec(path, args), _budget(args))
-
-
-def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-states", type=int, default=100_000, metavar="N",
-                   help="abort exploration beyond N states (default 100000)")
-    p.add_argument("--max-transitions", type=int, default=500_000, metavar="N",
-                   help="abort exploration beyond N transitions (default 500000)")
-
-
-def _add_no_hide(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--no-hide", action="store_true",
-                   help="treat hidden gates as observable")
-
-
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   help="output format (default text)")
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
@@ -335,76 +318,99 @@ def _cmd_adl(args: argparse.Namespace) -> int:
 # wiring
 
 
-def _build_parser() -> _ArgumentParser:
+Argument = tuple[tuple[str, ...], dict]
+
+
+def _arg(*names: str, **options) -> Argument:
+    """The parameters of one add_argument call."""
+    return names, options
+
+
+_FORMAT = _arg("--format", choices=("text", "json"), default="text",
+               help="output format (default text)")
+_BUDGET = (
+    _arg("--max-states", type=int, default=100_000, metavar="N",
+         help="abort exploration beyond N states (default 100000)"),
+    _arg("--max-transitions", type=int, default=500_000, metavar="N",
+         help="abort exploration beyond N transitions (default 500000)"),
+)
+# the options of every command that explores a behaviour file
+_EXPLORE = (_arg("--no-hide", action="store_true", help="treat hidden gates as observable"),
+            *_BUDGET, _FORMAT)
+_SYSTEM = _arg("file", help="behaviour file or .aut file")
+
+# The command tree: a command is (help, handler, its arguments in the
+# order --help lists them), a group of commands is (help, the dest that
+# names the chosen one, the group's table).
+_PROPERTIES = {
+    "deadlock": ("every reachable state can move or has terminated", _cmd_verify_deadlock,
+                 (_SYSTEM, *_EXPLORE)),
+    "reach": ("some transition matches a label pattern", _cmd_verify_reach,
+              (_SYSTEM, _arg("pattern", help="label pattern, e.g. 'inv !Service1 !*'"),
+               *_EXPLORE)),
+    "safety": ("a monitor never reaches a bad state", _cmd_verify_safety,
+               (_SYSTEM, _arg("monitor", help="monitor file"), *_EXPLORE)),
+    "bisim": ("two systems are strongly bisimilar", _cmd_verify_bisim,
+              (_SYSTEM, _arg("other", help="behaviour file or .aut file"), *_EXPLORE)),
+}
+_COMMANDS = {
+    "check": ("parse and validate a behaviour file", _cmd_check, (_arg("file"), _FORMAT)),
+    "lts": ("generate the state space and print it in .aut form", _cmd_lts,
+            (_arg("file"),
+             _arg("-o", "--output", metavar="FILE", help="write the .aut here instead of stdout"),
+             _arg("--minimize", action="store_true", help="quotient by strong bisimilarity first"),
+             *_EXPLORE)),
+    "verify": ("check properties of a state space", "property", _PROPERTIES),
+    "contract": ("check a component contract", _cmd_contract,
+                 (_arg("file"),
+                  _arg("--facts", metavar="FILE", help="fact base for the structural query"),
+                  *_BUDGET, _FORMAT)),
+    "adl": ("validate an architecture configuration", _cmd_adl,
+            (_arg("file"),
+             _arg("--flatten", metavar="FILE", help="write the flattened specification here"),
+             _FORMAT)),
+}
+
+
+def _add_commands(parser: argparse.ArgumentParser, dest: str, table: dict,
+                  words: Sequence[str]) -> None:
+    """Add the commands of table to parser, as the choices of dest.  When
+    words[0] names one of them exactly, only that one is built, with the
+    rest of words narrowing its own group; argparse then parses words
+    as the whole tree would, since it looks no further than the command
+    the word names.  Otherwise (help, usage errors) every command is
+    built."""
+    name = words[0] if words else None
+    if name in table:
+        # an unrecognized argument is reported with the parent's usage,
+        # which lists every choice
+        sub = parser.add_subparsers(dest=dest, required=True,
+                                    metavar="{" + ",".join(table) + "}")
+        table = {name: table[name]}
+    else:
+        sub = parser.add_subparsers(dest=dest, required=True)
+    for command, (summary, handler, body) in table.items():
+        p = sub.add_parser(command, help=summary)
+        if isinstance(body, dict):  # a group: handler is its dest
+            _add_commands(p, handler, body, words[1:])
+            continue
+        for names, options in body:
+            p.add_argument(*names, **options)
+        p.set_defaults(fn=handler)
+
+
+def _build_parser(argv: Sequence[str]) -> _ArgumentParser:
+    """The parser of the command line argv: as much of the command tree
+    as argv needs."""
     parser = _ArgumentParser(prog="lotoskit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="parse and validate a behaviour file")
-    p.add_argument("file")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_check)
-
-    p = sub.add_parser("lts", help="generate the state space and print it in .aut form")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", metavar="FILE", help="write the .aut here instead of stdout")
-    p.add_argument("--minimize", action="store_true", help="quotient by strong bisimilarity first")
-    _add_no_hide(p)
-    _add_budget_flags(p)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_lts)
-
-    v = sub.add_parser("verify", help="check properties of a state space")
-    vsub = v.add_subparsers(dest="property", required=True)
-
-    p = vsub.add_parser("deadlock", help="every reachable state can move or has terminated")
-    p.add_argument("file", help="behaviour file or .aut file")
-    _add_no_hide(p)
-    _add_budget_flags(p)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_verify_deadlock)
-
-    p = vsub.add_parser("reach", help="some transition matches a label pattern")
-    p.add_argument("file", help="behaviour file or .aut file")
-    p.add_argument("pattern", help="label pattern, e.g. 'inv !Service1 !*'")
-    _add_no_hide(p)
-    _add_budget_flags(p)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_verify_reach)
-
-    p = vsub.add_parser("safety", help="a monitor never reaches a bad state")
-    p.add_argument("file", help="behaviour file or .aut file")
-    p.add_argument("monitor", help="monitor file")
-    _add_no_hide(p)
-    _add_budget_flags(p)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_verify_safety)
-
-    p = vsub.add_parser("bisim", help="two systems are strongly bisimilar")
-    p.add_argument("file", help="behaviour file or .aut file")
-    p.add_argument("other", help="behaviour file or .aut file")
-    _add_no_hide(p)
-    _add_budget_flags(p)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_verify_bisim)
-
-    p = sub.add_parser("contract", help="check a component contract")
-    p.add_argument("file")
-    p.add_argument("--facts", metavar="FILE", help="fact base for the structural query")
-    _add_budget_flags(p)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_contract)
-
-    p = sub.add_parser("adl", help="validate an architecture configuration")
-    p.add_argument("file")
-    p.add_argument("--flatten", metavar="FILE", help="write the flattened specification here")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_adl)
-
+    _add_commands(parser, "command", _COMMANDS, argv)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit

@@ -39,6 +39,7 @@ continuation, and that discharges a disrupting branch.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -525,7 +526,9 @@ class Exploration:
     out yet, so they search in lockstep with an exploration and stop
     expanding states once they have their answer.  A budget is checked as states
     are expanded, so it is exceeded only by an exploration that gets
-    that far."""
+    that far.  Once expanding has raised (a budget, unguarded
+    recursion), every later row or finish that needs a state not yet
+    expanded raises the same error again."""
 
     def __init__(self, spec: ast.Specification, budget: ExplorationBudget | None = None):
         terms = _Terms(spec)
@@ -541,6 +544,9 @@ class Exploration:
         # cyclic garbage collector ran
         self._rows = _explore(spec, self.budget, terms,
                               self.forms, self.out, self.label_ids, self.label_text)
+        # what exploration raised, without its traceback: the generator is
+        # closed then, so every later row or finish raises it again
+        self._error: BaseException | None = None
 
     @property
     def num_states(self) -> int:
@@ -551,17 +557,40 @@ class Exploration:
         """The moves of a discovered state, built first if need be (with
         those of every state numbered below it)."""
         out = self.out
-        while len(out) <= state:
-            next(self._rows)
+        if len(out) <= state:
+            self._build(state + 1)
         return out[state]
 
     def finish(self) -> None:
         """Build the rows of every state not yet expanded."""
-        for _ in self._rows:
-            pass
+        self._build(math.inf)
+
+    def _build(self, rows: float) -> None:
+        """Expand states until there are rows rows or none is left."""
+        if self._error is not None:
+            raise _copy_error(self._error)
+        out = self.out
+        try:
+            for _ in self._rows:
+                if len(out) >= rows:
+                    break
+        except BaseException as exc:
+            self._error = _copy_error(exc)
+            raise
 
     def form_text(self, state: int) -> str:
         return pretty_behavior(self.forms[state])
+
+
+def _copy_error(exc: BaseException) -> BaseException:
+    """An exception of exc's class with its args and attributes, and no
+    traceback.  An exploration keeps such a copy, never what it raises: a
+    raised exception's traceback holds the frames it passed, which hold
+    the exploration, and that cycle would keep the whole term table
+    alive until the cyclic garbage collector ran."""
+    copy = type(exc).__new__(type(exc), *exc.args)
+    copy.__dict__.update(vars(exc))
+    return copy
 
 
 def _explore(spec: ast.Specification, budget: ExplorationBudget, terms: _Terms,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CORPUS
-from lotoskit import semantics
+from lotoskit import cli, semantics
 from lotoskit.cli import main
 
 
@@ -750,3 +751,90 @@ def test_verify_requires_property(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify"])
     assert exc.value.code == 3
+
+
+# ----------------------------------------------------------------------
+# the parser: only the subtree the command line names
+
+F = "spec.lot"
+ARGVS = [
+    [], ["-h"], ["--help"], ["bogus"], ["-x"],
+    *([command, "--help"] for command in cli._COMMANDS),
+    *(["verify", prop, "--help"] for prop in cli._PROPERTIES),
+    ["verify", "-h", "deadlock"], ["verify"], ["verify", "bogus"],
+    # missing positionals
+    ["check"], ["lts"], ["contract"], ["adl"], ["verify", "deadlock"],
+    ["verify", "reach", F], ["verify", "safety", F], ["verify", "bisim", F],
+    # leftovers are reported by the top-level parser
+    ["check", "a", "b"], ["verify", "deadlock", "a", "b"],
+    # bad and abbreviated options
+    ["lts", F, "--max-states", "zz"], ["check", F, "--format", "xml"], ["lts", F, "--bogus"],
+    ["lts", F, "--max-st", "3", "--help"],
+    # command lines that parse
+    ["check", F], ["lts", F, "--max-st", "3", "-o", "x.aut", "--minimize", "--no-hide"],
+    ["verify", "reach", F, "g !*", "--format=json"], ["verify", "safety", F, "m.mon"],
+    ["verify", "bisim", F, "b.aut", "--max-transitions", "7"], ["contract", "c.asc", "--facts", "f"],
+    ["adl", "a.adl", "--flatten", "flat.lot"],
+]
+
+
+def parse(capsys, parser, argv):
+    """Exit code (None when argv parses), stdout, stderr and Namespace."""
+    try:
+        code, namespace = None, parser.parse_args(argv)
+    except SystemExit as exc:
+        code, namespace = exc.code, None
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, namespace
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "<none>")
+def test_narrowed_parser_answers_as_the_whole_tree(capsys, argv):
+    # argparse's wording differs between Python versions, so the whole
+    # tree is the reference, built in the same interpreter
+    narrowed = parse(capsys, cli._build_parser(argv), argv)
+    assert narrowed == parse(capsys, cli._build_parser([]), argv)
+
+
+def choices(parser):
+    """The command tree parser holds, as nested dicts of choice names."""
+    tree = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            tree.update((name, choices(sub)) for name, sub in action.choices.items())
+    return tree
+
+
+def test_parser_builds_only_the_named_command():
+    properties = dict.fromkeys(cli._PROPERTIES, {})
+    whole = {**dict.fromkeys(cli._COMMANDS, {}), "verify": properties}
+    assert choices(cli._build_parser([])) == whole
+    assert choices(cli._build_parser(["check", F])) == {"check": {}}
+    assert choices(cli._build_parser(["verify", "reach", F])) == {"verify": {"reach": {}}}
+    for argv in (["-h", "check"], ["chec", F], ["--", "check", F]):
+        assert choices(cli._build_parser(argv)) == whole
+    assert choices(cli._build_parser(["verify", "-h", "deadlock"])) == {"verify": properties}
+    assert choices(cli._build_parser(["verify", "dead"])) == {"verify": properties}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "deadlock", corpus("deadlocked.lot")],
+    ["check", corpus("client_server.lot"), "--format", "json"],
+    ["check", "a", "b"],
+    ["verify"],
+])
+def test_main_reads_the_command_line_from_sys_argv(capsys, monkeypatch, argv):
+    def answer(call):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda words: built.append(list(words)) or build(words))
+    monkeypatch.setattr(sys, "argv", ["lotoskit", *argv])
+    assert answer(main) == answer(lambda: main(argv))
+    assert built == [argv, argv]

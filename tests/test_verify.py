@@ -1,5 +1,7 @@
+import gc
 import random
 import sys
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings
@@ -900,3 +902,45 @@ def test_lockstep_stops_before_a_recursion_it_does_not_reach():
     assert check_reachable(Exploration(spec), parse_label_pattern("b")).trace == ["b"]
     with pytest.raises(UnguardedRecursionError):
         check_deadlock(Exploration(spec))
+
+
+UNGUARDED = ("specification U [a] : noexit := behaviour a; a; P [a]\n"
+             "  where process P [g] : noexit := P [g] endproc\nendspec\n")
+
+
+@pytest.mark.parametrize("error, make", [
+    (BudgetExceededError, lambda: Exploration(load_spec("multicast.lot"), ExplorationBudget(5))),
+    (UnguardedRecursionError, lambda: Exploration(spec_of(UNGUARDED))),
+], ids=["budget", "unguarded"])
+def test_exploration_raises_its_error_again(error, make):
+    # the generator behind the rows is closed once it has raised, so every
+    # later row and finish must raise the same error, not StopIteration or
+    # nothing at all
+    explored = make()
+    with pytest.raises(error) as first:
+        check_deadlock(explored)
+    built = len(explored.out)
+    for again in (lambda: check_deadlock(explored), explored.finish,
+                  lambda: explored.row(explored.num_states - 1), explored.finish):
+        with pytest.raises(error) as later:
+            again()
+        assert later.value is not first.value
+        assert str(later.value) == str(first.value)
+        assert vars(later.value) == vars(first.value)
+    assert len(explored.out) == built
+
+
+def test_exploration_that_raised_is_freed_without_the_collector():
+    # the error an exploration keeps holds no traceback, whose frames
+    # would hold the exploration in a cycle
+    gc.disable()
+    try:
+        explored = Exploration(load_spec("multicast.lot"), ExplorationBudget(5))
+        alive = weakref.ref(explored)
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError):
+                check_deadlock(explored)
+        del explored
+        assert alive() is None
+    finally:
+        gc.enable()
