@@ -326,12 +326,23 @@ def _arg(*names: str, **options) -> Argument:
     return names, options
 
 
+def _limit(text: str) -> int:
+    """A budget: an int, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:  # argparse's own message for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a budget cannot be negative: {text!r}")
+    return value
+
+
 _FORMAT = _arg("--format", choices=("text", "json"), default="text",
                help="output format (default text)")
 _BUDGET = (
-    _arg("--max-states", type=int, default=100_000, metavar="N",
+    _arg("--max-states", type=_limit, default=100_000, metavar="N",
          help="abort exploration beyond N states (default 100000)"),
-    _arg("--max-transitions", type=int, default=500_000, metavar="N",
+    _arg("--max-transitions", type=_limit, default=500_000, metavar="N",
          help="abort exploration beyond N transitions (default 500000)"),
 )
 # the options of every command that explores a behaviour file

@@ -86,20 +86,12 @@ class FactBase:
             )
         self._facts.add(fact)
 
-    def assert_fact(self, predicate: str, *args: str) -> Fact:
-        fact = Fact(predicate, tuple(args))
-        self.add(fact)
-        return fact
-
     def by_predicate(self, predicate: str) -> list[Fact]:
         """Matching facts in lexicographic argument order."""
         return sorted(
             (f for f in self._facts if f.predicate == predicate),
             key=lambda f: f.args,
         )
-
-    def sorted_facts(self) -> list[Fact]:
-        return sorted(self._facts, key=lambda f: (f.predicate, f.args))
 
 
 _FACT_LINE_COMMENT = "%"

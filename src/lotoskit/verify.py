@@ -31,7 +31,7 @@ ids in label-text order, so refinement signs states with plain ints,
 and sorting by id orders moves by label text for minimize and the
 experiment; an Exploration numbers them as first met.  bisim_equiv
 joins two tables over their merged labels.  read_aut fills the rows
-straight from the text.
+straight from the text, in one scan that takes every spelling.
 """
 from __future__ import annotations
 
@@ -527,15 +527,17 @@ def minimize(lts: Lts) -> Lts:
 # ----------------------------------------------------------------------
 # .aut exchange format
 
-_AUT_HEADER = re.compile(r"des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*\Z")
-_AUT_LINE = re.compile(r"\(\s*(\d+)\s*,\s*\"([^\"]*)\"\s*,\s*(\d+)\s*\)\s*\Z")
-# A line as export_aut writes it, or else the rest of the text.  A label
-# holds no character at which str.splitlines breaks a line, so a line
-# matched is one whole line of the per-line reader.
-_AUT_CANONICAL_HEADER = re.compile(r"des \(([0-9]+), ([0-9]+), ([0-9]+)\)\n")
-_AUT_CANONICAL_LINE = re.compile(
-    r'\(([0-9]+), "([^"\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)", ([0-9]+)\)\n|(?s:.+)'
-)
+# A line ends at any character str.splitlines breaks a line at; _SP is
+# any other whitespace.  [0-9\d]+ reads what \d+ reads but scans ASCII
+# digits faster, and at each choice the spelling export_aut writes is
+# tried first.  After any blank lines, _AUT_HEADER reads the header, and
+# _AUT_LINE a transition line or else the rest of the text.
+_BREAK = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_SP, _NUM = rf"[^\S{_BREAK}]*", r"([0-9\d]+)"
+_COMMA, _EOL = rf"(?:, |{_SP},{_SP})", rf"{_SP}(?:[{_BREAK}]|\Z)"
+_AUT_HEADER = re.compile(rf"\s*des{_SP}\({_SP}{_NUM}{_COMMA}{_NUM}{_COMMA}{_NUM}{_SP}\){_EOL}")
+_AUT_LINE = re.compile(rf'(?:\(|\s*\({_SP}){_NUM}{_COMMA}"([^"{_BREAK}]*)"{_COMMA}'
+                       rf"{_NUM}(?:\)\n|{_SP}\){_EOL})|(?s:.+)")
 
 
 def export_aut(lts: Lts) -> str:
@@ -549,43 +551,42 @@ def export_aut(lts: Lts) -> str:
 
 
 def read_aut(text: str) -> Lts:
-    """Parse Aldebaran text; raises ValueError on malformed input.
-
-    Lines spelled as export_aut writes them are read on a fast path, one
-    regular expression scan that fills the rows; from the first other
-    line on, the rest goes through the per-line reader, which accepts
-    every spelling and gives the same errors."""
-    head = _AUT_CANONICAL_HEADER.match(text)
-    if head is None:
-        return _read_aut_lines(text)
-    initial, num_trans, num_states = (int(g) for g in head.groups())
-    # Every other quoted string is a label: the header has no quotes and
-    # a transition line two.  Numbered in text order before the scan, the
-    # labels need no renumbering after it.  The scan finds each of its own
-    # labels here but the blank ones, which are left out for it to reject,
-    # and in text that reads, every string here is a label.
+    """Parse Aldebaran text; raises ValueError on malformed input.  One
+    regular expression scan reads every spelling the format allows (any
+    spacing, blank lines, line breaks and decimal digits)."""
+    head = _aut_header(text)
+    initial, num_trans, num_states = map(int, head.groups())
+    # The header has no quotes and a transition line two, so the labels
+    # the scan reads are among every other quoted string, and in text that
+    # reads they are all of them.  Numbered in text order before the scan,
+    # they need no renumbering after it; blank ones are left out, to reject.
     quoted = sorted(label for label in set(text.split('"')[1::2]) if label.strip())
     label_ids = dict(zip(quoted, range(len(quoted))))
     out: list[list[tuple[int, int]]] = []
-    rest = ""
-    for m in _AUT_CANONICAL_LINE.finditer(text, head.end()):
+    for m in _AUT_LINE.finditer(text, head.end()):
         s, label, d = m.groups()
-        if d is None:
-            rest = m.group()
+        if d is None:  # the rest of the text: blank, or from the first line not read
+            if line := _first_line(m.group()):
+                raise ValueError(f"bad .aut transition: {line!r}")
             break
         src, dst = int(s), int(d)
         try:
             lab = label_ids[label]
         except KeyError:
-            raise ValueError(f"blank label in .aut transition: {m.group()[:-1]!r}") from None
+            raise ValueError(f"blank label in .aut transition: {m.group().strip()!r}") from None
         if src >= num_states or dst >= num_states:
-            raise ValueError(f"state out of range in: {m.group()[:-1]!r}")
+            raise ValueError(f"state out of range in: {m.group().strip()!r}")
         try:
             out[src].append((lab, dst))
         except IndexError:
             _grow(out, src, num_states)
             out[src].append((lab, dst))
-    return _read_aut_body(_aut_lines(rest), initial, num_trans, num_states, out, label_ids)
+    if (found := sum(map(len, out))) != num_trans:
+        raise ValueError(f"header promises {num_trans} transition(s), found {found}")
+    if initial >= num_states and num_states > 0:
+        raise ValueError("initial state out of range")
+    out.extend([] for _ in range(num_states - len(out)))
+    return Lts.from_rows(out, label_ids, initial)
 
 
 def _grow(out: list[list[tuple[int, int]]], src: int, num_states: int) -> None:
@@ -596,62 +597,21 @@ def _grow(out: list[list[tuple[int, int]]], src: int, num_states: int) -> None:
     out.extend([] for _ in range(size - len(out)))
 
 
-def _aut_lines(text: str) -> list[str]:
-    return [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-
-
 def aut_header(text: str) -> tuple[int, int, int]:
     """The initial state, transition count and state count the header of
     Aldebaran text declares, found without building any row; raises
     ValueError on a missing or malformed header, as read_aut does."""
-    head = _AUT_CANONICAL_HEADER.match(text)
-    if head is None:
-        return _header(_aut_lines(text))
-    initial, num_trans, num_states = (int(g) for g in head.groups())
+    initial, num_trans, num_states = map(int, _aut_header(text).groups())
     return initial, num_trans, num_states
 
 
-def _header(lines: list[str]) -> tuple[int, int, int]:
-    if not lines:
-        raise ValueError("empty .aut input")
-    head = _AUT_HEADER.match(lines[0])
-    if not head:
-        raise ValueError(f"bad .aut header: {lines[0]!r}")
-    initial, num_trans, num_states = (int(g) for g in head.groups())
-    return initial, num_trans, num_states
+def _aut_header(text: str) -> re.Match[str]:
+    if head := _AUT_HEADER.match(text):
+        return head
+    line = _first_line(text)
+    raise ValueError(f"bad .aut header: {line!r}" if line else "empty .aut input")
 
 
-def _read_aut_lines(text: str) -> Lts:
-    """read_aut line by line, for every spelling the format allows."""
-    lines = _aut_lines(text)
-    return _read_aut_body(lines[1:], *_header(lines), [], {})
-
-
-def _read_aut_body(lines: list[str], initial: int, num_trans: int, num_states: int,
-                   out: list[list[tuple[int, int]]], label_ids: dict[str, int]) -> Lts:
-    """Adds the transition lines to the rows read so far, checks the
-    counts and builds the system.  label_ids numbers 0, 1, ... the labels
-    met so far and any more known to come; a new label takes the next
-    id."""
-    for ln in lines:
-        m = _AUT_LINE.match(ln)
-        if not m:
-            raise ValueError(f"bad .aut transition: {ln!r}")
-        src, label, dst = int(m.group(1)), m.group(2), int(m.group(3))
-        if not label.strip():
-            raise ValueError(f"blank label in .aut transition: {ln!r}")
-        if src >= num_states or dst >= num_states:
-            raise ValueError(f"state out of range in: {ln!r}")
-        lab = label_ids.get(label)
-        if lab is None:
-            lab = label_ids[label] = len(label_ids)
-        if src >= len(out):
-            _grow(out, src, num_states)
-        out[src].append((lab, dst))
-    found = sum(map(len, out))
-    if found != num_trans:
-        raise ValueError(f"header promises {num_trans} transition(s), found {found}")
-    if initial >= num_states and num_states > 0:
-        raise ValueError("initial state out of range")
-    out.extend([] for _ in range(num_states - len(out)))
-    return Lts.from_rows(out, label_ids, initial)
+def _first_line(text: str) -> str:
+    """The first line of text that is not blank, stripped; "" if none."""
+    return next(filter(None, map(str.strip, text.splitlines())), "")

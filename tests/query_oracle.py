@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 
-from lotoskit.contracts import Atom, Fact, FactBase, Query, Var
+from lotoskit.contracts import PREDICATES, Atom, Fact, FactBase, Query, Var
 
 
 def _holds(atom: Atom, env: dict[str, str], fb: FactBase) -> bool:
@@ -16,7 +16,7 @@ def _holds(atom: Atom, env: dict[str, str], fb: FactBase) -> bool:
 
 
 def all_solutions(fb: FactBase, query: Query) -> list[dict[str, str]]:
-    constants = sorted({arg for f in fb.sorted_facts() for arg in f.args})
+    constants = sorted({arg for p in PREDICATES for f in fb.by_predicate(p) for arg in f.args})
     names = list(query.variables)
     out = []
     for combo in itertools.product(constants, repeat=len(names)):

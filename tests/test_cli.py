@@ -753,6 +753,24 @@ def test_verify_requires_property(capsys):
     assert exc.value.code == 3
 
 
+@pytest.mark.parametrize("flag", ["--max-states", "--max-transitions"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "deadlock", corpus("client_server.lot")],
+    ["verify", "deadlock", "small.aut"],
+    ["contract", corpus("observer.asc"), "--facts", corpus("observer.facts")],
+], ids=["lot", "aut", "contract"])
+def test_negative_budget_is_a_usage_error(capsys, tmp_path, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "small.aut").write_text(SMALL_AUT)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "-1"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (3, "")
+    assert captured.err.endswith(f"error: argument {flag}: a budget cannot be negative: '-1'\n")
+    # zero is a budget, and the file is read and checked against it
+    assert main([*argv, flag, "0"]) == 2
+
+
 # ----------------------------------------------------------------------
 # the parser: only the subtree the command line names
 

@@ -54,15 +54,15 @@ def test_factbase_validates_additions():
         fb.add(Fact("made_up", ("A",)))
     with pytest.raises(ValueError):
         fb.add(Fact("class", ("A", "B")))
-    fb.assert_fact("class", "A")
-    fb.assert_fact("class", "A")   # idempotent
+    fb.add(Fact("class", ("A",)))
+    fb.add(Fact("class", ("A",)))   # idempotent
     assert len(fb) == 1
 
 
 def test_by_predicate_sorted():
     fb = FactBase()
-    fb.assert_fact("class", "Zeta")
-    fb.assert_fact("class", "Alpha")
+    fb.add(Fact("class", ("Zeta",)))
+    fb.add(Fact("class", ("Alpha",)))
     assert [f.args for f in fb.by_predicate("class")] == [("Alpha",), ("Zeta",)]
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import aut_oracle
 import check_oracle
 import refine_oracle
 from behavior_gen import gen_behavior, gen_system, wrap
@@ -35,7 +36,7 @@ from lotoskit import (
 )
 from lotoskit.cli import main
 from lotoskit.semantics import strip_hiding
-from lotoskit.verify import _block_at, _joined, _read_aut_lines, _refine
+from lotoskit.verify import _block_at, _joined, _refine, aut_header
 from lotoskit.syntax import ast, parse_behavior
 
 
@@ -621,10 +622,25 @@ def read_or_error(reader, text):
     return lts.num_states, lts.initial, lts.label_text, lts.transitions
 
 
+def header_or_error(reader, text):
+    try:
+        return reader(text)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
 @settings(max_examples=500, deadline=None)
 @given(aut_texts())
 def test_read_aut_agrees_with_the_per_line_reader(text):
-    assert read_or_error(read_aut, text) == read_or_error(_read_aut_lines, text)
+    assert read_or_error(read_aut, text) == read_or_error(aut_oracle.read_aut, text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(aut_texts())
+def test_aut_header_agrees_with_the_per_line_reader(text):
+    # the CLI holds the header's counts to the budget before read_aut runs
+    want = header_or_error(aut_oracle.aut_header, text)
+    assert header_or_error(aut_header, text) == want
 
 
 def test_checks_work_on_read_back_systems(client_server_lts):
