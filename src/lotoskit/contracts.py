@@ -15,6 +15,7 @@ Facts use a fixed predicate vocabulary so misspellings fail loudly.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,16 +66,24 @@ class Fact:
 
 
 class FactBase:
-    """A set of ground facts over the fixed vocabulary."""
+    """A set of ground facts over the fixed vocabulary.
+
+    Facts are held as a set of argument tuples per predicate.  A query
+    reads a predicate through its rows, the tuples in lexicographic
+    order, and through a column index (position, value) -> rows that
+    keeps that order.  Both are built on first use and dropped when the
+    predicate grows."""
 
     def __init__(self) -> None:
-        self._facts: set[Fact] = set()
+        self._args: dict[str, set[tuple[str, ...]]] = {}
+        self._rows: dict[str, list[tuple[str, ...]]] = {}
+        self._columns: dict[tuple[str, int], dict[str, list[tuple[str, ...]]]] = {}
 
     def __len__(self) -> int:
-        return len(self._facts)
+        return sum(map(len, self._args.values()))
 
     def __contains__(self, fact: Fact) -> bool:
-        return fact in self._facts
+        return fact.args in self._args.get(fact.predicate, ())
 
     def add(self, fact: Fact) -> None:
         arity = PREDICATES.get(fact.predicate)
@@ -84,17 +93,36 @@ class FactBase:
             raise ValueError(
                 f"'{fact.predicate}' takes {arity} argument(s), got {len(fact.args)}"
             )
-        self._facts.add(fact)
+        rows = self._args.setdefault(fact.predicate, set())
+        if fact.args not in rows:
+            rows.add(fact.args)
+            self._rows.pop(fact.predicate, None)
+            for position in range(arity):
+                self._columns.pop((fact.predicate, position), None)
 
     def by_predicate(self, predicate: str) -> list[Fact]:
         """Matching facts in lexicographic argument order."""
-        return sorted(
-            (f for f in self._facts if f.predicate == predicate),
-            key=lambda f: f.args,
-        )
+        return [Fact(predicate, args) for args in self._sorted(predicate)]
+
+    def _sorted(self, predicate: str) -> list[tuple[str, ...]]:
+        rows = self._rows.get(predicate)
+        if rows is None:
+            rows = self._rows[predicate] = sorted(self._args.get(predicate, ()))
+        return rows
+
+    def _column(self, predicate: str, position: int) -> dict[str, list[tuple[str, ...]]]:
+        """value -> the rows holding it at `position`, in row order."""
+        column = self._columns.get((predicate, position))
+        if column is None:
+            column = self._columns[predicate, position] = {}
+            for row in self._sorted(predicate):
+                column.setdefault(row[position], []).append(row)
+        return column
 
 
 _FACT_LINE_COMMENT = "%"
+# the arguments keep trailing blanks, which the split arguments lose
+_FACT_LINE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*([^()]*)\)\s*\.?\s*\Z")
 
 
 def parse_facts(text: str) -> tuple[FactBase | None, list[Diagnostic]]:
@@ -102,34 +130,26 @@ def parse_facts(text: str) -> tuple[FactBase | None, list[Diagnostic]]:
     dot; '%' starts a comment.  All problems are reported, not just the
     first, and then there is no fact base."""
     fb = FactBase()
+    table = fb._args
     diags: list[Diagnostic] = []
-    line_re = re.compile(
-        r"([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*([^()]*?)\s*\)\s*\.?\s*\Z"
-    )
+    match = _FACT_LINE.match
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split(_FACT_LINE_COMMENT, 1)[0].strip()
         if not line:
             continue
-        m = line_re.match(line)
+        m = match(line)
         if not m:
             diags.append(error(f"cannot read fact: {line!r}", Span.point(line_no, 1), SYNTAX_ERROR))
             continue
-        pred = m.group(1)
-        args = tuple(a.strip() for a in m.group(2).split(",")) if m.group(2) else ()
+        pred, body = m.groups()
+        args = tuple(map(str.strip, body.split(","))) if body else ()
         arity = PREDICATES.get(pred)
         if arity is None:
             diags.append(error(f"unknown predicate '{pred}'", Span.point(line_no, 1), UNKNOWN_PREDICATE))
-            continue
-        if arity != len(args) or any(not a for a in args):
-            diags.append(
-                error(
-                    f"'{pred}' takes {arity} argument(s)",
-                    Span.point(line_no, 1),
-                    BAD_ARITY,
-                )
-            )
-            continue
-        fb.add(Fact(pred, args))
+        elif arity != len(args) or "" in args:
+            diags.append(error(f"'{pred}' takes {arity} argument(s)", Span.point(line_no, 1), BAD_ARITY))
+        else:
+            table.setdefault(pred, set()).add(args)
     return parse_or_bail(lambda: fb, diags)
 
 
@@ -177,40 +197,68 @@ class Query:
 def eval_query(fb: FactBase, query: Query) -> dict[str, str] | None:
     """First witness, or None.  The search is depth-first through the
     conjuncts in written order, trying each conjunct's facts in
-    lexicographic order, so the answer is reproducible."""
-    candidates = {a.predicate: fb.by_predicate(a.predicate) for a in query.atoms}
+    lexicographic order, so the answer is reproducible.
 
-    def unify(atom: Atom, fact: Fact, env: dict[str, str]) -> dict[str, str] | None:
-        out = env
-        for term, value in zip(atom.args, fact.args):
-            if isinstance(term, Const):
-                if term.name != value:
-                    return None
+    A conjunct reads only the facts that agree with its bound positions,
+    the constants and the variables bound by earlier conjuncts: the
+    shortest of their index lists, or every fact of its predicate when
+    none is bound.  Each list keeps the facts' order, so the first
+    witness is the one a scan over every fact would meet.  The search
+    keeps one iterator per conjunct on a stack, so the length of a query
+    is not bounded by the recursion limit."""
+    # every variable and every constant gets a slot in `env`; a constant's
+    # slot holds its name, a variable's the value it is bound to
+    env: list[str] = []
+    slots: dict[Term, int] = {}
+    steps = []
+    for atom in query.atoms:
+        rows = fb._sorted(atom.predicate)
+        if not rows:  # no witness; an unknown predicate has no facts
+            return None
+        keys = []    # (column, slot) for the positions bound before the conjunct
+        checks = []  # (position, slot) for every position with a bound term
+        binds = []   # (position, slot) for each variable's first occurrence
+        fresh: set[int] = set()
+        for position, term in enumerate(atom.args[: PREDICATES[atom.predicate]]):
+            slot = slots.get(term)
+            if slot is None:
+                slot = slots[term] = len(env)
+                if isinstance(term, Const):
+                    env.append(term.name)
+                else:
+                    env.append("")
+                    fresh.add(slot)
+                    binds.append((position, slot))
+                    continue
+            if slot not in fresh:
+                keys.append((fb._column(atom.predicate, position), slot))
+            checks.append((position, slot))
+        steps.append((rows, keys, checks, binds))
+
+    def matches(index: int) -> Iterator[None]:
+        rows, keys, checks, binds = steps[index]
+        for column, slot in keys:
+            found = column.get(env[slot], ())
+            if len(found) < len(rows):
+                rows = found
+        for row in rows:
+            for position, slot in binds:
+                env[slot] = row[position]
+            for position, slot in checks:
+                if row[position] != env[slot]:
+                    break
             else:
-                bound = out.get(term.name)
-                if bound is None:
-                    if out is env:
-                        out = dict(env)
-                    out[term.name] = value
-                elif bound != value:
-                    return None
-        return out
+                yield
 
-    def search(index: int, env: dict[str, str]) -> dict[str, str] | None:
-        if index == len(query.atoms):
-            return env
-        atom = query.atoms[index]
-        for fact in candidates[atom.predicate]:
-            nxt = unify(atom, fact, env)
-            if nxt is not None:
-                found = search(index + 1, nxt)
-                if found is not None:
-                    return found
-        return None
-
-    witness = search(0, {})
-    if witness is None:
-        return None
+    # stack[k] has just bound conjunct k; an exhausted iterator backtracks
+    stack: list[Iterator[None]] = []
+    while len(stack) < len(steps):
+        stack.append(matches(len(stack)))
+        while next(stack[-1], True) is not None:
+            stack.pop()
+            if not stack:
+                return None
+    witness = {term.name: env[slot] for term, slot in slots.items() if isinstance(term, Var)}
     return {v: witness[v] for v in query.variables}
 
 

@@ -605,6 +605,18 @@ def test_contract_violation_exit_code(capsys):
     assert "[C1]" in out
 
 
+def test_long_query_is_answered_at_default_limit(capsys, tmp_path):
+    # the search keeps one iterator per conjunct, not one stack frame
+    deep = tmp_path / "deep.asc"
+    atoms = " and ".join(["class(x)", "inherit(x, y)", "class(A)"] * 1000)
+    deep.write_text(f"component Deep where\n  sc {{ exists x, y . {atoms} }}\nend\n")
+    facts = tmp_path / "deep.facts"
+    facts.write_text("class(A).\nclass(B).\ninherit(B, A).\n")
+    code, out, err = run_at_default_limit(capsys, "contract", str(deep), "--facts", str(facts))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["contract Deep: ok", "  sc: witness x=B, y=A"]
+
+
 def test_contract_missing_facts_is_operational(capsys):
     code, _, err = run(capsys, "contract", corpus("observer.asc"))
     assert code == 2

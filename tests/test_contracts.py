@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import query_oracle
 from lotoskit import (
@@ -26,10 +28,13 @@ def test_parse_facts_basic():
         "class(A).\n"
         "inherit(B, A)\n"          # trailing dot optional
         "invoke(A, B, m, void). % call\n"
+        "  associate( B ,A )  .  \n"   # blanks around arguments and dot
+        "class(A)\n"              # a fact twice is one fact
     )
     assert not diags
-    assert len(fb) == 3
+    assert len(fb) == 4
     assert Fact("inherit", ("B", "A")) in fb
+    assert Fact("associate", ("B", "A")) in fb
 
 
 def test_parse_facts_reports_every_problem():
@@ -46,6 +51,30 @@ def test_parse_facts_reports_every_problem():
 def test_parse_facts_empty_argument():
     _, diags = parse_facts("inherit(A, ).\n")
     assert [d.code for d in diags] == ["bad-arity"]
+
+
+def test_parse_facts_diagnostics_are_pinned():
+    _, diags = parse_facts(
+        "% a comment line\n"
+        "class(A). % a comment after a fact\n"
+        "class(B)\n"
+        "not a fact % with a comment\n"
+        "classs(A).\n"
+        "inherit(A).\n"
+        "inherit(A, ).\n"
+        "invoke( , B, m, r)\n"
+        "class( )\n"
+        "class(A, B) % too many\n"
+    )
+    assert [(d.span, d.code, d.message) for d in diags] == [
+        ((4, 1, 4, 2), "syntax-error", "cannot read fact: 'not a fact'"),
+        ((5, 1, 5, 2), "unknown-predicate", "unknown predicate 'classs'"),
+        ((6, 1, 6, 2), "bad-arity", "'inherit' takes 2 argument(s)"),
+        ((7, 1, 7, 2), "bad-arity", "'inherit' takes 2 argument(s)"),
+        ((8, 1, 8, 2), "bad-arity", "'invoke' takes 4 argument(s)"),
+        ((9, 1, 9, 2), "bad-arity", "'class' takes 1 argument(s)"),
+        ((10, 1, 10, 2), "bad-arity", "'class' takes 1 argument(s)"),
+    ]
 
 
 def test_factbase_validates_additions():
@@ -167,6 +196,85 @@ def test_agrees_with_brute_force_enumeration():
             assert solutions == []
         else:
             assert witness in solutions
+
+
+CONSTANTS = ("A", "B", "C")
+# abstract_aspect is never in a generated base
+QUERY_PREDICATES = ("class", "aspect", "inherit", "associate", "new", "abstract_aspect")
+
+
+def _terms(predicate, term):
+    width = PREDICATES[predicate]
+    return st.tuples(*[term] * width).map(lambda args: (predicate, args))
+
+
+facts_lists = st.lists(
+    st.sampled_from(QUERY_PREDICATES[:-1])
+    .flatmap(lambda p: _terms(p, st.sampled_from(CONSTANTS)))
+    .map(lambda pa: Fact(*pa)),
+    max_size=12,
+)
+
+
+@st.composite
+def queries(draw):
+    term = st.one_of(
+        st.sampled_from(CONSTANTS).map(Const), st.sampled_from(("x", "y", "z")).map(Var)
+    )
+    atoms = draw(
+        st.lists(
+            st.sampled_from(QUERY_PREDICATES).flatmap(lambda p: _terms(p, term)).map(lambda pa: Atom(*pa)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    # as parse_asc makes them: every declared variable occurs
+    used = list(dict.fromkeys(t.name for atom in atoms for t in atom.args if isinstance(t, Var)))
+    return Query(tuple(draw(st.permutations(used))), tuple(atoms))
+
+
+def in_order(witness):
+    return None if witness is None else list(witness.items())
+
+
+def fact_base(facts):
+    fb = FactBase()
+    for fact in facts:
+        fb.add(fact)
+    return fb
+
+
+@settings(max_examples=400, deadline=None)
+@given(facts_lists, facts_lists, queries())
+@example([], [], q(["x"], a("class", "x")))  # empty base
+@example([Fact("class", ("A",))], [], q([], a("class", "B")))  # constant, no witness
+@example(  # a constant picks two facts, met in order
+    [Fact("associate", ("A", "C")), Fact("associate", ("B", "A")), Fact("associate", ("A", "B"))],
+    [],
+    q(["y"], a("associate", "A", "y")),
+)
+@example(  # a variable repeated inside one atom
+    [Fact("associate", ("A", "B")), Fact("associate", ("C", "C"))], [], q(["x"], a("associate", "x", "x"))
+)
+@example(  # variables shared across atoms
+    [Fact("inherit", ("C", "B")), Fact("inherit", ("B", "A")), Fact("inherit", ("C", "A")), Fact("class", ("C",))],
+    [],
+    q(["y", "x"], a("class", "x"), a("inherit", "x", "y")),
+)
+@example([Fact("class", ("A",))], [], q(["x"], a("class", "x"), a("abstract_aspect", "x")))  # absent
+@example(  # the base grows after a first query
+    [Fact("class", ("B",))], [Fact("class", ("A",)), Fact("inherit", ("A", "B"))],
+    q(["x", "y"], a("class", "x"), a("inherit", "x", "y")),
+)
+def test_agrees_with_first_witness(facts, later, query):
+    fb = fact_base(facts)
+    assert in_order(eval_query(fb, query)) == in_order(query_oracle.first_witness(fb, query))
+    # adding facts drops what the first query cached
+    for fact in later:
+        fb.add(fact)
+    grown = fact_base(facts + later)
+    assert len(fb) == len(grown)
+    assert in_order(eval_query(fb, query)) == in_order(query_oracle.first_witness(grown, query))
 
 
 # ----------------------------------------------------------------------
