@@ -39,8 +39,6 @@ continuation, and that discharges a disrupting branch.
 from __future__ import annotations
 
 import itertools
-import math
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from .syntax import ast
@@ -522,31 +520,32 @@ class Exploration:
     transition order and the same forms.  Only the label ids differ:
     label_text lists the labels as first met, not in text order.
 
-    The checks of verify call ``row`` for a state whose row is not in
-    out yet, so they search in lockstep with an exploration and stop
-    expanding states once they have their answer.  A budget is checked as states
-    are expanded, so it is exceeded only by an exploration that gets
-    that far.  Once expanding has raised (a budget, unguarded
-    recursion), every later row or finish that needs a state not yet
-    expanded raises the same error again."""
+    The checks of verify call ``row`` for every state they read, so they
+    search in lockstep with an exploration and stop expanding states once
+    they have their answer.  A budget is checked as states are expanded,
+    so it is exceeded only by an exploration that gets that far; a state
+    budget of 0 is exceeded at once, by the initial state.  A row and its
+    transitions are counted only once all of its moves are admitted, so a
+    state whose expansion raised a budget or unguarded-recursion error is
+    expanded again by the next row or finish that needs it, and raises
+    the same error again."""
 
     def __init__(self, spec: ast.Specification, budget: ExplorationBudget | None = None):
-        terms = _Terms(spec)
         self.budget = budget or ExplorationBudget()
+        if self.budget.max_states < 1:
+            raise BudgetExceededError("state", self.budget.max_states, 0, 0, 0)
+        terms = self._terms = _Terms(spec)
         self.initial = 0
         self.forms: list[ast.Behavior] = [terms.initial]
         self.out: list[list[tuple[int, int]]] = []
         self.label_text: list[str] = []
         self.label_ids: dict[str, int] = {}
-        # the rows come from a generator that holds the lists, not self:
-        # a cycle through a suspended generator would keep the whole term
-        # table alive after the last use of the exploration, until the
-        # cyclic garbage collector ran
-        self._rows = _explore(spec, self.budget, terms,
-                              self.forms, self.out, self.label_ids, self.label_text)
-        # what exploration raised, without its traceback: the generator is
-        # closed then, so every later row or finish raises it again
-        self._error: BaseException | None = None
+        # states are interned, so a state's id identifies it
+        self._seen: dict[int, int] = {id(terms.initial): 0}
+        self._transitions = 0
+        # the breadth-first level being expanded; the next level starts at
+        # state number level_end
+        self._depth, self._level_end = 0, 1
 
     @property
     def num_states(self) -> int:
@@ -556,88 +555,58 @@ class Exploration:
     def row(self, state: int) -> list[tuple[int, int]]:
         """The moves of a discovered state, built first if need be (with
         those of every state numbered below it)."""
-        out = self.out
-        if len(out) <= state:
-            self._build(state + 1)
-        return out[state]
+        if len(self.out) <= state:
+            self._expand(state + 1)
+        return self.out[state]
 
     def finish(self) -> None:
         """Build the rows of every state not yet expanded."""
-        self._build(math.inf)
+        # no exploration admits more states than its state budget
+        self._expand(self.budget.max_states)
 
-    def _build(self, rows: float) -> None:
+    def _expand(self, rows: int) -> None:
         """Expand states until there are rows rows or none is left."""
-        if self._error is not None:
-            raise _copy_error(self._error)
-        out = self.out
-        try:
-            for _ in self._rows:
-                if len(out) >= rows:
-                    break
-        except BaseException as exc:
-            self._error = _copy_error(exc)
-            raise
+        terms, text = self._terms, self._terms.text
+        forms, out, seen = self.forms, self.out, self._seen
+        label_ids, label_text = self.label_ids, self.label_text
+        max_states, max_transitions = self.budget.max_states, self.budget.max_transitions
+        number = len(out)
+        while number < rows and number < len(forms):
+            if number == self._level_end:
+                self._depth, self._level_end = self._depth + 1, len(forms)
+            count = self._transitions
+            row: list[tuple[int, int]] = []
+            # a printed form names one interned term, so (label, printed
+            # target) both drops repeated steps and orders them
+            steps: dict[tuple[str, str], ast.Behavior] = {}
+            for label, target in successors(forms[number], terms.spec, terms):
+                steps.setdefault((label, text[id(target)]), target)
+            for (label, _), tgt in sorted(steps.items()):
+                key = id(tgt)
+                dst = seen.get(key)
+                if dst is None and len(forms) >= max_states:
+                    raise BudgetExceededError(
+                        "state", max_states, len(forms), count, self._depth
+                    )
+                if count >= max_transitions:
+                    raise BudgetExceededError(
+                        "transition", max_transitions, len(forms), count, self._depth
+                    )
+                if dst is None:
+                    dst = seen[key] = len(forms)
+                    forms.append(tgt)
+                lab = label_ids.get(label)
+                if lab is None:
+                    lab = label_ids[label] = len(label_text)
+                    label_text.append(label)
+                row.append((lab, dst))
+                count += 1
+            out.append(row)
+            self._transitions = count
+            number += 1
 
     def form_text(self, state: int) -> str:
         return pretty_behavior(self.forms[state])
-
-
-def _copy_error(exc: BaseException) -> BaseException:
-    """An exception of exc's class with its args and attributes, and no
-    traceback.  An exploration keeps such a copy, never what it raises: a
-    raised exception's traceback holds the frames it passed, which hold
-    the exploration, and that cycle would keep the whole term table
-    alive until the cyclic garbage collector ran."""
-    copy = type(exc).__new__(type(exc), *exc.args)
-    copy.__dict__.update(vars(exc))
-    return copy
-
-
-def _explore(spec: ast.Specification, budget: ExplorationBudget, terms: _Terms,
-             forms: list[ast.Behavior], out: list[list[tuple[int, int]]],
-             label_ids: dict[str, int], label_text: list[str]) -> Iterator[None]:
-    """Appends the row of the next state to out on each step, and the
-    states and labels it discovers to forms, label_ids and label_text."""
-    text = terms.text
-    # states are interned, so a state's id identifies it
-    ids: dict[int, int] = {id(forms[0]): 0}
-    count = 0
-    # the breadth-first level of the state being expanded; the next
-    # level starts at state number level_end
-    depth, level_end = 0, 1
-    # forms grows as states are discovered, and the loop reaches them
-    for number, state in enumerate(forms):
-        if number == level_end:
-            depth, level_end = depth + 1, len(forms)
-        row: list[tuple[int, int]] = []
-        # a printed form names one interned term, so (label, printed
-        # target) both drops repeated steps and orders them
-        steps: dict[tuple[str, str], ast.Behavior] = {}
-        for label, target in successors(state, spec, terms):
-            steps.setdefault((label, text[id(target)]), target)
-        for (label, _), tgt in sorted(steps.items()):
-            key = id(tgt)
-            dst = ids.get(key)
-            if dst is None:
-                dst = len(forms)
-                if dst >= budget.max_states:
-                    raise BudgetExceededError(
-                        "state", budget.max_states, len(forms), count, depth
-                    )
-                ids[key] = dst
-                forms.append(tgt)
-            if count >= budget.max_transitions:
-                raise BudgetExceededError(
-                    "transition", budget.max_transitions, len(forms), count, depth
-                )
-            lab = label_ids.get(label)
-            if lab is None:
-                lab = label_ids[label] = len(label_text)
-                label_text.append(label)
-            row.append((lab, dst))
-            count += 1
-        out.append(row)
-        yield
 
 
 def generate_lts(

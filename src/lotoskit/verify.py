@@ -131,13 +131,13 @@ def _search(lts: Lts | Exploration, start: object, step: Callable[[object, str],
     may grow meanwhile."""
     if not lts.num_states:  # des (0, 0, 0): not even an initial state
         return None
-    text, out = lts.label_text, lts.out
+    text = lts.label_text
     # observers are numbered as met, and a pair is keyed as the int
     # observer number * n + state, for an n above every state number: the
     # state count of an Lts, or the state budget of an Exploration, whose
     # final state count is not known yet; moves[k][label id] is the
     # number of observer k's move on that label, None until first needed
-    n = lts.num_states if isinstance(lts, Lts) else max(lts.budget.max_states, 1)
+    n = lts.num_states if isinstance(lts, Lts) else lts.budget.max_states
     observers = [start]
     number = {start: 0}
     moves: list[list[int | None]] = [[None] * len(text)]
@@ -152,11 +152,7 @@ def _search(lts: Lts | Exploration, start: object, step: Callable[[object, str],
         key = queue.popleft()
         k, s = divmod(key, n)
         memo = moves[k]
-        try:
-            row = out[s]
-        except IndexError:  # a state the exploration has not expanded yet
-            row = lts.row(s)
-        for lab, dst in row:
+        for lab, dst in lts.row(s):
             try:
                 j = memo[lab]
             except IndexError:  # a label met after the memo was made
@@ -199,12 +195,10 @@ def check_deadlock(lts: Lts | Exploration) -> VerifyResult:
     """ok when no reachable state without moves is initial or entered by a
     step other than exit; a run that enters it by exit has terminated
     successfully."""
-    out = lts.out
     found = _search(
         lts, False,
         lambda _, label: label == "exit",
-        # on an Exploration, a target's row may not be built yet
-        lambda s, exited: not exited and not (out[s] if s < len(out) else lts.row(s)),
+        lambda s, exited: not exited and not lts.row(s),
     )
     if found is None:
         return VerifyResult(ok=True, detail=f"no deadlock in {lts.num_states} state(s)")

@@ -558,6 +558,36 @@ def test_bisim_with_an_aut_file_over_budget(capsys, tmp_path, over_budget):
     assert err == f"lotoskit: '{longer}' has 4 states, more than the state budget of 3\n"
 
 
+@pytest.mark.parametrize("command, rest", [(["lts"], []), (["verify", "deadlock"], []),
+                                           (["verify", "reach"], ["a"])],
+                         ids=["lts", "deadlock", "reach"])
+def test_zero_state_budget_refuses_the_initial_state(capsys, tmp_path, command, rest):
+    # a behaviour file with one state is over a state budget of 0, as the
+    # .aut file exported from it is
+    lot, aut = tmp_path / "one.lot", tmp_path / "one.aut"
+    lot.write_text("specification One [a] : noexit := behaviour stop endspec\n")
+    assert run(capsys, "lts", str(lot), "-o", str(aut))[0] == 0
+    code, out, err = run(capsys, *command, str(lot), *rest, "--max-states", "0")
+    assert (code, out) == (2, "")
+    assert err == ("lotoskit: state space exceeds the state budget of 0 "
+                   "(stopped after 0 states and 0 transitions at depth 0)\n")
+    if command[0] == "verify":  # lts reads behaviour files only
+        code, out, err = run(capsys, *command, str(aut), *rest, "--max-states", "0")
+        assert (code, out) == (2, "")
+        assert err == f"lotoskit: '{aut}' has 1 states, more than the state budget of 0\n"
+
+
+@pytest.mark.parametrize("argv", [["lts"], ["verify", "deadlock"]], ids=["lts", "deadlock"])
+def test_transition_budget_counts_only_admitted_states(capsys, tmp_path, argv):
+    # the one transition is refused, so its target is never admitted
+    lot = tmp_path / "two.lot"
+    lot.write_text("specification Two [a] : noexit := behaviour a; stop endspec\n")
+    code, out, err = run(capsys, *argv, str(lot), "--max-transitions", "0")
+    assert (code, out) == (2, "")
+    assert err == ("lotoskit: state space exceeds the transition budget of 0 "
+                   "(stopped after 1 states and 0 transitions at depth 0)\n")
+
+
 @pytest.mark.parametrize("label", ["", "   "], ids=["empty", "spaces"])
 def test_blank_aut_label_is_operational_error(capsys, tmp_path, label):
     blank = tmp_path / "blank.aut"

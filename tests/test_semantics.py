@@ -11,6 +11,7 @@ from behavior_gen import GATES, gen_behavior, gen_system, wrap
 from conftest import LOT_FILES, load_spec
 from lotoskit import (
     BudgetExceededError,
+    Exploration,
     ExplorationBudget,
     UnguardedRecursionError,
     generate_lts,
@@ -465,9 +466,36 @@ def test_budget_limits_transitions():
         generate_lts(spec, ExplorationBudget(max_transitions=20))
     err = exc.value
     assert err.kind == "transition"
-    assert err.transitions == 20 and 0 < err.states <= 21
-    assert err.depth >= 1
+    assert (err.states, err.transitions, err.depth) == (16, 20, 3)
     assert f"{err.states} states and {err.transitions} transitions at depth {err.depth}" in str(err)
+
+
+def test_transition_budget_admits_no_state_it_refuses():
+    # under a budget of k transitions, exploration has admitted the states
+    # that the first k transitions of the whole system reach, and no state
+    # that only the refused one reaches
+    spec = load_spec("multicast_unordered.lot")
+    whole = generate_lts(spec)
+    moves = [(src, dst) for src, row in enumerate(whole.out) for _, dst in row]
+    level = {0: 0}
+    for src, dst in moves:
+        level.setdefault(dst, level[src] + 1)
+    for k, (src, _) in enumerate(moves):
+        with pytest.raises(BudgetExceededError) as exc:
+            generate_lts(spec, ExplorationBudget(max_transitions=k))
+        err = exc.value
+        admitted = 1 + max((dst for _, dst in moves[:k]), default=0)
+        assert (err.kind, err.states, err.transitions, err.depth) == (
+            "transition", admitted, k, level[src])
+
+
+def test_state_budget_of_zero_admits_not_even_the_initial_state():
+    spec = spec_of("specification One [a] : noexit := behaviour stop endspec")
+    for explore in (Exploration, generate_lts):
+        with pytest.raises(BudgetExceededError) as exc:
+            explore(spec, ExplorationBudget(max_states=0))
+        assert vars(exc.value) == vars(BudgetExceededError("state", 0, 0, 0, 0))
+        assert str(exc.value).endswith("(stopped after 0 states and 0 transitions at depth 0)")
 
 
 def test_budget_reports_breadth_first_depth():

@@ -927,11 +927,19 @@ UNGUARDED = ("specification U [a] : noexit := behaviour a; a; P [a]\n"
 @pytest.mark.parametrize("error, make", [
     (BudgetExceededError, lambda: Exploration(load_spec("multicast.lot"), ExplorationBudget(5))),
     (UnguardedRecursionError, lambda: Exploration(spec_of(UNGUARDED))),
-], ids=["budget", "unguarded"])
+    # state 2 has three moves, and the second is one too many; a refused
+    # transition repeats with the same counts, however early they were kept
+    (BudgetExceededError,
+     lambda: Exploration(load_spec("multicast_unordered.lot"), ExplorationBudget(max_transitions=5))),
+    # state 1 has three moves, and the second's target is one state too
+    # many: the error shows the transitions counted, so it repeats only if
+    # the first move is not counted until its row is built
+    (BudgetExceededError,
+     lambda: Exploration(load_spec("multicast_unordered.lot"), ExplorationBudget(max_states=3))),
+], ids=["budget", "unguarded", "transitions-mid-row", "states-mid-row"])
 def test_exploration_raises_its_error_again(error, make):
-    # the generator behind the rows is closed once it has raised, so every
-    # later row and finish must raise the same error, not StopIteration or
-    # nothing at all
+    # a state whose expansion raised has no row, so every later row and
+    # finish that needs it expands it again and must raise the same error
     explored = make()
     with pytest.raises(error) as first:
         check_deadlock(explored)
@@ -947,8 +955,8 @@ def test_exploration_raises_its_error_again(error, make):
 
 
 def test_exploration_that_raised_is_freed_without_the_collector():
-    # the error an exploration keeps holds no traceback, whose frames
-    # would hold the exploration in a cycle
+    # an exploration keeps nothing of what it raised, so the traceback,
+    # whose frames hold the exploration, makes no cycle with it
     gc.disable()
     try:
         explored = Exploration(load_spec("multicast.lot"), ExplorationBudget(5))
