@@ -32,7 +32,7 @@ from .syntax.diagnostics import (
 from .syntax.lexer import parse_or_bail
 from .syntax.parser import parse_spec
 from .syntax.validator import validate_spec
-from .verify import VerifyResult, check_deadlock
+from .verify import LINE_BREAKS, VerifyResult, check_deadlock
 
 # predicate name -> arity; the only predicates facts and queries may use
 PREDICATES: dict[str, int] = {
@@ -120,28 +120,30 @@ class FactBase:
         return column
 
 
-_FACT_LINE_COMMENT = "%"
-# the arguments keep trailing blanks, which the split arguments lose
-_FACT_LINE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*([^()]*)\)\s*\.?\s*\Z")
+# One line of str.splitlines and its line break: a fact, a blank or
+# comment line, or else any other line.  _SP is whitespace but a break.
+_SP, _EOL = rf"[^\S{LINE_BREAKS}]*", rf"(?:\r\n|[{LINE_BREAKS}]|\Z)"
+_FACT_LINE = re.compile(
+    rf"{_SP}(?:([A-Za-z_][A-Za-z0-9_]*){_SP}\({_SP}([^()%{LINE_BREAKS}]*)\){_SP}(?:\.{_SP})?)?"
+    rf"(?:%[^{LINE_BREAKS}]*)?{_EOL}|([^{LINE_BREAKS}]*){_EOL}")
 
 
 def parse_facts(text: str) -> tuple[FactBase | None, list[Diagnostic]]:
     """One fact per line, "predicate(arg, arg)." with an optional trailing
     dot; '%' starts a comment.  All problems are reported, not just the
-    first, and then there is no fact base."""
+    first, and then there is no fact base.  One scan reads every line."""
     fb = FactBase()
     table = fb._args
     diags: list[Diagnostic] = []
-    match = _FACT_LINE.match
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split(_FACT_LINE_COMMENT, 1)[0].strip()
-        if not line:
-            continue
-        m = match(line)
-        if not m:
+    for line_no, m in enumerate(_FACT_LINE.finditer(text), start=1):
+        pred, body, unread = m.groups()
+        if unread is not None:
+            line = unread.split("%", 1)[0].strip()
             diags.append(error(f"cannot read fact: {line!r}", Span.point(line_no, 1), SYNTAX_ERROR))
             continue
-        pred, body = m.groups()
+        if pred is None:  # a blank or comment line
+            continue
+        # body keeps trailing blanks, which the split arguments lose
         args = tuple(map(str.strip, body.split(","))) if body else ()
         arity = PREDICATES.get(pred)
         if arity is None:

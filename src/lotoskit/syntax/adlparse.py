@@ -42,8 +42,8 @@ class _AdlParser:
             "composition": self._composition,
         }, repeatable=frozenset({"use"}))
         if "composition" not in parts:
-            raise ParseFailure(end.span, "configuration has no composition section")
-        return ArchConfig(name.text, tuple(uses), tuple(elements), parts["composition"])
+            raise ParseFailure(self.ts.span(end), "configuration has no composition section")
+        return ArchConfig(name, tuple(uses), tuple(elements), parts["composition"])
 
     def _composition(self) -> ast.Behavior:
         self.ts.expect_punct("{")
@@ -54,15 +54,15 @@ class _AdlParser:
     def _bindings(self, role: str) -> list[ArchElement]:
         self.ts.expect_punct("{")
         out: list[ArchElement] = []
-        while self.ts.peek().kind == IDENT:
-            name = self.ts.next()
+        while self.ts.kind == IDENT:
+            name = self.ts.expect_ident("an instance name")
             self.ts.expect_punct("=")
             process = self.ts.expect_ident("a process name")
             gates: tuple[str, ...] = ()
             if self.ts.accept_punct("["):
                 gates = tuple(self.ts.expect_idents("a gate name"))
                 self.ts.expect_punct("]")
-            out.append(ArchElement(name.text, role, process.text, gates))
+            out.append(ArchElement(name, role, process, gates))
             if not self.ts.accept_punct(","):
                 break
         self.ts.expect_punct("}")

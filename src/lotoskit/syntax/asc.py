@@ -43,7 +43,7 @@ from .diagnostics import (
     UNKNOWN_QUERY_VARIABLE,
     error,
 )
-from .lexer import IDENT, ParseFailure, TokenStream, parse_or_bail
+from .lexer import IDENT, TokenStream, parse_or_bail
 
 
 _IC_SECTIONS = (
@@ -69,12 +69,12 @@ class _AscParser:
         name = self.ts.expect_ident("a contract name")
         self.ts.expect_kw("where")
         parts, _ = self.ts.sections("contract", {
-            "assert": lambda: self.ts.raw_brace_block()[0],
+            "assert": self.ts.raw_brace_block,
             "sc": self._sc,
             "ic": self._interface,
             "bc": self._bc,
         })
-        return AscContract(name.text, parts.get("assert"), parts.get("sc"),
+        return AscContract(name, parts.get("assert"), parts.get("sc"),
                            parts.get("ic"), parts.get("bc"))
 
     # ------------------------------------------------------------------
@@ -87,15 +87,14 @@ class _AscParser:
 
     def _query(self) -> Query:
         variables: list[str] = []
-        if self.ts.at_kw("exists"):
-            self.ts.next()
+        if self.ts.accept_kw("exists"):
             variables = self.ts.expect_idents("a variable name")
             self.ts.expect_punct(".")
         declared = set()
         for v in variables:
             if v in declared:
                 self.diagnostics.append(
-                    error(f"variable '{v}' is declared twice", self.ts.peek().span, DUPLICATE_DEFINITION)
+                    error(f"variable '{v}' is declared twice", self.ts.span(self.ts.i), DUPLICATE_DEFINITION)
                 )
             declared.add(v)
 
@@ -109,13 +108,14 @@ class _AscParser:
                 self.diagnostics.append(
                     error(
                         f"variable '{v}' does not occur in the query",
-                        self.ts.peek().span,
+                        self.ts.span(self.ts.i),
                         UNKNOWN_QUERY_VARIABLE,
                     )
                 )
         return Query(tuple(variables), tuple(atoms))
 
     def _atom(self, variables: set[str]) -> Atom:
+        at = self.ts.i
         pred = self.ts.expect_ident("a predicate name")
         self.ts.expect_punct("(")
         terms: list[Term] = []
@@ -125,18 +125,18 @@ class _AscParser:
                 terms.append(self._term(variables))
         self.ts.expect_punct(")")
 
-        arity = PREDICATES.get(pred.text)
+        arity = PREDICATES.get(pred)
         if arity is None:
-            self.diagnostics.append(error(f"unknown predicate '{pred.text}'", pred.span, UNKNOWN_PREDICATE))
+            self.diagnostics.append(error(f"unknown predicate '{pred}'", self.ts.span(at), UNKNOWN_PREDICATE))
         elif arity != len(terms):
             self.diagnostics.append(
-                error(f"'{pred.text}' takes {arity} argument(s), got {len(terms)}", pred.span, BAD_ARITY)
+                error(f"'{pred}' takes {arity} argument(s), got {len(terms)}", self.ts.span(at), BAD_ARITY)
             )
-        return Atom(pred.text, tuple(terms))
+        return Atom(pred, tuple(terms))
 
     def _term(self, variables: set[str]) -> Term:
-        tok = self.ts.expect_ident("a term")
-        return Var(tok.text) if tok.text in variables else Const(tok.text)
+        name = self.ts.expect_ident("a term")
+        return Var(name) if name in variables else Const(name)
 
     # ------------------------------------------------------------------
 
@@ -144,16 +144,12 @@ class _AscParser:
         self.ts.expect_punct("{")
         parts: dict[str, tuple] = {}
         while not self.ts.at_punct("}"):
-            tok = self.ts.peek()
-            if tok.kind != IDENT or tok.text.lower() not in _IC_SECTIONS:
-                raise ParseFailure(
-                    tok.span,
-                    f"expected one of {', '.join(_IC_SECTIONS)}, found '{tok.text}'",
-                )
-            section = tok.text.lower()
-            self.ts.next()
+            section = self.ts.text.lower()
+            if self.ts.kind != IDENT or section not in _IC_SECTIONS:
+                raise self.ts.error(f"expected one of {', '.join(_IC_SECTIONS)}, found '{self.ts.text}'")
+            at = self.ts.advance()
             if section in parts:
-                self.diagnostics.append(error(f"'{section}' appears twice", tok.span, MALFORMED_IC))
+                self.diagnostics.append(error(f"'{section}' appears twice", self.ts.span(at), MALFORMED_IC))
             self.ts.expect_punct("{")
             if section in ("processes", "external_in"):
                 parts[section] = self._name_list()
@@ -176,13 +172,13 @@ class _AscParser:
         )
 
     def _name_list(self) -> tuple[str, ...]:
-        if self.ts.peek().kind != IDENT:
+        if self.ts.kind != IDENT:
             return ()
         return tuple(self.ts.expect_idents("a name"))
 
     def _pair_list(self, sep: str) -> tuple[tuple[str, str], ...]:
         pairs: list[tuple[str, str]] = []
-        if self.ts.peek().kind == IDENT:
+        if self.ts.kind == IDENT:
             pairs.append(self._pair(sep))
             while self.ts.accept_punct(","):
                 pairs.append(self._pair(sep))
@@ -192,17 +188,17 @@ class _AscParser:
         a = self.ts.expect_ident("a name")
         self.ts.expect_punct(sep)
         b = self.ts.expect_ident("a name")
-        return (a.text, b.text)
+        return (a, b)
 
     def _flow_list(self) -> tuple[tuple[str, str, str], ...]:
         flows: list[tuple[str, str, str]] = []
-        while self.ts.peek().kind == IDENT:
-            msg = self.ts.next()
+        while self.ts.kind == IDENT:
+            msg = self.ts.expect_ident("a message name")
             self.ts.expect_punct(":")
             src = self.ts.expect_ident("an output port")
             self.ts.expect_punct("->")
             dst = self.ts.expect_ident("an input port")
-            flows.append((msg.text, src.text, dst.text))
+            flows.append((msg, src, dst))
             if not self.ts.accept_punct(","):
                 break
         return tuple(flows)
@@ -214,7 +210,7 @@ class _AscParser:
             return None
         name = self.ts.expect_ident("a behaviour name")
         self.ts.expect_kw("from")
-        return BcRef(name.text, self.ts.expect_file_name())
+        return BcRef(name, self.ts.expect_file_name())
 
 
 def parse_asc(text: str) -> tuple[AscContract | None, list[Diagnostic]]:

@@ -36,7 +36,7 @@ UNKNOWN_QUERY_VARIABLE = "unknown-query-variable"
 class Span(NamedTuple):
     """Half-open source span; columns count characters, tabs included.
     A named tuple, which is cheaper to build than a frozen dataclass: the
-    lexer makes one per token."""
+    parsers make one per AST node."""
 
     line: int
     col: int

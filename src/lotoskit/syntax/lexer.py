@@ -9,13 +9,26 @@ arithmetic anywhere in these grammars, so the reading is unambiguous.
 Comments are ``(* ... *)`` and ``/* ... */``, and both nest.  Each kind
 counts only its own opener, so ``(*`` inside ``/* ... */`` is plain text.
 
-Tokens are matched by one compiled regular expression; a token's span is
-worked out from its offsets and the line starts, found once per text.
+``TokenStream`` lexes its text once, with one compiled regular
+expression, into three flat lists: the kind and the text of each token
+and its start offset.  A parser reads it through a cursor: ``kind`` and
+``text`` are the current token's, ``advance()`` consumes it and returns
+its index, and ``span(i)`` works out token i's span from its offset and
+the line starts, only where an AST node or a diagnostic needs one.
 
-What the parsers share beyond tokens lives here too: ``TokenStream`` checks
-the end of input and reads the keyword-led sections of .asc and .adl files,
-and ``parse_or_bail`` gives every reader its one contract: a value exactly
-when there are no diagnostics, and a bail-out as one diagnostic.
+A text that stops lexing ends in a sentinel token whose kind no rule
+accepts, and which holds the lex failure.  The failure is raised only
+when a parser rejects the sentinel, so an error earlier in the text is
+reported first, as if the text were lexed token by token.  An
+``assert { ... }`` block of an .asc file is free text the token pattern
+may reject: ``raw_brace_block`` reads it from the source where the
+current token starts, past the last consumed one and its trivia, and
+lexes the text after it again.
+
+``TokenStream`` also checks the end of input and reads the keyword-led
+sections of .asc and .adl files, and ``parse_or_bail`` gives every reader
+its one contract: a value exactly when there are no diagnostics, and a
+bail-out as one diagnostic.
 """
 from __future__ import annotations
 
@@ -30,6 +43,8 @@ IDENT = "ident"
 STRING = "string"
 PUNCT = "punct"
 EOF = "eof"
+# the kind of the sentinel that ends a text which stops lexing
+FAILED = "failed"
 
 # Longest match first.
 _PUNCTUATION = (
@@ -49,21 +64,6 @@ _TOKEN = re.compile(
     rf"|(?P<{PUNCT}>{'|'.join(map(re.escape, _PUNCTUATION))}))"
 )
 _BRACE = re.compile(r"[{}]")
-
-
-class Token:
-    __slots__ = ("kind", "text", "span")
-
-    def __init__(self, kind: str, text: str, span: Span):
-        self.kind = kind
-        self.text = text
-        self.span = span
-
-    def is_kw(self, word: str) -> bool:
-        return self.kind == IDENT and self.text.lower() == word
-
-    def __str__(self) -> str:
-        return "end of input" if self.kind == EOF else f"'{self.text}'"
 
 
 class ParseFailure(Exception):
@@ -86,29 +86,83 @@ class NestingFailure(ParseFailure):
     code = NESTING_TOO_DEEP
 
 
-class Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self._line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
+class TokenStream:
+    """A text lexed once into flat lists, read through a cursor at token i.
+    The lists end with EOF or the sentinel, which no rule consumes."""
+
+    __slots__ = ("source", "kind", "text", "i", "failure", "_kinds", "_texts", "_starts",
+                 "_line_starts")
+
+    def __init__(self, source: str):
+        self.source = source
+        self._line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
+        self._kinds: list[str] = []
+        self._texts: list[str] = []
+        self._starts: list[int] = []
+        self.failure: LexFailure | None = None
+        self._lex(0)
+        self.i, self.kind, self.text = 0, self._kinds[0], self._texts[0]
+
+    def _lex(self, pos: int) -> None:
+        """Append the tokens from offset pos on, then EOF or the sentinel."""
+        source = self.source
+        kinds, texts, starts = self._kinds.append, self._texts.append, self._starts.append
+        match = _TOKEN.match
+        try:
+            while m := match(source, pos):
+                kind = m.lastgroup
+                if kind == _COMMENT:
+                    # the sentinel of an unterminated comment starts at its opener
+                    pos = m.start(kind)
+                    pos = self._skip_comment(pos)
+                    continue
+                value = m.group(kind)
+                pos = m.end()
+                kinds(kind)
+                texts(value[1:-1] if kind == STRING else value)
+                starts(pos - len(value))
+            pos = _SPACE.match(source, pos).end()
+            if pos < len(source):
+                ch = source[pos]
+                raise LexFailure(self._point(pos), "unterminated string literal" if ch == '"'
+                                 else f"unexpected character {ch!r}")
+            kinds(EOF)
+        except LexFailure as exc:
+            self.failure = exc
+            kinds(FAILED)
+        texts("")
+        starts(pos)
+
+    def advance(self) -> int:
+        """Move past the current token; returns its index."""
+        i = self.i
+        self.i = j = i + 1
+        self.kind, self.text = self._kinds[j], self._texts[j]
+        return i
+
+    def span(self, i: int) -> Span:
+        """Token i's span; EOF and the sentinel are one character wide."""
+        start = self._starts[i]
+        line = bisect_right(self._line_starts, start)
+        col = start - self._line_starts[line - 1] + 1
+        width = len(self._texts[i]) + (2 if self._kinds[i] == STRING else 0)
+        return Span(line, col, line, col + (width or 1))
+
+    def error(self, message: str) -> ParseFailure:
+        """The failure to raise for message at the current token; the lex
+        failure instead when the cursor is on the sentinel."""
+        if self.kind == FAILED:
+            return self.failure
+        return ParseFailure(self.span(self.i), message)
 
     def _point(self, pos: int) -> Span:
         line = bisect_right(self._line_starts, pos)
         return Span.point(line, pos - self._line_starts[line - 1] + 1)
 
-    def _skip_trivia(self) -> int:
-        """Move past whitespace and comments; returns the new offset."""
-        text = self.text
-        pos = _SPACE.match(text, self.pos).end()
-        while text[pos:pos + 2] in _CLOSERS:
-            pos = _SPACE.match(text, self._skip_comment(pos)).end()
-        self.pos = pos
-        return pos
-
     def _skip_comment(self, start: int) -> int:
         """The offset just past the comment opened at start, which may
         nest comments of its own kind."""
-        text = self.text
+        text = self.source
         opener = text[start:start + 2]
         closer = _CLOSERS[opener]
         depth, pos = 1, start + 2
@@ -126,151 +180,102 @@ class Lexer:
                 if depth == 0:
                     return pos
 
-    def next_token(self) -> Token:
-        text = self.text
-        m = _TOKEN.match(text, self.pos)
-        while m is not None and m.lastgroup == _COMMENT:
-            m = _TOKEN.match(text, self._skip_comment(m.start(_COMMENT)))
-        if m is None:
-            pos = self._skip_trivia()
-            if pos == len(text):
-                return Token(EOF, "", self._point(pos))
-            ch = text[pos]
-            raise LexFailure(self._point(pos), "unterminated string literal" if ch == '"'
-                             else f"unexpected character {ch!r}")
-        kind = m.lastgroup
-        value = m.group(kind)
-        self.pos = end = m.end()
-        pos = end - len(value)
-        starts = self._line_starts
-        line = bisect_right(starts, pos)
-        col = pos - starts[line - 1] + 1
-        return Token(kind, value[1:-1] if kind == STRING else value,
-                     Span(line, col, line, col + len(value)))
-
-    def raw_brace_block(self) -> tuple[str, Span]:
+    def raw_brace_block(self) -> str:
         """Read a ``{ ... }`` block as raw text (used for stored-not-parsed
-        sections).  Braces inside must balance; everything else is free
-        text.  Returns the inner text, stripped."""
-        pos = self._skip_trivia()
-        open_span = self._point(pos)
-        if not self.text.startswith("{", pos):
-            raise LexFailure(open_span, "expected '{'")
+        sections) where the last consumed token's trivia end, which is
+        where the current token starts, then lex what follows it again,
+        from the cursor on.  Braces inside must balance; everything else
+        is free text.  Returns the inner text, stripped."""
+        i = self.i
+        pos = self._starts[i]
+        if not self.source.startswith("{", pos):
+            # only the sentinel of an unterminated comment starts at an opener
+            raise self.failure if self.source[pos:pos + 2] in _CLOSERS else LexFailure(
+                self._point(pos), "expected '{'")
         depth = 0
-        for m in _BRACE.finditer(self.text, pos):
+        for m in _BRACE.finditer(self.source, pos):
             depth += 1 if m.group() == "{" else -1
             if depth == 0:
-                self.pos = end = m.end()
-                close = self._point(end)
-                return self.text[pos + 1:m.start()].strip(), Span(
-                    open_span.line, open_span.col, close.line, close.col)
-        raise LexFailure(open_span, "unterminated '{' block")
-
-
-class TokenStream:
-    """One-token-lookahead stream over the lexer.
-
-    ``raw_brace_block`` is only legal while no lookahead is buffered, so the
-    parser must call it immediately after consuming the preceding token.
-    """
-
-    def __init__(self, text: str):
-        self.lexer = Lexer(text)
-        self._buffered: Token | None = None
-
-    def peek(self) -> Token:
-        if self._buffered is None:
-            self._buffered = self.lexer.next_token()
-        return self._buffered
-
-    def next(self) -> Token:
-        tok = self.peek()
-        self._buffered = None
-        return tok
+                for tokens in (self._kinds, self._texts, self._starts):
+                    del tokens[i:]
+                self.failure = None
+                self._lex(m.end())
+                self.kind, self.text = self._kinds[i], self._texts[i]
+                return self.source[pos + 1:m.start()].strip()
+        raise LexFailure(self._point(pos), "unterminated '{' block")
 
     def at_punct(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == PUNCT and t.text == text
+        return self.kind == PUNCT and self.text == text
 
     def at_kw(self, word: str) -> bool:
-        return self.peek().is_kw(word)
+        return self.kind == IDENT and self.text.lower() == word
 
-    def accept_punct(self, text: str) -> Token | None:
+    def accept_punct(self, text: str) -> bool:
         if self.at_punct(text):
-            return self.next()
-        return None
+            self.advance()
+            return True
+        return False
 
-    def accept_kw(self, word: str) -> Token | None:
+    def accept_kw(self, word: str) -> bool:
         if self.at_kw(word):
-            return self.next()
-        return None
+            self.advance()
+            return True
+        return False
 
-    def expect_punct(self, text: str) -> Token:
-        tok = self.peek()
+    def expect_punct(self, text: str) -> int:
         if not self.at_punct(text):
-            raise ParseFailure(tok.span, f"expected '{text}', found '{tok.text}'")
-        return self.next()
+            raise self.error(f"expected '{text}', found '{self.text}'")
+        return self.advance()
 
-    def expect_kw(self, word: str) -> Token:
-        tok = self.peek()
+    def expect_kw(self, word: str) -> int:
         if not self.at_kw(word):
-            raise ParseFailure(tok.span, f"expected '{word}', found '{tok.text}'")
-        return self.next()
+            raise self.error(f"expected '{word}', found '{self.text}'")
+        return self.advance()
 
-    def expect_ident(self, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != IDENT:
-            raise ParseFailure(tok.span, f"expected {what}, found '{tok.text}'")
-        return self.next()
+    def expect_ident(self, what: str) -> str:
+        if self.kind != IDENT:
+            raise self.error(f"expected {what}, found '{self.text}'")
+        return self._texts[self.advance()]
 
     def expect_file_name(self) -> str:
-        tok = self.peek()
-        if tok.kind != STRING:
-            raise ParseFailure(tok.span, f"expected a quoted file name, found '{tok.text}'")
-        return self.next().text
+        if self.kind != STRING:
+            raise self.error(f"expected a quoted file name, found '{self.text}'")
+        return self._texts[self.advance()]
 
     def expect_idents(self, what: str) -> list[str]:
         """IDENT ("," IDENT)*: the texts of one or more comma-separated
         identifiers, each described as what in a diagnostic."""
-        names = [self.expect_ident(what).text]
+        names = [self.expect_ident(what)]
         while self.accept_punct(","):
-            names.append(self.expect_ident(what).text)
+            names.append(self.expect_ident(what))
         return names
 
     def expect_eof(self, after: str) -> None:
         """Nothing may follow the closing word after."""
-        tail = self.peek()
-        if tail.kind != EOF:
-            raise ParseFailure(tail.span, f"unexpected '{tail.text}' after {after}")
+        if self.kind != EOF:
+            raise self.error(f"unexpected '{self.text}' after {after}")
 
     def sections(self, what: str, handlers: dict[str, Callable[[], object]],
-                 repeatable: frozenset[str] = frozenset()) -> tuple[dict[str, object], Token]:
+                 repeatable: frozenset[str] = frozenset()) -> tuple[dict[str, object], int]:
         """Sections led by a keyword of handlers, in any order, up to "end"
         and the end of input; each appears at most once unless it is
         repeatable.  Returns each section's last handler result, and the
-        "end" token."""
+        index of the "end" token."""
         found: dict[str, object] = {}
         while not self.at_kw("end"):
-            tok = self.peek()
-            if tok.kind == EOF:
-                raise ParseFailure(tok.span, "missing 'end'")
-            part = tok.text.lower()
+            if self.kind == EOF:
+                raise self.error("missing 'end'")
+            part = self.text.lower()
             if part in found and part not in repeatable:
-                raise ParseFailure(tok.span, f"section '{part}' appears twice")
-            handler = handlers.get(part) if tok.kind == IDENT else None
+                raise self.error(f"section '{part}' appears twice")
+            handler = handlers.get(part) if self.kind == IDENT else None
             if handler is None:
-                raise ParseFailure(tok.span, f"expected a {what} section, found '{tok.text}'")
-            self.next()
+                raise self.error(f"expected a {what} section, found '{self.text}'")
+            self.advance()
             found[part] = handler()
-        end = self.next()
+        end = self.advance()
         self.expect_eof("end")
         return found, end
-
-    def raw_brace_block(self) -> tuple[str, Span]:
-        if self._buffered is not None:
-            # Lookahead already consumed part of the raw region; rewind.
-            raise RuntimeError("raw_brace_block called with buffered lookahead")
-        return self.lexer.raw_brace_block()
 
 
 Value = TypeVar("Value")

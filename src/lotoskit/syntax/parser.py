@@ -44,9 +44,13 @@ from __future__ import annotations
 
 from . import ast
 from .diagnostics import Diagnostic, LIBRARY_NOT_SUPPORTED
-from .lexer import IDENT, PUNCT, NestingFailure, ParseFailure, Token, TokenStream, parse_or_bail
+from .lexer import IDENT, PUNCT, NestingFailure, ParseFailure, TokenStream, parse_or_bail
 
 _FUNCTIONALITIES = ("noexit", "exit")
+# identifiers that end an action prefix chain rather than name an action
+_BEHAVIOUR_KEYWORDS = frozenset(
+    ["stop", "exit", "hide", "where", "endproc", "endprocess", "endspec", "process", "in"]
+)
 
 
 class LibraryFailure(ParseFailure):
@@ -77,25 +81,24 @@ class _Parser:
         return tuple(names)
 
     def _functionality(self) -> str:
-        tok = self.ts.peek()
         for f in _FUNCTIONALITIES:
             if self.ts.accept_kw(f):
                 return f
-        raise ParseFailure(tok.span, f"expected 'noexit' or 'exit', found '{tok.text}'")
+        raise self.ts.error(f"expected 'noexit' or 'exit', found '{self.ts.text}'")
 
     def _sorts_section(self) -> list[ast.SortDecl]:
         decls: list[ast.SortDecl] = []
-        while self.ts.peek().kind == IDENT and not self.ts.at_kw("behaviour") and not self.ts.at_kw("behavior"):
-            name_tok = self.ts.next()
+        while self.ts.kind == IDENT and not self.ts.at_kw("behaviour") and not self.ts.at_kw("behavior"):
+            name, at = self.ts.text, self.ts.advance()
             self.ts.expect_punct("=")
             self.ts.expect_punct("{")
             values = self.ts.expect_idents("a value name")
             self.ts.expect_punct("}")
-            decls.append(ast.SortDecl(name_tok.text, tuple(values), loc=name_tok.span))
+            decls.append(ast.SortDecl(name, tuple(values), loc=self.ts.span(at)))
             for v in values:
-                self.value_sorts.setdefault(v, name_tok.text)
+                self.value_sorts.setdefault(v, name)
         if not decls:
-            raise ParseFailure(self.ts.peek().span, "expected at least one sort declaration")
+            raise self.ts.error("expected at least one sort declaration")
         return decls
 
     # ------------------------------------------------------------------
@@ -107,99 +110,95 @@ class _Parser:
         operators binding strictly tighter, so that all associate to the
         left.  A "(" or "hide" level costs three frames: this, _prefix and
         _atom."""
+        ts = self.ts
         left = self._prefix()
         while True:
-            op = self.ts.peek()
-            entry = ast.OPERATORS.get(op.text) if op.kind == PUNCT else None
+            entry = ast.OPERATORS.get(ts.text) if ts.kind == PUNCT else None
             if entry is None or entry[0] < level:
                 return left
-            self.ts.next()
+            op = ts.advance()
             op_level, node, kind = entry
             gates: frozenset[str] = frozenset()
             if kind is ast.ParKind.GATES:
-                gates = frozenset(self.ts.expect_idents("a gate name"))
-                self.ts.expect_punct("]|")
+                gates = frozenset(ts.expect_idents("a gate name"))
+                ts.expect_punct("]|")
             right = self.behaviour(op_level + 1)
             if kind is None:
-                left = node(left, right, loc=op.span)
+                left = node(left, right, loc=ts.span(op))
             else:
-                left = ast.Par(left, kind, gates, right, loc=op.span)
+                left = ast.Par(left, kind, gates, right, loc=ts.span(op))
 
     def _prefix(self) -> ast.Behavior:
         # a loop, not a recursion per "a;", so long prefix chains parse
+        ts = self.ts
         actions: list[ast.ActionExpr] = []
         while True:
-            tok = self.ts.peek()
-            if tok.kind != IDENT or self._is_behaviour_keyword(tok):
+            if ts.kind != IDENT or ts.text.lower() in _BEHAVIOUR_KEYWORDS:
                 rest = self._atom()
                 break
             # identifier: action prefix or process instantiation
-            name = self.ts.next()
-            after = self.ts.peek()
-            follow = after.text if after.kind == PUNCT else None
+            name, at = ts.text, ts.advance()
+            follow = ts.text if ts.kind == PUNCT else None
             if follow == ";":
-                self.ts.next()
-                if name.text == "i":
-                    actions.append(ast.InternalAction(loc=name.span))
+                ts.advance()
+                if name == "i":
+                    actions.append(ast.InternalAction(loc=ts.span(at)))
                 else:
-                    actions.append(ast.Comm(name.text, (), loc=name.span))
+                    actions.append(ast.Comm(name, (), loc=ts.span(at)))
             elif follow in ("!", "?"):
-                actions.append(self._finish_action(name))
-                self.ts.expect_punct(";")
+                actions.append(self._finish_action(name, at))
+                ts.expect_punct(";")
             else:
                 gates = self._gate_list(empty_brackets_ok=False)
-                rest = ast.Inst(name.text, gates, loc=name.span)
+                rest = ast.Inst(name, gates, loc=ts.span(at))
                 break
         for action in reversed(actions):
             rest = ast.Prefix(action, rest, loc=action.loc)
         return rest
 
-    def _finish_action(self, gate: Token) -> ast.Comm:
+    def _finish_action(self, gate: str, at: int) -> ast.Comm:
+        ts = self.ts
         offers: list[ast.Offer] = []
-        while True:
-            if self.ts.accept_punct("!"):
-                val = self.ts.expect_ident("a value or variable name")
-                if val.text in self.value_sorts:
-                    expr: ast.ValueExpr = ast.ValueLit(val.text, self.value_sorts[val.text], loc=val.span)
+        while (offer := ts.text if ts.kind == PUNCT else None) in ("!", "?"):
+            ts.advance()
+            i = ts.i
+            if offer == "!":
+                name = ts.expect_ident("a value or variable name")
+                loc = ts.span(i)
+                if name in self.value_sorts:
+                    expr: ast.ValueExpr = ast.ValueLit(name, self.value_sorts[name], loc=loc)
                 else:
-                    expr = ast.VarRef(val.text, loc=val.span)
-                offers.append(ast.Send(expr, loc=val.span))
-            elif self.ts.accept_punct("?"):
-                var = self.ts.expect_ident("a variable name")
-                self.ts.expect_punct(":")
-                sort = self.ts.expect_ident("a sort name")
-                offers.append(ast.Receive(var.text, sort.text, loc=var.span))
+                    expr = ast.VarRef(name, loc=loc)
+                offers.append(ast.Send(expr, loc=loc))
             else:
-                return ast.Comm(gate.text, tuple(offers), loc=gate.span)
-
-    _BEHAVIOUR_KEYWORDS = frozenset(
-        ["stop", "exit", "hide", "where", "endproc", "endprocess", "endspec", "process", "in"]
-    )
-
-    def _is_behaviour_keyword(self, tok: Token) -> bool:
-        return tok.text.lower() in self._BEHAVIOUR_KEYWORDS
+                name = ts.expect_ident("a variable name")
+                ts.expect_punct(":")
+                sort = ts.expect_ident("a sort name")
+                offers.append(ast.Receive(name, sort, loc=ts.span(i)))
+        return ast.Comm(gate, tuple(offers), loc=ts.span(at))
 
     def _atom(self) -> ast.Behavior:
-        tok = self.ts.peek()
-        if self.ts.accept_kw("stop"):
-            return ast.Stop(loc=tok.span)
-        if self.ts.accept_kw("exit"):
-            return ast.Exit(loc=tok.span)
+        ts = self.ts
+        at, word = ts.i, ts.text
+        if ts.accept_kw("stop"):
+            return ast.Stop(loc=ts.span(at))
+        if ts.accept_kw("exit"):
+            return ast.Exit(loc=ts.span(at))
         # "hide" and "(" are where the parser recurses; running out of stack
         # below them is reported at the deepest one that can still raise
         try:
-            if self.ts.accept_kw("hide"):
-                names = self.ts.expect_idents("a gate name")
-                self.ts.expect_kw("in")
+            if ts.accept_kw("hide"):
+                names = ts.expect_idents("a gate name")
+                ts.expect_kw("in")
                 body = self.behaviour()
-                return ast.Hide(frozenset(names), body, loc=tok.span)
-            if self.ts.accept_punct("("):
+                return ast.Hide(frozenset(names), body, loc=ts.span(at))
+            if ts.accept_punct("("):
                 inner = self.behaviour()
-                self.ts.expect_punct(")")
+                ts.expect_punct(")")
                 return inner
         except RecursionError:
-            raise NestingFailure(tok.span, f"'{tok.text}' nested too deeply to parse") from None
-        raise ParseFailure(tok.span, f"expected a behaviour expression, found '{tok.text}'")
+            raise NestingFailure(ts.span(at), f"'{word}' nested too deeply to parse") from None
+        raise ts.error(f"expected a behaviour expression, found '{ts.text}'")
 
     # ------------------------------------------------------------------
     # top level
@@ -213,7 +212,7 @@ class _Parser:
         self.ts.expect_punct(":=")
 
         if self.ts.at_kw("library"):
-            raise LibraryFailure(self.ts.peek().span,
+            raise LibraryFailure(self.ts.span(self.ts.i),
                                  "library sections are not supported; declare finite sorts instead")
 
         sorts: list[ast.SortDecl] = []
@@ -221,8 +220,7 @@ class _Parser:
             sorts = self._sorts_section()
 
         if not (self.ts.accept_kw("behaviour") or self.ts.accept_kw("behavior")):
-            tok = self.ts.peek()
-            raise ParseFailure(tok.span, f"expected 'behaviour', found '{tok.text}'")
+            raise self.ts.error(f"expected 'behaviour', found '{self.ts.text}'")
         top = self.behaviour()
 
         processes: list[ast.ProcessDef] = []
@@ -230,19 +228,18 @@ class _Parser:
             while self.ts.at_kw("process"):
                 processes.append(self._process_def())
             if not processes:
-                tok = self.ts.peek()
-                raise ParseFailure(tok.span, f"expected a process definition, found '{tok.text}'")
+                raise self.ts.error(f"expected a process definition, found '{self.ts.text}'")
 
         self.ts.expect_kw("endspec")
         self.ts.expect_eof("endspec")
 
         return ast.Specification(
-            name=name.text,
+            name=name,
             top_gates=gates,
             sorts=tuple(sorts),
             processes=tuple(processes),
             top_behavior=top,
-            loc=head.span,
+            loc=self.ts.span(head),
         )
 
     def _process_def(self) -> ast.ProcessDef:
@@ -254,9 +251,8 @@ class _Parser:
         self.ts.expect_punct(":=")
         body = self.behaviour()
         if not (self.ts.accept_kw("endproc") or self.ts.accept_kw("endprocess")):
-            tok = self.ts.peek()
-            raise ParseFailure(tok.span, f"expected 'endproc', found '{tok.text}'")
-        return ast.ProcessDef(name.text, gates, func, body, loc=head.span)
+            raise self.ts.error(f"expected 'endproc', found '{self.ts.text}'")
+        return ast.ProcessDef(name, gates, func, body, loc=self.ts.span(head))
 
 
 # ----------------------------------------------------------------------

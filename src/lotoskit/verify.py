@@ -521,16 +521,16 @@ def minimize(lts: Lts) -> Lts:
 # ----------------------------------------------------------------------
 # .aut exchange format
 
-# A line ends at any character str.splitlines breaks a line at; _SP is
-# any other whitespace.  [0-9\d]+ reads what \d+ reads but scans ASCII
-# digits faster, and at each choice the spelling export_aut writes is
-# tried first.  After any blank lines, _AUT_HEADER reads the header, and
+# A line ends at any character of LINE_BREAKS, where str.splitlines
+# breaks a line; _SP is any other whitespace.  [0-9\d]+ reads what \d+
+# reads but scans ASCII digits faster, and at each choice the spelling
+# export_aut writes is tried first.  After any blank lines, _AUT_HEADER reads the header, and
 # _AUT_LINE a transition line or else the rest of the text.
-_BREAK = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-_SP, _NUM = rf"[^\S{_BREAK}]*", r"([0-9\d]+)"
-_COMMA, _EOL = rf"(?:, |{_SP},{_SP})", rf"{_SP}(?:[{_BREAK}]|\Z)"
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_SP, _NUM = rf"[^\S{LINE_BREAKS}]*", r"([0-9\d]+)"
+_COMMA, _EOL = rf"(?:, |{_SP},{_SP})", rf"{_SP}(?:[{LINE_BREAKS}]|\Z)"
 _AUT_HEADER = re.compile(rf"\s*des{_SP}\({_SP}{_NUM}{_COMMA}{_NUM}{_COMMA}{_NUM}{_SP}\){_EOL}")
-_AUT_LINE = re.compile(rf'(?:\(|\s*\({_SP}){_NUM}{_COMMA}"([^"{_BREAK}]*)"{_COMMA}'
+_AUT_LINE = re.compile(rf'(?:\(|\s*\({_SP}){_NUM}{_COMMA}"([^"{LINE_BREAKS}]*)"{_COMMA}'
                        rf"{_NUM}(?:\)\n|{_SP}\){_EOL})|(?s:.+)")
 
 

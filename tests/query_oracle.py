@@ -4,14 +4,28 @@
 constants that occur anywhere in the fact base and keeps the ones
 satisfying all conjuncts.  Exponential and proud of it.
 
+`parse_facts` is the per-line fact reader `contracts.parse_facts` must
+agree with: it splits the text with str.splitlines, cuts each line at
+its comment, strips it and matches what is left on its own.
+
 `first_witness` is the depth-first search `eval_query` must agree with:
 it unifies every fact of each conjunct's predicate, in lexicographic
 order, and recurses once per conjunct."""
 from __future__ import annotations
 
 import itertools
+import re
 
 from lotoskit.contracts import PREDICATES, Atom, Const, Fact, FactBase, Query, Var
+from lotoskit.syntax.diagnostics import (
+    BAD_ARITY,
+    SYNTAX_ERROR,
+    UNKNOWN_PREDICATE,
+    Diagnostic,
+    Span,
+    error,
+)
+from lotoskit.syntax.lexer import parse_or_bail
 
 
 def _holds(atom: Atom, env: dict[str, str], fb: FactBase) -> bool:
@@ -68,3 +82,34 @@ def first_witness(fb: FactBase, query: Query) -> dict[str, str] | None:
     if witness is None:
         return None
     return {v: witness[v] for v in query.variables}
+
+
+_FACT_LINE_COMMENT = "%"
+# the arguments keep trailing blanks, which the split arguments lose
+_FACT_LINE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*([^()]*)\)\s*\.?\s*\Z")
+
+
+def parse_facts(text: str) -> tuple[FactBase | None, list[Diagnostic]]:
+    """parse_facts line by line."""
+    fb = FactBase()
+    table = fb._args
+    diags: list[Diagnostic] = []
+    match = _FACT_LINE.match
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split(_FACT_LINE_COMMENT, 1)[0].strip()
+        if not line:
+            continue
+        m = match(line)
+        if not m:
+            diags.append(error(f"cannot read fact: {line!r}", Span.point(line_no, 1), SYNTAX_ERROR))
+            continue
+        pred, body = m.groups()
+        args = tuple(map(str.strip, body.split(","))) if body else ()
+        arity = PREDICATES.get(pred)
+        if arity is None:
+            diags.append(error(f"unknown predicate '{pred}'", Span.point(line_no, 1), UNKNOWN_PREDICATE))
+        elif arity != len(args) or "" in args:
+            diags.append(error(f"'{pred}' takes {arity} argument(s)", Span.point(line_no, 1), BAD_ARITY))
+        else:
+            table.setdefault(pred, set()).add(args)
+    return parse_or_bail(lambda: fb, diags)

@@ -77,6 +77,43 @@ def test_parse_facts_diagnostics_are_pinned():
     ]
 
 
+# every character str.splitlines breaks a line at, "\r\n" as one break
+FACT_BREAKS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+FACT_PIECES = (
+    "class", "inherit", "invoke", "classs", "_x", "9", "(", ")", "A", "B", ",", " , ", ".",
+    "%", "% note", " ", "\t", "\xa0", "\x1f", "", "x y", "é",
+)
+
+
+@st.composite
+def fact_texts(draw):
+    """Lines of facts, well formed or mangled, joined by any line break,
+    with blanks and comments anywhere."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            pred = draw(st.sampled_from(("class", "inherit", "invoke", "classs")))
+            args = draw(st.lists(st.sampled_from(("A", " B ", "", "m", "\xa0C", "% D", "E\x85")), max_size=4))
+            tail = draw(st.sampled_from(("", ".", " . ", " % c", ". x", ")")))
+            line = draw(st.sampled_from(("", " ", "\t"))) + f"{pred} ( {','.join(args)}){tail}"
+        else:
+            line = "".join(draw(st.lists(st.sampled_from(FACT_PIECES), max_size=8)))
+        lines.append(line)
+    text = "".join(line + draw(st.sampled_from(FACT_BREAKS)) for line in lines)
+    return text[:-1] if text and draw(st.booleans()) else text
+
+
+def facts_or_diagnostics(reader, text):
+    fb, diags = reader(text)
+    return diags if fb is None else [f for p in PREDICATES for f in fb.by_predicate(p)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(fact_texts())
+def test_parse_facts_agrees_with_the_per_line_reader(text):
+    assert facts_or_diagnostics(parse_facts, text) == facts_or_diagnostics(query_oracle.parse_facts, text)
+
+
 def test_factbase_validates_additions():
     fb = FactBase()
     with pytest.raises(ValueError):

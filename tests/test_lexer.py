@@ -1,4 +1,4 @@
-"""The regex lexer against the character-by-character oracle, and the
+"""The token stream against the character-by-character oracle, and the
 comment rules."""
 import pytest
 from hypothesis import given, settings
@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from lex_oracle import PUNCTUATION, OracleLexer
 from lotoskit.syntax import ast
-from lotoskit.syntax.lexer import EOF, PUNCT, LexFailure, Lexer, TokenStream
+from lotoskit.syntax.lexer import EOF, FAILED, PUNCT, LexFailure, TokenStream
 
 ALPHABET = (
     "(*", "*)", "/*", "*/", '"', "{", "}", "\n", "\t", "\r", " ", "-", "_",
@@ -24,11 +24,23 @@ def failure(exc):
     return ("failure", fields(exc.span), exc.message, exc.code)
 
 
-def lex_all(lexer, token_fields):
+def stream_tokens(ts):
+    """Every token from the cursor on: (kind, text, span fields), ending
+    with EOF or the stored lex failure."""
+    out = []
+    while ts.kind != EOF and ts.kind != FAILED:
+        kind, text, i = ts.kind, ts.text, ts.advance()
+        out.append((kind, text, fields(ts.span(i))))
+    if ts.kind == FAILED:
+        return out + [failure(ts.failure)]
+    return out + [(EOF, "", fields(ts.span(ts.i)))]
+
+
+def oracle_tokens(oracle):
     out = []
     try:
         while True:
-            kind, text, span = token_fields(lexer.next_token())
+            kind, text, span = oracle.next_token()
             out.append((kind, text, fields(span)))
             if kind == EOF:
                 return out
@@ -36,54 +48,55 @@ def lex_all(lexer, token_fields):
         return out + [failure(exc)]
 
 
-def brace_block(lexer, token_fields):
-    try:
-        body, span = lexer.raw_brace_block()
-    except LexFailure as exc:
-        return failure(exc)
-    return body, fields(span), lex_all(lexer, token_fields)
-
-
-def new_fields(tok):
-    return tok.kind, tok.text, tok.span
-
-
-def oracle_fields(tok):
-    return tok
-
-
 @settings(max_examples=800, deadline=None)
 @given(texts)
 def test_token_stream_matches_oracle(text):
-    assert lex_all(Lexer(text), new_fields) == lex_all(OracleLexer(text), oracle_fields)
+    assert stream_tokens(TokenStream(text)) == oracle_tokens(OracleLexer(text))
 
 
 @settings(max_examples=300, deadline=None)
-@given(texts, st.lists(st.floats(0, 1), min_size=1, max_size=4))
-def test_raw_brace_block_matches_oracle(text, fractions):
+@given(texts, st.lists(st.integers(0, 40), min_size=1, max_size=4))
+def test_raw_brace_block_matches_oracle(text, counts):
+    """After any number of consumed tokens, up to all before EOF or the
+    lex failure, the block is read from the end of the last one, and the
+    text after it lexes as the oracle lexes it."""
     text = "{" + text  # at least one opener to read from
-    for fraction in fractions:
-        offset = int(fraction * len(text))
-        lexer, oracle = Lexer(text), OracleLexer(text)
-        lexer.pos = offset
-        oracle.advance(offset)
-        assert brace_block(lexer, new_fields) == brace_block(oracle, oracle_fields)
+    lexed = stream_tokens(TokenStream(text))
+    for count in counts:
+        consumed = min(count, len(lexed) - 1)
+        ts, oracle = TokenStream(text), OracleLexer(text)
+        for _ in range(consumed):
+            ts.advance()
+            oracle.next_token()
+        try:
+            body = ts.raw_brace_block()
+        except LexFailure as exc:
+            got = failure(exc)
+        else:
+            got = body, stream_tokens(ts)
+        try:
+            body, _ = oracle.raw_brace_block()
+        except LexFailure as exc:
+            want = failure(exc)
+        else:
+            want = body, oracle_tokens(oracle)
+        assert got == want
 
 
 def test_each_comment_kind_nests_only_its_own_opener():
     # "(*" inside "/* */" is plain text, and so is "/*" inside "(* *)"
     for text in ("/* (* */ a", "(* /* *) a", "/* /* */ */ a", "(* (* *) *) a"):
-        assert [TokenStream(text).next().text] == ["a"], text
+        assert [TokenStream(text).text] == ["a"], text
     for text in ("/* /* */ a", "(* (* *) a"):
-        with pytest.raises(LexFailure) as exc:
-            TokenStream(text).next()
-        assert "unterminated comment" in exc.value.message
+        ts = TokenStream(text)
+        assert ts.kind == FAILED
+        assert "unterminated comment" in ts.failure.message
 
 
 @pytest.mark.parametrize("token", sorted(ast.OPERATORS))
 def test_every_operator_lexes_as_one_token(token):
     ts = TokenStream(f"P {token} Q")
-    ts.next()
-    tok = ts.next()
-    assert (tok.kind, tok.text) == (PUNCT, token)
-    assert ts.next().text == "Q"
+    ts.advance()
+    assert (ts.kind, ts.text) == (PUNCT, token)
+    ts.advance()
+    assert ts.text == "Q"

@@ -1,81 +1,85 @@
 import random
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from behavior_gen import GATES, SORT, gen_behavior
+import parse_oracle
+from behavior_gen import GATES, SORT, gen_behavior, gen_system
+from lotoskit.adl import ArchConfig
 from lotoskit.syntax import ast, parse_behavior, parse_spec, pretty_behavior, pretty_spec
 from lotoskit.syntax.adlparse import parse_adl
 from lotoskit.syntax.asc import parse_asc
 from lotoskit.syntax.diagnostics import NESTING_TOO_DEEP
-from lotoskit.syntax.lexer import EOF, IDENT, PUNCT, STRING, LexFailure, TokenStream
+from lotoskit.syntax.lexer import EOF, FAILED, IDENT, PUNCT, STRING, LexFailure, TokenStream
 
 
 # ----------------------------------------------------------------------
 # lexer
 
 
+def texts_to_end(ts):
+    """The texts of the tokens from the cursor to EOF."""
+    out = []
+    while ts.kind != EOF:
+        out.append(ts.text)
+        ts.advance()
+    return out
+
+
 def test_lexer_kinds_and_spans():
     ts = TokenStream("alpha |[ beta\n]| ;")
-    tok = ts.next()
-    assert tok.kind == IDENT and tok.text == "alpha"
-    assert (tok.span.line, tok.span.col) == (1, 1)
-    assert ts.next().text == "|["
-    beta = ts.next()
-    assert (beta.span.line, beta.span.col) == (1, 10)
-    assert ts.next().text == "]|"
-    assert ts.next().kind == PUNCT
-    assert ts.next().kind == EOF
+    assert ts.kind == IDENT and ts.text == "alpha"
+    assert ts.span(ts.advance())[:2] == (1, 1)
+    assert ts.text == "|["
+    ts.advance()
+    assert ts.span(ts.advance())[:2] == (1, 10)
+    assert ts.text == "]|"
+    ts.advance()
+    assert ts.kind == PUNCT
+    ts.advance()
+    assert ts.kind == EOF
 
 
 def test_lexer_maximal_munch():
-    ts = TokenStream("||| || [> [] [ >>")
-    texts = []
-    while True:
-        tok = ts.next()
-        if tok.kind == EOF:
-            break
-        texts.append(tok.text)
-    assert texts == ["|||", "||", "[>", "[]", "[", ">>"]
+    assert texts_to_end(TokenStream("||| || [> [] [ >>")) == ["|||", "||", "[>", "[]", "[", ">>"]
 
 
 def test_lexer_rejects_lone_bar():
     ts = TokenStream("a | b")
-    ts.next()
-    with pytest.raises(LexFailure):
-        ts.next()
+    ts.advance()
+    assert ts.kind == FAILED and isinstance(ts.failure, LexFailure)
 
 
 def test_lexer_nested_comments():
     ts = TokenStream("a (* outer (* inner *) still out *) b /* c /* d */ e */ f")
-    assert [ts.next().text for _ in range(3)] == ["a", "b", "f"]
+    assert texts_to_end(ts) == ["a", "b", "f"]
 
 
 def test_lexer_unterminated_comment():
-    with pytest.raises(LexFailure) as exc:
-        TokenStream("(* never closed").next()
-    assert "unterminated" in exc.value.message
+    ts = TokenStream("(* never closed")
+    assert ts.kind == FAILED
+    assert "unterminated" in ts.failure.message
 
 
 def test_lexer_rejects_stray_character():
     ts = TokenStream("a @ b")
-    ts.next()
-    with pytest.raises(LexFailure) as exc:
-        ts.next()
-    assert "@" in exc.value.message
+    ts.advance()
+    assert ts.kind == FAILED
+    assert "@" in ts.failure.message
 
 
 def test_lexer_string_token():
     ts = TokenStream('use "dir/file.lot"')
-    assert ts.next().text == "use"
-    tok = ts.next()
-    assert tok.kind == STRING and tok.text == "dir/file.lot"
+    assert ts.text == "use"
+    ts.advance()
+    assert ts.kind == STRING and ts.text == "dir/file.lot"
 
 
 def test_lexer_hyphenated_identifier():
-    ts = TokenStream("set-state x")
-    assert ts.next().text == "set-state"
-    assert ts.next().text == "x"
+    assert texts_to_end(TokenStream("set-state x")) == ["set-state", "x"]
 
 
 # ----------------------------------------------------------------------
@@ -408,3 +412,123 @@ def test_corpus_specs_round_trip(corpus_dir):
         second, _ = parse_spec(text)
         assert second is not None
         assert second == first, path.name
+
+
+# ----------------------------------------------------------------------
+# the token stream against the per-token parsers of parse_oracle
+
+VALUE_SORTS = {v: SORT.name for v in SORT.values}
+READERS = {
+    "spec": (parse_spec, parse_oracle.parse_spec),
+    "behaviour": (lambda t: parse_behavior(t, VALUE_SORTS),
+                  lambda t: parse_oracle.parse_behavior(t, VALUE_SORTS)),
+    "adl": (parse_adl, parse_oracle.parse_adl),
+    "asc": (parse_asc, parse_oracle.parse_asc),
+}
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+CORPUS_TEXTS = tuple(p.read_text() for p in sorted(CORPUS.rglob("*"))
+                     if p.suffix in (".lot", ".adl", ".asc"))
+# pieces that break a text, open or close a comment, string or block, or
+# read well in one notation and not in another
+SNIPPETS = (
+    "@", "$", '"', '"x.lot"', "(*", "*)", "/*", "*/", "{", "}", "(", ")", ";", "[]", "|[",
+    "]|", "!", "?", ":", "hide", "stop", "exit", "end", "endspec", "i", "exists", "and",
+    "assert { @ # \"x }", "composition { a; stop }", "sc { class(x) }", "\n", " ",
+)
+
+
+@st.composite
+def parser_texts(draw):
+    """A printed random term or system, or a corpus file, then up to three
+    truncations or insertions of SNIPPETS at random offsets."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    source = draw(st.sampled_from(("term", "system", "corpus")))
+    if source == "term":
+        text = pretty_behavior(gen_behavior(rng, rng.randint(0, 4), values=True, procs=2))
+    elif source == "system":
+        text = pretty_spec(gen_system(rng))
+    else:
+        text = draw(st.sampled_from(CORPUS_TEXTS))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at]
+        else:
+            text = text[:at] + draw(st.sampled_from(SNIPPETS)) + text[at:]
+    return text
+
+
+def node_locs(value):
+    """The loc of every node of a reader's value: each behaviour node in
+    ast.walk order with its action, offers and sent values, and the
+    specification's, sorts' and processes' own.  A contract has none."""
+    if isinstance(value, ast.Specification):
+        out = [value.loc, *(s.loc for s in value.sorts)]
+        for p in value.processes:
+            out += [p.loc, *node_locs(p.body)]
+        return out + node_locs(value.top_behavior)
+    if isinstance(value, ArchConfig):
+        return node_locs(value.composition)
+    if not isinstance(value, ast.Behavior):
+        return []
+    out = []
+    for b in ast.walk(value):
+        out.append(b.loc)
+        if isinstance(b, ast.Prefix):
+            out.append(b.action.loc)
+            for offer in getattr(b.action, "offers", ()):
+                out.append(offer.loc)
+                if isinstance(offer, ast.Send):
+                    out.append(offer.expr.loc)
+    return out
+
+
+def read_both(reader, text):
+    new, oracle = READERS[reader]
+    value, diags = new(text)
+    want_value, want_diags = oracle(text)
+    return (value, node_locs(value), diags), (want_value, node_locs(want_value), want_diags)
+
+
+@settings(max_examples=500, deadline=None)
+@given(parser_texts())
+def test_every_reader_agrees_with_the_per_token_parsers(text):
+    for reader in READERS:
+        got, want = read_both(reader, text)
+        assert got == want, reader
+
+
+def test_corpus_parses_as_the_per_token_parsers_parse():
+    for text in CORPUS_TEXTS:
+        for reader in READERS:
+            got, want = read_both(reader, text)
+            assert got == want, (reader, text)
+
+
+# ----------------------------------------------------------------------
+# a lex failure is raised only where the parser reaches it
+
+
+@pytest.mark.parametrize("bad", ["@", "(* open"])
+def test_syntax_error_before_a_lex_error_wins(bad):
+    text = f"specification S [g] : noexit := behaviour g; ; stop\n endspec {bad}"
+    spec, diags = parse_spec(text)
+    assert spec is None
+    assert [(d.code, d.span[:2]) for d in diags] == [("syntax-error", (1, 46))]
+    # with the syntax error mended, the lex error is what is reported
+    _, diags = parse_spec(text.replace("; ;", ";"))
+    assert [d.code for d in diags] == ["lex-error"]
+
+
+def test_assert_block_is_raw_text_and_what_follows_parses():
+    contract, diags = parse_asc('component C where assert { @ # "x } bc none end')
+    assert diags == []
+    assert contract.assertion == '@ # "x' and contract.bc is None
+    _, diags = parse_asc('component C where assert { @ # "x } bc none end @')
+    assert [(d.code, d.message) for d in diags] == [("lex-error", "unexpected character '@'")]
+
+
+def test_a_lex_error_inside_a_comment_is_no_error():
+    for text in ("g; (* @ \" $ *) stop", "g; /* \" (* */ stop", "g; (* a (* @ *) \" *) stop"):
+        b, diags = parse_behavior(text)
+        assert diags == [] and b == ast.Prefix(ast.Comm("g", ()), ast.Stop()), text
