@@ -1,104 +1,43 @@
 """Toolkit for behaviour specifications in a Basic LOTOS subset with
 finite-sort value offers: parsing, state-space generation, property
-verification, design contracts, and architecture configurations."""
+verification, design contracts, and architecture configurations.
 
-from .adl import ArchConfig, ArchElement, flatten, validate_config
-from .contracts import (
-    AscContract,
-    ContractCheckError,
-    ContractReport,
-    Fact,
-    FactBase,
-    InterfaceContract,
-    Query,
-    Violation,
-    check_asc,
-    check_interface,
-    eval_query,
-    parse_facts,
-)
-from .semantics import (
-    BudgetExceededError,
-    Exploration,
-    ExplorationBudget,
-    Lts,
-    UnguardedRecursionError,
-    generate_lts,
-    normalize,
-    successors,
-)
-from .syntax import (
-    Diagnostic,
-    Span,
-    parse_behavior,
-    parse_spec,
-    pretty_behavior,
-    pretty_spec,
-    validate_spec,
-)
-from .syntax.adlparse import parse_adl
-from .syntax.asc import parse_asc
-from .verify import (
-    LabelPattern,
-    Monitor,
-    VerifyResult,
-    bisim_equiv,
-    check_deadlock,
-    check_reachable,
-    check_safety,
-    export_aut,
-    minimize,
-    parse_label_pattern,
-    parse_monitor,
-    read_aut,
-)
+Each public name is imported from its module on first use."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArchConfig",
-    "ArchElement",
-    "AscContract",
-    "BudgetExceededError",
-    "ContractCheckError",
-    "ContractReport",
-    "Diagnostic",
-    "Exploration",
-    "ExplorationBudget",
-    "Fact",
-    "FactBase",
-    "InterfaceContract",
-    "LabelPattern",
-    "Lts",
-    "Monitor",
-    "Query",
-    "Span",
-    "UnguardedRecursionError",
-    "VerifyResult",
-    "Violation",
-    "bisim_equiv",
-    "check_asc",
-    "check_deadlock",
-    "check_interface",
-    "check_reachable",
-    "check_safety",
-    "eval_query",
-    "export_aut",
-    "flatten",
-    "generate_lts",
-    "minimize",
-    "normalize",
-    "parse_adl",
-    "parse_asc",
-    "parse_behavior",
-    "parse_facts",
-    "parse_label_pattern",
-    "parse_monitor",
-    "parse_spec",
-    "pretty_behavior",
-    "pretty_spec",
-    "read_aut",
-    "successors",
-    "validate_config",
-    "validate_spec",
-]
+# the submodule that defines each public name
+_EXPORTS = {
+    "adl": "ArchConfig ArchElement flatten validate_config",
+    "contracts": "AscContract ContractCheckError ContractReport FactBase InterfaceContract Query"
+                 " Violation check_asc check_interface eval_query parse_facts",
+    "semantics": "BudgetExceededError Exploration ExplorationBudget Lts UnguardedRecursionError"
+                 " generate_lts normalize successors",
+    "syntax": "Diagnostic Span parse_behavior parse_spec pretty_behavior pretty_spec validate_spec",
+    "syntax.adlparse": "parse_adl",
+    "syntax.asc": "parse_asc",
+    "verify": "LabelPattern Monitor VerifyResult bisim_equiv check_deadlock check_reachable"
+              " check_safety export_aut minimize parse_label_pattern parse_monitor read_aut",
+}
+_MODULE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+# submodules that resolve as attributes even before anything imported them
+_SUBMODULES = frozenset(("adl", "contracts", "semantics", "syntax", "verify"))
+
+__all__ = sorted(_MODULE)
+
+
+def __getattr__(name: str) -> object:
+    if name in _MODULE:
+        value = getattr(importlib.import_module(f".{_MODULE[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _MODULE.keys() | _SUBMODULES)

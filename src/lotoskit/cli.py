@@ -339,11 +339,12 @@ def _limit(text: str) -> int:
 
 _FORMAT = _arg("--format", choices=("text", "json"), default="text",
                help="output format (default text)")
+_DEFAULT_BUDGET = semantics.ExplorationBudget()
 _BUDGET = (
-    _arg("--max-states", type=_limit, default=100_000, metavar="N",
-         help="abort exploration beyond N states (default 100000)"),
-    _arg("--max-transitions", type=_limit, default=500_000, metavar="N",
-         help="abort exploration beyond N transitions (default 500000)"),
+    _arg("--max-states", type=_limit, default=_DEFAULT_BUDGET.max_states, metavar="N",
+         help=f"abort exploration beyond N states (default {_DEFAULT_BUDGET.max_states})"),
+    _arg("--max-transitions", type=_limit, default=_DEFAULT_BUDGET.max_transitions, metavar="N",
+         help=f"abort exploration beyond N transitions (default {_DEFAULT_BUDGET.max_transitions})"),
 )
 # the options of every command that explores a behaviour file
 _EXPLORE = (_arg("--no-hide", action="store_true", help="treat hidden gates as observable"),

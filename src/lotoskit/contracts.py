@@ -56,55 +56,21 @@ PREDICATES: dict[str, int] = {
 # facts
 
 
-@dataclass(frozen=True)
-class Fact:
-    predicate: str
-    args: tuple[str, ...]
-
-    def __str__(self) -> str:
-        return f"{self.predicate}({', '.join(self.args)})"
-
-
 class FactBase:
-    """A set of ground facts over the fixed vocabulary.
+    """A read-only set of ground facts over the fixed vocabulary, as
+    parse_facts reads them: a set of argument tuples per predicate.
 
-    Facts are held as a set of argument tuples per predicate.  A query
-    reads a predicate through its rows, the tuples in lexicographic
-    order, and through a column index (position, value) -> rows that
-    keeps that order.  Both are built on first use and dropped when the
-    predicate grows."""
+    A query reads a predicate through its rows, the tuples in
+    lexicographic order, and through a column index (position, value) ->
+    rows that keeps that order.  Both are built on first use."""
 
-    def __init__(self) -> None:
-        self._args: dict[str, set[tuple[str, ...]]] = {}
+    def __init__(self, args: dict[str, set[tuple[str, ...]]]) -> None:
+        self._args = args
         self._rows: dict[str, list[tuple[str, ...]]] = {}
         self._columns: dict[tuple[str, int], dict[str, list[tuple[str, ...]]]] = {}
 
-    def __len__(self) -> int:
-        return sum(map(len, self._args.values()))
-
-    def __contains__(self, fact: Fact) -> bool:
-        return fact.args in self._args.get(fact.predicate, ())
-
-    def add(self, fact: Fact) -> None:
-        arity = PREDICATES.get(fact.predicate)
-        if arity is None:
-            raise ValueError(f"unknown predicate '{fact.predicate}'")
-        if arity != len(fact.args):
-            raise ValueError(
-                f"'{fact.predicate}' takes {arity} argument(s), got {len(fact.args)}"
-            )
-        rows = self._args.setdefault(fact.predicate, set())
-        if fact.args not in rows:
-            rows.add(fact.args)
-            self._rows.pop(fact.predicate, None)
-            for position in range(arity):
-                self._columns.pop((fact.predicate, position), None)
-
-    def by_predicate(self, predicate: str) -> list[Fact]:
-        """Matching facts in lexicographic argument order."""
-        return [Fact(predicate, args) for args in self._sorted(predicate)]
-
-    def _sorted(self, predicate: str) -> list[tuple[str, ...]]:
+    def rows(self, predicate: str) -> list[tuple[str, ...]]:
+        """The argument tuples of the predicate's facts, in lexicographic order."""
         rows = self._rows.get(predicate)
         if rows is None:
             rows = self._rows[predicate] = sorted(self._args.get(predicate, ()))
@@ -115,7 +81,7 @@ class FactBase:
         column = self._columns.get((predicate, position))
         if column is None:
             column = self._columns[predicate, position] = {}
-            for row in self._sorted(predicate):
+            for row in self.rows(predicate):
                 column.setdefault(row[position], []).append(row)
         return column
 
@@ -132,8 +98,7 @@ def parse_facts(text: str) -> tuple[FactBase | None, list[Diagnostic]]:
     """One fact per line, "predicate(arg, arg)." with an optional trailing
     dot; '%' starts a comment.  All problems are reported, not just the
     first, and then there is no fact base.  One scan reads every line."""
-    fb = FactBase()
-    table = fb._args
+    table: dict[str, set[tuple[str, ...]]] = {}
     diags: list[Diagnostic] = []
     for line_no, m in enumerate(_FACT_LINE.finditer(text), start=1):
         pred, body, unread = m.groups()
@@ -152,7 +117,7 @@ def parse_facts(text: str) -> tuple[FactBase | None, list[Diagnostic]]:
             diags.append(error(f"'{pred}' takes {arity} argument(s)", Span.point(line_no, 1), BAD_ARITY))
         else:
             table.setdefault(pred, set()).add(args)
-    return parse_or_bail(lambda: fb, diags)
+    return parse_or_bail(lambda: FactBase(table), diags)
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +179,7 @@ def eval_query(fb: FactBase, query: Query) -> dict[str, str] | None:
     slots: dict[Term, int] = {}
     steps = []
     for atom in query.atoms:
-        rows = fb._sorted(atom.predicate)
+        rows = fb.rows(atom.predicate)
         if not rows:  # no witness; an unknown predicate has no facts
             return None
         keys = []    # (column, slot) for the positions bound before the conjunct

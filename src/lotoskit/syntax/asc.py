@@ -88,13 +88,14 @@ class _AscParser:
     def _query(self) -> Query:
         variables: list[str] = []
         if self.ts.accept_kw("exists"):
+            first = self.ts.i  # variable k is token first + 2k, between commas
             variables = self.ts.expect_idents("a variable name")
             self.ts.expect_punct(".")
         declared = set()
-        for v in variables:
+        for k, v in enumerate(variables):
             if v in declared:
                 self.diagnostics.append(
-                    error(f"variable '{v}' is declared twice", self.ts.span(self.ts.i), DUPLICATE_DEFINITION)
+                    error(f"variable '{v}' is declared twice", self.ts.span(first + 2 * k), DUPLICATE_DEFINITION)
                 )
             declared.add(v)
 
@@ -103,12 +104,12 @@ class _AscParser:
             atoms.append(self._atom(declared))
 
         used = {t.name for a in atoms for t in a.args if isinstance(t, Var)}
-        for v in variables:
+        for k, v in enumerate(variables):
             if v not in used:
                 self.diagnostics.append(
                     error(
                         f"variable '{v}' does not occur in the query",
-                        self.ts.span(self.ts.i),
+                        self.ts.span(first + 2 * k),
                         UNKNOWN_QUERY_VARIABLE,
                     )
                 )
@@ -146,7 +147,7 @@ class _AscParser:
         while not self.ts.at_punct("}"):
             section = self.ts.text.lower()
             if self.ts.kind != IDENT or section not in _IC_SECTIONS:
-                raise self.ts.error(f"expected one of {', '.join(_IC_SECTIONS)}, found '{self.ts.text}'")
+                raise self.ts.expected(f"one of {', '.join(_IC_SECTIONS)}")
             at = self.ts.advance()
             if section in parts:
                 self.diagnostics.append(error(f"'{section}' appears twice", self.ts.span(at), MALFORMED_IC))

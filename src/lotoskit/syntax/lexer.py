@@ -37,7 +37,7 @@ from bisect import bisect_right
 from collections.abc import Callable
 from typing import TypeVar
 
-from .diagnostics import LEX_ERROR, NESTING_TOO_DEEP, SYNTAX_ERROR, Diagnostic, Span, error
+from .diagnostics import LEX_ERROR, SYNTAX_ERROR, Diagnostic, Span, error
 
 IDENT = "ident"
 STRING = "string"
@@ -70,20 +70,11 @@ class ParseFailure(Exception):
     """Bail-out of the lexer or a parser; parse_or_bail turns it into one
     diagnostic with the failure's code."""
 
-    code = SYNTAX_ERROR
-
-    def __init__(self, span: Span, message: str):
+    def __init__(self, span: Span, message: str, code: str = SYNTAX_ERROR):
         super().__init__(message)
         self.span = span
         self.message = message
-
-
-class LexFailure(ParseFailure):
-    code = LEX_ERROR
-
-
-class NestingFailure(ParseFailure):
-    code = NESTING_TOO_DEEP
+        self.code = code
 
 
 class TokenStream:
@@ -99,7 +90,7 @@ class TokenStream:
         self._kinds: list[str] = []
         self._texts: list[str] = []
         self._starts: list[int] = []
-        self.failure: LexFailure | None = None
+        self.failure: ParseFailure | None = None
         self._lex(0)
         self.i, self.kind, self.text = 0, self._kinds[0], self._texts[0]
 
@@ -124,10 +115,10 @@ class TokenStream:
             pos = _SPACE.match(source, pos).end()
             if pos < len(source):
                 ch = source[pos]
-                raise LexFailure(self._point(pos), "unterminated string literal" if ch == '"'
-                                 else f"unexpected character {ch!r}")
+                raise ParseFailure(self._point(pos), "unterminated string literal" if ch == '"'
+                                   else f"unexpected character {ch!r}", LEX_ERROR)
             kinds(EOF)
-        except LexFailure as exc:
+        except ParseFailure as exc:
             self.failure = exc
             kinds(FAILED)
         texts("")
@@ -155,6 +146,11 @@ class TokenStream:
             return self.failure
         return ParseFailure(self.span(self.i), message)
 
+    def expected(self, what: str) -> ParseFailure:
+        """The failure of a rule that wanted what at the current token."""
+        found = "end of input" if self.kind == EOF else f"'{self.text}'"
+        return self.error(f"expected {what}, found {found}")
+
     def _point(self, pos: int) -> Span:
         line = bisect_right(self._line_starts, pos)
         return Span.point(line, pos - self._line_starts[line - 1] + 1)
@@ -169,8 +165,8 @@ class TokenStream:
         while True:
             close = text.find(closer, pos)
             if close < 0:
-                raise LexFailure(self._point(start),
-                                 f"unterminated comment ('{opener}' without '{closer}')")
+                raise ParseFailure(self._point(start),
+                                   f"unterminated comment ('{opener}' without '{closer}')", LEX_ERROR)
             # an opener may overlap the closer, as in "(*)", and wins
             nested = text.find(opener, pos, close + 1)
             if nested >= 0:
@@ -190,8 +186,8 @@ class TokenStream:
         pos = self._starts[i]
         if not self.source.startswith("{", pos):
             # only the sentinel of an unterminated comment starts at an opener
-            raise self.failure if self.source[pos:pos + 2] in _CLOSERS else LexFailure(
-                self._point(pos), "expected '{'")
+            raise self.failure if self.source[pos:pos + 2] in _CLOSERS else ParseFailure(
+                self._point(pos), "expected '{'", LEX_ERROR)
         depth = 0
         for m in _BRACE.finditer(self.source, pos):
             depth += 1 if m.group() == "{" else -1
@@ -202,7 +198,7 @@ class TokenStream:
                 self._lex(m.end())
                 self.kind, self.text = self._kinds[i], self._texts[i]
                 return self.source[pos + 1:m.start()].strip()
-        raise LexFailure(self._point(pos), "unterminated '{' block")
+        raise ParseFailure(self._point(pos), "unterminated '{' block", LEX_ERROR)
 
     def at_punct(self, text: str) -> bool:
         return self.kind == PUNCT and self.text == text
@@ -224,22 +220,22 @@ class TokenStream:
 
     def expect_punct(self, text: str) -> int:
         if not self.at_punct(text):
-            raise self.error(f"expected '{text}', found '{self.text}'")
+            raise self.expected(f"'{text}'")
         return self.advance()
 
     def expect_kw(self, word: str) -> int:
         if not self.at_kw(word):
-            raise self.error(f"expected '{word}', found '{self.text}'")
+            raise self.expected(f"'{word}'")
         return self.advance()
 
     def expect_ident(self, what: str) -> str:
         if self.kind != IDENT:
-            raise self.error(f"expected {what}, found '{self.text}'")
+            raise self.expected(what)
         return self._texts[self.advance()]
 
     def expect_file_name(self) -> str:
         if self.kind != STRING:
-            raise self.error(f"expected a quoted file name, found '{self.text}'")
+            raise self.expected("a quoted file name")
         return self._texts[self.advance()]
 
     def expect_idents(self, what: str) -> list[str]:
@@ -270,7 +266,7 @@ class TokenStream:
                 raise self.error(f"section '{part}' appears twice")
             handler = handlers.get(part) if self.kind == IDENT else None
             if handler is None:
-                raise self.error(f"expected a {what} section, found '{self.text}'")
+                raise self.expected(f"a {what} section")
             self.advance()
             found[part] = handler()
         end = self.advance()

@@ -43,18 +43,14 @@ other shape the parser does not read, but with its own code
 from __future__ import annotations
 
 from . import ast
-from .diagnostics import Diagnostic, LIBRARY_NOT_SUPPORTED
-from .lexer import IDENT, PUNCT, NestingFailure, ParseFailure, TokenStream, parse_or_bail
+from .diagnostics import LIBRARY_NOT_SUPPORTED, NESTING_TOO_DEEP, Diagnostic
+from .lexer import IDENT, PUNCT, ParseFailure, TokenStream, parse_or_bail
 
 _FUNCTIONALITIES = ("noexit", "exit")
 # identifiers that end an action prefix chain rather than name an action
 _BEHAVIOUR_KEYWORDS = frozenset(
     ["stop", "exit", "hide", "where", "endproc", "endprocess", "endspec", "process", "in"]
 )
-
-
-class LibraryFailure(ParseFailure):
-    code = LIBRARY_NOT_SUPPORTED
 
 
 class _Parser:
@@ -84,7 +80,7 @@ class _Parser:
         for f in _FUNCTIONALITIES:
             if self.ts.accept_kw(f):
                 return f
-        raise self.ts.error(f"expected 'noexit' or 'exit', found '{self.ts.text}'")
+        raise self.ts.expected("'noexit' or 'exit'")
 
     def _sorts_section(self) -> list[ast.SortDecl]:
         decls: list[ast.SortDecl] = []
@@ -197,8 +193,9 @@ class _Parser:
                 ts.expect_punct(")")
                 return inner
         except RecursionError:
-            raise NestingFailure(ts.span(at), f"'{word}' nested too deeply to parse") from None
-        raise ts.error(f"expected a behaviour expression, found '{ts.text}'")
+            raise ParseFailure(ts.span(at), f"'{word}' nested too deeply to parse",
+                               NESTING_TOO_DEEP) from None
+        raise ts.expected("a behaviour expression")
 
     # ------------------------------------------------------------------
     # top level
@@ -212,15 +209,16 @@ class _Parser:
         self.ts.expect_punct(":=")
 
         if self.ts.at_kw("library"):
-            raise LibraryFailure(self.ts.span(self.ts.i),
-                                 "library sections are not supported; declare finite sorts instead")
+            raise ParseFailure(self.ts.span(self.ts.i),
+                               "library sections are not supported; declare finite sorts instead",
+                               LIBRARY_NOT_SUPPORTED)
 
         sorts: list[ast.SortDecl] = []
         if self.ts.accept_kw("sorts"):
             sorts = self._sorts_section()
 
         if not (self.ts.accept_kw("behaviour") or self.ts.accept_kw("behavior")):
-            raise self.ts.error(f"expected 'behaviour', found '{self.ts.text}'")
+            raise self.ts.expected("'behaviour'")
         top = self.behaviour()
 
         processes: list[ast.ProcessDef] = []
@@ -228,7 +226,7 @@ class _Parser:
             while self.ts.at_kw("process"):
                 processes.append(self._process_def())
             if not processes:
-                raise self.ts.error(f"expected a process definition, found '{self.ts.text}'")
+                raise self.ts.expected("a process definition")
 
         self.ts.expect_kw("endspec")
         self.ts.expect_eof("endspec")
@@ -251,7 +249,7 @@ class _Parser:
         self.ts.expect_punct(":=")
         body = self.behaviour()
         if not (self.ts.accept_kw("endproc") or self.ts.accept_kw("endprocess")):
-            raise self.ts.error(f"expected 'endproc', found '{self.ts.text}'")
+            raise self.ts.expected("'endproc'")
         return ast.ProcessDef(name, gates, func, body, loc=self.ts.span(head))
 
 

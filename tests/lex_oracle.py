@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import re
 
-from lotoskit.syntax.diagnostics import Span
-from lotoskit.syntax.lexer import EOF, IDENT, PUNCT, STRING, LexFailure
+from lotoskit.syntax.diagnostics import LEX_ERROR, Span
+from lotoskit.syntax.lexer import EOF, IDENT, PUNCT, STRING, ParseFailure
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*")
 
@@ -64,7 +64,7 @@ class OracleLexer:
                     return
             else:
                 self.advance(1)
-        raise LexFailure(start, f"unterminated comment ('{opener}' without '{closer}')")
+        raise ParseFailure(start, f"unterminated comment ('{opener}' without '{closer}')", LEX_ERROR)
 
     def next_token(self) -> tuple[str, str, Span]:
         self._skip_trivia()
@@ -83,7 +83,7 @@ class OracleLexer:
             while self.pos < len(self.text) and self.text[self.pos] not in '"\n':
                 self.advance(1)
             if self.pos >= len(self.text) or self.text[self.pos] != '"':
-                raise LexFailure(Span.point(line, col), "unterminated string literal")
+                raise ParseFailure(Span.point(line, col), "unterminated string literal", LEX_ERROR)
             value = self.text[chunk_start:self.pos]
             self.advance(1)
             return STRING, value, Span(line, col, self.line, self.col)
@@ -93,14 +93,14 @@ class OracleLexer:
                 self.advance(len(p))
                 return PUNCT, p, Span(line, col, self.line, self.col)
 
-        raise LexFailure(Span.point(line, col),
-                         f"unexpected character {self.text[self.pos]!r}")
+        raise ParseFailure(Span.point(line, col),
+                           f"unexpected character {self.text[self.pos]!r}", LEX_ERROR)
 
     def raw_brace_block(self) -> tuple[str, Span]:
         self._skip_trivia()
         open_span = Span.point(self.line, self.col)
         if self.pos >= len(self.text) or self.text[self.pos] != "{":
-            raise LexFailure(open_span, "expected '{'")
+            raise ParseFailure(open_span, "expected '{'", LEX_ERROR)
         self.advance(1)
         depth = 1
         chunk_start = self.pos
@@ -117,4 +117,4 @@ class OracleLexer:
                     return body.strip(), Span(open_span.line, open_span.col,
                                               end.line, end.col)
             self.advance(1)
-        raise LexFailure(open_span, "unterminated '{' block")
+        raise ParseFailure(open_span, "unterminated '{' block", LEX_ERROR)

@@ -7,7 +7,9 @@ only when a parser peeks at it.  So a lex failure is raised the first
 time a parser looks at the bad character, and an ``assert { ... }`` block
 is read from wherever the lexer stands.  Slower than the stream in
 lotoskit.syntax.lexer and plainly right; the stream is checked against it
-on corpus texts, printed random terms and their corruptions."""
+on corpus texts, printed random terms and their corruptions.  A message
+names the token found as ``str(Token)`` does, "end of input" at the end,
+and a query variable's diagnostic stands at the variable's token."""
 from __future__ import annotations
 
 import re
@@ -31,6 +33,9 @@ from lotoskit.syntax.asc import _IC_SECTIONS
 from lotoskit.syntax.diagnostics import (
     BAD_ARITY,
     DUPLICATE_DEFINITION,
+    LEX_ERROR,
+    LIBRARY_NOT_SUPPORTED,
+    NESTING_TOO_DEEP,
     Diagnostic,
     MALFORMED_IC,
     Span,
@@ -48,12 +53,10 @@ from lotoskit.syntax.lexer import (
     IDENT,
     PUNCT,
     STRING,
-    LexFailure,
-    NestingFailure,
     ParseFailure,
     parse_or_bail,
 )
-from lotoskit.syntax.parser import _FUNCTIONALITIES, LibraryFailure
+from lotoskit.syntax.parser import _FUNCTIONALITIES
 
 
 class Token:
@@ -101,8 +104,8 @@ class Lexer:
         while True:
             close = text.find(closer, pos)
             if close < 0:
-                raise LexFailure(self._point(start),
-                                 f"unterminated comment ('{opener}' without '{closer}')")
+                raise ParseFailure(self._point(start),
+                                   f"unterminated comment ('{opener}' without '{closer}')", LEX_ERROR)
             # an opener may overlap the closer, as in "(*)", and wins
             nested = text.find(opener, pos, close + 1)
             if nested >= 0:
@@ -122,8 +125,8 @@ class Lexer:
             if pos == len(text):
                 return Token(EOF, "", self._point(pos))
             ch = text[pos]
-            raise LexFailure(self._point(pos), "unterminated string literal" if ch == '"'
-                             else f"unexpected character {ch!r}")
+            raise ParseFailure(self._point(pos), "unterminated string literal" if ch == '"'
+                               else f"unexpected character {ch!r}", LEX_ERROR)
         kind = m.lastgroup
         value = m.group(kind)
         self.pos = end = m.end()
@@ -141,7 +144,7 @@ class Lexer:
         pos = self._skip_trivia()
         open_span = self._point(pos)
         if not self.text.startswith("{", pos):
-            raise LexFailure(open_span, "expected '{'")
+            raise ParseFailure(open_span, "expected '{'", LEX_ERROR)
         depth = 0
         for m in _BRACE.finditer(self.text, pos):
             depth += 1 if m.group() == "{" else -1
@@ -150,7 +153,7 @@ class Lexer:
                 close = self._point(end)
                 return self.text[pos + 1:m.start()].strip(), Span(
                     open_span.line, open_span.col, close.line, close.col)
-        raise LexFailure(open_span, "unterminated '{' block")
+        raise ParseFailure(open_span, "unterminated '{' block", LEX_ERROR)
 
 
 class TokenStream:
@@ -194,25 +197,25 @@ class TokenStream:
     def expect_punct(self, text: str) -> Token:
         tok = self.peek()
         if not self.at_punct(text):
-            raise ParseFailure(tok.span, f"expected '{text}', found '{tok.text}'")
+            raise ParseFailure(tok.span, f"expected '{text}', found {tok}")
         return self.next()
 
     def expect_kw(self, word: str) -> Token:
         tok = self.peek()
         if not self.at_kw(word):
-            raise ParseFailure(tok.span, f"expected '{word}', found '{tok.text}'")
+            raise ParseFailure(tok.span, f"expected '{word}', found {tok}")
         return self.next()
 
     def expect_ident(self, what: str) -> Token:
         tok = self.peek()
         if tok.kind != IDENT:
-            raise ParseFailure(tok.span, f"expected {what}, found '{tok.text}'")
+            raise ParseFailure(tok.span, f"expected {what}, found {tok}")
         return self.next()
 
     def expect_file_name(self) -> str:
         tok = self.peek()
         if tok.kind != STRING:
-            raise ParseFailure(tok.span, f"expected a quoted file name, found '{tok.text}'")
+            raise ParseFailure(tok.span, f"expected a quoted file name, found {tok}")
         return self.next().text
 
     def expect_idents(self, what: str) -> list[str]:
@@ -245,7 +248,7 @@ class TokenStream:
                 raise ParseFailure(tok.span, f"section '{part}' appears twice")
             handler = handlers.get(part) if tok.kind == IDENT else None
             if handler is None:
-                raise ParseFailure(tok.span, f"expected a {what} section, found '{tok.text}'")
+                raise ParseFailure(tok.span, f"expected a {what} section, found {tok}")
             self.next()
             found[part] = handler()
         end = self.next()
@@ -288,7 +291,7 @@ class _Parser:
         for f in _FUNCTIONALITIES:
             if self.ts.accept_kw(f):
                 return f
-        raise ParseFailure(tok.span, f"expected 'noexit' or 'exit', found '{tok.text}'")
+        raise ParseFailure(tok.span, f"expected 'noexit' or 'exit', found {tok}")
 
     def _sorts_section(self) -> list[ast.SortDecl]:
         decls: list[ast.SortDecl] = []
@@ -405,8 +408,9 @@ class _Parser:
                 self.ts.expect_punct(")")
                 return inner
         except RecursionError:
-            raise NestingFailure(tok.span, f"'{tok.text}' nested too deeply to parse") from None
-        raise ParseFailure(tok.span, f"expected a behaviour expression, found '{tok.text}'")
+            raise ParseFailure(tok.span, f"'{tok.text}' nested too deeply to parse",
+                               NESTING_TOO_DEEP) from None
+        raise ParseFailure(tok.span, f"expected a behaviour expression, found {tok}")
 
     # ------------------------------------------------------------------
     # top level
@@ -420,8 +424,9 @@ class _Parser:
         self.ts.expect_punct(":=")
 
         if self.ts.at_kw("library"):
-            raise LibraryFailure(self.ts.peek().span,
-                                 "library sections are not supported; declare finite sorts instead")
+            raise ParseFailure(self.ts.peek().span,
+                               "library sections are not supported; declare finite sorts instead",
+                               LIBRARY_NOT_SUPPORTED)
 
         sorts: list[ast.SortDecl] = []
         if self.ts.accept_kw("sorts"):
@@ -429,7 +434,7 @@ class _Parser:
 
         if not (self.ts.accept_kw("behaviour") or self.ts.accept_kw("behavior")):
             tok = self.ts.peek()
-            raise ParseFailure(tok.span, f"expected 'behaviour', found '{tok.text}'")
+            raise ParseFailure(tok.span, f"expected 'behaviour', found {tok}")
         top = self.behaviour()
 
         processes: list[ast.ProcessDef] = []
@@ -438,7 +443,7 @@ class _Parser:
                 processes.append(self._process_def())
             if not processes:
                 tok = self.ts.peek()
-                raise ParseFailure(tok.span, f"expected a process definition, found '{tok.text}'")
+                raise ParseFailure(tok.span, f"expected a process definition, found {tok}")
 
         self.ts.expect_kw("endspec")
         self.ts.expect_eof("endspec")
@@ -462,7 +467,7 @@ class _Parser:
         body = self.behaviour()
         if not (self.ts.accept_kw("endproc") or self.ts.accept_kw("endprocess")):
             tok = self.ts.peek()
-            raise ParseFailure(tok.span, f"expected 'endproc', found '{tok.text}'")
+            raise ParseFailure(tok.span, f"expected 'endproc', found {tok}")
         return ast.ProcessDef(name.text, gates, func, body, loc=head.span)
 
 
@@ -495,30 +500,33 @@ class _AscParser:
         return sc
 
     def _query(self) -> Query:
-        variables: list[str] = []
+        tokens: list[Token] = []
         if self.ts.at_kw("exists"):
             self.ts.next()
-            variables = self.ts.expect_idents("a variable name")
+            tokens.append(self.ts.expect_ident("a variable name"))
+            while self.ts.accept_punct(","):
+                tokens.append(self.ts.expect_ident("a variable name"))
             self.ts.expect_punct(".")
+        variables = [tok.text for tok in tokens]
         declared = set()
-        for v in variables:
-            if v in declared:
+        for tok in tokens:
+            if tok.text in declared:
                 self.diagnostics.append(
-                    error(f"variable '{v}' is declared twice", self.ts.peek().span, DUPLICATE_DEFINITION)
+                    error(f"variable '{tok.text}' is declared twice", tok.span, DUPLICATE_DEFINITION)
                 )
-            declared.add(v)
+            declared.add(tok.text)
 
         atoms = [self._atom(declared)]
         while self.ts.accept_kw("and"):
             atoms.append(self._atom(declared))
 
         used = {t.name for a in atoms for t in a.args if isinstance(t, Var)}
-        for v in variables:
-            if v not in used:
+        for tok in tokens:
+            if tok.text not in used:
                 self.diagnostics.append(
                     error(
-                        f"variable '{v}' does not occur in the query",
-                        self.ts.peek().span,
+                        f"variable '{tok.text}' does not occur in the query",
+                        tok.span,
                         UNKNOWN_QUERY_VARIABLE,
                     )
                 )
@@ -557,7 +565,7 @@ class _AscParser:
             if tok.kind != IDENT or tok.text.lower() not in _IC_SECTIONS:
                 raise ParseFailure(
                     tok.span,
-                    f"expected one of {', '.join(_IC_SECTIONS)}, found '{tok.text}'",
+                    f"expected one of {', '.join(_IC_SECTIONS)}, found {tok}",
                 )
             section = tok.text.lower()
             self.ts.next()

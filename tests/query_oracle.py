@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import re
 
-from lotoskit.contracts import PREDICATES, Atom, Const, Fact, FactBase, Query, Var
+from lotoskit.contracts import PREDICATES, Atom, Const, FactBase, Query, Var
 from lotoskit.syntax.diagnostics import (
     BAD_ARITY,
     SYNTAX_ERROR,
@@ -30,11 +30,11 @@ from lotoskit.syntax.lexer import parse_or_bail
 
 def _holds(atom: Atom, env: dict[str, str], fb: FactBase) -> bool:
     args = tuple(env[t.name] if isinstance(t, Var) else t.name for t in atom.args)
-    return Fact(atom.predicate, args) in fb
+    return args in fb.rows(atom.predicate)
 
 
 def all_solutions(fb: FactBase, query: Query) -> list[dict[str, str]]:
-    constants = sorted({arg for p in PREDICATES for f in fb.by_predicate(p) for arg in f.args})
+    constants = sorted({arg for p in PREDICATES for row in fb.rows(p) for arg in row})
     names = list(query.variables)
     out = []
     for combo in itertools.product(constants, repeat=len(names)):
@@ -48,11 +48,11 @@ def first_witness(fb: FactBase, query: Query) -> dict[str, str] | None:
     """First witness, or None.  The search is depth-first through the
     conjuncts in written order, trying each conjunct's facts in
     lexicographic order, so the answer is reproducible."""
-    candidates = {a.predicate: fb.by_predicate(a.predicate) for a in query.atoms}
+    candidates = {a.predicate: fb.rows(a.predicate) for a in query.atoms}
 
-    def unify(atom: Atom, fact: Fact, env: dict[str, str]) -> dict[str, str] | None:
+    def unify(atom: Atom, row: tuple[str, ...], env: dict[str, str]) -> dict[str, str] | None:
         out = env
-        for term, value in zip(atom.args, fact.args):
+        for term, value in zip(atom.args, row):
             if isinstance(term, Const):
                 if term.name != value:
                     return None
@@ -70,8 +70,8 @@ def first_witness(fb: FactBase, query: Query) -> dict[str, str] | None:
         if index == len(query.atoms):
             return env
         atom = query.atoms[index]
-        for fact in candidates[atom.predicate]:
-            nxt = unify(atom, fact, env)
+        for row in candidates[atom.predicate]:
+            nxt = unify(atom, row, env)
             if nxt is not None:
                 found = search(index + 1, nxt)
                 if found is not None:
@@ -91,8 +91,7 @@ _FACT_LINE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*([^()]*)\)\s*\.?\s*\Z"
 
 def parse_facts(text: str) -> tuple[FactBase | None, list[Diagnostic]]:
     """parse_facts line by line."""
-    fb = FactBase()
-    table = fb._args
+    table: dict[str, set[tuple[str, ...]]] = {}
     diags: list[Diagnostic] = []
     match = _FACT_LINE.match
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -112,4 +111,4 @@ def parse_facts(text: str) -> tuple[FactBase | None, list[Diagnostic]]:
             diags.append(error(f"'{pred}' takes {arity} argument(s)", Span.point(line_no, 1), BAD_ARITY))
         else:
             table.setdefault(pred, set()).add(args)
-    return parse_or_bail(lambda: fb, diags)
+    return parse_or_bail(lambda: FactBase(table), diags)

@@ -856,6 +856,35 @@ def test_narrowed_parser_answers_as_the_whole_tree(capsys, argv):
     assert narrowed == parse(capsys, cli._build_parser([]), argv)
 
 
+VERIFY_DEADLOCK_HELP = """\
+usage: lotoskit verify deadlock [-h] [--no-hide] [--max-states N]
+                                [--max-transitions N] [--format {text,json}]
+                                file
+
+positional arguments:
+  file                  behaviour file or .aut file
+
+options:
+  -h, --help            show this help message and exit
+  --no-hide             treat hidden gates as observable
+  --max-states N        abort exploration beyond N states (default 100000)
+  --max-transitions N   abort exploration beyond N transitions (default
+                        500000)
+  --format {text,json}  output format (default text)
+"""
+
+
+def test_budget_defaults_come_from_the_exploration_budget(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "deadlock", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == VERIFY_DEADLOCK_HELP
+    budget = semantics.ExplorationBudget()
+    args = cli._build_parser(["lts", F]).parse_args(["lts", F])
+    assert (args.max_states, args.max_transitions) == (budget.max_states, budget.max_transitions)
+
+
 def choices(parser):
     """The command tree parser holds, as nested dicts of choice names."""
     tree = {}

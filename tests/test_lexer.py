@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from lex_oracle import PUNCTUATION, OracleLexer
 from lotoskit.syntax import ast
-from lotoskit.syntax.lexer import EOF, FAILED, PUNCT, LexFailure, TokenStream
+from lotoskit.syntax.lexer import EOF, FAILED, PUNCT, ParseFailure, TokenStream
 
 ALPHABET = (
     "(*", "*)", "/*", "*/", '"', "{", "}", "\n", "\t", "\r", " ", "-", "_",
@@ -44,7 +44,7 @@ def oracle_tokens(oracle):
             out.append((kind, text, fields(span)))
             if kind == EOF:
                 return out
-    except LexFailure as exc:
+    except ParseFailure as exc:
         return out + [failure(exc)]
 
 
@@ -70,13 +70,13 @@ def test_raw_brace_block_matches_oracle(text, counts):
             oracle.next_token()
         try:
             body = ts.raw_brace_block()
-        except LexFailure as exc:
+        except ParseFailure as exc:
             got = failure(exc)
         else:
             got = body, stream_tokens(ts)
         try:
             body, _ = oracle.raw_brace_block()
-        except LexFailure as exc:
+        except ParseFailure as exc:
             want = failure(exc)
         else:
             want = body, oracle_tokens(oracle)

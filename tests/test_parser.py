@@ -12,8 +12,8 @@ from lotoskit.adl import ArchConfig
 from lotoskit.syntax import ast, parse_behavior, parse_spec, pretty_behavior, pretty_spec
 from lotoskit.syntax.adlparse import parse_adl
 from lotoskit.syntax.asc import parse_asc
-from lotoskit.syntax.diagnostics import NESTING_TOO_DEEP
-from lotoskit.syntax.lexer import EOF, FAILED, IDENT, PUNCT, STRING, LexFailure, TokenStream
+from lotoskit.syntax.diagnostics import LEX_ERROR, NESTING_TOO_DEEP
+from lotoskit.syntax.lexer import EOF, FAILED, IDENT, PUNCT, STRING, TokenStream
 
 
 # ----------------------------------------------------------------------
@@ -50,7 +50,7 @@ def test_lexer_maximal_munch():
 def test_lexer_rejects_lone_bar():
     ts = TokenStream("a | b")
     ts.advance()
-    assert ts.kind == FAILED and isinstance(ts.failure, LexFailure)
+    assert ts.kind == FAILED and ts.failure.code == LEX_ERROR
 
 
 def test_lexer_nested_comments():
@@ -305,6 +305,20 @@ def test_missing_endspec():
     spec, diags = parse_spec(MINIMAL.replace("endspec", ""))
     assert spec is None
     assert any(d.code == "syntax-error" for d in diags)
+
+
+@pytest.mark.parametrize("reader, text, span, message", [
+    (parse_spec, "specification S [g] : noexit := behaviour g; stop", (1, 50),
+     "expected 'endspec', found end of input"),
+    (parse_spec, "specification S [g] : noexit := behaviour g;", (1, 45),
+     "expected a behaviour expression, found end of input"),
+    (parse_behavior, "g; stop [] (stop", (1, 17), "expected ')', found end of input"),
+    (parse_asc, "component C where sc { exists x . class(", (1, 41), "expected a term, found end of input"),
+    (parse_adl, 'configuration C use', (1, 20), "expected a quoted file name, found end of input"),
+])
+def test_end_of_input_is_named_in_messages(reader, text, span, message):
+    _, diags = reader(text)
+    assert [(d.span[:2], d.code, d.message) for d in diags] == [(span, "syntax-error", message)]
 
 
 def test_garbage_after_endspec():
