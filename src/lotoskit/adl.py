@@ -13,9 +13,8 @@ by its bound process, so the whole verification tool chain applies.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
-from functools import cached_property
 
+from .record import Record
 from .syntax import ast
 from .syntax.diagnostics import Violation
 
@@ -23,31 +22,33 @@ COMPONENT = "component"
 CONNECTOR = "connector"
 
 
-@dataclass(frozen=True)
-class ArchElement:
+class ArchElement(Record):
     """One instance in a configuration: its name, its role, the process it
     runs and the actual gates the process is wired to."""
 
-    name: str
-    role: str  # COMPONENT | CONNECTOR
-    process: str
-    gates: tuple[str, ...] = ()
+    __slots__ = ("name", "role", "process", "gates")
+
+    def __init__(self, name: str, role: str, process: str, gates: tuple[str, ...] = ()):
+        # role is COMPONENT or CONNECTOR
+        super().__init__(name, role, process, gates)
 
 
-@dataclass(frozen=True)
-class ArchConfig:
+class ArchConfig(Record):
+    __slots__ = ("name", "uses", "elements", "composition", "_element_table")
     name: str
     uses: tuple[str, ...]  # behaviour files the bindings resolve against
     elements: tuple[ArchElement, ...]
     composition: ast.Behavior  # instantiates elements by name, no gates
 
     def element(self, name: str) -> ArchElement | None:
-        return self._element_table.get(name)
-
-    # built on first use; on a duplicate name the first declaration wins
-    @cached_property
-    def _element_table(self) -> dict[str, ArchElement]:
-        return {e.name: e for e in reversed(self.elements)}
+        # the table is built on first use; on a duplicate name the first
+        # declaration wins
+        try:
+            table = self._element_table
+        except AttributeError:
+            table = {e.name: e for e in reversed(self.elements)}
+            object.__setattr__(self, "_element_table", table)
+        return table.get(name)
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +201,7 @@ def flatten(config: ArchConfig, sources: list[ast.Specification]) -> ast.Specifi
         e = config.element(b.process)
         if e is None:
             raise ValueError(f"'{b.process}' is not a declared instance")
-        return replace(b, process=e.process, gates=e.gates)
+        return ast.Inst(e.process, e.gates, loc=b.loc)
 
     top = ast.rebuild(config.composition, bind)
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
 from pathlib import Path
 
+from .record import Record
 from .semantics import ExplorationBudget, generate_lts
 from .syntax.diagnostics import (
     BAD_ARITY,
@@ -124,21 +124,21 @@ def parse_facts(text: str) -> tuple[FactBase | None, list[Diagnostic]]:
 # conjunctive queries
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Record):
+    __slots__ = ("name",)
     name: str
 
 
 Term = Var | Const
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
+    __slots__ = ("predicate", "args")
     predicate: str
     args: tuple[Term, ...]
 
@@ -146,11 +146,11 @@ class Atom:
         return f"{self.predicate}({', '.join(t.name for t in self.args)})"
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(Record):
     """exists x, y . p(x, C) and q(y, x) ...  All variables are the
     declared ones; every other identifier is a constant."""
 
+    __slots__ = ("variables", "atoms")
     variables: tuple[str, ...]
     atoms: tuple[Atom, ...]
 
@@ -233,18 +233,20 @@ def eval_query(fb: FactBase, query: Query) -> dict[str, str] | None:
 # interface contracts
 
 
-@dataclass(frozen=True)
-class InterfaceContract:
+class InterfaceContract(Record):
     """Ports keep their declaration order and possible duplicates; the
-    checks below are what rules on them."""
+    checks below are what rules on them.  Ports are (port, owner) pairs,
+    messages (message, port) pairs and flows (message, out port, in port)
+    triples."""
 
-    participants: tuple[str, ...] = ()
-    in_ports: tuple[tuple[str, str], ...] = ()  # (port, owner)
-    out_ports: tuple[tuple[str, str], ...] = ()
-    in_msgs: tuple[tuple[str, str], ...] = ()  # (message, port)
-    out_msgs: tuple[tuple[str, str], ...] = ()
-    external_in: tuple[str, ...] = ()
-    flows: tuple[tuple[str, str, str], ...] = ()  # (message, out port, in port)
+    __slots__ = ("participants", "in_ports", "out_ports", "in_msgs", "out_msgs", "external_in",
+                 "flows")
+
+    def __init__(self, participants: tuple[str, ...] = (), in_ports: tuple[tuple[str, str], ...] = (),
+                 out_ports: tuple[tuple[str, str], ...] = (), in_msgs: tuple[tuple[str, str], ...] = (),
+                 out_msgs: tuple[tuple[str, str], ...] = (), external_in: tuple[str, ...] = (),
+                 flows: tuple[tuple[str, str, str], ...] = ()):
+        super().__init__(participants, in_ports, out_ports, in_msgs, out_msgs, external_in, flows)
 
 
 def check_interface(ic: InterfaceContract) -> list[Violation]:
@@ -305,34 +307,32 @@ def check_interface(ic: InterfaceContract) -> list[Violation]:
 # whole contracts
 
 
-@dataclass(frozen=True)
-class BcRef:
+class BcRef(Record):
     """Behavioural part: a named behaviour held in a separate file."""
 
+    __slots__ = ("name", "path")
     name: str
     path: str
 
 
-@dataclass(frozen=True)
-class AscContract:
-    name: str
-    assertion: str | None = None
-    sc: Query | None = None
-    ic: InterfaceContract | None = None
-    bc: BcRef | None = None
+class AscContract(Record):
+    __slots__ = ("name", "assertion", "sc", "ic", "bc")
+
+    def __init__(self, name: str, assertion: str | None = None, sc: Query | None = None,
+                 ic: InterfaceContract | None = None, bc: BcRef | None = None):
+        super().__init__(name, assertion, sc, ic, bc)
 
 
 class ContractCheckError(Exception):
     """The contract could not be evaluated (missing inputs, bad files)."""
 
 
-@dataclass
-class ContractReport:
-    name: str
-    sc_checked: bool = False
-    sc_witness: dict[str, str] | None = None
-    ic_violations: list[Violation] | None = None
-    bc_result: VerifyResult | None = None
+class ContractReport(Record, mutable=True):
+    __slots__ = ("name", "sc_checked", "sc_witness", "ic_violations", "bc_result")
+
+    def __init__(self, name: str, sc_checked: bool = False, sc_witness: dict[str, str] | None = None,
+                 ic_violations: list[Violation] | None = None, bc_result: VerifyResult | None = None):
+        super().__init__(name, sc_checked, sc_witness, ic_violations, bc_result)
 
     @property
     def ok(self) -> bool:

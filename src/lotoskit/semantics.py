@@ -39,8 +39,8 @@ continuation, and that discharges a disrupting branch.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 
+from .record import Record
 from .syntax import ast
 from .syntax.printer import pretty_behavior, pretty_node
 
@@ -434,25 +434,24 @@ def strip_hiding(spec: ast.Specification) -> ast.Specification:
     def strip(b: ast.Behavior) -> ast.Behavior:
         return ast.rebuild(b, lambda n: n.body if isinstance(n, ast.Hide) else n)
 
-    return replace(
-        spec,
-        top_behavior=strip(spec.top_behavior),
-        processes=tuple(replace(p, body=strip(p.body)) for p in spec.processes),
-    )
+    processes = tuple(ast.ProcessDef(p.name, p.formal_gates, p.functionality, strip(p.body), p.loc)
+                      for p in spec.processes)
+    return ast.Specification(spec.name, spec.top_gates, spec.sorts, processes,
+                             strip(spec.top_behavior), spec.loc)
 
 
 # ----------------------------------------------------------------------
 # state-space generation
 
 
-@dataclass(frozen=True)
-class ExplorationBudget:
-    max_states: int = 100_000
-    max_transitions: int = 500_000
+class ExplorationBudget(Record):
+    __slots__ = ("max_states", "max_transitions")
+
+    def __init__(self, max_states: int = 100_000, max_transitions: int = 500_000):
+        super().__init__(max_states, max_transitions)
 
 
-@dataclass
-class Lts:
+class Lts(Record, mutable=True):
     """Explicit transition system.  States are 0..num_states-1 in
     breadth-first discovery order, 0 initial; per state, transitions are
     ordered by label text then by printed target form.  forms maps states
@@ -464,10 +463,11 @@ class Lts:
     ``label_text`` is the id -> text table.  It holds each label of the
     transitions once, sorted, so ids compare as their texts do."""
 
-    out: list[list[tuple[int, int]]]
-    label_text: list[str]
-    initial: int = 0
-    forms: list[ast.Behavior] | None = None
+    __slots__ = ("out", "label_text", "initial", "forms")
+
+    def __init__(self, out: list[list[tuple[int, int]]], label_text: list[str], initial: int = 0,
+                 forms: list[ast.Behavior] | None = None):
+        super().__init__(out, label_text, initial, forms)
 
     @classmethod
     def from_rows(cls, out: list[list[tuple[int, int]]], label_ids: dict[str, int],

@@ -1,11 +1,13 @@
 """Abstract syntax of the Basic LOTOS subset with finite-sort value offers.
 
-All nodes are frozen dataclasses.  Structural equality and hashing
-deliberately ignore the source span (`loc`), so that a tree equals its
+All nodes are immutable records (see ``lotoskit.record``) whose source
+span, ``loc``, is inherited from ``Node``.  Structural equality and
+hashing therefore ignore the span, so that a tree equals its
 printed-and-parsed copy, and so that the explorer's interning table can
 key an action by its value: equal actions written at different source
 positions are one key.  Interned terms themselves are compared by
-identity.
+identity.  The parser and the explorer build nodes all the time, so each
+node class sets its slots in its own ``__init__``.
 
 This module is also the one place that knows which fields of a node hold
 its behaviour children (``_CHILD_FIELDS``).  Traverse a tree with
@@ -17,36 +19,45 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field, replace
-from functools import cached_property
 from operator import is_not
 
+from ..record import Record
 from .diagnostics import Span
 
 
-def _loc_field():
-    return field(default=None, compare=False, hash=False, repr=False)
+class Node(Record):
+    """Common base for all syntax nodes.  Every node class inherits loc,
+    the node's source span, so loc is neither compared, hashed nor shown."""
+
+    __slots__ = ("loc",)
+
+    def __init__(self, loc: Span | None = None):
+        _set_loc(self, loc)
 
 
 # ---------------------------------------------------------------------------
 # Value expressions inside offers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValueLit:
+class ValueLit(Node):
     """A concrete value of a declared finite sort."""
 
-    value: str
-    sort: str
-    loc: Span | None = _loc_field()
+    __slots__ = ("value", "sort")
+
+    def __init__(self, value: str, sort: str, loc: Span | None = None):
+        _set_valuelit_value(self, value)
+        _set_valuelit_sort(self, sort)
+        _set_loc(self, loc)
 
 
-@dataclass(frozen=True)
-class VarRef:
+class VarRef(Node):
     """A variable bound by an enclosing receive offer."""
 
-    name: str
-    loc: Span | None = _loc_field()
+    __slots__ = ("name",)
+
+    def __init__(self, name: str, loc: Span | None = None):
+        _set_varref_name(self, name)
+        _set_loc(self, loc)
 
 
 ValueExpr = ValueLit | VarRef
@@ -56,41 +67,46 @@ ValueExpr = ValueLit | VarRef
 # Offers and actions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Send:
+class Send(Node):
     """``!e``: offer a concrete value (or a bound variable's value)."""
 
-    expr: ValueExpr
-    loc: Span | None = _loc_field()
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: ValueExpr, loc: Span | None = None):
+        _set_send_expr(self, expr)
+        _set_loc(self, loc)
 
 
-@dataclass(frozen=True)
-class Receive:
+class Receive(Node):
     """``?x:S``: bind ``x`` to any value of sort ``S``."""
 
-    var: str
-    sort: str
-    loc: Span | None = _loc_field()
+    __slots__ = ("var", "sort")
+
+    def __init__(self, var: str, sort: str, loc: Span | None = None):
+        _set_receive_var(self, var)
+        _set_receive_sort(self, sort)
+        _set_loc(self, loc)
 
 
 Offer = Send | Receive
 
 
-@dataclass(frozen=True)
-class InternalAction:
+class InternalAction(Node):
     """The unobservable action ``i``."""
 
-    loc: Span | None = _loc_field()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Comm:
+class Comm(Node):
     """A (possibly value-carrying) action at a gate; no offers means
     pure synchronization."""
 
-    gate: str
-    offers: tuple[Offer, ...] = ()
-    loc: Span | None = _loc_field()
+    __slots__ = ("gate", "offers")
+
+    def __init__(self, gate: str, offers: tuple[Offer, ...] = (), loc: Span | None = None):
+        _set_comm_gate(self, gate)
+        _set_comm_offers(self, offers)
+        _set_loc(self, loc)
 
 
 ActionExpr = InternalAction | Comm
@@ -100,34 +116,36 @@ ActionExpr = InternalAction | Comm
 # Behaviour expressions
 # ---------------------------------------------------------------------------
 
-class Behavior:
+class Behavior(Node):
     """Common base for all behaviour nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Stop(Behavior):
-    loc: Span | None = _loc_field()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Exit(Behavior):
-    loc: Span | None = _loc_field()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Prefix(Behavior):
-    action: ActionExpr
-    rest: Behavior
-    loc: Span | None = _loc_field()
+    __slots__ = ("action", "rest")
+
+    def __init__(self, action: ActionExpr, rest: Behavior, loc: Span | None = None):
+        _set_prefix_action(self, action)
+        _set_prefix_rest(self, rest)
+        _set_loc(self, loc)
 
 
-@dataclass(frozen=True)
 class Choice(Behavior):
-    left: Behavior
-    right: Behavior
-    loc: Span | None = _loc_field()
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Behavior, right: Behavior, loc: Span | None = None):
+        _set_choice_left(self, left)
+        _set_choice_right(self, right)
+        _set_loc(self, loc)
 
 
 class ParKind(enum.Enum):
@@ -139,50 +157,79 @@ class ParKind(enum.Enum):
     GATES = "|[]|"
 
 
-@dataclass(frozen=True)
 class Par(Behavior):
-    left: Behavior
-    kind: ParKind
-    gates: frozenset[str]  # only meaningful for ParKind.GATES
-    right: Behavior
-    loc: Span | None = _loc_field()
+    __slots__ = ("left", "kind", "gates", "right")
+
+    def __init__(self, left: Behavior, kind: ParKind, gates: frozenset[str], right: Behavior,
+                 loc: Span | None = None):
+        _set_par_left(self, left)
+        _set_par_kind(self, kind)
+        _set_par_gates(self, gates)  # only meaningful for ParKind.GATES
+        _set_par_right(self, right)
+        _set_loc(self, loc)
 
 
-@dataclass(frozen=True)
 class Hide(Behavior):
-    gates: frozenset[str]
-    body: Behavior
-    loc: Span | None = _loc_field()
+    __slots__ = ("gates", "body")
+
+    def __init__(self, gates: frozenset[str], body: Behavior, loc: Span | None = None):
+        _set_hide_gates(self, gates)
+        _set_hide_body(self, body)
+        _set_loc(self, loc)
 
 
-@dataclass(frozen=True)
 class Seq(Behavior):
     """Sequential composition ``left >> right``; enabled by successful
     termination of the left operand."""
 
-    left: Behavior
-    right: Behavior
-    loc: Span | None = _loc_field()
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Behavior, right: Behavior, loc: Span | None = None):
+        _set_seq_left(self, left)
+        _set_seq_right(self, right)
+        _set_loc(self, loc)
 
 
-@dataclass(frozen=True)
 class Disrupt(Behavior):
     """``left [> right``: right may take over any time before left
     terminates."""
 
-    left: Behavior
-    right: Behavior
-    loc: Span | None = _loc_field()
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Behavior, right: Behavior, loc: Span | None = None):
+        _set_disrupt_left(self, left)
+        _set_disrupt_right(self, right)
+        _set_loc(self, loc)
 
 
-@dataclass(frozen=True)
 class Inst(Behavior):
     """Process instantiation with actual gates."""
 
-    process: str
-    gates: tuple[str, ...] = ()
-    loc: Span | None = _loc_field()
+    __slots__ = ("process", "gates")
 
+    def __init__(self, process: str, gates: tuple[str, ...] = (), loc: Span | None = None):
+        _set_inst_process(self, process)
+        _set_inst_gates(self, gates)
+        _set_loc(self, loc)
+
+
+# The setters of the slots, through the slots' member descriptors, that
+# the __init__ methods above call: the fastest way to fill an instance
+# whose __setattr__ raises.
+_set_loc = Node.loc.__set__
+_set_valuelit_value, _set_valuelit_sort = ValueLit.value.__set__, ValueLit.sort.__set__
+_set_varref_name = VarRef.name.__set__
+_set_send_expr = Send.expr.__set__
+_set_receive_var, _set_receive_sort = Receive.var.__set__, Receive.sort.__set__
+_set_comm_gate, _set_comm_offers = Comm.gate.__set__, Comm.offers.__set__
+_set_prefix_action, _set_prefix_rest = Prefix.action.__set__, Prefix.rest.__set__
+_set_choice_left, _set_choice_right = Choice.left.__set__, Choice.right.__set__
+_set_par_left, _set_par_kind = Par.left.__set__, Par.kind.__set__
+_set_par_gates, _set_par_right = Par.gates.__set__, Par.right.__set__
+_set_hide_gates, _set_hide_body = Hide.gates.__set__, Hide.body.__set__
+_set_seq_left, _set_seq_right = Seq.left.__set__, Seq.right.__set__
+_set_disrupt_left, _set_disrupt_right = Disrupt.left.__set__, Disrupt.right.__set__
+_set_inst_process, _set_inst_gates = Inst.process.__set__, Inst.gates.__set__
 
 # The binary operators, loosest first: token -> (precedence level, node
 # class, ParKind of a parallel form or None).  Every one associates to the
@@ -205,46 +252,51 @@ PREFIX_LEVEL = 4
 # Declarations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SortDecl:
-    name: str
-    values: tuple[str, ...]
-    loc: Span | None = _loc_field()
+class SortDecl(Node):
+    __slots__ = ("name", "values")
+
+    def __init__(self, name: str, values: tuple[str, ...], loc: Span | None = None):
+        Record.__init__(self, name, values)
+        _set_loc(self, loc)
 
 
-@dataclass(frozen=True)
-class ProcessDef:
-    name: str
-    formal_gates: tuple[str, ...]
-    functionality: str  # "noexit" | "exit"
-    body: Behavior
-    loc: Span | None = _loc_field()
+class ProcessDef(Node):
+    __slots__ = ("name", "formal_gates", "functionality", "body")
+
+    def __init__(self, name: str, formal_gates: tuple[str, ...], functionality: str,
+                 body: Behavior, loc: Span | None = None):
+        # functionality is "noexit" or "exit"
+        Record.__init__(self, name, formal_gates, functionality, body)
+        _set_loc(self, loc)
 
 
-@dataclass(frozen=True)
-class Specification:
-    name: str
-    top_gates: tuple[str, ...]
-    sorts: tuple[SortDecl, ...]
-    processes: tuple[ProcessDef, ...]
-    top_behavior: Behavior
-    loc: Span | None = _loc_field()
+class Specification(Node):
+    __slots__ = ("name", "top_gates", "sorts", "processes", "top_behavior",
+                 "_process_table", "_sort_table")
 
+    def __init__(self, name: str, top_gates: tuple[str, ...], sorts: tuple[SortDecl, ...],
+                 processes: tuple[ProcessDef, ...], top_behavior: Behavior,
+                 loc: Span | None = None):
+        Record.__init__(self, name, top_gates, sorts, processes, top_behavior)
+        _set_loc(self, loc)
+
+    # The tables are built on first use and kept in their slots; on a
+    # duplicate name the first declaration wins, as for a linear scan.
     def process(self, name: str) -> ProcessDef | None:
-        return self._process_table.get(name)
+        try:
+            table = self._process_table
+        except AttributeError:
+            table = {p.name: p for p in reversed(self.processes)}
+            object.__setattr__(self, "_process_table", table)
+        return table.get(name)
 
     def sort(self, name: str) -> SortDecl | None:
-        return self._sort_table.get(name)
-
-    # Built on first use and kept in the instance, which is never mutated;
-    # on a duplicate name the first declaration wins, as for a linear scan.
-    @cached_property
-    def _process_table(self) -> dict[str, ProcessDef]:
-        return {p.name: p for p in reversed(self.processes)}
-
-    @cached_property
-    def _sort_table(self) -> dict[str, SortDecl]:
-        return {s.name: s for s in reversed(self.sorts)}
+        try:
+            table = self._sort_table
+        except AttributeError:
+            table = {s.name: s for s in reversed(self.sorts)}
+            object.__setattr__(self, "_sort_table", table)
+        return table.get(name)
 
     def value_sorts(self) -> dict[str, str]:
         """Map each declared value to its sort.  Values are required to be
@@ -302,6 +354,8 @@ def rebuild(b: Behavior, f: Callable[[Behavior], Behavior]) -> Behavior:
             new = done[-len(fields):]
             del done[-len(fields):]
             if any(map(is_not, new, [getattr(node, name) for name in fields])):
-                node = replace(node, **dict(zip(fields, new)))
+                kids = dict(zip(fields, new))
+                node = type(node)(*[kids[name] if name in kids else getattr(node, name)
+                                    for name in node._fields], loc=node.loc)
         done.append(f(node))
     return done[0]

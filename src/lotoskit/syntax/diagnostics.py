@@ -10,8 +10,9 @@ contract's interface, a configuration): a code and a message, no span.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
+
+from ..record import Record
 
 # Stable diagnostic codes.  Keep these in sync with README.md.
 LEX_ERROR = "lex-error"
@@ -35,8 +36,8 @@ UNKNOWN_QUERY_VARIABLE = "unknown-query-variable"
 
 class Span(NamedTuple):
     """Half-open source span; columns count characters, tabs included.
-    A named tuple, which is cheaper to build than a frozen dataclass: the
-    parsers make one per AST node."""
+    A named tuple, which is cheaper to build than a record, even one that
+    sets its own slots: the parsers make one per AST node."""
 
     line: int
     col: int
@@ -51,11 +52,11 @@ class Span(NamedTuple):
         return f"{self.line}:{self.col}"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """An error found in an input text; every reader and check reports
     errors only, so a reader's value is None exactly when it reports any."""
 
+    __slots__ = ("span", "message", "code")
     span: Span
     message: str
     code: str
@@ -68,10 +69,10 @@ def error(message: str, span: Span | None, code: str) -> Diagnostic:
     return Diagnostic(span or Span.point(1, 1), message, code)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """A rule a contract's interface or a configuration breaks."""
 
+    __slots__ = ("code", "message")
     code: str
     message: str
 

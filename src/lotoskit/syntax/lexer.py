@@ -147,8 +147,10 @@ class TokenStream:
         return ParseFailure(self.span(self.i), message)
 
     def expected(self, what: str) -> ParseFailure:
-        """The failure of a rule that wanted what at the current token."""
-        found = "end of input" if self.kind == EOF else f"'{self.text}'"
+        """The failure of a rule that wanted what at the current token,
+        quoted as written if it is a string literal."""
+        quote = '"' if self.kind == STRING else "'"
+        found = "end of input" if self.kind == EOF else f"{quote}{self.text}{quote}"
         return self.error(f"expected {what}, found {found}")
 
     def _point(self, pos: int) -> Span:

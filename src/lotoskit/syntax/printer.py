@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from . import ast
 
-# (node class, or ParKind of a parallel node) -> (level, operator token)
+# (node class, or the id of a parallel node's ParKind) -> (level, operator
+# token).  ParKind members live as long as the program, so their ids are
+# stable, and an int hashes in C where an enum member hashes in Python.
 _BINARY = {
-    node if kind is None else kind: (level, token)
+    node if kind is None else id(kind): (level, token)
     for token, (level, node, kind) in ast.OPERATORS.items()
 }
 # How tightly each node binds as an operand.  A hide extends as far right
@@ -63,7 +65,7 @@ def pretty_node(b: ast.Behavior, text: dict[int, str]) -> str:
     forms: ``text[id(child)]`` must be ``pretty_behavior(child)``.  Lets a
     caller that keeps each subterm's text print a new node without
     walking the subterms again."""
-    op = _BINARY.get(b.kind if type(b) is ast.Par else type(b))
+    op = _BINARY.get(id(b.kind) if type(b) is ast.Par else type(b))
     if op is None:
         if isinstance(b, ast.Prefix):
             rest = text[id(b.rest)]

@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from .record import Record
 from .semantics import Exploration, Lts
 from .syntax.diagnostics import Diagnostic, SYNTAX_ERROR, Span, error
 
@@ -49,14 +49,15 @@ from .syntax.diagnostics import Diagnostic, SYNTAX_ERROR, Span, error
 _WILDCARD = "*"
 
 
-@dataclass(frozen=True)
-class LabelPattern:
+class LabelPattern(Record):
     """Matches transition labels.  The gate is a name, "i", "exit", or "*"
     (any observable gate); offers are literal values or "*" per position
     and the offer count must match exactly."""
 
-    gate: str
-    offers: tuple[str, ...] = ()
+    __slots__ = ("gate", "offers")
+
+    def __init__(self, gate: str, offers: tuple[str, ...] = ()):
+        super().__init__(gate, offers)
 
     def matches(self, label: str) -> bool:
         parts = label.split()
@@ -103,11 +104,11 @@ def parse_label_pattern(text: str) -> LabelPattern:
 # results
 
 
-@dataclass
-class VerifyResult:
-    ok: bool
-    detail: str
-    trace: list[str] | None = None
+class VerifyResult(Record, mutable=True):
+    __slots__ = ("ok", "detail", "trace")
+
+    def __init__(self, ok: bool, detail: str, trace: list[str] | None = None):
+        super().__init__(ok, detail, trace)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -225,12 +226,12 @@ def check_reachable(lts: Lts | Exploration, pattern: LabelPattern) -> VerifyResu
 # safety monitors
 
 
-@dataclass
-class Monitor:
+class Monitor(Record, mutable=True):
     """Deterministic observer.  On each label the first listed transition
     out of the current state whose pattern matches is taken; with no match
     the monitor stays put.  Reaching a bad state is a violation."""
 
+    __slots__ = ("states", "initial", "bad", "rules")
     states: tuple[str, ...]
     initial: str
     bad: frozenset[str]

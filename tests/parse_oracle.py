@@ -8,8 +8,9 @@ time a parser looks at the bad character, and an ``assert { ... }`` block
 is read from wherever the lexer stands.  Slower than the stream in
 lotoskit.syntax.lexer and plainly right; the stream is checked against it
 on corpus texts, printed random terms and their corruptions.  A message
-names the token found as ``str(Token)`` does, "end of input" at the end,
-and a query variable's diagnostic stands at the variable's token."""
+names the token found as ``str(Token)`` does: a string literal in double
+quotes as written, another token in single quotes, "end of input" at the
+end; a query variable's diagnostic stands at the variable's token."""
 from __future__ import annotations
 
 import re
@@ -71,7 +72,9 @@ class Token:
         return self.kind == IDENT and self.text.lower() == word
 
     def __str__(self) -> str:
-        return "end of input" if self.kind == EOF else f"'{self.text}'"
+        if self.kind == EOF:
+            return "end of input"
+        return f'"{self.text}"' if self.kind == STRING else f"'{self.text}'"
 
 
 

@@ -45,3 +45,12 @@ def test_a_fresh_import_loads_no_module_until_a_name_is_read():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=env).stdout
     assert out == "['lotoskit'] lotoskit.verify True\n"
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # -S, so that no site hook imports anything before lotoskit does
+    code = "import sys, lotoskit.cli\nprint('dataclasses' in sys.modules)\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(lotoskit.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out == "False\n"

@@ -321,6 +321,18 @@ def test_end_of_input_is_named_in_messages(reader, text, span, message):
     assert [(d.span[:2], d.code, d.message) for d in diags] == [(span, "syntax-error", message)]
 
 
+@pytest.mark.parametrize("reader, text, span, message", [
+    (parse_adl, 'configuration C use "" "" end', (1, 24), 'expected a configuration section, found ""'),
+    (parse_asc, 'component C where bc B "x" end', (1, 24), 'expected \'from\', found "x"'),
+    (parse_asc, 'component C where bc B x end', (1, 24), "expected 'from', found 'x'"),
+    (parse_spec, 'specification S [g] : noexit := behaviour "g"', (1, 43),
+     'expected a behaviour expression, found "g"'),
+])
+def test_string_literals_are_quoted_as_written(reader, text, span, message):
+    _, diags = reader(text)
+    assert [(d.span[:2], d.code, d.message) for d in diags] == [(span, "syntax-error", message)]
+
+
 def test_garbage_after_endspec():
     spec, _ = parse_spec(MINIMAL + "leftover")
     assert spec is None

@@ -5,8 +5,6 @@ so the two are checked against an independent statement of the tree's
 shape.  They recurse, so keep the trees they are given shallow."""
 from __future__ import annotations
 
-from dataclasses import replace
-
 from lotoskit.syntax import ast
 
 BINARY = (ast.Choice, ast.Par, ast.Seq, ast.Disrupt)
@@ -30,7 +28,9 @@ def strip(b: ast.Behavior) -> ast.Behavior:
     if isinstance(b, ast.Hide):
         return strip(b.body)
     if isinstance(b, ast.Prefix):
-        return replace(b, rest=strip(b.rest))
+        return ast.Prefix(b.action, strip(b.rest), loc=b.loc)
+    if isinstance(b, ast.Par):
+        return ast.Par(strip(b.left), b.kind, b.gates, strip(b.right), loc=b.loc)
     if isinstance(b, BINARY):
-        return replace(b, left=strip(b.left), right=strip(b.right))
+        return type(b)(strip(b.left), strip(b.right), loc=b.loc)
     return b
