@@ -9,10 +9,12 @@ actual gates for formals (unfolding an instantiation) or
 received values for variables (firing an action).  Inside the table each
 distinct term exists once, so equality is identity and a term's ``id``
 is its hash; each term's printed form, which breaks ties in the
-transition order, is composed once from its children's; and the
-successors of each term and the unfolding of each instantiation are
-computed once.  The unchanged components of a parallel state therefore
-cost nothing when it steps.
+transition order, is composed once from its children's; and the steps
+of each subterm and the unfolding of each instantiation are computed
+once.  The unchanged components of a parallel state therefore cost
+nothing when it steps.  A state's own steps are computed when it is
+expanded and then dropped, since breadth-first search expands each
+state once.
 
 Recursion is unguarded when a process recurs before any action prefix
 (Milner, "Communication and Concurrency", 1989, 4.5): while computing
@@ -165,11 +167,14 @@ def successors(
     as (label text, successor) pairs: "i", "exit" or "g !v1 !v2".
 
     An exploration passes its term table, into which b is interned;
-    without one, b is interned into a fresh table."""
+    without one, b is interned into a fresh table.  The steps of b's
+    subterms are memoised in the table, b's own are computed and not
+    kept, unless b was met before as a subterm."""
     if terms is None:
         terms = _Terms(spec)
         b = terms.intern(b)
-    return terms.steps(b)
+    out = terms._steps.get(id(b))
+    return terms._compute(b) if out is None else out
 
 
 class _Terms:
@@ -180,7 +185,9 @@ class _Terms:
     the one existing instance of an equal term.  A node is keyed by its
     class, its own fields and the identities of its children, which are
     interned first, so no lookup walks a subterm.  ``text`` maps the id
-    of every interned term to its printed form."""
+    of every interned term to its printed form.  ``steps`` memoises the
+    steps of each subterm; a state's own are computed by ``successors``
+    when it is expanded, and then dropped."""
 
     def __init__(self, spec: ast.Specification):
         self.spec = spec
@@ -297,7 +304,7 @@ class _Terms:
     # -- single steps ---------------------------------------------------
 
     def steps(self, b: ast.Behavior) -> list[tuple[str, ast.Behavior]]:
-        """The successors of an interned term, computed once."""
+        """The steps of an interned subterm, computed once."""
         out = self._steps.get(id(b))
         if out is None:
             out = self._steps[id(b)] = self._compute(b)
@@ -309,6 +316,8 @@ class _Terms:
         # process met twice on one path recurs forever.  A memoised
         # result met no process of the path it was computed on, so
         # reusing it cannot hide such a repeat.
+        if type(b) is ast.Par:  # the commonest state, and it enters no process
+            return self._par_steps(b)
         entered: list[str] = []
         try:
             while isinstance(b, ast.Inst):
@@ -578,9 +587,8 @@ class Exploration:
             row: list[tuple[int, int]] = []
             # a printed form names one interned term, so (label, printed
             # target) both drops repeated steps and orders them
-            steps: dict[tuple[str, str], ast.Behavior] = {}
-            for label, target in successors(forms[number], terms.spec, terms):
-                steps.setdefault((label, text[id(target)]), target)
+            steps = {(label, text[id(target)]): target
+                     for label, target in successors(forms[number], terms.spec, terms)}
             for (label, _), tgt in sorted(steps.items()):
                 key = id(tgt)
                 dst = seen.get(key)

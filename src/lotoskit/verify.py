@@ -526,13 +526,14 @@ def minimize(lts: Lts) -> Lts:
 # breaks a line; _SP is any other whitespace.  [0-9\d]+ reads what \d+
 # reads but scans ASCII digits faster, and at each choice the spelling
 # export_aut writes is tried first.  After any blank lines, _AUT_HEADER reads the header, and
-# _AUT_LINE a transition line or else the rest of the text.
+# _AUT_LINE a transition line or else the rest of the text.  Both are compiled on first
+# read, through re's cache, so a command that reads no .aut file does not pay for them.
 LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _SP, _NUM = rf"[^\S{LINE_BREAKS}]*", r"([0-9\d]+)"
 _COMMA, _EOL = rf"(?:, |{_SP},{_SP})", rf"{_SP}(?:[{LINE_BREAKS}]|\Z)"
-_AUT_HEADER = re.compile(rf"\s*des{_SP}\({_SP}{_NUM}{_COMMA}{_NUM}{_COMMA}{_NUM}{_SP}\){_EOL}")
-_AUT_LINE = re.compile(rf'(?:\(|\s*\({_SP}){_NUM}{_COMMA}"([^"{LINE_BREAKS}]*)"{_COMMA}'
-                       rf"{_NUM}(?:\)\n|{_SP}\){_EOL})|(?s:.+)")
+_AUT_HEADER = rf"\s*des{_SP}\({_SP}{_NUM}{_COMMA}{_NUM}{_COMMA}{_NUM}{_SP}\){_EOL}"
+_AUT_LINE = (rf'(?:\(|\s*\({_SP}){_NUM}{_COMMA}"([^"{LINE_BREAKS}]*)"{_COMMA}'
+             rf"{_NUM}(?:\)\n|{_SP}\){_EOL})|(?s:.+)")
 
 
 def export_aut(lts: Lts) -> str:
@@ -558,7 +559,7 @@ def read_aut(text: str) -> Lts:
     quoted = sorted(label for label in set(text.split('"')[1::2]) if label.strip())
     label_ids = dict(zip(quoted, range(len(quoted))))
     out: list[list[tuple[int, int]]] = []
-    for m in _AUT_LINE.finditer(text, head.end()):
+    for m in re.compile(_AUT_LINE).finditer(text, head.end()):
         s, label, d = m.groups()
         if d is None:  # the rest of the text: blank, or from the first line not read
             if line := _first_line(m.group()):
@@ -601,7 +602,7 @@ def aut_header(text: str) -> tuple[int, int, int]:
 
 
 def _aut_header(text: str) -> re.Match[str]:
-    if head := _AUT_HEADER.match(text):
+    if head := re.match(_AUT_HEADER, text):
         return head
     line = _first_line(text)
     raise ValueError(f"bad .aut header: {line!r}" if line else "empty .aut input")

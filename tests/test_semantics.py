@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import sys
@@ -504,6 +505,21 @@ def test_budget_reports_breadth_first_depth():
     with pytest.raises(BudgetExceededError) as exc:
         generate_lts(spec, ExplorationBudget(max_states=12))
     assert (exc.value.states, exc.value.transitions, exc.value.depth) == (12, 11, 11)
+
+
+def test_exploration_keeps_few_objects_for_the_collector():
+    # every object the collector tracks is traversed by each full
+    # collection; a state's own steps are not kept once it is expanded, so
+    # 4 interleaved copies of a 6-step chain keep about 4 per state
+    spec = spec_of(chain_text(4, 6))
+    gc.collect()
+    before = len(gc.get_objects())
+    explored = Exploration(spec)
+    explored.finish()
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert explored.num_states == 7 ** 4
+    assert added / explored.num_states < 5
 
 
 def test_states_numbered_in_discovery_order(client_server_lts):
