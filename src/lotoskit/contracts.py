@@ -142,9 +142,6 @@ class Atom(Record):
     predicate: str
     args: tuple[Term, ...]
 
-    def __str__(self) -> str:
-        return f"{self.predicate}({', '.join(t.name for t in self.args)})"
-
 
 class Query(Record):
     """exists x, y . p(x, C) and q(y, x) ...  All variables are the
@@ -153,12 +150,6 @@ class Query(Record):
     __slots__ = ("variables", "atoms")
     variables: tuple[str, ...]
     atoms: tuple[Atom, ...]
-
-    def __str__(self) -> str:
-        body = " and ".join(str(a) for a in self.atoms)
-        if self.variables:
-            return f"exists {', '.join(self.variables)} . {body}"
-        return body
 
 
 def eval_query(fb: FactBase, query: Query) -> dict[str, str] | None:
@@ -327,7 +318,7 @@ class ContractCheckError(Exception):
     """The contract could not be evaluated (missing inputs, bad files)."""
 
 
-class ContractReport(Record, mutable=True):
+class ContractReport(Record):
     __slots__ = ("name", "sc_checked", "sc_witness", "ic_violations", "bc_result")
 
     def __init__(self, name: str, sc_checked: bool = False, sc_witness: dict[str, str] | None = None,
@@ -379,23 +370,17 @@ def check_asc(
     """Evaluate every part the contract carries.  Raises
     ContractCheckError when a part cannot be evaluated at all; a cleanly
     failing part just makes the report not ok."""
-    report = ContractReport(name=contract.name)
-
-    if contract.sc is not None:
-        if facts is None:
-            raise ContractCheckError(
-                f"contract '{contract.name}' has a structural query but no facts were given"
-            )
-        report.sc_checked = True
-        report.sc_witness = eval_query(facts, contract.sc)
-
-    if contract.ic is not None:
-        report.ic_violations = check_interface(contract.ic)
-
-    if contract.bc is not None:
-        report.bc_result = _check_bc(contract.bc, Path(base_dir), budget)
-
-    return report
+    if contract.sc is not None and facts is None:
+        raise ContractCheckError(
+            f"contract '{contract.name}' has a structural query but no facts were given"
+        )
+    return ContractReport(
+        contract.name,
+        sc_checked=contract.sc is not None,
+        sc_witness=None if contract.sc is None else eval_query(facts, contract.sc),
+        ic_violations=None if contract.ic is None else check_interface(contract.ic),
+        bc_result=None if contract.bc is None else _check_bc(contract.bc, Path(base_dir), budget),
+    )
 
 
 def _check_bc(bc: BcRef, base_dir: Path, budget: ExplorationBudget | None) -> VerifyResult:

@@ -6,9 +6,8 @@ with an underscore (a table filled on first use).  As with a frozen
 dataclass, records of one class compare and hash by their fields and
 print as ``Class(field=value, ...)``, and assigning an attribute raises;
 but no code is generated when a class is created.  Slots a class inherits
-are kept but neither compared, hashed nor shown.  A class declared with
-``mutable=True`` may be assigned to and is unhashable, as a dataclass
-with ``eq`` and without ``frozen`` is.
+are kept but neither compared, hashed nor shown.  A record with a list
+or dict field is unhashable, as such a frozen dataclass is.
 
 ``Record.__init__`` takes the fields in order, positionally or by name.
 A class that is built often sets its slots in its own ``__init__``
@@ -25,7 +24,7 @@ class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, mutable: bool = False, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = fields = tuple(
             name for name in cls.__dict__.get("__slots__", ()) if not name.startswith("_"))
@@ -37,10 +36,6 @@ class Record:
             cls._values = staticmethod(lambda r: (get(r),))
         else:
             cls._values = staticmethod(lambda r: ())
-        if mutable:
-            cls.__setattr__ = _setattr
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         fields = self._fields

@@ -10,10 +10,10 @@ received values for variables (firing an action).  Inside the table each
 distinct term exists once, so equality is identity and a term's ``id``
 is its hash; each term's printed form, which breaks ties in the
 transition order, is composed once from its children's; and the steps
-of each subterm and the unfolding of each instantiation are computed
-once.  The unchanged components of a parallel state therefore cost
-nothing when it steps.  A state's own steps are computed when it is
-expanded and then dropped, since breadth-first search expands each
+of each subterm are computed once, an instantiation being unfolded when
+its steps are.  The unchanged components of a parallel state therefore
+cost nothing when it steps.  A state's own steps are computed when it
+is expanded and then dropped, since breadth-first search expands each
 state once.
 
 Recursion is unguarded when a process recurs before any action prefix
@@ -169,12 +169,11 @@ def successors(
     An exploration passes its term table, into which b is interned;
     without one, b is interned into a fresh table.  The steps of b's
     subterms are memoised in the table, b's own are computed and not
-    kept, unless b was met before as a subterm."""
+    kept."""
     if terms is None:
         terms = _Terms(spec)
         b = terms.intern(b)
-    out = terms._steps.get(id(b))
-    return terms._compute(b) if out is None else out
+    return terms._compute(b)
 
 
 class _Terms:
@@ -194,7 +193,6 @@ class _Terms:
         self.text: dict[int, str] = {}
         self._nodes: dict[tuple, ast.Behavior] = {}
         self._steps: dict[int, list[tuple[str, ast.Behavior]]] = {}
-        self._unfolded: dict[tuple[str, tuple[str, ...]], ast.Behavior] = {}
         # the processes being unfolded on the current path of ``steps``
         self._unfolding: set[str] = set()
         self.stop = self.intern(ast.Stop())
@@ -203,8 +201,9 @@ class _Terms:
     # -- interning ------------------------------------------------------
 
     def _add(self, key: tuple, node: ast.Behavior) -> ast.Behavior:
-        self._nodes[key] = node
+        # printed first, so a node is never stored without its text
         self.text[id(node)] = pretty_node(node, self.text)
+        self._nodes[key] = node
         return node
 
     def intern(
@@ -220,8 +219,6 @@ class _Terms:
         the smallest such that g#n is no gate of its body, no new name and
         no bound gate.  A receive binds its variable for the continuation.
         The walk keeps its own stack, so a deep term costs no recursion."""
-        if not gates and not env and id(b) in self.text:
-            return b
         done: list[ast.Behavior] = []
         # (node, gates, env) to visit, or (node, _BUILD, fields) to build
         # from the children last put on done
@@ -289,17 +286,12 @@ class _Terms:
     def unfolded(self, inst: ast.Inst) -> ast.Behavior:
         """The defining body of inst's process, actual gates in place of
         formals."""
-        key = (inst.process, inst.gates)
-        body = self._unfolded.get(key)
-        if body is None:
-            target = self.spec.process(inst.process)
-            if target is None:
-                raise ValueError(f"process '{inst.process}' is not defined")
-            if len(inst.gates) != len(target.formal_gates):
-                raise ValueError(f"gate arity mismatch instantiating '{inst.process}'")
-            formals = dict(zip(target.formal_gates, inst.gates))
-            body = self._unfolded[key] = self.intern(target.body, formals)
-        return body
+        target = self.spec.process(inst.process)
+        if target is None:
+            raise ValueError(f"process '{inst.process}' is not defined")
+        if len(inst.gates) != len(target.formal_gates):
+            raise ValueError(f"gate arity mismatch instantiating '{inst.process}'")
+        return self.intern(target.body, dict(zip(target.formal_gates, inst.gates)))
 
     # -- single steps ---------------------------------------------------
 
@@ -460,7 +452,7 @@ class ExplorationBudget(Record):
         super().__init__(max_states, max_transitions)
 
 
-class Lts(Record, mutable=True):
+class Lts(Record):
     """Explicit transition system.  States are 0..num_states-1 in
     breadth-first discovery order, 0 initial; per state, transitions are
     ordered by label text then by printed target form.  forms maps states

@@ -39,9 +39,7 @@ class _Validator:
     def __init__(self, spec: ast.Specification):
         self.spec = spec
         self.out: list[Diagnostic] = []
-        self.sorts = {s.name: s for s in spec.sorts}
         self.values = spec.value_sorts()
-        self.processes = {p.name: p for p in spec.processes}
 
     def _err(self, message: str, loc, code: str) -> None:
         self.out.append(error(message, loc, code))
@@ -118,7 +116,7 @@ class _Validator:
                     self._reserved(g, b.loc, gate=True)
                 stack.append((b.body, gates | b.gates, vars_))
             elif isinstance(b, ast.Inst):
-                target = self.processes.get(b.process)
+                target = self.spec.process(b.process)
                 if target is None:
                     self._err(f"process '{b.process}' is not defined", b.loc, UNKNOWN_PROCESS)
                 elif len(b.gates) != len(target.formal_gates):
@@ -155,7 +153,7 @@ class _Validator:
                 if isinstance(e, ast.VarRef) and e.name not in out:
                     self._err(f"variable '{e.name}' is not bound", e.loc, UNBOUND_VARIABLE)
             else:
-                if offer.sort not in self.sorts:
+                if self.spec.sort(offer.sort) is None:
                     self._err(f"sort '{offer.sort}' is not declared", offer.loc, UNKNOWN_SORT)
                 if not self._reserved(offer.var, offer.loc) and offer.var in self.values:
                     self._err(

@@ -104,7 +104,7 @@ def parse_label_pattern(text: str) -> LabelPattern:
 # results
 
 
-class VerifyResult(Record, mutable=True):
+class VerifyResult(Record):
     __slots__ = ("ok", "detail", "trace")
 
     def __init__(self, ok: bool, detail: str, trace: list[str] | None = None):
@@ -226,7 +226,7 @@ def check_reachable(lts: Lts | Exploration, pattern: LabelPattern) -> VerifyResu
 # safety monitors
 
 
-class Monitor(Record, mutable=True):
+class Monitor(Record):
     """Deterministic observer.  On each label the first listed transition
     out of the current state whose pattern matches is taken; with no match
     the monitor stays put.  Reaching a bad state is a violation."""

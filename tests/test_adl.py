@@ -293,6 +293,15 @@ def test_flatten_excludes_hidden_gates():
     assert flat.top_gates == ("la", "lb")
 
 
+def test_flatten_takes_top_gates_from_action_prefixes():
+    text = GOOD.replace(
+        "( left ||| right ) |[la, lb, ra, rb]| mid",
+        "go; hide done in done; ( left ||| right ) |[la, lb, ra, rb]| mid",
+    )
+    flat = flatten(config_of(text), [PROCS])
+    assert flat.top_gates == ("go", "la", "lb", "ra", "rb")
+
+
 def test_flatten_merges_sources_first_wins():
     other = spec_of("""
     specification Extra [x] : noexit :=

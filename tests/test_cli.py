@@ -647,6 +647,31 @@ def test_long_query_is_answered_at_default_limit(capsys, tmp_path):
     assert out.splitlines() == ["contract Deep: ok", "  sc: witness x=B, y=A"]
 
 
+def test_contract_with_a_deadlocking_behaviour(capsys, tmp_path):
+    # the trace prints as a Python list, unlike verify's "trace: a"
+    (tmp_path / "dead.lot").write_text(
+        "specification X [a] : noexit :=\n  behaviour a; stop\nendspec\n")
+    contract = tmp_path / "c.asc"
+    contract.write_text('component C where\n  sc { class(A) }\n  bc B from "dead.lot"\nend\n')
+    facts = tmp_path / "c.facts"
+    facts.write_text("class(A).\n")
+    code, out, err = run(capsys, "contract", str(contract), "--facts", str(facts))
+    assert (code, err) == (1, "")
+    assert out.splitlines() == ["contract C: FAILED", "  sc: holds",
+                                "  bc: deadlock at state 1 = stop", "  bc: trace ['a']"]
+
+
+def test_contract_with_an_invalid_behaviour_is_operational(capsys, tmp_path):
+    (tmp_path / "invalid.lot").write_text(
+        "specification X [a] : noexit :=\n  behaviour b; stop\nendspec\n")
+    contract = tmp_path / "d.asc"
+    contract.write_text('component D where\n  bc X from "invalid.lot"\nend\n')
+    code, out, err = run(capsys, "contract", str(contract))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["lotoskit: behaviour 'X' is not valid: "
+                                "2:13: error[unknown-gate]: gate 'b' is not in scope"]
+
+
 def test_contract_missing_facts_is_operational(capsys):
     code, _, err = run(capsys, "contract", corpus("observer.asc"))
     assert code == 2

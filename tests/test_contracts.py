@@ -372,6 +372,20 @@ def test_unknown_port_in_message():
     assert violation_codes(ic) == ["unknown-port"]
 
 
+def test_unknown_owner_and_port_on_the_output_side():
+    ic = InterfaceContract(
+        participants=("A",),
+        in_ports=(("pin", "A"),),
+        out_ports=(("p", "Ghost"),),
+        in_msgs=(("m", "pin"),),
+        out_msgs=(("m", "ghost"),),
+    )
+    assert [(v.code, v.message) for v in check_interface(ic)] == [
+        ("unknown-owner", "output port 'p' belongs to unknown participant 'Ghost'"),
+        ("unknown-port", "output message 'm' names missing output port 'ghost'"),
+    ]
+
+
 def test_bad_flow_ends():
     ic = InterfaceContract(
         participants=("A",),

@@ -253,6 +253,11 @@ def test_minimal_specification():
     assert spec.sorts == () and spec.processes == ()
 
 
+def test_empty_gate_list():
+    spec, diags = parse_spec(MINIMAL.replace("S [g]", "S []").replace("g; stop", "stop"))
+    assert diags == [] and spec.top_gates == ()
+
+
 def test_spelling_behavior_also_accepted():
     spec, _ = parse_spec(MINIMAL.replace("behaviour", "behavior"))
     assert spec is not None
@@ -315,6 +320,8 @@ def test_missing_endspec():
     (parse_behavior, "g; stop [] (stop", (1, 17), "expected ')', found end of input"),
     (parse_asc, "component C where sc { exists x . class(", (1, 41), "expected a term, found end of input"),
     (parse_adl, 'configuration C use', (1, 20), "expected a quoted file name, found end of input"),
+    (parse_adl, 'configuration C\n  use "a.lot"\n', (3, 1), "missing 'end'"),
+    (parse_asc, 'component C where\n  bc B from "b.lot"\n', (3, 1), "missing 'end'"),
 ])
 def test_end_of_input_is_named_in_messages(reader, text, span, message):
     _, diags = reader(text)

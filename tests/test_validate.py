@@ -50,6 +50,17 @@ def test_duplicate_process():
     assert codes(diags) == ["duplicate-definition"]
 
 
+def test_arity_is_checked_against_the_first_of_two_definitions():
+    # exploration and adl unfold the first definition of a process
+    where = "process P [a] : noexit := a; stop endproc\n" \
+            "process P [a, b] : noexit := a; b; stop endproc"
+    diags = check(spec_with("P [g]", where=where))
+    assert [d.message for d in diags] == ["process 'P' is defined twice"]
+    diags = check(spec_with("P [g, h]", where=where))
+    assert [d.message for d in diags] == ["process 'P' is defined twice",
+                                          "process 'P' takes 1 gate(s), got 2"]
+
+
 def test_duplicate_formal_gate():
     where = "process P [a, a] : noexit := a; stop endproc"
     diags = check(spec_with("g; stop", where=where))

@@ -954,6 +954,28 @@ def test_exploration_raises_its_error_again(error, make):
     assert len(explored.out) == built
 
 
+def test_exploration_recovers_from_a_memory_error_while_printing(monkeypatch):
+    # a term enters the table only with its printed form, so a MemoryError
+    # while printing one leaves no half-interned term for the next check
+    spec = wrap(behavior("(a; b; stop) ||| (a; b; stop)"))
+    printed, pretty_node = [], semantics.pretty_node
+
+    def failing(node, text):
+        printed.append(node)
+        if len(printed) == 6:
+            raise MemoryError
+        return pretty_node(node, text)
+
+    monkeypatch.setattr(semantics, "pretty_node", failing)
+    explored = Exploration(spec)
+    with pytest.raises(MemoryError):
+        check_deadlock(explored)
+    monkeypatch.undo()
+    again = check_deadlock(explored)
+    assert again == check_deadlock(Exploration(spec))
+    assert not again.ok and again.trace == ["a", "a", "b", "b"]
+
+
 def test_exploration_that_raised_is_freed_without_the_collector():
     # an exploration keeps nothing of what it raised, so the traceback,
     # whose frames hold the exploration, makes no cycle with it
