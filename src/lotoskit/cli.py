@@ -216,8 +216,7 @@ def _verify_result(args: argparse.Namespace, name: str, result: verify.VerifyRes
     }
     lines = [f"{name}: {'ok' if result.ok else 'violated'} ({result.detail})"]
     if result.trace is not None:
-        shown = " ; ".join(result.trace) if result.trace else "<empty>"
-        lines.append(f"trace: {shown}")
+        lines.append(f"trace: {verify.format_trace(result.trace)}")
     _emit(args, payload, lines)
     return 0 if result.ok else 1
 

@@ -32,7 +32,7 @@ from .syntax.diagnostics import (
 from .syntax.lexer import parse_or_bail
 from .syntax.parser import parse_spec
 from .syntax.validator import validate_spec
-from .verify import LINE_BREAKS, VerifyResult, check_deadlock
+from .verify import LINE_BREAKS, VerifyResult, check_deadlock, format_trace
 
 # predicate name -> arity; the only predicates facts and queries may use
 PREDICATES: dict[str, int] = {
@@ -248,30 +248,21 @@ def check_interface(ic: InterfaceContract) -> list[Violation]:
     out: list[Violation] = []
     participants = set(ic.participants)
 
-    seen: set[str] = set()
-    for port, owner in ic.in_ports:
-        if port in seen:
-            out.append(Violation("C1", f"input port '{port}' is declared more than once"))
-        seen.add(port)
-        if owner not in participants:
-            out.append(Violation("unknown-owner", f"input port '{port}' belongs to unknown participant '{owner}'"))
+    sides = (("input", "C1", ic.in_ports, ic.in_msgs), ("output", "C2", ic.out_ports, ic.out_msgs))
+    for side, code, ports, _ in sides:
+        seen: set[str] = set()
+        for port, owner in ports:
+            if port in seen:
+                out.append(Violation(code, f"{side} port '{port}' is declared more than once"))
+            seen.add(port)
+            if owner not in participants:
+                out.append(Violation("unknown-owner", f"{side} port '{port}' belongs to unknown participant '{owner}'"))
 
-    seen = set()
-    for port, owner in ic.out_ports:
-        if port in seen:
-            out.append(Violation("C2", f"output port '{port}' is declared more than once"))
-        seen.add(port)
-        if owner not in participants:
-            out.append(Violation("unknown-owner", f"output port '{port}' belongs to unknown participant '{owner}'"))
-
-    in_port_names = {p for p, _ in ic.in_ports}
-    out_port_names = {p for p, _ in ic.out_ports}
-    for msg, port in ic.in_msgs:
-        if port not in in_port_names:
-            out.append(Violation("unknown-port", f"input message '{msg}' names missing input port '{port}'"))
-    for msg, port in ic.out_msgs:
-        if port not in out_port_names:
-            out.append(Violation("unknown-port", f"output message '{msg}' names missing output port '{port}'"))
+    for side, _, ports, msgs in sides:
+        names = {p for p, _ in ports}
+        for msg, port in msgs:
+            if port not in names:
+                out.append(Violation("unknown-port", f"{side} message '{msg}' names missing {side} port '{port}'"))
 
     produced = {m for m, _ in ic.out_msgs} | set(ic.external_in)
     consumed = {m for m, _ in ic.in_msgs}
@@ -356,7 +347,7 @@ class ContractReport(Record):
             status = "deadlock free" if self.bc_result.ok else self.bc_result.detail
             out.append(f"  bc: {status}")
             if not self.bc_result.ok:
-                out.append(f"  bc: trace {self.bc_result.trace}")
+                out.append(f"  bc: trace {format_trace(self.bc_result.trace)}")
         return out
 
 

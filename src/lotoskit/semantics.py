@@ -462,30 +462,13 @@ class Lts(Record):
     The per-state rows ``out`` are the only storage of the transitions:
     out[s] lists the moves of state s as (label id, target) pairs.
     ``label_text`` is the id -> text table.  It holds each label of the
-    transitions once, sorted, so ids compare as their texts do."""
+    transitions once, numbered in the order the rows first meet it."""
 
     __slots__ = ("out", "label_text", "initial", "forms")
 
     def __init__(self, out: list[list[tuple[int, int]]], label_text: list[str], initial: int = 0,
                  forms: list[ast.Behavior] | None = None):
         super().__init__(out, label_text, initial, forms)
-
-    @classmethod
-    def from_rows(cls, out: list[list[tuple[int, int]]], label_ids: dict[str, int],
-                  initial: int = 0, forms: list[ast.Behavior] | None = None) -> Lts:
-        """The system of rows whose label ids number the keys of label_ids
-        0, 1, ... in any order; unless that is text order already, the
-        rows are renumbered to it in place."""
-        texts = sorted(label_ids)
-        ids = [label_ids[text] for text in texts]
-        if ids != list(range(len(ids))):
-            new = [0] * len(ids)
-            for k, lab in enumerate(ids):
-                new[lab] = k
-            for row in out:
-                for k, (lab, dst) in enumerate(row):
-                    row[k] = (new[lab], dst)
-        return cls(out, texts, initial, forms)
 
     @property
     def num_states(self) -> int:
@@ -518,8 +501,7 @@ class Exploration:
     time.  States are numbered in discovery order and expanded in that
     order, so once row(s) has built the row of state s, out[0..s] are the
     first rows of generate_lts's table: the same numbering, the same
-    transition order and the same forms.  Only the label ids differ:
-    label_text lists the labels as first met, not in text order.
+    transition order, the same label ids and the same forms.
 
     The checks of verify call ``row`` for every state they read, so they
     search in lockstep with an exploration and stop expanding states once
@@ -614,7 +596,7 @@ def generate_lts(
     budget: ExplorationBudget | None = None,
 ) -> Lts:
     """Breadth-first exploration of every reachable state: an Exploration
-    run to the end, with its label ids renumbered into text order.
+    run to the end, its labels numbered as first met.
 
     New states are numbered in discovery order; ties inside one source
     state follow the per-state transition order (label text, then printed
@@ -623,4 +605,4 @@ def generate_lts(
     """
     explored = Exploration(spec, budget)
     explored.finish()
-    return Lts.from_rows(explored.out, explored.label_ids, forms=explored.forms)
+    return Lts(explored.out, explored.label_text, forms=explored.forms)

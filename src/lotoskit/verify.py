@@ -26,11 +26,11 @@ round of birth), which the distinguishing experiment reads.
 
 All of it reads a system's one transition table: the rows Lts.out of
 (label id, target) pairs, with Lts.label_text turning ids back into
-text.  The search memoises observer moves per id.  An Lts numbers its
-ids in label-text order, so refinement signs states with plain ints,
-and sorting by id orders moves by label text for minimize and the
-experiment; an Exploration numbers them as first met.  bisim_equiv
-joins two tables over their merged labels.  read_aut fills the rows
+text.  Every table numbers its labels as first met, and ids are only
+names: the search memoises observer moves per id and refinement signs
+states with plain ints.  Label text is compared only where moves are
+ordered, by minimize and the experiment.  bisim_equiv extends the first
+system's table with the second's other labels.  read_aut fills the rows
 straight from the text, in one scan that takes every spelling.
 """
 from __future__ import annotations
@@ -112,6 +112,12 @@ class VerifyResult(Record):
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def format_trace(trace: list[str]) -> str:
+    """A trace as the command line prints it: labels joined by " ; ",
+    "<empty>" for none."""
+    return " ; ".join(trace) if trace else "<empty>"
 
 
 # ----------------------------------------------------------------------
@@ -403,10 +409,11 @@ def _distinguish(
     s1: int,
     s2: int,
     out: list[list[tuple[int, int]]],
+    text: list[str],
     block: list[int],
     parent: list[int],
     born: list[int],
-) -> list[int]:
+) -> list[str]:
     """One experiment a refuter can play to tell two non-bisimilar states
     apart: every label in the list is answered by the opponent until the
     last one, which exactly one side can perform.
@@ -414,8 +421,8 @@ def _distinguish(
     Each step looks at the round r that first separated the pair, found
     where their branches of the split tree meet.  Their signatures
     differ in the blocks of round r - 1; the side with a move the other
-    cannot match takes the smallest such label (the first listed such
-    move of that label), the other answers with its first move of that
+    cannot match takes the label whose text is smallest (the first listed
+    such move of that label), the other answers with its first move of that
     label, and that new pair was separated before round r."""
     trace: list[str] = []
     while True:
@@ -432,8 +439,9 @@ def _distinguish(
                 for s in pair]
         owner = 0 if set(sigs[0]) - set(sigs[1]) else 1
         theirs = set(sigs[1 - owner])
-        label, k = min((move[0], k) for k, move in enumerate(sigs[owner]) if move not in theirs)
-        trace.append(label)
+        _, k = min((text[move[0]], k) for k, move in enumerate(sigs[owner]) if move not in theirs)
+        label = sigs[owner][k][0]
+        trace.append(text[label])
         replies = [dst for lab, dst in out[pair[1 - owner]] if lab == label]
         if not replies:
             return trace
@@ -442,19 +450,13 @@ def _distinguish(
 
 def _joined(a: Lts, b: Lts) -> tuple[list[list[tuple[int, int]]], list[str]]:
     """The rows of a followed by those of b, targets shifted past a's
-    states, over the merged label table, which is also returned.  When
-    the merged table is a's, a's rows are used as they are."""
-    text = sorted(set(a.label_text).union(b.label_text))
-    number = {t: k for k, t in enumerate(text)}
+    states, over a's label table extended with b's other labels, which is
+    also returned.  a's rows are used as they are."""
+    number = {t: k for k, t in enumerate(a.label_text)}
+    ids = [number.setdefault(t, len(number)) for t in b.label_text]
     offset = a.num_states
-    if text == a.label_text:
-        out = list(a.out)
-    else:
-        ids = [number[t] for t in a.label_text]
-        out = [[(ids[lab], dst) for lab, dst in row] for row in a.out]
-    ids = [number[t] for t in b.label_text]
-    out += [[(ids[lab], offset + dst) for lab, dst in row] for row in b.out]
-    return out, text
+    out = a.out + [[(ids[lab], offset + dst) for lab, dst in row] for row in b.out]
+    return out, list(number)
 
 
 def bisim_equiv(a: Lts, b: Lts) -> VerifyResult:
@@ -469,12 +471,11 @@ def bisim_equiv(a: Lts, b: Lts) -> VerifyResult:
     s1, s2 = a.initial, a.num_states + b.initial
     if block[s1] == block[s2]:
         return VerifyResult(ok=True, detail="strongly bisimilar")
-    trace = _distinguish(s1, s2, out, block, parent, born)
     return VerifyResult(
         ok=False,
         detail="not strongly bisimilar; evidence is a distinguishing experiment "
         "whose last step only one side can answer",
-        trace=[text[lab] for lab in trace],
+        trace=_distinguish(s1, s2, out, text, block, parent, born),
     )
 
 
@@ -484,19 +485,18 @@ def minimize(lts: Lts) -> Lts:
     the target block's smallest original state)."""
     if not lts.num_states:  # des (0, 0, 0): not even an initial state
         return Lts(out=[], label_text=[])
-    out = lts.out
-    block, _, _ = _refine(out, len(lts.label_text))
+    out, text = lts.out, lts.label_text
+    block, _, _ = _refine(out, len(text))
 
     rep: dict[int, int] = {}
     for s in range(lts.num_states):
         rep.setdefault(block[s], s)
 
-    # label ids sort as their texts do
     moves: dict[int, list[tuple[int, int]]] = {}
     for blk, r in rep.items():
         moves[blk] = sorted(
             {(label, block[dst]) for label, dst in out[r]},
-            key=lambda t: (t[0], rep[t[1]]),
+            key=lambda t: (text[t[0]], rep[t[1]]),
         )
 
     order = {block[lts.initial]: 0}
@@ -508,15 +508,15 @@ def minimize(lts: Lts) -> Lts:
                 order[tblk] = len(order)
                 queue.append(tblk)
 
-    # the quotient's table: the labels its rows use, in the same order
+    # the quotient's table: the labels its rows use, as first met
     blocks = sorted(order, key=order.get)  # type: ignore[arg-type]
-    used = sorted({label for blk in blocks for label, _ in moves[blk]})
-    ids = {label: k for k, label in enumerate(used)}
-    rows = [[(ids[label], order[tblk]) for label, tblk in moves[blk]] for blk in blocks]
+    ids: dict[int, int] = {}
+    rows = [[(ids.setdefault(label, len(ids)), order[tblk]) for label, tblk in moves[blk]]
+            for blk in blocks]
     forms = None
     if lts.forms is not None:
         forms = [lts.forms[rep[blk]] for blk in blocks]
-    return Lts(rows, [lts.label_text[label] for label in used], forms=forms)
+    return Lts(rows, [text[label] for label in ids], forms=forms)
 
 
 # ----------------------------------------------------------------------
@@ -549,15 +549,11 @@ def export_aut(lts: Lts) -> str:
 def read_aut(text: str) -> Lts:
     """Parse Aldebaran text; raises ValueError on malformed input.  One
     regular expression scan reads every spelling the format allows (any
-    spacing, blank lines, line breaks and decimal digits)."""
+    spacing, blank lines, line breaks and decimal digits), and labels are
+    numbered in the order the file first names them."""
     head = _aut_header(text)
     initial, num_trans, num_states = map(int, head.groups())
-    # The header has no quotes and a transition line two, so the labels
-    # the scan reads are among every other quoted string, and in text that
-    # reads they are all of them.  Numbered in text order before the scan,
-    # they need no renumbering after it; blank ones are left out, to reject.
-    quoted = sorted(label for label in set(text.split('"')[1::2]) if label.strip())
-    label_ids = dict(zip(quoted, range(len(quoted))))
+    label_ids: dict[str, int] = {}
     out: list[list[tuple[int, int]]] = []
     for m in re.compile(_AUT_LINE).finditer(text, head.end()):
         s, label, d = m.groups()
@@ -566,10 +562,11 @@ def read_aut(text: str) -> Lts:
                 raise ValueError(f"bad .aut transition: {line!r}")
             break
         src, dst = int(s), int(d)
-        try:
-            lab = label_ids[label]
-        except KeyError:
-            raise ValueError(f"blank label in .aut transition: {m.group().strip()!r}") from None
+        lab = label_ids.get(label)
+        if lab is None:
+            if not label.strip():
+                raise ValueError(f"blank label in .aut transition: {m.group().strip()!r}")
+            lab = label_ids[label] = len(label_ids)
         if src >= num_states or dst >= num_states:
             raise ValueError(f"state out of range in: {m.group().strip()!r}")
         try:
@@ -582,7 +579,7 @@ def read_aut(text: str) -> Lts:
     if initial >= num_states and num_states > 0:
         raise ValueError("initial state out of range")
     out.extend([] for _ in range(num_states - len(out)))
-    return Lts.from_rows(out, label_ids, initial)
+    return Lts(out, list(label_ids), initial)
 
 
 def _grow(out: list[list[tuple[int, int]]], src: int, num_states: int) -> None:

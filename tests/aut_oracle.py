@@ -68,4 +68,4 @@ def _read_aut_body(lines: list[str], initial: int, num_trans: int, num_states: i
     if initial >= num_states and num_states > 0:
         raise ValueError("initial state out of range")
     out.extend([] for _ in range(num_states - len(out)))
-    return Lts.from_rows(out, label_ids, initial)
+    return Lts(out, list(label_ids), initial)

@@ -648,7 +648,7 @@ def test_long_query_is_answered_at_default_limit(capsys, tmp_path):
 
 
 def test_contract_with_a_deadlocking_behaviour(capsys, tmp_path):
-    # the trace prints as a Python list, unlike verify's "trace: a"
+    # the trace prints as verify prints it: "trace: a"
     (tmp_path / "dead.lot").write_text(
         "specification X [a] : noexit :=\n  behaviour a; stop\nendspec\n")
     contract = tmp_path / "c.asc"
@@ -658,7 +658,7 @@ def test_contract_with_a_deadlocking_behaviour(capsys, tmp_path):
     code, out, err = run(capsys, "contract", str(contract), "--facts", str(facts))
     assert (code, err) == (1, "")
     assert out.splitlines() == ["contract C: FAILED", "  sc: holds",
-                                "  bc: deadlock at state 1 = stop", "  bc: trace ['a']"]
+                                "  bc: deadlock at state 1 = stop", "  bc: trace a"]
 
 
 def test_contract_with_an_invalid_behaviour_is_operational(capsys, tmp_path):

@@ -584,3 +584,12 @@ def test_mutation_notify_unproduced(corpus_dir):
 def test_mutation_misspelled_predicate(corpus_dir):
     codes = mutation_codes(corpus_dir, "observer_bad_predicate.asc")
     assert "unknown-predicate" in codes
+
+
+@pytest.mark.parametrize("behaviour, shown", [("stop", "<empty>"), ("a; a; stop", "a ; a")])
+def test_a_failing_bc_trace_prints_as_verify_prints_it(tmp_path, behaviour, shown):
+    (tmp_path / "b.lot").write_text(
+        f"specification X [a] : noexit :=\n  behaviour {behaviour}\nendspec\n")
+    contract, _ = parse_asc('component C where\nbc B from "b.lot"\nend')
+    report = check_asc(contract, base_dir=tmp_path)
+    assert report.lines()[-1] == f"  bc: trace {shown}"

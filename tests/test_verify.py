@@ -392,11 +392,12 @@ def test_bisim_over_disjoint_labels():
 
 
 def test_bisim_over_labels_that_interleave_in_text_order():
-    # merged, the tables are a, b, c, d: both systems' label ids change,
-    # and the experiment still takes the owner's smallest label by text
+    # labels are numbered as the files first meet them, so no table is in
+    # text order, and the experiment still takes the owner's smallest
+    # label by text
     a = read_aut('des (0, 3, 4)\n(0, "d", 1)\n(0, "b", 2)\n(2, "d", 3)\n')
     b = read_aut('des (0, 3, 4)\n(0, "d", 1)\n(0, "c", 2)\n(0, "a", 3)\n')
-    assert a.label_text == ["b", "d"] and b.label_text == ["a", "c", "d"]
+    assert a.label_text == ["d", "b"] and b.label_text == ["d", "c", "a"]
     assert bisim_equiv(a, b).trace == ["b"]
     assert bisim_equiv(b, a).trace == ["a"]
     same = read_aut('des (0, 3, 4)\n(0, "b", 1)\n(1, "d", 2)\n(0, "d", 3)\n')
@@ -455,6 +456,43 @@ def text_rows(lts, offset=0):
     for src, label, dst in lts.transitions:
         rows[src].append((label, dst + offset))
     return rows
+
+
+def relabelled(lts, perm):
+    """lts with each label id k renumbered perm[k], in its rows and its
+    table alike: the same system under another label numbering."""
+    text = [""] * len(perm)
+    for k, new in enumerate(perm):
+        text[new] = lts.label_text[k]
+    out = [[(perm[lab], dst) for lab, dst in row] for row in lts.out]
+    return Lts(out, text, lts.initial)
+
+
+def assert_numbering_changes_no_answer(x, y, perm):
+    z = relabelled(x, perm)
+    assert z.transitions == x.transitions
+    assert export_aut(minimize(z)) == export_aut(minimize(x))
+    # a VerifyResult compares ok, detail and trace
+    assert bisim_equiv(z, y) == bisim_equiv(x, y) and bisim_equiv(y, z) == bisim_equiv(y, x)
+    assert check_deadlock(z) == check_deadlock(x)
+    for label in sorted(set(x.label_text) | {"*"}):
+        pattern = parse_label_pattern(label)
+        assert check_reachable(z, pattern) == check_reachable(x, pattern)
+
+
+@settings(max_examples=300, deadline=None)
+@given(aut_pairs(), st.data())
+def test_label_numbering_changes_no_answer(pair, data):
+    x, y = pair
+    perm = data.draw(st.permutations(range(len(x.label_text))))
+    assert_numbering_changes_no_answer(x, y, perm)
+
+
+def test_minimize_orders_moves_by_text_whatever_the_numbering():
+    x = read_aut('des (0, 4, 5)\n(0, "a", 1)\n(0, "b", 2)\n(0, "c", 3)\n(0, "d", 4)\n')
+    y = read_aut('des (0, 1, 2)\n(0, "c", 1)\n')
+    assert_numbering_changes_no_answer(x, y, [3, 2, 1, 0])
+    assert export_aut(minimize(relabelled(x, [3, 2, 1, 0]))).splitlines()[1] == '(0, "a", 1)'
 
 
 # ----------------------------------------------------------------------
