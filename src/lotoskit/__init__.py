@@ -15,7 +15,7 @@ _EXPORTS = {
                  " Violation check_asc check_interface eval_query parse_facts",
     "semantics": "BudgetExceededError Exploration ExplorationBudget Lts UnguardedRecursionError"
                  " generate_lts normalize successors",
-    "syntax": "Diagnostic Span parse_behavior parse_spec pretty_behavior pretty_spec validate_spec",
+    "syntax": "Diagnostic Span locate parse_behavior parse_spec pretty_behavior pretty_spec validate_spec",
     "syntax.adlparse": "parse_adl",
     "syntax.asc": "parse_asc",
     "verify": "LabelPattern Monitor VerifyResult bisim_equiv check_deadlock check_reachable"

@@ -34,11 +34,19 @@ class ArchElement(Record):
 
 
 class ArchConfig(Record):
-    __slots__ = ("name", "uses", "elements", "composition", "_element_table")
+    """The composition's locations are offsets into the configuration's
+    text, which the hidden slot _source keeps when the config was parsed."""
+
+    __slots__ = ("name", "uses", "elements", "composition", "_source", "_element_table")
     name: str
     uses: tuple[str, ...]  # behaviour files the bindings resolve against
     elements: tuple[ArchElement, ...]
     composition: ast.Behavior  # instantiates elements by name, no gates
+
+    def __init__(self, name: str, uses: tuple[str, ...], elements: tuple[ArchElement, ...],
+                 composition: ast.Behavior, source: str | None = None):
+        super().__init__(name, uses, elements, composition)
+        object.__setattr__(self, "_source", source)
 
     def element(self, name: str) -> ArchElement | None:
         # the table is built on first use; on a duplicate name the first
@@ -193,7 +201,9 @@ def _coupling_violations(config: ArchConfig) -> list[Violation]:
 def flatten(config: ArchConfig, sources: list[ast.Specification]) -> ast.Specification:
     """Build the specification a valid configuration denotes.  The result
     parses, validates and explores with the ordinary machinery; its top
-    gates are the unhidden gates of the composition in first-use order."""
+    gates are the unhidden gates of the composition in first-use order.
+    Its top behaviour is located in the configuration's text, and each
+    process and sort in its own source's."""
 
     def bind(b: ast.Behavior) -> ast.Behavior:
         if not isinstance(b, ast.Inst):
@@ -234,4 +244,5 @@ def flatten(config: ArchConfig, sources: list[ast.Specification]) -> ast.Specifi
         sorts=tuple(sorts.values()),
         processes=tuple(processes.values()),
         top_behavior=top,
+        source=config._source,
     )

@@ -183,7 +183,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_lts(args: argparse.Namespace) -> int:
-    lts = semantics.generate_lts(_spec(args.file, args), _budget(args))
+    lts = _load_lts(args.file, args)
     if args.minimize:
         lts = verify.minimize(lts)
     aut = verify.export_aut(lts)
@@ -367,7 +367,7 @@ _PROPERTIES = {
 _COMMANDS = {
     "check": ("parse and validate a behaviour file", _cmd_check, (_arg("file"), _FORMAT)),
     "lts": ("generate the state space and print it in .aut form", _cmd_lts,
-            (_arg("file"),
+            (_SYSTEM,
              _arg("-o", "--output", metavar="FILE", help="write the .aut here instead of stdout"),
              _arg("--minimize", action="store_true", help="quotient by strong bisimilarity first"),
              *_EXPLORE)),

@@ -435,10 +435,11 @@ def strip_hiding(spec: ast.Specification) -> ast.Specification:
     def strip(b: ast.Behavior) -> ast.Behavior:
         return ast.rebuild(b, lambda n: n.body if isinstance(n, ast.Hide) else n)
 
-    processes = tuple(ast.ProcessDef(p.name, p.formal_gates, p.functionality, strip(p.body), p.loc)
+    processes = tuple(ast.ProcessDef(p.name, p.formal_gates, p.functionality, strip(p.body),
+                                     p.loc, p._source)
                       for p in spec.processes)
     return ast.Specification(spec.name, spec.top_gates, spec.sorts, processes,
-                             strip(spec.top_behavior), spec.loc)
+                             strip(spec.top_behavior), spec.loc, spec._source)
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ with the modules that define their target types.
 """
 from . import ast
 from .diagnostics import Diagnostic, Span, error
+from .lexer import locate
 from .parser import parse_behavior, parse_spec
 from .printer import pretty_behavior, pretty_spec
 from .validator import validate_spec
@@ -16,6 +17,7 @@ __all__ = [
     "Span",
     "ast",
     "error",
+    "locate",
     "parse_behavior",
     "parse_spec",
     "pretty_behavior",

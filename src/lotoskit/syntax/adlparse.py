@@ -43,7 +43,8 @@ class _AdlParser:
         }, repeatable=frozenset({"use"}))
         if "composition" not in parts:
             raise ParseFailure(self.ts.span(end), "configuration has no composition section")
-        return ArchConfig(name, tuple(uses), tuple(elements), parts["composition"])
+        return ArchConfig(name, tuple(uses), tuple(elements), parts["composition"],
+                          self.ts.source)
 
     def _composition(self) -> ast.Behavior:
         self.ts.expect_punct("{")

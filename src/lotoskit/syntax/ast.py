@@ -1,13 +1,21 @@
 """Abstract syntax of the Basic LOTOS subset with finite-sort value offers.
 
 All nodes are immutable records (see ``lotoskit.record``) whose source
-span, ``loc``, is inherited from ``Node``.  Structural equality and
-hashing therefore ignore the span, so that a tree equals its
-printed-and-parsed copy, and so that the explorer's interning table can
-key an action by its value: equal actions written at different source
-positions are one key.  Interned terms themselves are compared by
-identity.  The parser and the explorer build nodes all the time, so each
-node class sets its slots in its own ``__init__``.
+location, ``loc``, is inherited from ``Node``.  Structural equality and
+hashing therefore ignore it, so that a tree equals its printed-and-parsed
+copy, and so that the explorer's interning table can key an action by
+its value: equal actions written at different source positions are one
+key.  Interned terms themselves are compared by identity.  The parser
+and the explorer build nodes all the time, so each node class sets its
+slots in its own ``__init__``.
+
+A parsed node's ``loc`` is the offset of its token in the text it was
+read from, a plain int (None for a node built in code), so a node costs
+no location object; ``lexer.locate(text, loc)`` works out its line and
+column.  The declarations, ``Specification``, ``ProcessDef`` and
+``SortDecl``, keep that text in a hidden slot, ``_source``, so a
+diagnostic can be located even in a specification whose definitions
+come from several files, as ``adl.flatten`` builds.
 
 This module is also the one place that knows which fields of a node hold
 its behaviour children (``_CHILD_FIELDS``).  Traverse a tree with
@@ -22,16 +30,16 @@ from collections.abc import Callable, Iterator
 from operator import is_not
 
 from ..record import Record
-from .diagnostics import Span
 
 
 class Node(Record):
     """Common base for all syntax nodes.  Every node class inherits loc,
-    the node's source span, so loc is neither compared, hashed nor shown."""
+    the offset of the node's token in its source text, so loc is neither
+    compared, hashed nor shown."""
 
     __slots__ = ("loc",)
 
-    def __init__(self, loc: Span | None = None):
+    def __init__(self, loc: int | None = None):
         _set_loc(self, loc)
 
 
@@ -44,7 +52,7 @@ class ValueLit(Node):
 
     __slots__ = ("value", "sort")
 
-    def __init__(self, value: str, sort: str, loc: Span | None = None):
+    def __init__(self, value: str, sort: str, loc: int | None = None):
         _set_valuelit_value(self, value)
         _set_valuelit_sort(self, sort)
         _set_loc(self, loc)
@@ -55,7 +63,7 @@ class VarRef(Node):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str, loc: Span | None = None):
+    def __init__(self, name: str, loc: int | None = None):
         _set_varref_name(self, name)
         _set_loc(self, loc)
 
@@ -72,7 +80,7 @@ class Send(Node):
 
     __slots__ = ("expr",)
 
-    def __init__(self, expr: ValueExpr, loc: Span | None = None):
+    def __init__(self, expr: ValueExpr, loc: int | None = None):
         _set_send_expr(self, expr)
         _set_loc(self, loc)
 
@@ -82,7 +90,7 @@ class Receive(Node):
 
     __slots__ = ("var", "sort")
 
-    def __init__(self, var: str, sort: str, loc: Span | None = None):
+    def __init__(self, var: str, sort: str, loc: int | None = None):
         _set_receive_var(self, var)
         _set_receive_sort(self, sort)
         _set_loc(self, loc)
@@ -103,7 +111,7 @@ class Comm(Node):
 
     __slots__ = ("gate", "offers")
 
-    def __init__(self, gate: str, offers: tuple[Offer, ...] = (), loc: Span | None = None):
+    def __init__(self, gate: str, offers: tuple[Offer, ...] = (), loc: int | None = None):
         _set_comm_gate(self, gate)
         _set_comm_offers(self, offers)
         _set_loc(self, loc)
@@ -133,7 +141,7 @@ class Exit(Behavior):
 class Prefix(Behavior):
     __slots__ = ("action", "rest")
 
-    def __init__(self, action: ActionExpr, rest: Behavior, loc: Span | None = None):
+    def __init__(self, action: ActionExpr, rest: Behavior, loc: int | None = None):
         _set_prefix_action(self, action)
         _set_prefix_rest(self, rest)
         _set_loc(self, loc)
@@ -142,7 +150,7 @@ class Prefix(Behavior):
 class Choice(Behavior):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Behavior, right: Behavior, loc: Span | None = None):
+    def __init__(self, left: Behavior, right: Behavior, loc: int | None = None):
         _set_choice_left(self, left)
         _set_choice_right(self, right)
         _set_loc(self, loc)
@@ -161,7 +169,7 @@ class Par(Behavior):
     __slots__ = ("left", "kind", "gates", "right")
 
     def __init__(self, left: Behavior, kind: ParKind, gates: frozenset[str], right: Behavior,
-                 loc: Span | None = None):
+                 loc: int | None = None):
         _set_par_left(self, left)
         _set_par_kind(self, kind)
         _set_par_gates(self, gates)  # only meaningful for ParKind.GATES
@@ -172,7 +180,7 @@ class Par(Behavior):
 class Hide(Behavior):
     __slots__ = ("gates", "body")
 
-    def __init__(self, gates: frozenset[str], body: Behavior, loc: Span | None = None):
+    def __init__(self, gates: frozenset[str], body: Behavior, loc: int | None = None):
         _set_hide_gates(self, gates)
         _set_hide_body(self, body)
         _set_loc(self, loc)
@@ -184,7 +192,7 @@ class Seq(Behavior):
 
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Behavior, right: Behavior, loc: Span | None = None):
+    def __init__(self, left: Behavior, right: Behavior, loc: int | None = None):
         _set_seq_left(self, left)
         _set_seq_right(self, right)
         _set_loc(self, loc)
@@ -196,7 +204,7 @@ class Disrupt(Behavior):
 
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Behavior, right: Behavior, loc: Span | None = None):
+    def __init__(self, left: Behavior, right: Behavior, loc: int | None = None):
         _set_disrupt_left(self, left)
         _set_disrupt_right(self, right)
         _set_loc(self, loc)
@@ -207,7 +215,7 @@ class Inst(Behavior):
 
     __slots__ = ("process", "gates")
 
-    def __init__(self, process: str, gates: tuple[str, ...] = (), loc: Span | None = None):
+    def __init__(self, process: str, gates: tuple[str, ...] = (), loc: int | None = None):
         _set_inst_process(self, process)
         _set_inst_gates(self, gates)
         _set_loc(self, loc)
@@ -216,6 +224,7 @@ class Inst(Behavior):
 # The setters of the slots, through the slots' member descriptors, that
 # the __init__ methods above call: the fastest way to fill an instance
 # whose __setattr__ raises.
+_setattr = object.__setattr__
 _set_loc = Node.loc.__set__
 _set_valuelit_value, _set_valuelit_sort = ValueLit.value.__set__, ValueLit.sort.__set__
 _set_varref_name = VarRef.name.__set__
@@ -253,32 +262,39 @@ PREFIX_LEVEL = 4
 # ---------------------------------------------------------------------------
 
 class SortDecl(Node):
-    __slots__ = ("name", "values")
+    __slots__ = ("name", "values", "_source")
 
-    def __init__(self, name: str, values: tuple[str, ...], loc: Span | None = None):
+    def __init__(self, name: str, values: tuple[str, ...], loc: int | None = None,
+                 source: str | None = None):
         Record.__init__(self, name, values)
         _set_loc(self, loc)
+        _setattr(self, "_source", source)
 
 
 class ProcessDef(Node):
-    __slots__ = ("name", "formal_gates", "functionality", "body")
+    __slots__ = ("name", "formal_gates", "functionality", "body", "_source")
 
     def __init__(self, name: str, formal_gates: tuple[str, ...], functionality: str,
-                 body: Behavior, loc: Span | None = None):
+                 body: Behavior, loc: int | None = None, source: str | None = None):
         # functionality is "noexit" or "exit"
         Record.__init__(self, name, formal_gates, functionality, body)
         _set_loc(self, loc)
+        _setattr(self, "_source", source)
 
 
 class Specification(Node):
-    __slots__ = ("name", "top_gates", "sorts", "processes", "top_behavior",
+    """The top behaviour's locations index into _source; each process and
+    sort keeps its own."""
+
+    __slots__ = ("name", "top_gates", "sorts", "processes", "top_behavior", "_source",
                  "_process_table", "_sort_table")
 
     def __init__(self, name: str, top_gates: tuple[str, ...], sorts: tuple[SortDecl, ...],
                  processes: tuple[ProcessDef, ...], top_behavior: Behavior,
-                 loc: Span | None = None):
+                 loc: int | None = None, source: str | None = None):
         Record.__init__(self, name, top_gates, sorts, processes, top_behavior)
         _set_loc(self, loc)
+        _setattr(self, "_source", source)
 
     # The tables are built on first use and kept in their slots; on a
     # duplicate name the first declaration wins, as for a linear scan.
@@ -287,7 +303,7 @@ class Specification(Node):
             table = self._process_table
         except AttributeError:
             table = {p.name: p for p in reversed(self.processes)}
-            object.__setattr__(self, "_process_table", table)
+            _setattr(self, "_process_table", table)
         return table.get(name)
 
     def sort(self, name: str) -> SortDecl | None:
@@ -295,7 +311,7 @@ class Specification(Node):
             table = self._sort_table
         except AttributeError:
             table = {s.name: s for s in reversed(self.sorts)}
-            object.__setattr__(self, "_sort_table", table)
+            _setattr(self, "_sort_table", table)
         return table.get(name)
 
     def value_sorts(self) -> dict[str, str]:

@@ -36,8 +36,8 @@ UNKNOWN_QUERY_VARIABLE = "unknown-query-variable"
 
 class Span(NamedTuple):
     """Half-open source span; columns count characters, tabs included.
-    A named tuple, which is cheaper to build than a record, even one that
-    sets its own slots: the parsers make one per AST node."""
+    Only a diagnostic, or a caller of lexer.locate, has one: a syntax
+    node keeps just its token's offset."""
 
     line: int
     col: int

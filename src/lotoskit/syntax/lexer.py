@@ -13,8 +13,9 @@ counts only its own opener, so ``(*`` inside ``/* ... */`` is plain text.
 expression, into three flat lists: the kind and the text of each token
 and its start offset.  A parser reads it through a cursor: ``kind`` and
 ``text`` are the current token's, ``advance()`` consumes it and returns
-its index, and ``span(i)`` works out token i's span from its offset and
-the line starts, only where an AST node or a diagnostic needs one.
+its index.  A syntax node keeps the offset of its token, a plain int;
+``locate(text, offset)`` works out the line and columns of the token at
+an offset, and only a diagnostic, or a caller that asks, calls it.
 
 A text that stops lexing ends in a sentinel token whose kind no rule
 accepts, and which holds the lex failure.  The failure is raised only
@@ -33,7 +34,6 @@ bail-out as one diagnostic.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from collections.abc import Callable
 from typing import TypeVar
 
@@ -55,15 +55,44 @@ _PUNCTUATION = (
 _CLOSERS = {"(*": "*)", "/*": "*/"}
 _SPACE = re.compile(r"[ \t\r\n]*")
 _COMMENT = "comment"
+_IDENT = r"[A-Za-z][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*"
+_STRING = r'"[^"\n]*"'
+_PUNCT = "|".join(map(re.escape, _PUNCTUATION))
 # Whitespace, then a token or a comment opener.  The group names are the
 # token kinds; a comment opener comes before the punctuation "(".
 _TOKEN = re.compile(
-    rf"{_SPACE.pattern}(?:(?P<{IDENT}>[A-Za-z][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*)"
-    rf'|(?P<{STRING}>"[^"\n]*")'
-    rf"|(?P<{_COMMENT}>{'|'.join(map(re.escape, _CLOSERS))})"
-    rf"|(?P<{PUNCT}>{'|'.join(map(re.escape, _PUNCTUATION))}))"
+    rf"{_SPACE.pattern}(?:(?P<{IDENT}>{_IDENT})|(?P<{STRING}>{_STRING})"
+    rf"|(?P<{_COMMENT}>{'|'.join(map(re.escape, _CLOSERS))})|(?P<{PUNCT}>{_PUNCT}))"
 )
+# the token that starts at an offset, for locate
+_TOKEN_AT = re.compile(f"{_IDENT}|{_STRING}|{_PUNCT}")
 _BRACE = re.compile(r"[{}]")
+
+
+def locate(text: str, offset: int) -> Span:
+    """The span of the token at offset in text: its 1-based line and
+    column, and the column just past it.  Where no token starts (the end
+    of the text, a character that stops lexing) the span is one character
+    wide.  It counts the lines before offset, so it is meant for a
+    diagnostic; the parsers store only offsets."""
+    return locate_all(text, [offset])[offset]
+
+
+def locate_all(text: str, offsets: list[int]) -> dict[int, Span]:
+    """locate's span at each of offsets, by offset, from one pass over
+    text up to the last."""
+    spans: dict[int, Span] = {}
+    line, line_start, counted = 1, 0, 0
+    for offset in sorted(set(offsets)):
+        newlines = text.count("\n", counted, offset)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", counted, offset) + 1
+        counted = offset
+        col = offset - line_start + 1
+        token = _TOKEN_AT.match(text, offset)
+        spans[offset] = Span(line, col, line, col + (token.end() - offset if token else 1))
+    return spans
 
 
 class ParseFailure(Exception):
@@ -81,12 +110,10 @@ class TokenStream:
     """A text lexed once into flat lists, read through a cursor at token i.
     The lists end with EOF or the sentinel, which no rule consumes."""
 
-    __slots__ = ("source", "kind", "text", "i", "failure", "_kinds", "_texts", "_starts",
-                 "_line_starts")
+    __slots__ = ("source", "kind", "text", "i", "failure", "_kinds", "_texts", "_starts")
 
     def __init__(self, source: str):
         self.source = source
-        self._line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
         self._kinds: list[str] = []
         self._texts: list[str] = []
         self._starts: list[int] = []
@@ -133,11 +160,7 @@ class TokenStream:
 
     def span(self, i: int) -> Span:
         """Token i's span; EOF and the sentinel are one character wide."""
-        start = self._starts[i]
-        line = bisect_right(self._line_starts, start)
-        col = start - self._line_starts[line - 1] + 1
-        width = len(self._texts[i]) + (2 if self._kinds[i] == STRING else 0)
-        return Span(line, col, line, col + (width or 1))
+        return locate(self.source, self._starts[i])
 
     def error(self, message: str) -> ParseFailure:
         """The failure to raise for message at the current token; the lex
@@ -154,8 +177,7 @@ class TokenStream:
         return self.error(f"expected {what}, found {found}")
 
     def _point(self, pos: int) -> Span:
-        line = bisect_right(self._line_starts, pos)
-        return Span.point(line, pos - self._line_starts[line - 1] + 1)
+        return Span.point(*locate(self.source, pos)[:2])
 
     def _skip_comment(self, start: int) -> int:
         """The offset just past the comment opened at start, which may

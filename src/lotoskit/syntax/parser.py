@@ -36,6 +36,10 @@ an instantiation.  Send offers "!v" are resolved against the declared sort
 values at parse time; unknown names become variable references and are
 checked later by the validator.
 
+Each node's ``loc`` is the offset of its token, read from the stream's
+list of token starts, so parsing works out no line or column; the
+specification, its processes and its sorts keep the text (see ``ast``).
+
 A LOTOS "library" clause after ":=" is rejected at its keyword, like any
 other shape the parser does not read, but with its own code
 (library-not-supported): finite sorts stand in for data types.
@@ -90,7 +94,7 @@ class _Parser:
             self.ts.expect_punct("{")
             values = self.ts.expect_idents("a value name")
             self.ts.expect_punct("}")
-            decls.append(ast.SortDecl(name, tuple(values), loc=self.ts.span(at)))
+            decls.append(ast.SortDecl(name, tuple(values), self.ts._starts[at], self.ts.source))
             for v in values:
                 self.value_sorts.setdefault(v, name)
         if not decls:
@@ -120,9 +124,9 @@ class _Parser:
                 ts.expect_punct("]|")
             right = self.behaviour(op_level + 1)
             if kind is None:
-                left = node(left, right, loc=ts.span(op))
+                left = node(left, right, ts._starts[op])
             else:
-                left = ast.Par(left, kind, gates, right, loc=ts.span(op))
+                left = ast.Par(left, kind, gates, right, ts._starts[op])
 
     def _prefix(self) -> ast.Behavior:
         # a loop, not a recursion per "a;", so long prefix chains parse
@@ -138,18 +142,18 @@ class _Parser:
             if follow == ";":
                 ts.advance()
                 if name == "i":
-                    actions.append(ast.InternalAction(loc=ts.span(at)))
+                    actions.append(ast.InternalAction(ts._starts[at]))
                 else:
-                    actions.append(ast.Comm(name, (), loc=ts.span(at)))
+                    actions.append(ast.Comm(name, (), ts._starts[at]))
             elif follow in ("!", "?"):
                 actions.append(self._finish_action(name, at))
                 ts.expect_punct(";")
             else:
                 gates = self._gate_list(empty_brackets_ok=False)
-                rest = ast.Inst(name, gates, loc=ts.span(at))
+                rest = ast.Inst(name, gates, ts._starts[at])
                 break
         for action in reversed(actions):
-            rest = ast.Prefix(action, rest, loc=action.loc)
+            rest = ast.Prefix(action, rest, action.loc)
         return rest
 
     def _finish_action(self, gate: str, at: int) -> ast.Comm:
@@ -157,29 +161,28 @@ class _Parser:
         offers: list[ast.Offer] = []
         while (offer := ts.text if ts.kind == PUNCT else None) in ("!", "?"):
             ts.advance()
-            i = ts.i
+            loc = ts._starts[ts.i]
             if offer == "!":
                 name = ts.expect_ident("a value or variable name")
-                loc = ts.span(i)
                 if name in self.value_sorts:
-                    expr: ast.ValueExpr = ast.ValueLit(name, self.value_sorts[name], loc=loc)
+                    expr: ast.ValueExpr = ast.ValueLit(name, self.value_sorts[name], loc)
                 else:
-                    expr = ast.VarRef(name, loc=loc)
-                offers.append(ast.Send(expr, loc=loc))
+                    expr = ast.VarRef(name, loc)
+                offers.append(ast.Send(expr, loc))
             else:
                 name = ts.expect_ident("a variable name")
                 ts.expect_punct(":")
                 sort = ts.expect_ident("a sort name")
-                offers.append(ast.Receive(name, sort, loc=ts.span(i)))
-        return ast.Comm(gate, tuple(offers), loc=ts.span(at))
+                offers.append(ast.Receive(name, sort, loc))
+        return ast.Comm(gate, tuple(offers), ts._starts[at])
 
     def _atom(self) -> ast.Behavior:
         ts = self.ts
         at, word = ts.i, ts.text
         if ts.accept_kw("stop"):
-            return ast.Stop(loc=ts.span(at))
+            return ast.Stop(ts._starts[at])
         if ts.accept_kw("exit"):
-            return ast.Exit(loc=ts.span(at))
+            return ast.Exit(ts._starts[at])
         # "hide" and "(" are where the parser recurses; running out of stack
         # below them is reported at the deepest one that can still raise
         try:
@@ -187,7 +190,7 @@ class _Parser:
                 names = ts.expect_idents("a gate name")
                 ts.expect_kw("in")
                 body = self.behaviour()
-                return ast.Hide(frozenset(names), body, loc=ts.span(at))
+                return ast.Hide(frozenset(names), body, ts._starts[at])
             if ts.accept_punct("("):
                 inner = self.behaviour()
                 ts.expect_punct(")")
@@ -237,7 +240,8 @@ class _Parser:
             sorts=tuple(sorts),
             processes=tuple(processes),
             top_behavior=top,
-            loc=self.ts.span(head),
+            loc=self.ts._starts[head],
+            source=self.ts.source,
         )
 
     def _process_def(self) -> ast.ProcessDef:
@@ -250,7 +254,7 @@ class _Parser:
         body = self.behaviour()
         if not (self.ts.accept_kw("endproc") or self.ts.accept_kw("endprocess")):
             raise self.ts.expected("'endproc'")
-        return ast.ProcessDef(name, gates, func, body, loc=self.ts.span(head))
+        return ast.ProcessDef(name, gates, func, body, self.ts._starts[head], self.ts.source)
 
 
 # ----------------------------------------------------------------------

@@ -165,6 +165,18 @@ def test_lts_minimize(capsys):
     assert out.startswith("des (0, 9, 9)\n")
 
 
+def test_lts_reads_an_aut_file_as_verify_does(capsys, tmp_path):
+    exported = tmp_path / "cs.aut"
+    run(capsys, "lts", corpus("client_server.lot"), "-o", str(exported))
+    for file in (corpus("client_server.lot"), str(exported)):
+        code, out, _ = run(capsys, "lts", file, "--minimize")
+        assert (code, out) == (0, EXPECTED_AUT)
+    # the header is held to the budget before any row is built
+    code, _, err = run(capsys, "lts", str(exported), "--max-states", "3")
+    assert code == 2
+    assert err == f"lotoskit: '{exported}' has 4 states, more than the state budget of 3\n"
+
+
 def test_lts_budget_exhaustion(capsys):
     code, _, err = run(capsys, "lts", corpus("multicast_unordered.lot"), "--max-states", "5")
     assert code == 2

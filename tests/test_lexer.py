@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from lex_oracle import PUNCTUATION, OracleLexer
 from lotoskit.syntax import ast
-from lotoskit.syntax.lexer import EOF, FAILED, PUNCT, ParseFailure, TokenStream
+from lotoskit.syntax.lexer import EOF, FAILED, PUNCT, ParseFailure, TokenStream, locate, locate_all
 
 ALPHABET = (
     "(*", "*)", "/*", "*/", '"', "{", "}", "\n", "\t", "\r", " ", "-", "_",
@@ -81,6 +81,17 @@ def test_raw_brace_block_matches_oracle(text, counts):
         else:
             want = body, oracle_tokens(oracle)
         assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts, st.lists(st.integers(0, 60), max_size=8))
+def test_locating_many_offsets_at_once_locates_each(text, offsets):
+    offsets = [min(offset, len(text)) for offset in offsets]
+    assert locate_all(text, offsets) == {offset: locate(text, offset) for offset in offsets}
+    for offset in offsets:
+        line, col = locate(text, offset)[:2]
+        before = text[:offset].split("\n")
+        assert (line, col) == (len(before), len(before[-1]) + 1)
 
 
 def test_each_comment_kind_nests_only_its_own_opener():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import parse_oracle
 from behavior_gen import GATES, SORT, gen_behavior, gen_system
 from lotoskit.adl import ArchConfig
-from lotoskit.syntax import ast, parse_behavior, parse_spec, pretty_behavior, pretty_spec
+from lotoskit.syntax import ast, locate, parse_behavior, parse_spec, pretty_behavior, pretty_spec
 from lotoskit.syntax.adlparse import parse_adl
 from lotoskit.syntax.asc import parse_asc
 from lotoskit.syntax.diagnostics import LEX_ERROR, NESTING_TOO_DEEP
@@ -193,7 +193,7 @@ def test_long_prefix_chain_parses_at_default_recursion_limit():
     assert spec is not None and diags == []
     b, depth = spec.top_behavior, 0
     while isinstance(b, ast.Prefix):
-        assert b.action.gate == "a" and b.loc.col == b.action.loc.col
+        assert b.action.gate == "a" and b.loc == b.action.loc
         b, depth = b.rest, depth + 1
     assert depth == 3000 and isinstance(b, ast.Stop)
 
@@ -406,7 +406,7 @@ def test_operator_pairs_follow_the_table(first, second):
     assert back == tree
     # each binary node is located at its operator token
     binary = [b for b in (back, *ast.children(back)) if ast.children(b)]
-    assert sorted(b.loc.col for b in binary) == [3, 6 + len(op1)]
+    assert sorted(locate(text, b.loc).col for b in binary) == [3, 6 + len(op1)]
     assert pretty_behavior(tree) == text
 
 
@@ -491,36 +491,54 @@ def parser_texts(draw):
     return text
 
 
-def node_locs(value):
-    """The loc of every node of a reader's value: each behaviour node in
-    ast.walk order with its action, offers and sent values, and the
-    specification's, sorts' and processes' own.  A contract has none."""
-    if isinstance(value, ast.Specification):
-        out = [value.loc, *(s.loc for s in value.sorts)]
-        for p in value.processes:
-            out += [p.loc, *node_locs(p.body)]
-        return out + node_locs(value.top_behavior)
-    if isinstance(value, ArchConfig):
-        return node_locs(value.composition)
-    if not isinstance(value, ast.Behavior):
-        return []
+def behaviour_nodes(b):
+    """Each behaviour node of b in ast.walk order, with its action, offers
+    and sent values."""
     out = []
-    for b in ast.walk(value):
-        out.append(b.loc)
-        if isinstance(b, ast.Prefix):
-            out.append(b.action.loc)
-            for offer in getattr(b.action, "offers", ()):
-                out.append(offer.loc)
+    for node in ast.walk(b):
+        out.append(node)
+        if isinstance(node, ast.Prefix):
+            out.append(node.action)
+            for offer in getattr(node.action, "offers", ()):
+                out.append(offer)
                 if isinstance(offer, ast.Send):
-                    out.append(offer.expr.loc)
+                    out.append(offer.expr)
     return out
+
+
+def node_locs(value, text=None):
+    """The loc of every node of a reader's value: its behaviour nodes, and
+    the specification's, sorts' and processes' own.  A contract has none.
+
+    The per-token parsers' nodes hold spans.  With text, the value is a
+    reader's: each loc must be an offset, and is resolved to a span
+    through the text its definition keeps (a bare behaviour's is text)."""
+
+    def at(nodes, source):
+        if text is None:
+            return [node.loc for node in nodes]
+        assert all(type(node.loc) is int for node in nodes)
+        return [locate(source, node.loc) for node in nodes]
+
+    if isinstance(value, ast.Specification):
+        out = at([value], value._source)
+        for s in value.sorts:
+            out += at([s], s._source)
+        for p in value.processes:
+            out += at([p, *behaviour_nodes(p.body)], p._source)
+        return out + at(behaviour_nodes(value.top_behavior), value._source)
+    if isinstance(value, ArchConfig):
+        return at(behaviour_nodes(value.composition), value._source)
+    if isinstance(value, ast.Behavior):
+        return at(behaviour_nodes(value), text)
+    return []
 
 
 def read_both(reader, text):
     new, oracle = READERS[reader]
     value, diags = new(text)
     want_value, want_diags = oracle(text)
-    return (value, node_locs(value), diags), (want_value, node_locs(want_value), want_diags)
+    return (value, node_locs(value, text), diags), (want_value, node_locs(want_value), want_diags)
 
 
 @settings(max_examples=500, deadline=None)

@@ -1,4 +1,9 @@
-from lotoskit.syntax import parse_spec, validate_spec
+import random
+import sys
+
+from behavior_gen import GATES, SORT, gen_behavior
+from lotoskit.semantics import strip_hiding
+from lotoskit.syntax import ast, parse_spec, pretty_spec, validate_spec
 
 
 def check(text):
@@ -179,3 +184,50 @@ def test_all_problems_reported_not_just_first():
     # in source order, left operand before right
     diags = check(spec_with("q; stop [] r; stop ||| s; stop"))
     assert [d.message for d in diags] == [f"gate '{g}' is not in scope" for g in "qrs"]
+
+
+def _count_locate_calls(monkeypatch) -> list:
+    """Wrap locate and locate_all wherever lotoskit holds them; the calls
+    made from then on are appended to the returned list."""
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name == "lotoskit" or name.startswith("lotoskit."):
+            for attr in ("locate", "locate_all"):
+                real = module.__dict__.get(attr)
+                if real is not None:
+                    def counted(*args, _real=real):
+                        calls.append(args[1])
+                        return _real(*args)
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_a_valid_spec_is_parsed_and_validated_without_locating_a_node(monkeypatch, corpus_dir):
+    rng = random.Random(25)
+    procs = tuple(ast.ProcessDef(f"P{k}", GATES, "noexit",
+                                 gen_behavior(rng, 8, values=True, procs=200, sends=True))
+                  for k in range(200))
+    big = pretty_spec(ast.Specification("Big", GATES, (SORT,), procs, ast.Inst("P0", GATES)))
+    texts = [p.read_text() for p in sorted(corpus_dir.glob("*.lot"))] + [big]
+    calls = _count_locate_calls(monkeypatch)
+    for text in texts:
+        spec, diags = parse_spec(text)
+        assert spec is not None and diags == []
+        assert validate_spec(spec) == []
+    assert len(big) > 50_000 and calls == []
+    # a diagnostic is located, through the text of the process it is in
+    spec, _ = parse_spec("specification S [g] : noexit := behaviour P [g]\n"
+                         "where process P [g] : noexit := g; h; stop endproc endspec")
+    assert [str(d) for d in validate_spec(spec)] == [
+        "2:36: error[unknown-gate]: gate 'h' is not in scope"]
+    assert calls == [[spec.processes[0].body.rest.loc]]
+
+
+def test_a_spec_without_its_hides_locates_through_the_carried_texts():
+    spec, _ = parse_spec("specification S [g] : noexit := behaviour hide h in h; P [g]\n"
+                         "where process P [g] : noexit :=\n  hide h in g; h; stop endproc endspec")
+    assert validate_spec(spec) == []
+    assert [str(d) for d in validate_spec(strip_hiding(spec))] == [
+        "1:53: error[unknown-gate]: gate 'h' is not in scope",
+        "3:16: error[unknown-gate]: gate 'h' is not in scope",
+    ]
