@@ -115,11 +115,15 @@ def _spec(path: str, args: argparse.Namespace) -> ast.Specification:
     return semantics.strip_hiding(spec) if getattr(args, "no_hide", False) else spec
 
 
-def _read_lts(path: str, args: argparse.Namespace) -> semantics.Lts:
-    """An .aut file, held to the exploration budget by its header before
-    any row is built."""
-    text = _read_file(path)
+def _system(path: str, args: argparse.Namespace, whole: bool = False) -> semantics.Lts:
+    """A transition system from an .aut file, held to the exploration
+    budget by its header before any row is built, or from a behaviour
+    file, explored only as far as the caller reads it unless whole."""
     budget = _budget(args)
+    if not path.endswith(".aut"):
+        spec = _spec(path, args)
+        return semantics.generate_lts(spec, budget) if whole else semantics.Exploration(spec, budget)
+    text = _read_file(path)
     try:
         _, transitions, states = verify.aut_header(text)
         for kind, size, limit in (("state", states, budget.max_states),
@@ -130,22 +134,6 @@ def _read_lts(path: str, args: argparse.Namespace) -> semantics.Lts:
         return verify.read_aut(text)
     except ValueError as exc:
         raise CliError(2, f"'{path}': {exc}") from exc
-
-
-def _load_lts(path: str, args: argparse.Namespace) -> semantics.Lts:
-    """A transition system from either a behaviour file or an .aut file;
-    the exploration budget bounds both."""
-    if path.endswith(".aut"):
-        return _read_lts(path, args)
-    return semantics.generate_lts(_spec(path, args), _budget(args))
-
-
-def _system(path: str, args: argparse.Namespace) -> semantics.Lts | semantics.Exploration:
-    """The system deadlock, reach and safety search: an .aut file, or a
-    behaviour file explored only as far as the search reads it."""
-    if path.endswith(".aut"):
-        return _read_lts(path, args)
-    return semantics.Exploration(_spec(path, args), _budget(args))
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
@@ -183,7 +171,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_lts(args: argparse.Namespace) -> int:
-    lts = _load_lts(args.file, args)
+    lts = _system(args.file, args, whole=True)
     if args.minimize:
         lts = verify.minimize(lts)
     aut = verify.export_aut(lts)
@@ -239,8 +227,8 @@ def _cmd_verify_safety(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_bisim(args: argparse.Namespace) -> int:
-    a = _load_lts(args.file, args)
-    b = _load_lts(args.other, args)
+    a = _system(args.file, args, whole=True)
+    b = _system(args.other, args, whole=True)
     return _verify_result(args, "bisim", verify.bisim_equiv(a, b))
 
 

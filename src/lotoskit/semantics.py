@@ -1,20 +1,21 @@
 """Operational semantics: single steps and exhaustive state-space generation.
 
 A state is a closed behaviour term without source locations.  An
-``Exploration`` (which ``generate_lts`` runs to the end) builds every
-term through a hash-consing table that lives as long as it does.  A
-tree from the specification enters it by one walk over an explicit
-stack, which drops the source locations and at the same time puts
-actual gates for formals (unfolding an instantiation) or
-received values for variables (firing an action).  Inside the table each
-distinct term exists once, so equality is identity and a term's ``id``
-is its hash; each term's printed form, which breaks ties in the
-transition order, is composed once from its children's; and the steps
-of each subterm are computed once, an instantiation being unfolded when
-its steps are.  The unchanged components of a parallel state therefore
-cost nothing when it steps.  A state's own steps are computed when it
-is expanded and then dropped, since breadth-first search expands each
-state once.
+``Exploration`` is an ``Lts`` that builds its rows as they are asked
+for, and ``generate_lts`` runs one to the end.  While it explores it
+builds every term through a hash-consing table, which it drops once
+finished.  A tree from the specification enters it by one walk over an
+explicit stack, which drops the source locations and at the same time
+puts actual gates for formals (unfolding an instantiation) or received
+values for variables (firing an action).  Inside the table each distinct
+term exists once, so equality is identity and a term's ``id`` is its
+hash; each term's printed form, which breaks ties in the transition
+order, is composed once from its children's; and the steps of each
+subterm are computed once, an instantiation being unfolded when its
+steps are.  The unchanged components of a parallel state therefore cost
+nothing when it steps.  A state's own steps are computed when it is
+expanded and then dropped, since breadth-first search expands each state
+once.
 
 Recursion is unguarded when a process recurs before any action prefix
 (Milner, "Communication and Concurrency", 1989, 4.5): while computing
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 
-from .record import Record
+from .record import Record, _setattr
 from .syntax import ast
 from .syntax.printer import pretty_behavior, pretty_node
 
@@ -463,32 +464,55 @@ class Lts(Record):
     The per-state rows ``out`` are the only storage of the transitions:
     out[s] lists the moves of state s as (label id, target) pairs.
     ``label_text`` is the id -> text table.  It holds each label of the
-    transitions once, numbered in the order the rows first meet it."""
+    transitions once, numbered in the order the rows first meet it.
 
-    __slots__ = ("out", "label_text", "initial", "forms")
+    A system that ``Exploration`` made builds its rows as they are asked
+    for, and keeps its progress in a slot that is neither compared nor
+    shown; ``finish`` builds the rest.  The properties that read the whole
+    table build it first."""
+
+    __slots__ = ("out", "label_text", "initial", "forms", "_explorer", "__weakref__")
 
     def __init__(self, out: list[list[tuple[int, int]]], label_text: list[str], initial: int = 0,
                  forms: list[ast.Behavior] | None = None):
         super().__init__(out, label_text, initial, forms)
+        _setattr(self, "_explorer", None)
 
     @property
     def num_states(self) -> int:
-        return len(self.out)
+        """The states discovered so far: all of them once every row is built."""
+        return len(self.out) if self._explorer is None else len(self.forms)
+
+    @property
+    def state_bound(self) -> int:
+        """A number above every state the system has or will discover: its
+        state count, or its state budget while it is still exploring."""
+        return len(self.out) if self._explorer is None else self._explorer.budget.max_states
 
     def row(self, state: int) -> list[tuple[int, int]]:
-        """The moves of state, out[state]: an Lts has every row built,
-        an Exploration builds them as they are asked for."""
+        """The moves of state, out[state], built first if need be (with
+        those of every state numbered below it)."""
+        if self._explorer is not None and len(self.out) <= state:
+            self._explorer.expand(self, state + 1)
         return self.out[state]
+
+    def finish(self) -> Lts:
+        """Build the rows of every state not yet expanded; the system."""
+        if self._explorer is not None:
+            # no exploration admits more states than its state budget
+            self._explorer.expand(self, self._explorer.budget.max_states)
+            _setattr(self, "_explorer", None)
+        return self
 
     @property
     def num_transitions(self) -> int:
-        return sum(map(len, self.out))
+        return sum(map(len, self.finish().out))
 
     @property
     def transitions(self) -> list[tuple[int, str, int]]:
         """(source, label text, target) triples, listed per source state in
         row order; built on each use."""
-        text = self.label_text
+        text = self.finish().label_text
         return [(src, text[lab], dst) for src, row in enumerate(self.out) for lab, dst in row]
 
     def form_text(self, state: int) -> str | None:
@@ -497,12 +521,13 @@ class Lts(Record):
         return pretty_behavior(self.forms[state])
 
 
-class Exploration:
+def Exploration(spec: ast.Specification, budget: ExplorationBudget | None = None) -> Lts:
     """The breadth-first exploration of a specification, one state at a
-    time.  States are numbered in discovery order and expanded in that
-    order, so once row(s) has built the row of state s, out[0..s] are the
-    first rows of generate_lts's table: the same numbering, the same
-    transition order, the same label ids and the same forms.
+    time: an Lts whose rows are built as they are asked for.  States are
+    numbered in discovery order and expanded in that order, so once
+    row(s) has built the row of state s, out[0..s] are the first rows of
+    generate_lts's table: the same numbering, the same transition order,
+    the same label ids and the same forms.
 
     The checks of verify call ``row`` for every state they read, so they
     search in lockstep with an exploration and stop expanding states once
@@ -513,52 +538,41 @@ class Exploration:
     state whose expansion raised a budget or unguarded-recursion error is
     expanded again by the next row or finish that needs it, and raises
     the same error again."""
+    budget = budget or ExplorationBudget()
+    if budget.max_states < 1:
+        raise BudgetExceededError("state", budget.max_states, 0, 0, 0)
+    terms = _Terms(spec)
+    lts = Lts([], [], forms=[terms.initial])
+    _setattr(lts, "_explorer", _Explorer(terms, budget))
+    return lts
 
-    def __init__(self, spec: ast.Specification, budget: ExplorationBudget | None = None):
-        self.budget = budget or ExplorationBudget()
-        if self.budget.max_states < 1:
-            raise BudgetExceededError("state", self.budget.max_states, 0, 0, 0)
-        terms = self._terms = _Terms(spec)
-        self.initial = 0
-        self.forms: list[ast.Behavior] = [terms.initial]
-        self.out: list[list[tuple[int, int]]] = []
-        self.label_text: list[str] = []
-        self.label_ids: dict[str, int] = {}
+
+class _Explorer:
+    """The progress of an exploration, which its Lts holds until finished:
+    the term table, each discovered state by the id of its term, the label
+    ids, the transitions counted, and the breadth-first level being
+    expanded, the next one starting at state number level_end."""
+
+    __slots__ = ("terms", "budget", "seen", "label_ids", "transitions", "depth", "level_end")
+
+    def __init__(self, terms: _Terms, budget: ExplorationBudget):
+        self.terms, self.budget = terms, budget
         # states are interned, so a state's id identifies it
-        self._seen: dict[int, int] = {id(terms.initial): 0}
-        self._transitions = 0
-        # the breadth-first level being expanded; the next level starts at
-        # state number level_end
-        self._depth, self._level_end = 0, 1
+        self.seen: dict[int, int] = {id(terms.initial): 0}
+        self.label_ids: dict[str, int] = {}
+        self.transitions, self.depth, self.level_end = 0, 0, 1
 
-    @property
-    def num_states(self) -> int:
-        """The states discovered so far: all of them once every row is built."""
-        return len(self.forms)
-
-    def row(self, state: int) -> list[tuple[int, int]]:
-        """The moves of a discovered state, built first if need be (with
-        those of every state numbered below it)."""
-        if len(self.out) <= state:
-            self._expand(state + 1)
-        return self.out[state]
-
-    def finish(self) -> None:
-        """Build the rows of every state not yet expanded."""
-        # no exploration admits more states than its state budget
-        self._expand(self.budget.max_states)
-
-    def _expand(self, rows: int) -> None:
-        """Expand states until there are rows rows or none is left."""
-        terms, text = self._terms, self._terms.text
-        forms, out, seen = self.forms, self.out, self._seen
-        label_ids, label_text = self.label_ids, self.label_text
+    def expand(self, lts: Lts, rows: int) -> None:
+        """Expand states of lts until there are rows rows or none is left."""
+        terms, text = self.terms, self.terms.text
+        forms, out, seen = lts.forms, lts.out, self.seen
+        label_ids, label_text = self.label_ids, lts.label_text
         max_states, max_transitions = self.budget.max_states, self.budget.max_transitions
         number = len(out)
         while number < rows and number < len(forms):
-            if number == self._level_end:
-                self._depth, self._level_end = self._depth + 1, len(forms)
-            count = self._transitions
+            if number == self.level_end:
+                self.depth, self.level_end = self.depth + 1, len(forms)
+            count = self.transitions
             row: list[tuple[int, int]] = []
             # a printed form names one interned term, so (label, printed
             # target) both drops repeated steps and orders them
@@ -569,11 +583,11 @@ class Exploration:
                 dst = seen.get(key)
                 if dst is None and len(forms) >= max_states:
                     raise BudgetExceededError(
-                        "state", max_states, len(forms), count, self._depth
+                        "state", max_states, len(forms), count, self.depth
                     )
                 if count >= max_transitions:
                     raise BudgetExceededError(
-                        "transition", max_transitions, len(forms), count, self._depth
+                        "transition", max_transitions, len(forms), count, self.depth
                     )
                 if dst is None:
                     dst = seen[key] = len(forms)
@@ -585,17 +599,11 @@ class Exploration:
                 row.append((lab, dst))
                 count += 1
             out.append(row)
-            self._transitions = count
+            self.transitions = count
             number += 1
 
-    def form_text(self, state: int) -> str:
-        return pretty_behavior(self.forms[state])
 
-
-def generate_lts(
-    spec: ast.Specification,
-    budget: ExplorationBudget | None = None,
-) -> Lts:
+def generate_lts(spec: ast.Specification, budget: ExplorationBudget | None = None) -> Lts:
     """Breadth-first exploration of every reachable state: an Exploration
     run to the end, its labels numbered as first met.
 
@@ -604,6 +612,4 @@ def generate_lts(
     target), which makes the numbering reproducible.  The checks of verify
     take an Exploration instead, to stop once they have their answer.
     """
-    explored = Exploration(spec, budget)
-    explored.finish()
-    return Lts(explored.out, explored.label_text, forms=explored.forms)
+    return Exploration(spec, budget).finish()

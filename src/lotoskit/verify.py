@@ -9,15 +9,16 @@ Deadlock, reachability and safety are one breadth-first search over
 (system state, observer state) pairs; the observers are "was the last
 step exit", "has a step matched" and the user's monitor.  Only states
 reachable from the initial one count, and traces are shortest whatever
-order the transitions are listed in.  These three also take an
-Exploration of a specification, which builds the row of a state only
-when the search first reads it: the check runs on the fly, in lockstep
+order the transitions are listed in.  They read a state's row only
+when the search first reaches it, so on a system still exploring (an
+Exploration of a specification) the check runs on the fly, in lockstep
 with generation, as in OPEN/CAESAR (Garavel, TACAS 1998) and SPIN
 (Holzmann, IEEE TSE 1997).  An exploration numbers and expands states
 breadth-first, the order in which the search reads them, so the search
 meets the same rows as on the generated Lts and returns the same pair
 and trace, but expands no state past the one where it stops.  A search
-that finds nothing has read every row.
+that finds nothing has read every row.  Everything else reads the whole
+table, and finishes an exploration first.
 
 Bisimulation and minimize share one worklist partition refinement: a
 round signs again only the states with a target that moved in the round
@@ -40,7 +41,7 @@ from collections import deque
 from typing import Callable, Iterable
 
 from .record import Record
-from .semantics import Exploration, Lts
+from .semantics import Lts
 from .syntax.diagnostics import Diagnostic, SYNTAX_ERROR, Span, error
 
 # ----------------------------------------------------------------------
@@ -60,17 +61,18 @@ class LabelPattern(Record):
         super().__init__(gate, offers)
 
     def matches(self, label: str) -> bool:
-        parts = label.split()
-        gate, values = parts[0], [p[1:] for p in parts[1:]]
+        gate, *offers = label.split()
+        if any(not o.startswith("!") for o in offers):  # a word that is no offer
+            return False
         if self.gate in ("i", "exit"):
             return gate == self.gate
         if gate in ("i", "exit"):
             return False
         if self.gate != _WILDCARD and self.gate != gate:
             return False
-        if len(self.offers) != len(values):
+        if len(self.offers) != len(offers):
             return False
-        return all(o == _WILDCARD or o == v for o, v in zip(self.offers, values))
+        return all(o == _WILDCARD or "!" + o == v for o, v in zip(self.offers, offers))
 
     def __str__(self) -> str:
         return " ".join([self.gate] + [f"!{o}" for o in self.offers])
@@ -124,7 +126,7 @@ def format_trace(trace: list[str]) -> str:
 # the search behind every check
 
 
-def _search(lts: Lts | Exploration, start: object, step: Callable[[object, str], object],
+def _search(lts: Lts, start: object, step: Callable[[object, str], object],
             bad: Callable[[int, object], bool]) -> tuple[tuple[int, object], list[str]] | None:
     """Breadth-first search of the product of lts with a deterministic
     observer: start is the observer's initial state, step(obs, label) its
@@ -133,18 +135,17 @@ def _search(lts: Lts | Exploration, start: object, step: Callable[[object, str],
     a shortest trace to it, or None.  step runs once per observer state
     and distinct label.
 
-    A row is read only when the search reaches its state, so on an
-    Exploration the search runs in lockstep with it, and the label table
-    may grow meanwhile."""
+    A row is read only when the search reaches its state, so on a system
+    still exploring the search runs in lockstep with it, and the label
+    table may grow meanwhile."""
     if not lts.num_states:  # des (0, 0, 0): not even an initial state
         return None
     text = lts.label_text
     # observers are numbered as met, and a pair is keyed as the int
-    # observer number * n + state, for an n above every state number: the
-    # state count of an Lts, or the state budget of an Exploration, whose
-    # final state count is not known yet; moves[k][label id] is the
-    # number of observer k's move on that label, None until first needed
-    n = lts.num_states if isinstance(lts, Lts) else lts.budget.max_states
+    # observer number * n + state, for an n above every state number;
+    # moves[k][label id] is the number of observer k's move on that
+    # label, None until first needed
+    n = lts.state_bound
     observers = [start]
     number = {start: 0}
     moves: list[list[int | None]] = [[None] * len(text)]
@@ -198,7 +199,7 @@ def _search(lts: Lts | Exploration, start: object, step: Callable[[object, str],
 # deadlock and reachability
 
 
-def check_deadlock(lts: Lts | Exploration) -> VerifyResult:
+def check_deadlock(lts: Lts) -> VerifyResult:
     """ok when no reachable state without moves is initial or entered by a
     step other than exit; a run that enters it by exit has terminated
     successfully."""
@@ -215,7 +216,7 @@ def check_deadlock(lts: Lts | Exploration) -> VerifyResult:
     return VerifyResult(ok=False, detail=f"deadlock at {where}", trace=trace)
 
 
-def check_reachable(lts: Lts | Exploration, pattern: LabelPattern) -> VerifyResult:
+def check_reachable(lts: Lts, pattern: LabelPattern) -> VerifyResult:
     """ok when some reachable transition matches; the trace ends with it."""
     found = _search(
         lts, False,
@@ -300,12 +301,13 @@ def parse_monitor(text: str) -> tuple[Monitor | None, list[Diagnostic]]:
     return Monitor(tuple(states), initial, frozenset(bad), tuple(rules)), diags
 
 
-def check_safety(lts: Lts | Exploration, monitor: Monitor) -> VerifyResult:
+def check_safety(lts: Lts, monitor: Monitor) -> VerifyResult:
     """ok when the product of system and monitor reaches no bad monitor
     state.  A violation comes with a shortest trace."""
     found = _search(lts, monitor.initial, monitor.step, lambda _, state: state in monitor.bad)
     if found is None:
-        return VerifyResult(ok=True, detail=f"monitor stays out of {sorted(monitor.bad)}")
+        bad = ", ".join(f"'{state}'" for state in sorted(monitor.bad))
+        return VerifyResult(ok=True, detail=f"monitor stays out of {bad}")
     (_, state), trace = found
     return VerifyResult(ok=False, detail=f"monitor reaches bad state '{state}'", trace=trace)
 
@@ -452,6 +454,7 @@ def _joined(a: Lts, b: Lts) -> tuple[list[list[tuple[int, int]]], list[str]]:
     """The rows of a followed by those of b, targets shifted past a's
     states, over a's label table extended with b's other labels, which is
     also returned.  a's rows are used as they are."""
+    a, b = a.finish(), b.finish()
     number = {t: k for k, t in enumerate(a.label_text)}
     ids = [number.setdefault(t, len(number)) for t in b.label_text]
     offset = a.num_states
@@ -483,7 +486,7 @@ def minimize(lts: Lts) -> Lts:
     """Quotient by strong bisimilarity, renumbered breadth-first from the
     initial block (per block, transitions ordered by label text then by
     the target block's smallest original state)."""
-    if not lts.num_states:  # des (0, 0, 0): not even an initial state
+    if not lts.finish().num_states:  # des (0, 0, 0): not even an initial state
         return Lts(out=[], label_text=[])
     out, text = lts.out, lts.label_text
     block, _, _ = _refine(out, len(text))
@@ -540,6 +543,7 @@ def export_aut(lts: Lts) -> str:
     """Aldebaran format: header des (initial, transitions, states), then
     one (source, "label", target) line per transition.  Byte-stable for a
     given system."""
+    lts.finish()
     quoted = [f', "{label}", ' for label in lts.label_text]
     lines = [f"des ({lts.initial}, {lts.num_transitions}, {lts.num_states})"]
     lines += [f"({src}{quoted[lab]}{dst})" for src, row in enumerate(lts.out) for lab, dst in row]

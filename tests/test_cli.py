@@ -444,12 +444,21 @@ def test_verify_reach_bad_pattern(capsys):
     assert "bad pattern" in err
 
 
-def test_verify_safety(capsys):
+def test_verify_safety(capsys, tmp_path):
     code, out, _ = run(
         capsys, "verify", "safety", corpus("multicast.lot"),
         corpus("multicast_order.mon"), "--no-hide",
     )
     assert code == 0
+    assert out == "safety: ok (monitor stays out of 'violation')\n"
+    # the bad states are quoted as a violation quotes one, and sorted
+    two = tmp_path / "two.mon"
+    two.write_text("states waiting zz aa\ninitial waiting\nbad zz aa\n"
+                   "trans waiting zz nosuch !*\n")
+    code, out, _ = run(capsys, "verify", "safety", corpus("multicast.lot"), str(two),
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["detail"] == "monitor stays out of 'aa', 'zz'"
 
     code, out, _ = run(
         capsys, "verify", "safety", corpus("multicast_unordered.lot"),

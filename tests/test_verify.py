@@ -60,10 +60,16 @@ def test_pattern_exact_match():
     assert not p.matches("g !v1")
     assert not p.matches("g !v1 !v3")
     assert not p.matches("h !v1 !v2")
+    # an .aut label may spell anything after its gate; a word that does
+    # not start with "!" is not an offer
+    assert not p.matches("g xv1 !v2")
+    lts = read_aut('des (0, 1, 2)\n(0, "g xv1", 1)\n')
+    assert not check_reachable(lts, parse_label_pattern("g !v1")).ok
 
 
 def test_pattern_wildcards():
     assert parse_label_pattern("g !*").matches("g !anything")
+    assert not parse_label_pattern("g !*").matches("g anything")
     assert parse_label_pattern("* !v").matches("g !v")
     assert parse_label_pattern("*").matches("g")
     assert not parse_label_pattern("*").matches("g !v")
@@ -928,6 +934,31 @@ def test_lockstep_expands_only_what_the_search_reads(monkeypatch):
     assert found == check_deadlock(whole)
     assert found.detail.startswith(f"deadlock at state {whole.num_states - 1} = ")
     assert expanded_states == all_states == 4 ** 3
+
+
+# each reads a system and, for bisim_equiv, a second one
+WHOLE_TABLE_READERS = {
+    "export_aut": lambda lts, _: export_aut(lts),
+    "minimize": lambda lts, _: minimize(lts),
+    "bisim_equiv": bisim_equiv,
+    "num_transitions": lambda lts, _: lts.num_transitions,
+    "transitions": lambda lts, _: lts.transitions,
+}
+
+
+@pytest.mark.parametrize("name", LOT_FILES)
+@pytest.mark.parametrize("reader", WHOLE_TABLE_READERS)
+@pytest.mark.parametrize("rows", [0, 1], ids=["fresh", "one-row"])
+def test_exploration_whole_table_readers_finish_it_first(name, reader, rows):
+    # a reader of the whole table on an exploration, fresh or with some
+    # rows built, gives what it gives on the generated system
+    spec, other = load_spec(name), strip_hiding(load_spec(name))
+    explored = Exploration(spec)
+    for s in range(rows):
+        explored.row(s)
+    read = WHOLE_TABLE_READERS[reader]
+    assert read(explored, Exploration(other)) == read(generate_lts(spec), generate_lts(other))
+    assert explored == generate_lts(spec)
 
 
 def test_lockstep_ok_verdict_still_needs_the_whole_budget():
