@@ -468,8 +468,8 @@ class Lts(Record):
 
     A system that ``Exploration`` made builds its rows as they are asked
     for, and keeps its progress in a slot that is neither compared nor
-    shown; ``finish`` builds the rest.  The properties that read the whole
-    table build it first."""
+    shown; ``finish`` builds the rest.  Equality and the whole-table
+    readers build it first; ``repr`` shows the rows built so far."""
 
     __slots__ = ("out", "label_text", "initial", "forms", "_explorer", "__weakref__")
 
@@ -495,6 +495,9 @@ class Lts(Record):
         if self._explorer is not None and len(self.out) <= state:
             self._explorer.expand(self, state + 1)
         return self.out[state]
+
+    def __eq__(self, other: object) -> bool:
+        return Record.__eq__(self.finish(), other.finish() if other.__class__ is Lts else other)
 
     def finish(self) -> Lts:
         """Build the rows of every state not yet expanded; the system."""

@@ -61,18 +61,15 @@ class LabelPattern(Record):
         super().__init__(gate, offers)
 
     def matches(self, label: str) -> bool:
-        gate, *offers = label.split()
-        if any(not o.startswith("!") for o in offers):  # a word that is no offer
+        words = label.split()
+        # an .aut label may have no words, or a word that is no offer
+        if not words or any(not o.startswith("!") for o in words[1:]):
             return False
-        if self.gate in ("i", "exit"):
+        gate, *offers = words
+        if self.gate in ("i", "exit") or gate in ("i", "exit"):
             return gate == self.gate
-        if gate in ("i", "exit"):
-            return False
-        if self.gate != _WILDCARD and self.gate != gate:
-            return False
-        if len(self.offers) != len(offers):
-            return False
-        return all(o == _WILDCARD or "!" + o == v for o, v in zip(self.offers, offers))
+        return (self.gate in (_WILDCARD, gate) and len(self.offers) == len(offers)
+                and all(o == _WILDCARD or "!" + o == v for o, v in zip(self.offers, offers)))
 
     def __str__(self) -> str:
         return " ".join([self.gate] + [f"!{o}" for o in self.offers])

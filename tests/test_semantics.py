@@ -522,6 +522,23 @@ def test_exploration_keeps_few_objects_for_the_collector():
     assert added / explored.num_states < 5
 
 
+def test_unfinished_exploration_keeps_few_objects_for_the_collector():
+    # finish drops the term table, so count with every row built in
+    # lockstep and the table still held, as a check of verify holds it
+    spec = spec_of(chain_text(4, 6))
+    gc.collect()
+    before = len(gc.get_objects())
+    explored = Exploration(spec)
+    s = 0
+    while s < explored.num_states:
+        explored.row(s)
+        s += 1
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert len(explored.out) == explored.num_states == 7 ** 4
+    assert added / explored.num_states < 5
+
+
 def test_states_numbered_in_discovery_order(client_server_lts):
     lts = client_server_lts
     assert lts.initial == 0

@@ -63,6 +63,8 @@ def test_pattern_exact_match():
     # an .aut label may spell anything after its gate; a word that does
     # not start with "!" is not an offer
     assert not p.matches("g xv1 !v2")
+    assert not p.matches("") and not p.matches(" ")
+    assert not parse_label_pattern("i").matches("i x")
     lts = read_aut('des (0, 1, 2)\n(0, "g xv1", 1)\n')
     assert not check_reachable(lts, parse_label_pattern("g !v1")).ok
 
@@ -959,6 +961,8 @@ def test_exploration_whole_table_readers_finish_it_first(name, reader, rows):
     read = WHOLE_TABLE_READERS[reader]
     assert read(explored, Exploration(other)) == read(generate_lts(spec), generate_lts(other))
     assert explored == generate_lts(spec)
+    # equality reads the whole table too, from either side
+    assert generate_lts(other) == Exploration(other) and Exploration(other) == generate_lts(other)
 
 
 def test_lockstep_ok_verdict_still_needs_the_whole_budget():
