@@ -5,8 +5,8 @@ state space), verify (deadlock, reach, safety, bisim), contract, adl.
 
 Exit codes: 0 everything holds, 1 the checked property or contract fails,
 2 the inputs cannot be processed (unreadable or invalid files, exhausted
-exploration budget, input nested beyond the recursion limit, memory
-exhausted), 3 command line usage errors.  Human-readable
+exploration budget, a state space nested beyond the recursion limit,
+memory exhausted), 3 command line usage errors.  Human-readable
 findings go to stdout, diagnostics to stderr; --format json prints one
 machine-readable object to stdout instead.
 """

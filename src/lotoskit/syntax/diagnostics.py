@@ -17,7 +17,6 @@ from ..record import Record
 # Stable diagnostic codes.  Keep these in sync with README.md.
 LEX_ERROR = "lex-error"
 SYNTAX_ERROR = "syntax-error"
-NESTING_TOO_DEEP = "nesting-too-deep"
 DUPLICATE_DEFINITION = "duplicate-definition"
 UNKNOWN_PROCESS = "unknown-process"
 UNKNOWN_SORT = "unknown-sort"

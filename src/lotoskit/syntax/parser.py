@@ -1,4 +1,4 @@
-"""Recursive-descent parser for behaviour specifications.
+"""Parser for behaviour specifications.
 
 Grammar (keywords case-insensitive, identifiers case-sensitive)::
 
@@ -25,7 +25,8 @@ Grammar (keywords case-insensitive, identifiers case-sensitive)::
     offer       ::= "!" IDENT | "?" IDENT ":" IDENT
 
 The binary levels come from ``ast.OPERATORS``, the table the printer
-reads too; ``behaviour`` parses them by precedence climbing.
+reads too; ``behaviour`` parses them by precedence climbing on explicit
+stacks, so nesting of any depth parses without recursion.
 All binary operators associate to the left.  Precedence, tightest first:
 ";", "[]", the parallel operators, "[>", ">>".  "hide ... in" extends as
 far right as possible.
@@ -47,7 +48,7 @@ other shape the parser does not read, but with its own code
 from __future__ import annotations
 
 from . import ast
-from .diagnostics import LIBRARY_NOT_SUPPORTED, NESTING_TOO_DEEP, Diagnostic
+from .diagnostics import LIBRARY_NOT_SUPPORTED, Diagnostic
 from .lexer import IDENT, PUNCT, ParseFailure, TokenStream, parse_or_bail
 
 _FUNCTIONALITIES = ("noexit", "exit")
@@ -104,57 +105,79 @@ class _Parser:
     # ------------------------------------------------------------------
     # behaviour expressions
 
-    def behaviour(self, level: int = 0) -> ast.Behavior:
-        """Precedence climbing over ast.OPERATORS: an operand, then every
-        operator of at least this level, each with a right operand of the
-        operators binding strictly tighter, so that all associate to the
-        left.  A "(" or "hide" level costs three frames: this, _prefix and
-        _atom."""
+    def behaviour(self) -> ast.Behavior:
+        """Precedence climbing on one stack of pending (left operand,
+        operator) pairs; an operator first reduces the pending ones that
+        bind at least as tightly, so all associate to the left.  An open
+        "(" or "hide" pushes a frame of its token, a hide's gates, the
+        actions prefixed to it and the enclosing stack.  "(" closes at
+        ")", "hide" at the first token after an operand that is no binary
+        operator, and the enclosing frame reads that token again."""
         ts = self.ts
-        left = self._prefix()
+        # pending holds (left operand, (level, node class, parallel kind), gates, offset)
+        frames, pending = [], []
         while True:
-            entry = ast.OPERATORS.get(ts.text) if ts.kind == PUNCT else None
-            if entry is None or entry[0] < level:
-                return left
-            op = ts.advance()
-            op_level, node, kind = entry
-            gates: frozenset[str] = frozenset()
-            if kind is ast.ParKind.GATES:
+            actions: list[ast.ActionExpr] = []
+            operand = self._prefix(actions)
+            if operand is None:
+                at, gates = ts.advance(), None
+                if ts._kinds[at] == IDENT:
+                    gates = frozenset(ts.expect_idents("a gate name"))
+                    ts.expect_kw("in")
+                frames.append((at, gates, actions, pending))
+                pending = []
+                continue
+            while True:
+                while actions:
+                    action = actions.pop()
+                    operand = ast.Prefix(action, operand, action.loc)
+                entry = ast.OPERATORS.get(ts.text) if ts.kind == PUNCT else None
+                # any other token ends the frame's expression: reduce it all
+                level = entry[0] if entry else 0
+                while pending and pending[-1][1][0] >= level:
+                    left, (_, node, kind), gates, loc = pending.pop()
+                    operand = (node(left, operand, loc) if kind is None
+                               else ast.Par(left, kind, gates, operand, loc))
+                if entry:
+                    break
+                if not frames:
+                    return operand
+                at, gates, actions, pending = frames.pop()
+                if gates is None:
+                    ts.expect_punct(")")
+                else:
+                    operand = ast.Hide(gates, operand, ts._starts[at])
+            loc, gates = ts._starts[ts.advance()], frozenset()
+            if entry[2] is ast.ParKind.GATES:
                 gates = frozenset(ts.expect_idents("a gate name"))
                 ts.expect_punct("]|")
-            right = self.behaviour(op_level + 1)
-            if kind is None:
-                left = node(left, right, ts._starts[op])
-            else:
-                left = ast.Par(left, kind, gates, right, ts._starts[op])
+            pending.append((operand, entry, gates, loc))
 
-    def _prefix(self) -> ast.Behavior:
-        # a loop, not a recursion per "a;", so long prefix chains parse
+    def _prefix(self, actions: list[ast.ActionExpr]) -> ast.Behavior | None:
+        """Append the actions of a prefix chain, read in a loop, to actions;
+        return the operand they prefix, or None where "(" or "hide" opens it."""
         ts = self.ts
-        actions: list[ast.ActionExpr] = []
         while True:
             if ts.kind != IDENT or ts.text.lower() in _BEHAVIOUR_KEYWORDS:
-                rest = self._atom()
-                break
+                if ts.at_kw("stop"):
+                    return ast.Stop(ts._starts[ts.advance()])
+                if ts.at_kw("exit"):
+                    return ast.Exit(ts._starts[ts.advance()])
+                if ts.at_punct("(") or ts.at_kw("hide"):
+                    return None
+                raise ts.expected("a behaviour expression")
             # identifier: action prefix or process instantiation
             name, at = ts.text, ts.advance()
             follow = ts.text if ts.kind == PUNCT else None
             if follow == ";":
                 ts.advance()
-                if name == "i":
-                    actions.append(ast.InternalAction(ts._starts[at]))
-                else:
-                    actions.append(ast.Comm(name, (), ts._starts[at]))
+                loc = ts._starts[at]
+                actions.append(ast.InternalAction(loc) if name == "i" else ast.Comm(name, (), loc))
             elif follow in ("!", "?"):
                 actions.append(self._finish_action(name, at))
                 ts.expect_punct(";")
             else:
-                gates = self._gate_list(empty_brackets_ok=False)
-                rest = ast.Inst(name, gates, ts._starts[at])
-                break
-        for action in reversed(actions):
-            rest = ast.Prefix(action, rest, action.loc)
-        return rest
+                return ast.Inst(name, self._gate_list(empty_brackets_ok=False), ts._starts[at])
 
     def _finish_action(self, gate: str, at: int) -> ast.Comm:
         ts = self.ts
@@ -175,30 +198,6 @@ class _Parser:
                 sort = ts.expect_ident("a sort name")
                 offers.append(ast.Receive(name, sort, loc))
         return ast.Comm(gate, tuple(offers), ts._starts[at])
-
-    def _atom(self) -> ast.Behavior:
-        ts = self.ts
-        at, word = ts.i, ts.text
-        if ts.accept_kw("stop"):
-            return ast.Stop(ts._starts[at])
-        if ts.accept_kw("exit"):
-            return ast.Exit(ts._starts[at])
-        # "hide" and "(" are where the parser recurses; running out of stack
-        # below them is reported at the deepest one that can still raise
-        try:
-            if ts.accept_kw("hide"):
-                names = ts.expect_idents("a gate name")
-                ts.expect_kw("in")
-                body = self.behaviour()
-                return ast.Hide(frozenset(names), body, ts._starts[at])
-            if ts.accept_punct("("):
-                inner = self.behaviour()
-                ts.expect_punct(")")
-                return inner
-        except RecursionError:
-            raise ParseFailure(ts.span(at), f"'{word}' nested too deeply to parse",
-                               NESTING_TOO_DEEP) from None
-        raise ts.expected("a behaviour expression")
 
     # ------------------------------------------------------------------
     # top level

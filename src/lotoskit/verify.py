@@ -67,7 +67,7 @@ class LabelPattern(Record):
             return False
         gate, *offers = words
         if self.gate in ("i", "exit") or gate in ("i", "exit"):
-            return gate == self.gate
+            return gate == self.gate and not offers
         return (self.gate in (_WILDCARD, gate) and len(self.offers) == len(offers)
                 and all(o == _WILDCARD or "!" + o == v for o, v in zip(self.offers, offers)))
 

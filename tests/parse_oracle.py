@@ -7,7 +7,9 @@ only when a parser peeks at it.  So a lex failure is raised the first
 time a parser looks at the bad character, and an ``assert { ... }`` block
 is read from wherever the lexer stands.  Slower than the stream in
 lotoskit.syntax.lexer and plainly right; the stream is checked against it
-on corpus texts, printed random terms and their corruptions.  A message
+on corpus texts, printed random terms and their corruptions.  It recurses
+once per "(" and "hide", so the differential tests feed it only shallow
+texts; the parser under test keeps its own stacks.  A message
 names the token found as ``str(Token)`` does: a string literal in double
 quotes as written, another token in single quotes, "end of input" at the
 end; a query variable's diagnostic stands at the variable's token."""
@@ -36,7 +38,6 @@ from lotoskit.syntax.diagnostics import (
     DUPLICATE_DEFINITION,
     LEX_ERROR,
     LIBRARY_NOT_SUPPORTED,
-    NESTING_TOO_DEEP,
     Diagnostic,
     MALFORMED_IC,
     Span,
@@ -398,21 +399,15 @@ class _Parser:
             return ast.Stop(loc=tok.span)
         if self.ts.accept_kw("exit"):
             return ast.Exit(loc=tok.span)
-        # "hide" and "(" are where the parser recurses; running out of stack
-        # below them is reported at the deepest one that can still raise
-        try:
-            if self.ts.accept_kw("hide"):
-                names = self.ts.expect_idents("a gate name")
-                self.ts.expect_kw("in")
-                body = self.behaviour()
-                return ast.Hide(frozenset(names), body, loc=tok.span)
-            if self.ts.accept_punct("("):
-                inner = self.behaviour()
-                self.ts.expect_punct(")")
-                return inner
-        except RecursionError:
-            raise ParseFailure(tok.span, f"'{tok.text}' nested too deeply to parse",
-                               NESTING_TOO_DEEP) from None
+        if self.ts.accept_kw("hide"):
+            names = self.ts.expect_idents("a gate name")
+            self.ts.expect_kw("in")
+            body = self.behaviour()
+            return ast.Hide(frozenset(names), body, loc=tok.span)
+        if self.ts.accept_punct("("):
+            inner = self.behaviour()
+            self.ts.expect_punct(")")
+            return inner
         raise ParseFailure(tok.span, f"expected a behaviour expression, found {tok}")
 
     # ------------------------------------------------------------------

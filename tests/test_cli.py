@@ -313,16 +313,48 @@ def test_check_accepts_a_long_prefix_chain(capsys, tmp_path):
     assert (code, out, err) == (0, "Deep: ok (0 process(es), 0 sort(s))\n", "")
 
 
-def test_check_reports_too_deep_nesting(capsys, tmp_path):
+def write_nested(tmp_path, opener, body, closer, depth=5000):
     deep = tmp_path / "deep.lot"
     deep.write_text(
         "specification Deep [a] : noexit :=\n  behaviour\n    "
-        + "(" * 1000 + "a; stop" + ")" * 1000 + "\nendspec\n"
+        + opener * depth + body + closer * depth + "\nendspec\n"
     )
+    return deep
+
+
+@pytest.mark.parametrize("opener, closer", [("(", ")"), ("hide a in ", "")])
+def test_check_accepts_deep_nesting(capsys, tmp_path, opener, closer):
+    deep = write_nested(tmp_path, opener, "a; stop", closer)
     code, out, err = run_at_default_limit(capsys, "check", str(deep))
-    assert code == 1
-    assert "error[nesting-too-deep]: '(' nested too deeply to parse" in err
-    assert out == f"{deep}: 1 error(s)\n"
+    assert (code, out, err) == (0, "Deep: ok (0 process(es), 0 sort(s))\n", "")
+
+
+def at_depth(frames, call):
+    """call() made with frames more Python frames on the stack"""
+    return call() if frames == 0 else at_depth(frames - 1, call)
+
+
+def test_syntax_error_in_deep_nesting_is_the_same_at_any_caller_depth(capsys, tmp_path):
+    deep = write_nested(tmp_path, "(", "a; ; stop", ")")
+    top = run_at_default_limit(capsys, "check", str(deep))
+    nested = at_depth(300, lambda: run_at_default_limit(capsys, "check", str(deep)))
+    assert top == nested
+    # the second ";" of line 3, after 4 spaces, 5,000 "(" and "a; "
+    assert top == (1, f"{deep}: 1 error(s)\n", f"{deep}:3:5008: error[syntax-error]: "
+                   "expected a behaviour expression, found ';'\n")
+
+
+def test_adl_flattens_a_deeply_nested_composition(capsys, tmp_path):
+    (tmp_path / "client_server.lot").write_text((CORPUS / "client_server.lot").read_text())
+    head, rest = (CORPUS / "client_server.adl").read_text().split("composition {", 1)
+    body, tail = rest.split("}", 1)
+    config = tmp_path / "deep.adl"
+    config.write_text(head + "composition {" + "hide invClt in " * 2000 + "(" * 5000 + body
+                      + ")" * 5000 + "}" + tail)
+    flat = tmp_path / "flat.lot"
+    code, out, err = run_at_default_limit(capsys, "adl", str(config), "--flatten", str(flat))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == f"flattened -> {flat}"
 
 
 def test_exit_gate_is_reserved(capsys, tmp_path):

@@ -54,6 +54,8 @@ INVALID_SPECS = {
                "  behaviour g; stop\nendspec\n",
     "eof": "specification S [g] : noexit :=\n  behaviour g;",
     "tabs": "specification S [g] : noexit :=\n\tbehaviour\n\t\tg; h; stop\t|||\tP [g]\nendspec\n",
+    "nesting": "specification S [g] : noexit :=\n  behaviour " + "(" * 5000 + "g; ; stop"
+               + ")" * 5000 + "\nendspec\n",
 }
 INVALID_CONTRACTS = {
     "variables": "component C where\n  sc { exists x, y, x . class(x) and inherit(x, A) }\nend\n",

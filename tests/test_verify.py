@@ -85,6 +85,21 @@ def test_pattern_never_matches_internal_or_exit_by_wildcard():
     assert parse_label_pattern("exit").matches("exit")
 
 
+def test_pattern_for_internal_or_exit_takes_no_offered_label():
+    # "i" and "exit" patterns take no offers, so a label that offers after
+    # either word is not theirs, as check_deadlock reads "exit !v" too
+    lts = read_aut('des (0, 1, 2)\n(0, "exit !v", 1)\n')
+    assert not check_reachable(lts, parse_label_pattern("exit")).ok
+    deadlock = check_deadlock(lts)
+    assert not deadlock.ok and deadlock.trace == ["exit !v"]
+    lts = read_aut('des (0, 1, 2)\n(0, "i !v", 1)\n')
+    assert not parse_label_pattern("i").matches("i !v")
+    assert not check_reachable(lts, parse_label_pattern("i")).ok
+    assert not check_deadlock(lts).ok
+    mon, _ = parse_monitor("states w bad\ninitial w\nbad bad\ntrans w bad exit\n")
+    assert check_safety(read_aut('des (0, 1, 2)\n(0, "exit !v", 1)\n'), mon).ok
+
+
 def test_pattern_parse_errors():
     for bad in ("", "g v", "g !", "3g", "i !v", "exit !*"):
         with pytest.raises(ValueError):
