@@ -23,6 +23,7 @@ from typing import TypeVar
 from . import adl as adlmod
 from . import contracts as contractsmod
 from . import semantics, verify
+from .record import fields
 from .syntax import ast, parse_spec, pretty_spec, validate_spec
 from .syntax.adlparse import parse_adl
 from .syntax.asc import parse_asc
@@ -195,13 +196,7 @@ def _cmd_lts(args: argparse.Namespace) -> int:
 
 
 def _verify_result(args: argparse.Namespace, name: str, result: verify.VerifyResult) -> int:
-    payload = {
-        "command": "verify",
-        "property": name,
-        "ok": result.ok,
-        "detail": result.detail,
-        "trace": result.trace,
-    }
+    payload = {"command": "verify", "property": name, **fields(result)}
     lines = [f"{name}: {'ok' if result.ok else 'violated'} ({result.detail})"]
     if result.trace is not None:
         lines.append(f"trace: {verify.format_trace(result.trace)}")
@@ -235,28 +230,17 @@ def _cmd_verify_bisim(args: argparse.Namespace) -> int:
 def _cmd_contract(args: argparse.Namespace) -> int:
     contract = _load(args.file, "contract", parse_asc)
     facts = _load(args.facts, "fact base", contractsmod.parse_facts) if args.facts else None
-    report = contractsmod.check_asc(
-        contract,
-        facts,
-        base_dir=Path(args.file).parent,
-        budget=_budget(args),
-    )
+    bc = contract.bc
+    behaviour = None if bc is None else _load_spec(str(Path(args.file).parent / bc.path))
+    report = contractsmod.check_asc(contract, facts, behaviour, _budget(args))
 
     payload = {
         "command": "contract",
         "ok": report.ok,
         "name": report.name,
         "sc": {"checked": report.sc_checked, "witness": report.sc_witness},
-        "ic": None
-        if report.ic_violations is None
-        else [{"code": v.code, "message": v.message} for v in report.ic_violations],
-        "bc": None
-        if report.bc_result is None
-        else {
-            "ok": report.bc_result.ok,
-            "detail": report.bc_result.detail,
-            "trace": report.bc_result.trace,
-        },
+        "ic": None if report.ic_violations is None else list(map(fields, report.ic_violations)),
+        "bc": None if report.bc_result is None else fields(report.bc_result),
     }
     _emit(args, payload, report.lines())
     return 0 if report.ok else 1
@@ -285,7 +269,7 @@ def _cmd_adl(args: argparse.Namespace) -> int:
         "command": "adl",
         "ok": ok,
         "name": config.name,
-        "violations": [{"code": v.code, "message": v.message} for v in violations],
+        "violations": list(map(fields, violations)),
         "flattened": flattened_to,
     }
     components = sum(1 for e in config.elements if e.role == adlmod.COMPONENT)

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from pathlib import Path
 
 from .record import Record
 from .semantics import ExplorationBudget, generate_lts
+from .syntax.ast import Specification
 from .syntax.diagnostics import (
     BAD_ARITY,
     Diagnostic,
@@ -30,8 +30,6 @@ from .syntax.diagnostics import (
     error,
 )
 from .syntax.lexer import parse_or_bail
-from .syntax.parser import parse_spec
-from .syntax.validator import validate_spec
 from .verify import LINE_BREAKS, VerifyResult, check_deadlock, format_trace
 
 # predicate name -> arity; the only predicates facts and queries may use
@@ -157,6 +155,14 @@ def eval_query(fb: FactBase, query: Query) -> dict[str, str] | None:
     conjuncts in written order, trying each conjunct's facts in
     lexicographic order, so the answer is reproducible.
 
+    Conjuncts joined by no chain of shared variables are independent, so
+    the search takes the query in groups: conjuncts joined by shared
+    variables, the groups in the order of their first conjunct, each
+    group's conjuncts in written order.  No group binds another's
+    variables, so the lexicographically first witness of the query is
+    the first witness of each group, and a group without one ends the
+    search without re-binding the groups before it.
+
     A conjunct reads only the facts that agree with its bound positions,
     the constants and the variables bound by earlier conjuncts: the
     shortest of their index lists, or every fact of its predicate when
@@ -168,7 +174,17 @@ def eval_query(fb: FactBase, query: Query) -> dict[str, str] | None:
     # slot holds its name, a variable's the value it is bound to
     env: list[str] = []
     slots: dict[Term, int] = {}
+    # a union-find forest over the slots: a conjunct joins its variables
+    parent: list[int] = []
+
+    def find(slot: int) -> int:
+        while parent[slot] != slot:
+            parent[slot] = parent[parent[slot]]  # path halving
+            slot = parent[slot]
+        return slot
+
     steps = []
+    owners = []  # per conjunct, the root of its first variable, or None
     for atom in query.atoms:
         rows = fb.rows(atom.predicate)
         if not rows:  # no witness; an unknown predicate has no facts
@@ -177,10 +193,12 @@ def eval_query(fb: FactBase, query: Query) -> dict[str, str] | None:
         checks = []  # (position, slot) for every position with a bound term
         binds = []   # (position, slot) for each variable's first occurrence
         fresh: set[int] = set()
-        for position, term in enumerate(atom.args[: PREDICATES[atom.predicate]]):
+        args = atom.args[: PREDICATES[atom.predicate]]
+        for position, term in enumerate(args):
             slot = slots.get(term)
             if slot is None:
                 slot = slots[term] = len(env)
+                parent.append(slot)
                 if isinstance(term, Const):
                     env.append(term.name)
                 else:
@@ -192,6 +210,15 @@ def eval_query(fb: FactBase, query: Query) -> dict[str, str] | None:
                 keys.append((fb._column(atom.predicate, position), slot))
             checks.append((position, slot))
         steps.append((rows, keys, checks, binds))
+        own = [find(slots[term]) for term in args if isinstance(term, Var)]
+        for root in own[1:]:
+            parent[root] = own[0]
+        owners.append(own[0] if own else None)
+
+    # conjunct k's group: the root of its variables, or a key of its own
+    groups: dict[int, list[int]] = {}
+    for k, owner in enumerate(owners):
+        groups.setdefault(~k if owner is None else find(owner), []).append(k)
 
     def matches(index: int) -> Iterator[None]:
         rows, keys, checks, binds = steps[index]
@@ -208,14 +235,16 @@ def eval_query(fb: FactBase, query: Query) -> dict[str, str] | None:
             else:
                 yield
 
-    # stack[k] has just bound conjunct k; an exhausted iterator backtracks
-    stack: list[Iterator[None]] = []
-    while len(stack) < len(steps):
-        stack.append(matches(len(stack)))
-        while next(stack[-1], True) is not None:
-            stack.pop()
-            if not stack:
-                return None
+    for group in groups.values():
+        # stack[k] has just bound the group's conjunct k; an exhausted
+        # iterator backtracks
+        stack: list[Iterator[None]] = []
+        while len(stack) < len(group):
+            stack.append(matches(group[len(stack)]))
+            while next(stack[-1], True) is not None:
+                stack.pop()
+                if not stack:
+                    return None
     witness = {term.name: env[slot] for term, slot in slots.items() if isinstance(term, Var)}
     return {v: witness[v] for v in query.variables}
 
@@ -306,7 +335,8 @@ class AscContract(Record):
 
 
 class ContractCheckError(Exception):
-    """The contract could not be evaluated (missing inputs, bad files)."""
+    """The contract could not be evaluated: a structural query without
+    facts, or a behavioural part without its specification."""
 
 
 class ContractReport(Record):
@@ -354,38 +384,27 @@ class ContractReport(Record):
 def check_asc(
     contract: AscContract,
     facts: FactBase | None = None,
-    *,
-    base_dir: str | Path = ".",
+    behaviour: Specification | None = None,
     budget: ExplorationBudget | None = None,
 ) -> ContractReport:
-    """Evaluate every part the contract carries.  Raises
-    ContractCheckError when a part cannot be evaluated at all; a cleanly
-    failing part just makes the report not ok."""
+    """Evaluate every part the contract carries: the query over facts,
+    and the deadlock check on behaviour, the parsed and valid
+    specification the contract's bc names.  Raises ContractCheckError
+    when a part cannot be evaluated at all; a cleanly failing part just
+    makes the report not ok.  The behaviour is explored last, so a
+    missing input is reported before any exploration."""
     if contract.sc is not None and facts is None:
         raise ContractCheckError(
             f"contract '{contract.name}' has a structural query but no facts were given"
+        )
+    if contract.bc is not None and behaviour is None:
+        raise ContractCheckError(
+            f"contract '{contract.name}' has a behaviour but no specification was given"
         )
     return ContractReport(
         contract.name,
         sc_checked=contract.sc is not None,
         sc_witness=None if contract.sc is None else eval_query(facts, contract.sc),
         ic_violations=None if contract.ic is None else check_interface(contract.ic),
-        bc_result=None if contract.bc is None else _check_bc(contract.bc, Path(base_dir), budget),
+        bc_result=None if contract.bc is None else check_deadlock(generate_lts(behaviour, budget)),
     )
-
-
-def _check_bc(bc: BcRef, base_dir: Path, budget: ExplorationBudget | None) -> VerifyResult:
-    path = base_dir / bc.path
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ContractCheckError(f"cannot read behaviour '{bc.name}': {exc}") from exc
-
-    spec, diags = parse_spec(text)
-    if diags:
-        raise ContractCheckError(f"behaviour '{bc.name}' does not parse: {diags[0]}")
-    problems = validate_spec(spec)
-    if problems:
-        raise ContractCheckError(f"behaviour '{bc.name}' is not valid: {problems[0]}")
-
-    return check_deadlock(generate_lts(spec, budget))

@@ -68,3 +68,9 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field '{name}'")
+
+
+def fields(record: Record) -> dict[str, object]:
+    """The record's fields by name, in order: the record as a JSON object
+    shows it."""
+    return dict(zip(record._fields, record._values(record)))

@@ -10,17 +10,19 @@ Layout::
       composition { ( client ||| server ) |[invClt, terClt, invSrv, terSrv]| conn }
     end
 
-"use" may repeat; the other sections appear at most once.  The
-composition is an ordinary behaviour expression whose instantiations
-name the declared instances (bare, since each instance already carries
-its gates).
+"use" may repeat; the other sections appear at most once.  A list of
+bindings is read by the one rule of every comma list in .asc and .adl
+files, ``TokenStream.items``: bindings separated by commas, possibly
+none, and no trailing comma.  The composition is an ordinary behaviour
+expression whose instantiations name the declared instances (bare,
+since each instance already carries its gates).
 """
 from __future__ import annotations
 
 from ..adl import COMPONENT, CONNECTOR, ArchConfig, ArchElement
 from . import ast
 from .diagnostics import Diagnostic
-from .lexer import IDENT, ParseFailure, TokenStream, parse_or_bail
+from .lexer import ParseFailure, TokenStream, parse_or_bail
 from .parser import _Parser
 
 
@@ -54,20 +56,19 @@ class _AdlParser:
 
     def _bindings(self, role: str) -> list[ArchElement]:
         self.ts.expect_punct("{")
-        out: list[ArchElement] = []
-        while self.ts.kind == IDENT:
-            name = self.ts.expect_ident("an instance name")
-            self.ts.expect_punct("=")
-            process = self.ts.expect_ident("a process name")
-            gates: tuple[str, ...] = ()
-            if self.ts.accept_punct("["):
-                gates = tuple(self.ts.expect_idents("a gate name"))
-                self.ts.expect_punct("]")
-            out.append(ArchElement(name, role, process, gates))
-            if not self.ts.accept_punct(","):
-                break
+        out = self.ts.items(lambda: self._binding(role))
         self.ts.expect_punct("}")
         return out
+
+    def _binding(self, role: str) -> ArchElement:
+        name = self.ts.expect_ident("an instance name")
+        self.ts.expect_punct("=")
+        process = self.ts.expect_ident("a process name")
+        gates: tuple[str, ...] = ()
+        if self.ts.accept_punct("["):
+            gates = tuple(self.ts.expect_idents("a gate name"))
+            self.ts.expect_punct("]")
+        return ArchElement(name, role, process, gates)
 
 
 def parse_adl(text: str) -> tuple[ArchConfig | None, list[Diagnostic]]:

@@ -17,7 +17,9 @@ Layout::
       bc NAME from "file.lot"      (or: bc none)
     end
 
-Sections may appear in any order, each at most once.  Query predicates
+Sections may appear in any order, each at most once.  Every ic list
+is read by one rule, ``TokenStream.items``: entries separated by
+commas, possibly none, and no trailing comma.  Query predicates
 come from the fixed vocabulary; names declared after "exists" are the
 variables, everything else is a constant.
 """
@@ -46,15 +48,21 @@ from .diagnostics import (
 from .lexer import IDENT, TokenStream, parse_or_bail
 
 
-_IC_SECTIONS = (
-    "processes",
-    "in_ports",
-    "out_ports",
-    "in_msgs",
-    "out_msgs",
-    "external_in",
-    "flows",
-)
+# each ic section, in the order of InterfaceContract's fields -> the
+# shape of its entries: what each name names, as a diagnostic says it,
+# and the token after the name ("" after the last)
+_NAME = (("a name", ""),)
+_PORT = (("a name", ":"), ("a name", ""))
+_MESSAGE = (("a name", "->"), ("a name", ""))
+_IC_SECTIONS = {
+    "processes": _NAME,
+    "in_ports": _PORT,
+    "out_ports": _PORT,
+    "in_msgs": _MESSAGE,
+    "out_msgs": _MESSAGE,
+    "external_in": _NAME,
+    "flows": (("a message name", ":"), ("an output port", "->"), ("an input port", "")),
+}
 
 
 class _AscParser:
@@ -152,57 +160,20 @@ class _AscParser:
             if section in parts:
                 self.diagnostics.append(error(f"'{section}' appears twice", self.ts.span(at), MALFORMED_IC))
             self.ts.expect_punct("{")
-            if section in ("processes", "external_in"):
-                parts[section] = self._name_list()
-            elif section in ("in_ports", "out_ports"):
-                parts[section] = self._pair_list(":")
-            elif section in ("in_msgs", "out_msgs"):
-                parts[section] = self._pair_list("->")
-            else:
-                parts[section] = self._flow_list()
+            shape = _IC_SECTIONS[section]
+            parts[section] = tuple(self.ts.items(lambda: self._entry(shape)))
             self.ts.expect_punct("}")
         self.ts.expect_punct("}")
-        return InterfaceContract(
-            participants=parts.get("processes", ()),
-            in_ports=parts.get("in_ports", ()),
-            out_ports=parts.get("out_ports", ()),
-            in_msgs=parts.get("in_msgs", ()),
-            out_msgs=parts.get("out_msgs", ()),
-            external_in=parts.get("external_in", ()),
-            flows=parts.get("flows", ()),
-        )
+        return InterfaceContract(*(parts.get(section, ()) for section in _IC_SECTIONS))
 
-    def _name_list(self) -> tuple[str, ...]:
-        if self.ts.kind != IDENT:
-            return ()
-        return tuple(self.ts.expect_idents("a name"))
-
-    def _pair_list(self, sep: str) -> tuple[tuple[str, str], ...]:
-        pairs: list[tuple[str, str]] = []
-        if self.ts.kind == IDENT:
-            pairs.append(self._pair(sep))
-            while self.ts.accept_punct(","):
-                pairs.append(self._pair(sep))
-        return tuple(pairs)
-
-    def _pair(self, sep: str) -> tuple[str, str]:
-        a = self.ts.expect_ident("a name")
-        self.ts.expect_punct(sep)
-        b = self.ts.expect_ident("a name")
-        return (a, b)
-
-    def _flow_list(self) -> tuple[tuple[str, str, str], ...]:
-        flows: list[tuple[str, str, str]] = []
-        while self.ts.kind == IDENT:
-            msg = self.ts.expect_ident("a message name")
-            self.ts.expect_punct(":")
-            src = self.ts.expect_ident("an output port")
-            self.ts.expect_punct("->")
-            dst = self.ts.expect_ident("an input port")
-            flows.append((msg, src, dst))
-            if not self.ts.accept_punct(","):
-                break
-        return tuple(flows)
+    def _entry(self, shape: tuple[tuple[str, str], ...]) -> str | tuple[str, ...]:
+        """One entry of an ic list: a bare name, or a tuple of names."""
+        names = []
+        for what, after in shape:
+            names.append(self.ts.expect_ident(what))
+            if after:
+                self.ts.expect_punct(after)
+        return tuple(names) if len(names) > 1 else names[0]
 
     # ------------------------------------------------------------------
 

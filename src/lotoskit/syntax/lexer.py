@@ -27,9 +27,9 @@ current token starts, past the last consumed one and its trivia, and
 lexes the text after it again.
 
 ``TokenStream`` also checks the end of input and reads the keyword-led
-sections of .asc and .adl files, and ``parse_or_bail`` gives every reader
-its one contract: a value exactly when there are no diagnostics, and a
-bail-out as one diagnostic.
+sections of .asc and .adl files and their comma lists, and
+``parse_or_bail`` gives every reader its one contract: a value exactly
+when there are no diagnostics, and a bail-out as one diagnostic.
 """
 from __future__ import annotations
 
@@ -67,6 +67,8 @@ _TOKEN = re.compile(
 # the token that starts at an offset, for locate
 _TOKEN_AT = re.compile(f"{_IDENT}|{_STRING}|{_PUNCT}")
 _BRACE = re.compile(r"[{}]")
+
+Value = TypeVar("Value")
 
 
 def locate(text: str, offset: int) -> Span:
@@ -270,6 +272,17 @@ class TokenStream:
             names.append(self.expect_ident(what))
         return names
 
+    def items(self, read: Callable[[], Value]) -> list[Value]:
+        """item ("," item)*, each item read by read(), or no item when the
+        current token is not an identifier.  A comma is always followed
+        by an item, so a list takes no trailing comma."""
+        if self.kind != IDENT:
+            return []
+        out = [read()]
+        while self.accept_punct(","):
+            out.append(read())
+        return out
+
     def expect_eof(self, after: str) -> None:
         """Nothing may follow the closing word after."""
         if self.kind != EOF:
@@ -296,9 +309,6 @@ class TokenStream:
         end = self.advance()
         self.expect_eof("end")
         return found, end
-
-
-Value = TypeVar("Value")
 
 
 def parse_or_bail(read: Callable[[], Value],

@@ -249,8 +249,8 @@ class Monitor(Record):
 
 
 def parse_monitor(text: str) -> tuple[Monitor | None, list[Diagnostic]]:
-    """Line format: "states a b ...", "initial a", "bad a ...",
-    "trans src dst label-pattern"; '#' starts a comment."""
+    """Line format: "states a b ...", "initial a" (exactly once), "bad
+    a ...", "trans src dst label-pattern"; '#' starts a comment."""
     states: list[str] = []
     initial: str | None = None
     bad: set[str] = set()
@@ -270,6 +270,8 @@ def parse_monitor(text: str) -> tuple[Monitor | None, list[Diagnostic]]:
         if head == "states":
             states.extend(rest.split())
         elif head == "initial":
+            if initial is not None:
+                return fail(line_no, "initial appears twice")
             names = rest.split()
             if len(names) != 1:
                 return fail(line_no, "initial takes exactly one state")

@@ -12,7 +12,9 @@ once per "(" and "hide", so the differential tests feed it only shallow
 texts; the parser under test keeps its own stacks.  A message
 names the token found as ``str(Token)`` does: a string literal in double
 quotes as written, another token in single quotes, "end of input" at the
-end; a query variable's diagnostic stands at the variable's token."""
+end; a query variable's diagnostic stands at the variable's token.  No
+comma list of an .asc or .adl file takes a trailing comma, as no list of
+a .lot file does."""
 from __future__ import annotations
 
 import re
@@ -611,16 +613,19 @@ class _AscParser:
 
     def _flow_list(self) -> tuple[tuple[str, str, str], ...]:
         flows: list[tuple[str, str, str]] = []
-        while self.ts.peek().kind == IDENT:
-            msg = self.ts.next()
-            self.ts.expect_punct(":")
-            src = self.ts.expect_ident("an output port")
-            self.ts.expect_punct("->")
-            dst = self.ts.expect_ident("an input port")
-            flows.append((msg.text, src.text, dst.text))
-            if not self.ts.accept_punct(","):
-                break
+        if self.ts.peek().kind == IDENT:
+            flows.append(self._flow())
+            while self.ts.accept_punct(","):
+                flows.append(self._flow())
         return tuple(flows)
+
+    def _flow(self) -> tuple[str, str, str]:
+        msg = self.ts.expect_ident("a message name")
+        self.ts.expect_punct(":")
+        src = self.ts.expect_ident("an output port")
+        self.ts.expect_punct("->")
+        dst = self.ts.expect_ident("an input port")
+        return (msg.text, src.text, dst.text)
 
     # ------------------------------------------------------------------
 
@@ -662,19 +667,22 @@ class _AdlParser:
     def _bindings(self, role: str) -> list[ArchElement]:
         self.ts.expect_punct("{")
         out: list[ArchElement] = []
-        while self.ts.peek().kind == IDENT:
-            name = self.ts.next()
-            self.ts.expect_punct("=")
-            process = self.ts.expect_ident("a process name")
-            gates: tuple[str, ...] = ()
-            if self.ts.accept_punct("["):
-                gates = tuple(self.ts.expect_idents("a gate name"))
-                self.ts.expect_punct("]")
-            out.append(ArchElement(name.text, role, process.text, gates))
-            if not self.ts.accept_punct(","):
-                break
+        if self.ts.peek().kind == IDENT:
+            out.append(self._binding(role))
+            while self.ts.accept_punct(","):
+                out.append(self._binding(role))
         self.ts.expect_punct("}")
         return out
+
+    def _binding(self, role: str) -> ArchElement:
+        name = self.ts.expect_ident("an instance name")
+        self.ts.expect_punct("=")
+        process = self.ts.expect_ident("a process name")
+        gates: tuple[str, ...] = ()
+        if self.ts.accept_punct("["):
+            gates = tuple(self.ts.expect_idents("a gate name"))
+            self.ts.expect_punct("]")
+        return ArchElement(name.text, role, process.text, gates)
 
 
 def parse_spec(text: str) -> tuple[ast.Specification | None, list[Diagnostic]]:

@@ -92,7 +92,7 @@ def test_criterion_2_service_ordering(verdict):
 def test_criterion_3_observer_contract_and_mutations(verdict):
     contract, _ = parse_asc((CORPUS / "observer.asc").read_text())
     facts, _ = parse_facts((CORPUS / "observer.facts").read_text())
-    report = check_asc(contract, facts, base_dir=CORPUS)
+    report = check_asc(contract, facts, load_spec(contract.bc.path))
 
     clean_ok = (
         report.ok
@@ -117,7 +117,7 @@ def test_criterion_3_observer_contract_and_mutations(verdict):
         if mutated is None:
             found = [d.code for d in diags]
         else:
-            mreport = check_asc(mutated, facts, base_dir=CORPUS / "mutations")
+            mreport = check_asc(mutated, facts, load_spec(f"mutations/{mutated.bc.path}"))
             found = [v.code for v in (mreport.ic_violations or [])]
             if mreport.ok:
                 mutations_ok = False

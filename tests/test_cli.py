@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -700,6 +701,23 @@ def test_long_query_is_answered_at_default_limit(capsys, tmp_path):
     assert out.splitlines() == ["contract Deep: ok", "  sc: witness x=B, y=A"]
 
 
+def test_independent_conjuncts_are_answered_quickly(capsys, tmp_path):
+    # the inherit conjunct fails for every binding of x0 and x1; searched
+    # in written order, the query tried all 40^6 bindings of x0..x5
+    query = tmp_path / "six.asc"
+    variables = [f"x{k}" for k in range(6)]
+    atoms = " and ".join([f"class({v})" for v in variables] + ["inherit(x0, x1)"])
+    query.write_text(f"component Six where\n  sc {{ exists {', '.join(variables)} . {atoms} }}\nend\n")
+    facts = tmp_path / "six.facts"
+    facts.write_text("".join(f"class(C{k:02}).\n" for k in range(40))
+                     + "abstract_class(A).\ninherit(D1, D2).\n")
+    started = time.perf_counter()
+    code, out, err = run(capsys, "contract", str(query), "--facts", str(facts))
+    assert time.perf_counter() - started < 1.0
+    assert (code, err) == (1, "")
+    assert out.splitlines() == ["contract Six: FAILED", "  sc: no witness satisfies the structural query"]
+
+
 def test_contract_with_a_deadlocking_behaviour(capsys, tmp_path):
     # the trace prints as verify prints it: "trace: a"
     (tmp_path / "dead.lot").write_text(
@@ -720,9 +738,10 @@ def test_contract_with_an_invalid_behaviour_is_operational(capsys, tmp_path):
     contract = tmp_path / "d.asc"
     contract.write_text('component D where\n  bc X from "invalid.lot"\nend\n')
     code, out, err = run(capsys, "contract", str(contract))
+    invalid = tmp_path / "invalid.lot"
     assert (code, out) == (2, "")
-    assert err.splitlines() == ["lotoskit: behaviour 'X' is not valid: "
-                                "2:13: error[unknown-gate]: gate 'b' is not in scope"]
+    assert err.splitlines() == [f"{invalid}:2:13: error[unknown-gate]: gate 'b' is not in scope",
+                                f"lotoskit: '{invalid}' is not a valid specification"]
 
 
 def test_contract_missing_facts_is_operational(capsys):

@@ -12,7 +12,10 @@ from lotoskit import (
     eval_query,
     parse_asc,
     parse_facts,
+    parse_spec,
+    validate_spec,
 )
+from lotoskit.cli import main
 from lotoskit.contracts import Atom, Const, InterfaceContract, Query, Var
 from lotoskit.contracts import PREDICATES
 
@@ -288,6 +291,72 @@ def test_agrees_with_first_witness(facts, query):
     assert in_order(eval_query(fb, query)) == in_order(query_oracle.first_witness(fb, query))
 
 
+@st.composite
+def grouped_queries(draw):
+    """Two to four groups of conjuncts that share no variable, in any
+    order: a chain of three or four conjuncts written in any order, each
+    sharing a variable with the one before and bringing one fresh
+    variable, or two for "new", or a ground conjunct.  A chain's
+    conjuncts may also test a variable against a unary predicate."""
+    groups = []
+    for g in range(draw(st.integers(2, 4))):
+        if draw(st.integers(0, 3)) == 0:
+            groups.append([Atom(*draw(_terms(draw(st.sampled_from(QUERY_PREDICATES)),
+                                             st.sampled_from(CONSTANTS).map(Const))))])
+            continue
+        names, chain = [Var(f"v{g}0")], []
+        for _ in range(draw(st.integers(3, 4))):
+            if draw(st.integers(0, 2)) == 0:  # two fresh variables
+                names += [Var(f"v{g}{len(names)}"), Var(f"v{g}{len(names) + 1}")]
+                chain.append(Atom("new", draw(st.permutations(names[-3:]))))
+            else:
+                names.append(Var(f"v{g}{len(names)}"))
+                chain.append(Atom(draw(st.sampled_from(("inherit", "associate"))),
+                                  draw(st.permutations(names[-2:]))))
+        chain += [Atom(draw(st.sampled_from(("class", "aspect"))), (v,))
+                  for v in draw(st.lists(st.sampled_from(names), max_size=2))]
+        groups.append(draw(st.permutations(chain)))
+    # interleave the groups, keeping each group's order
+    atoms = []
+    while any(groups):
+        group = draw(st.sampled_from([g for g in groups if g]))
+        atoms.append(group.pop(0))
+    used = list(dict.fromkeys(t.name for atom in atoms for t in atom.args if isinstance(t, Var)))
+    return Query(tuple(draw(st.permutations(used))), tuple(atoms))
+
+
+# denser than facts_lists, so that a quarter of the grouped queries have a witness
+chain_facts = st.lists(
+    st.sampled_from(("class", "aspect", "inherit", "associate", "new"))
+    .flatmap(lambda p: _terms(p, st.sampled_from(CONSTANTS))),
+    min_size=8, max_size=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(chain_facts, grouped_queries())
+@example(  # a chain written back to front, whose groups join last
+    [("inherit", ("A", "B")), ("inherit", ("B", "C")), ("inherit", ("C", "A")), ("class", ("A",))],
+    q(["x", "y", "z", "w"], a("inherit", "z", "w"), a("class", "A"), a("inherit", "y", "z"),
+      a("class", "B"), a("inherit", "x", "y"), a("class", "x")),
+)
+def test_grouped_queries_agree_with_first_witness(facts, query):
+    fb = fact_base(facts)
+    assert in_order(eval_query(fb, query)) == in_order(query_oracle.first_witness(fb, query))
+
+
+def test_independent_groups_are_searched_one_at_a_time():
+    # 40 classes, and an inherit fact no class takes part in: in written
+    # order the search would try 40^6 bindings of x0..x5 before failing
+    fb = base(*(f"class(C{k:02})." for k in range(40)), "abstract_class(A).", "inherit(D1, D2).")
+    variables = [f"x{k}" for k in range(6)]
+    query = q(variables, *(a("class", v) for v in variables), a("inherit", "x0", "x1"))
+    assert eval_query(fb, query) is None
+    witness = {v: "C00" for v in variables}
+    fb = base(*(f"class(C{k:02})." for k in range(40)), "inherit(C00, C00).")
+    assert eval_query(fb, query) == witness
+
+
 # ----------------------------------------------------------------------
 # interface rules
 
@@ -506,11 +575,18 @@ def observer_facts(corpus_dir):
     return fb
 
 
+def valid_spec(path):
+    """The specification of a behaviour file, parsed and valid."""
+    spec, diags = parse_spec(path.read_text())
+    assert not diags and not validate_spec(spec)
+    return spec
+
+
 def test_observer_contract_holds(corpus_dir):
     report = check_asc(
         observer_contract(corpus_dir),
         observer_facts(corpus_dir),
-        base_dir=corpus_dir,
+        valid_spec(corpus_dir / "observer.lot"),
     )
     assert report.ok
     assert report.sc_witness == {
@@ -524,35 +600,56 @@ def test_observer_contract_holds(corpus_dir):
 
 def test_structural_query_needs_facts(corpus_dir):
     with pytest.raises(ContractCheckError):
-        check_asc(observer_contract(corpus_dir), None, base_dir=corpus_dir)
+        check_asc(observer_contract(corpus_dir), None, valid_spec(corpus_dir / "observer.lot"))
 
 
 def test_failing_query_is_a_clean_failure(corpus_dir):
     fb = base("class(Lonely).")
-    report = check_asc(observer_contract(corpus_dir), fb, base_dir=corpus_dir)
+    report = check_asc(observer_contract(corpus_dir), fb, valid_spec(corpus_dir / "observer.lot"))
     assert not report.ok
     assert report.sc_checked and report.sc_witness is None
     assert any("no witness" in line for line in report.lines())
 
 
-def test_missing_behaviour_file(tmp_path):
-    contract, _ = parse_asc('component C where\nbc B from "gone.lot"\nend')
-    with pytest.raises(ContractCheckError):
-        check_asc(contract, base_dir=tmp_path)
+def test_behavioural_part_needs_a_specification():
+    contract, _ = parse_asc('component C where\nbc B from "b.lot"\nend')
+    with pytest.raises(ContractCheckError,
+                       match="^contract 'C' has a behaviour but no specification was given$"):
+        check_asc(contract)
 
 
-def test_broken_behaviour_file(tmp_path):
-    (tmp_path / "bad.lot").write_text("specification X [")
-    contract, _ = parse_asc('component C where\nbc B from "bad.lot"\nend')
-    with pytest.raises(ContractCheckError):
-        check_asc(contract, base_dir=tmp_path)
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
-def test_deadlocking_behaviour_fails_cleanly(tmp_path, corpus_dir):
-    text = (corpus_dir / "deadlocked.lot").read_text()
-    (tmp_path / "dead.lot").write_text(text)
+def test_missing_behaviour_file(capsys, tmp_path):
+    # the command line reads the bc file, and reports it as any input
+    (tmp_path / "c.asc").write_text('component C where\nbc B from "gone.lot"\nend')
+    code, out, err = run(capsys, "contract", str(tmp_path / "c.asc"))
+    gone = tmp_path / "gone.lot"
+    assert (code, out) == (2, "")
+    assert err == f"lotoskit: cannot read '{gone}': [Errno 2] No such file or directory: '{gone}'\n"
+
+
+def test_broken_behaviour_file(capsys, tmp_path):
+    # contract prints what adl prints for the same file as a use file
+    (tmp_path / "bad.lot").write_text("specification X [a] : noexit :=\n  behaviour b; c; stop\nendspec\n")
+    (tmp_path / "c.asc").write_text('component C where\nbc B from "bad.lot"\nend')
+    (tmp_path / "c.adl").write_text('configuration A\nuse "bad.lot"\ncomposition { a }\nend')
+    code, out, err = run(capsys, "contract", str(tmp_path / "c.asc"))
+    bad = tmp_path / "bad.lot"
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"{bad}:2:13: error[unknown-gate]: gate 'b' is not in scope",
+                                f"{bad}:2:16: error[unknown-gate]: gate 'c' is not in scope",
+                                f"lotoskit: '{bad}' is not a valid specification"]
+    assert run(capsys, "adl", str(tmp_path / "c.adl")) == (code, out, err)
+
+
+def test_deadlocking_behaviour_fails_cleanly(corpus_dir):
     contract, _ = parse_asc('component C where\nbc B from "dead.lot"\nend')
-    report = check_asc(contract, base_dir=tmp_path)
+    report = check_asc(contract, behaviour=valid_spec(corpus_dir / "deadlocked.lot"))
     assert not report.ok
     assert report.bc_result is not None and not report.bc_result.ok
     assert report.bc_result.trace == ["b"]
@@ -562,7 +659,8 @@ def mutation_codes(corpus_dir, name):
     contract, diags = parse_asc((corpus_dir / "mutations" / name).read_text())
     if contract is None:
         return [d.code for d in diags]
-    report = check_asc(contract, observer_facts(corpus_dir), base_dir=corpus_dir / "mutations")
+    spec = valid_spec(corpus_dir / "mutations" / contract.bc.path)
+    report = check_asc(contract, observer_facts(corpus_dir), spec)
     assert not report.ok
     return [v.code for v in report.ic_violations]
 
@@ -591,5 +689,5 @@ def test_a_failing_bc_trace_prints_as_verify_prints_it(tmp_path, behaviour, show
     (tmp_path / "b.lot").write_text(
         f"specification X [a] : noexit :=\n  behaviour {behaviour}\nendspec\n")
     contract, _ = parse_asc('component C where\nbc B from "b.lot"\nend')
-    report = check_asc(contract, base_dir=tmp_path)
+    report = check_asc(contract, behaviour=valid_spec(tmp_path / "b.lot"))
     assert report.lines()[-1] == f"  bc: trace {shown}"

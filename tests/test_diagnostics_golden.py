@@ -64,6 +64,11 @@ INVALID_CONTRACTS = {
     "assert": 'component C where\n  assert { @ "x }\n  assert { y }\nend\n',
     "block": "component C where\n  assert { { }\nend\n",
     "missing": "component C where\n  bc none\n",
+    # the bc file is read and reported as any input: a file that is not
+    # there, and one with validation errors, written above
+    "bc-missing": 'component C where\n  bc B from "gone.lot"\nend\n',
+    "bc-invalid": 'component C where\n  bc B from "invalid-gates.lot"\nend\n',
+    "flows-comma": "component C where\n  ic { flows { m: r -> p, } }\nend\n",
 }
 INVALID_CONFIGS = {
     # (replace this, with that) pairs, each done once in corpus/client_server.adl
@@ -73,6 +78,7 @@ INVALID_CONFIGS = {
     "twice": [("composition", "components")],
     "no-composition": [("composition {", "(* composition {"), ("\nend", "*)\nend")],
     "lex": [("end", "end $")],
+    "components-comma": [("terSrv]\n", "terSrv],\n")],
 }
 # edits that break a text: pieces inserted, and names an identifier may become
 SNIPPETS = ("@", '"', "(*", "/*", "*)", ";", "[]", "|[", "]|", "!", "?", ":", "(", ")",

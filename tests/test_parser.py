@@ -562,6 +562,34 @@ def test_corpus_parses_as_the_per_token_parsers_parse():
             assert got == want, (reader, text)
 
 
+# every comma list of an .asc or .adl file, read by one rule
+LIST_KINDS = {
+    "names": ("asc", "processes { A, B, }", "a name"),
+    "ports": ("asc", "in_ports { p: A, }", "a name"),
+    "messages": ("asc", "out_msgs { m -> p, }", "a name"),
+    "flows": ("asc", "flows { m: r -> p, }", "a message name"),
+    "bindings": ("adl", "c = C [a], d = D [b],", "an instance name"),
+}
+
+
+@pytest.mark.parametrize("kind", LIST_KINDS)
+def test_no_list_takes_a_trailing_comma(kind):
+    reader, entries, what = LIST_KINDS[kind]
+    if reader == "asc":
+        text = f"component K where\n  ic {{ {entries} }}\nend\n"
+    else:
+        text = f"configuration K\n  components {{ {entries} }}\n  composition {{ c ||| d }}\nend\n"
+    value, diags = READERS[reader][0](text)
+    assert value is None
+    assert [(d.code, d.message) for d in diags] == [("syntax-error", f"expected {what}, found '}}'")]
+    # at the "}" after the comma
+    assert (diags[0].span.line, diags[0].span.col) == (2, text.splitlines()[1].index(", }") + 3)
+    got, want = read_both(reader, text)
+    assert got == want
+    # without the trailing comma the list reads
+    assert READERS[reader][0](text.replace(", }", " }"))[1] == []
+
+
 # ----------------------------------------------------------------------
 # a lex failure is raised only where the parser reaches it
 

@@ -253,6 +253,14 @@ def test_monitor_parse_errors():
         assert mon is None and diags, text
 
 
+def test_monitor_with_two_initial_lines_is_an_error():
+    # a second initial line would otherwise silently move the start state
+    mon, diags = parse_monitor("states a b\ninitial a\ninitial b\nbad b\n")
+    assert mon is None
+    assert [(d.span.line, d.code, d.message) for d in diags] == [
+        (3, "syntax-error", "initial appears twice")]
+
+
 def test_safety_holds(client_server_lts):
     # terClt only ever carries r1, so watching for r2 never trips
     mon, _ = parse_monitor(
