@@ -34,8 +34,9 @@ class ArchElement(Record):
 
 
 class ArchConfig(Record):
-    """The composition's locations are offsets into the configuration's
-    text, which the hidden slot _source keeps when the config was parsed."""
+    """The composition's locations are token indices into the
+    configuration's text, which the hidden slot _source keeps when the
+    config was parsed."""
 
     __slots__ = ("name", "uses", "elements", "composition", "_source", "_element_table")
     name: str
@@ -202,8 +203,8 @@ def flatten(config: ArchConfig, sources: list[ast.Specification]) -> ast.Specifi
     """Build the specification a valid configuration denotes.  The result
     parses, validates and explores with the ordinary machinery; its top
     gates are the unhidden gates of the composition in first-use order.
-    Its top behaviour is located in the configuration's text, and each
-    process and sort in its own source's."""
+    Its top behaviour's token indices index into the configuration's
+    text, and each process's and sort's into its own source's."""
 
     def bind(b: ast.Behavior) -> ast.Behavior:
         if not isinstance(b, ast.Inst):

@@ -45,7 +45,7 @@ from .diagnostics import (
     UNKNOWN_QUERY_VARIABLE,
     error,
 )
-from .lexer import IDENT, TokenStream, parse_or_bail
+from .lexer import TokenStream, parse_or_bail
 
 
 # each ic section, in the order of InterfaceContract's fields -> the
@@ -154,7 +154,7 @@ class _AscParser:
         parts: dict[str, tuple] = {}
         while not self.ts.at_punct("}"):
             section = self.ts.text.lower()
-            if self.ts.kind != IDENT or section not in _IC_SECTIONS:
+            if section not in _IC_SECTIONS:
                 raise self.ts.expected(f"one of {', '.join(_IC_SECTIONS)}")
             at = self.ts.advance()
             if section in parts:

@@ -9,13 +9,14 @@ key.  Interned terms themselves are compared by identity.  The parser
 and the explorer build nodes all the time, so each node class sets its
 slots in its own ``__init__``.
 
-A parsed node's ``loc`` is the offset of its token in the text it was
-read from, a plain int (None for a node built in code), so a node costs
-no location object; ``lexer.locate(text, loc)`` works out its line and
-column.  The declarations, ``Specification``, ``ProcessDef`` and
-``SortDecl``, keep that text in a hidden slot, ``_source``, so a
-diagnostic can be located even in a specification whose definitions
-come from several files, as ``adl.flatten`` builds.
+A parsed node's ``loc`` is the index of its token among the tokens of
+the text it was read from, a plain int (None for a node built in code),
+so a node costs no location object and parsing works out no offset;
+``lexer.locate(text, loc)`` reads the text again up to that token and
+works out its line and columns.  The declarations, ``Specification``,
+``ProcessDef`` and ``SortDecl``, keep that text in a hidden slot,
+``_source``, so a diagnostic can be located even in a specification
+whose definitions come from several files, as ``adl.flatten`` builds.
 
 This module is also the one place that knows which fields of a node hold
 its behaviour children (``_CHILD_FIELDS``).  Traverse a tree with
@@ -34,7 +35,7 @@ from ..record import Record
 
 class Node(Record):
     """Common base for all syntax nodes.  Every node class inherits loc,
-    the offset of the node's token in its source text, so loc is neither
+    the index of the node's token in its source text, so loc is neither
     compared, hashed nor shown."""
 
     __slots__ = ("loc",)

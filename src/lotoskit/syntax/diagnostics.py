@@ -36,7 +36,7 @@ UNKNOWN_QUERY_VARIABLE = "unknown-query-variable"
 class Span(NamedTuple):
     """Half-open source span; columns count characters, tabs included.
     Only a diagnostic, or a caller of lexer.locate, has one: a syntax
-    node keeps just its token's offset."""
+    node keeps just its token's index."""
 
     line: int
     col: int

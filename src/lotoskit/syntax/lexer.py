@@ -9,22 +9,26 @@ arithmetic anywhere in these grammars, so the reading is unambiguous.
 Comments are ``(* ... *)`` and ``/* ... */``, and both nest.  Each kind
 counts only its own opener, so ``(*`` inside ``/* ... */`` is plain text.
 
-``TokenStream`` lexes its text once, with one compiled regular
-expression, into three flat lists: the kind and the text of each token
-and its start offset.  A parser reads it through a cursor: ``kind`` and
-``text`` are the current token's, ``advance()`` consumes it and returns
-its index.  A syntax node keeps the offset of its token, a plain int;
-``locate(text, offset)`` works out the line and columns of the token at
-an offset, and only a diagnostic, or a caller that asks, calls it.
+``TokenStream`` lexes a text with one ``findall`` of one pattern:
+trivia (whitespace, and comments nested up to ``_DEPTH`` deep), then a
+token, the pattern's one group.  The result is one list of raw token
+texts, a string with its quotes, ending in "".  A parser reads it
+through a cursor (``text``, ``advance()``) and tells a token's kind from
+its text.  A syntax node keeps its token's index; ``spans`` and
+``locate`` read the text again to find a token's line and columns, for a
+diagnostic or a caller that asks.
 
-A text that stops lexing ends in a sentinel token whose kind no rule
-accepts, and which holds the lex failure.  The failure is raised only
-when a parser rejects the sentinel, so an error earlier in the text is
-reported first, as if the text were lexed token by token.  An
-``assert { ... }`` block of an .asc file is free text the token pattern
-may reject: ``raw_brace_block`` reads it from the source where the
-current token starts, past the last consumed one and its trivia, and
-lexes the text after it again.
+A token the pattern cannot read whole takes the rest of the stretch
+being lexed, so no character is passed over unseen.  A comment nested
+deeper than the pattern reads is skipped by ``_skip_comment`` and the
+rest lexed again, a window of lines at a time, so that each such comment
+copies at most a window.  An unterminated comment or string, or a
+character that starts no token, ends the list in "" and is held as the
+lex failure, raised only when a parser rejects that "", so an error
+earlier in the text is reported first, as if the text were lexed token
+by token.  An ``assert { ... }`` block of an .asc file is free text:
+``raw_brace_block`` reads it from the source where the current token
+starts, and lexes the text after it again.
 
 ``TokenStream`` also checks the end of input and reads the keyword-led
 sections of .asc and .adl files and their comma lists, and
@@ -34,16 +38,18 @@ when there are no diagnostics, and a bail-out as one diagnostic.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
+from functools import cache
 from typing import TypeVar
 
 from .diagnostics import LEX_ERROR, SYNTAX_ERROR, Diagnostic, Span, error
 
+# the kinds of token, as TokenStream.kind reads them off a token's text
 IDENT = "ident"
 STRING = "string"
 PUNCT = "punct"
 EOF = "eof"
-# the kind of the sentinel that ends a text which stops lexing
+# the kind of the "" that ends a text which stops lexing
 FAILED = "failed"
 
 # Longest match first.
@@ -53,48 +59,131 @@ _PUNCTUATION = (
 )
 
 _CLOSERS = {"(*": "*)", "/*": "*/"}
-_SPACE = re.compile(r"[ \t\r\n]*")
-_COMMENT = "comment"
+# how deep the token pattern reads nested comments, the outermost counted
+_DEPTH = 3
+_SPACE = "[ \t\r\n]"
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*"
 _STRING = r'"[^"\n]*"'
-_PUNCT = "|".join(map(re.escape, _PUNCTUATION))
-# Whitespace, then a token or a comment opener.  The group names are the
-# token kinds; a comment opener comes before the punctuation "(".
-_TOKEN = re.compile(
-    rf"{_SPACE.pattern}(?:(?P<{IDENT}>{_IDENT})|(?P<{STRING}>{_STRING})"
-    rf"|(?P<{_COMMENT}>{'|'.join(map(re.escape, _CLOSERS))})|(?P<{PUNCT}>{_PUNCT}))"
-)
-# the token that starts at an offset, for locate
-_TOKEN_AT = re.compile(f"{_IDENT}|{_STRING}|{_PUNCT}")
+# the "(" of a comment opener is no token
+_PUNCT = "|".join(r"\((?!\*)" if p == "(" else re.escape(p) for p in _PUNCTUATION)
+
+
+def _comment(opener: str, depth: int) -> str:
+    """A comment opened by opener that nests its own kind up to depth
+    deep, itself counted.  Its body is a run of plain characters, then
+    any number of special ones, each followed by such a run: a nested
+    comment, or the opener's first character or "*" where it starts no
+    opener or closer.  An opener overlapping a closer, as in "(*)", is
+    an opener, since the scan meets it first."""
+    first, last = re.escape(opener[0]), re.escape(_CLOSERS[opener][1])
+    special = rf"{first}(?!\*)|\*(?!{last})"
+    if depth > 1:
+        special += "|" + _comment(opener, depth - 1)
+    plain = rf"[^{first}*]*"
+    return rf"{re.escape(opener)}{plain}(?:(?:{special}){plain})*{re.escape(_CLOSERS[opener])}"
+
+
+_TRIVIA = rf"{_SPACE}*(?:(?:{_comment('(*', _DEPTH)}|{_comment('/*', _DEPTH)}){_SPACE}*)*"
+# a token read whole
+_WHOLE = f"{_IDENT}|{_STRING}|{_PUNCT}"
+_WHOLE_TOKEN = re.compile(_WHOLE)
+# Trivia, then a token, the one group: one read whole, or what starts
+# none, such as the opener of a comment the trivia could not read, with
+# the rest of the stretch lexed (which "(?s:.*)" reaches in one step);
+# at the end, "".
+_TOKEN = re.compile(rf"{_TRIVIA}({_WHOLE}|[^ \t\r\n](?s:.*)|\Z)")
+# After a comment the pattern could not read, the text is lexed a window
+# of at least this many characters, up to a line end, at a time, so that
+# each such comment copies no more than a window as the token that takes
+# the rest.  No token spans a line end, and a comment that spans a
+# window's end is read by the loop.
+_WINDOW = 1 << 12
+# trivia, then a whole token if there is one
+_AT = re.compile(f"{_TRIVIA}({_WHOLE})?")
 _BRACE = re.compile(r"[{}]")
 
 Value = TypeVar("Value")
 
 
-def locate(text: str, offset: int) -> Span:
-    """The span of the token at offset in text: its 1-based line and
-    column, and the column just past it.  Where no token starts (the end
-    of the text, a character that stops lexing) the span is one character
-    wide.  It counts the lines before offset, so it is meant for a
-    diagnostic; the parsers store only offsets."""
-    return locate_all(text, [offset])[offset]
+@cache
+def _skip(n: int) -> re.Pattern[str]:
+    """n whole tokens, each after its trivia, read by one match.  A
+    stretch the token pattern lexed reads only one way, and none reads a
+    comment nested past _DEPTH.  _starts asks for fewer than 32, 32 or
+    1024 tokens, so at most 33 patterns are kept."""
+    return re.compile(f"(?:{_TRIVIA}(?:{_WHOLE})){{{n}}}")
 
 
-def locate_all(text: str, offsets: list[int]) -> dict[int, Span]:
-    """locate's span at each of offsets, by offset, from one pass over
-    text up to the last."""
+def locate(text: str, index: int) -> Span:
+    """The span of token index of text, lexed as the .lot and .adl
+    readers lex it: its 1-based line and column, and the column just past
+    it.  The end of the text, and where it stops lexing, is one character
+    wide.  It reads text again up to the token, so it is meant for a
+    diagnostic; the parsers store only token indices."""
+    return locate_all(text, (index,))[index]
+
+
+def locate_all(text: str, indices: Iterable[int]) -> dict[int, Span]:
+    """locate's span of each of indices, by index, from one pass over text
+    up to the last.  Only where a comment nests past what the token
+    pattern reads, or the index is where lexing stops or past the end,
+    is text lexed first."""
+    indices = list(indices)
+    starts = _starts(text, [(0, 0)], -1, indices)
+    return TokenStream(text).spans(indices) if starts is None else _spans(text, starts)
+
+
+def _starts(source: str, segments: list[tuple[int, int]], last: int,
+            indices: Iterable[int]) -> list[tuple[int, int, int]] | None:
+    """(index, offset, width) of each of indices in ascending order, from
+    one pass over each segment of source up to the last index wanted
+    there, reading the tokens before a wanted one a stride at a time.
+    None where no whole token stands at an index that is neither last
+    nor at the end."""
+    out = []
+    todo = sorted(set(indices), reverse=True)
+    for s, (at, pos) in enumerate(segments):
+        end = segments[s + 1][0] if s + 1 < len(segments) else len(source) + 1
+        while todo and todo[-1] < end:
+            i = todo.pop()
+            while at < i:
+                gap = i - at
+                n = 1024 if gap >= 1024 else 32 if gap >= 32 else gap
+                m = _skip(n).match(source, pos)
+                if m is None:
+                    return None
+                pos, at = m.end(), at + n
+            m = _AT.match(source, pos)
+            token = m.group(1)
+            if token:
+                out.append((i, m.start(1), len(token)))
+            elif i == last or m.end() == len(source):
+                out.append((i, m.end(), 1))
+            else:
+                return None
+            pos, at = m.end(), i + 1
+    return out
+
+
+def _spans(source: str, starts: list[tuple[int, int, int]]) -> dict[int, Span]:
+    """The span at each (index, offset, width) of starts, by index, from
+    one pass that counts the lines up to the last."""
     spans: dict[int, Span] = {}
     line, line_start, counted = 1, 0, 0
-    for offset in sorted(set(offsets)):
-        newlines = text.count("\n", counted, offset)
+    for i, offset, width in starts:
+        newlines = source.count("\n", counted, offset)
         if newlines:
             line += newlines
-            line_start = text.rfind("\n", counted, offset) + 1
+            line_start = source.rfind("\n", counted, offset) + 1
         counted = offset
         col = offset - line_start + 1
-        token = _TOKEN_AT.match(text, offset)
-        spans[offset] = Span(line, col, line, col + (token.end() - offset if token else 1))
+        spans[i] = Span(line, col, line, col + width)
     return spans
+
+
+def _point(text: str, offset: int) -> Span:
+    """The one-character span at offset."""
+    return Span.point(text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
 
 class ParseFailure(Exception):
@@ -109,77 +198,96 @@ class ParseFailure(Exception):
 
 
 class TokenStream:
-    """A text lexed once into flat lists, read through a cursor at token i.
-    The lists end with EOF or the sentinel, which no rule consumes."""
+    """A text lexed into one list of raw token texts, read through a
+    cursor at token i.  The list ends with "", which no rule consumes.
+    Each stretch of the text lexed at once is a segment: the index of its
+    first token and the offset its lexing started from."""
 
-    __slots__ = ("source", "kind", "text", "i", "failure", "_kinds", "_texts", "_starts")
+    __slots__ = ("source", "text", "i", "failure", "_texts", "_segments")
 
     def __init__(self, source: str):
         self.source = source
-        self._kinds: list[str] = []
         self._texts: list[str] = []
-        self._starts: list[int] = []
+        self._segments: list[tuple[int, int]] = []
         self.failure: ParseFailure | None = None
         self._lex(0)
-        self.i, self.kind, self.text = 0, self._kinds[0], self._texts[0]
+        self.i, self.text = 0, self._texts[0]
 
     def _lex(self, pos: int) -> None:
-        """Append the tokens from offset pos on, then EOF or the sentinel."""
-        source = self.source
-        kinds, texts, starts = self._kinds.append, self._texts.append, self._starts.append
-        match = _TOKEN.match
-        try:
-            while m := match(source, pos):
-                kind = m.lastgroup
-                if kind == _COMMENT:
-                    # the sentinel of an unterminated comment starts at its opener
-                    pos = m.start(kind)
+        """Append the tokens from offset pos on, then ""."""
+        source, texts = self.source, self._texts
+        end = len(source)
+        while True:
+            self._segments.append((len(texts), pos))
+            texts += _TOKEN.findall(source, pos, end)
+            if len(texts) > 1 and not texts[-2]:
+                # trivia at the end: the match that read it, and one more at the end
+                texts.pop()
+            last = texts[-2] if len(texts) > 1 else ""
+            if not last or _WHOLE_TOKEN.fullmatch(last):
+                if end == len(source):
+                    return
+                texts.pop()
+                pos, end = end, source.find("\n", end + _WINDOW) + 1 or len(source)
+                continue
+            # a token that took the rest of the window
+            del texts[-2:]
+            pos = end - len(last)
+            if last[:2] in _CLOSERS:
+                try:
                     pos = self._skip_comment(pos)
+                    end = source.find("\n", pos + _WINDOW) + 1 or len(source)
                     continue
-                value = m.group(kind)
-                pos = m.end()
-                kinds(kind)
-                texts(value[1:-1] if kind == STRING else value)
-                starts(pos - len(value))
-            pos = _SPACE.match(source, pos).end()
-            if pos < len(source):
-                ch = source[pos]
-                raise ParseFailure(self._point(pos), "unterminated string literal" if ch == '"'
-                                   else f"unexpected character {ch!r}", LEX_ERROR)
-            kinds(EOF)
-        except ParseFailure as exc:
-            self.failure = exc
-            kinds(FAILED)
-        texts("")
-        starts(pos)
+                except ParseFailure as exc:
+                    self.failure = exc
+            else:
+                message = ("unterminated string literal" if last[0] == '"'
+                           else f"unexpected character {last[0]!r}")
+                self.failure = ParseFailure(_point(source, pos), message, LEX_ERROR)
+            texts.append("")
+            return
+
+    @property
+    def kind(self) -> str:
+        """The current token's kind, read off its text."""
+        text = self.text
+        if not text:
+            return EOF if self.failure is None else FAILED
+        if text[0] == '"':
+            return STRING
+        return IDENT if text[0].isalpha() else PUNCT
 
     def advance(self) -> int:
         """Move past the current token; returns its index."""
         i = self.i
         self.i = j = i + 1
-        self.kind, self.text = self._kinds[j], self._texts[j]
+        self.text = self._texts[j]
         return i
 
+    def spans(self, indices: Iterable[int]) -> dict[int, Span]:
+        """The span of each token of indices, by index; the end and the
+        failure are one character wide."""
+        starts = _starts(self.source, self._segments, len(self._texts) - 1, indices)
+        if starts is None:
+            raise IndexError("no such token")
+        return _spans(self.source, starts)
+
     def span(self, i: int) -> Span:
-        """Token i's span; EOF and the sentinel are one character wide."""
-        return locate(self.source, self._starts[i])
+        return self.spans((i,))[i]
 
     def error(self, message: str) -> ParseFailure:
         """The failure to raise for message at the current token; the lex
-        failure instead when the cursor is on the sentinel."""
-        if self.kind == FAILED:
+        failure instead when the cursor is on the token that holds it."""
+        if not self.text and self.failure is not None:
             return self.failure
         return ParseFailure(self.span(self.i), message)
 
     def expected(self, what: str) -> ParseFailure:
         """The failure of a rule that wanted what at the current token,
         quoted as written if it is a string literal."""
-        quote = '"' if self.kind == STRING else "'"
-        found = "end of input" if self.kind == EOF else f"{quote}{self.text}{quote}"
+        text = self.text
+        found = "end of input" if not text else text if text[0] == '"' else f"'{text}'"
         return self.error(f"expected {what}, found {found}")
-
-    def _point(self, pos: int) -> Span:
-        return Span.point(*locate(self.source, pos)[:2])
 
     def _skip_comment(self, start: int) -> int:
         """The offset just past the comment opened at start, which may
@@ -191,7 +299,7 @@ class TokenStream:
         while True:
             close = text.find(closer, pos)
             if close < 0:
-                raise ParseFailure(self._point(start),
+                raise ParseFailure(_point(text, start),
                                    f"unterminated comment ('{opener}' without '{closer}')", LEX_ERROR)
             # an opener may overlap the closer, as in "(*)", and wins
             nested = text.find(opener, pos, close + 1)
@@ -209,60 +317,68 @@ class TokenStream:
         from the cursor on.  Braces inside must balance; everything else
         is free text.  Returns the inner text, stripped."""
         i = self.i
-        pos = self._starts[i]
-        if not self.source.startswith("{", pos):
-            # only the sentinel of an unterminated comment starts at an opener
-            raise self.failure if self.source[pos:pos + 2] in _CLOSERS else ParseFailure(
-                self._point(pos), "expected '{'", LEX_ERROR)
+        [(_, pos, _)] = _starts(self.source, self._segments, i, (i,))
+        source = self.source
+        if not source.startswith("{", pos):
+            # only the token of an unterminated comment starts at an opener
+            raise self.failure if source[pos:pos + 2] in _CLOSERS else ParseFailure(
+                _point(source, pos), "expected '{'", LEX_ERROR)
         depth = 0
-        for m in _BRACE.finditer(self.source, pos):
+        for m in _BRACE.finditer(source, pos):
             depth += 1 if m.group() == "{" else -1
             if depth == 0:
-                for tokens in (self._kinds, self._texts, self._starts):
-                    del tokens[i:]
+                del self._texts[i:]
+                self._segments = [segment for segment in self._segments if segment[0] < i]
                 self.failure = None
                 self._lex(m.end())
-                self.kind, self.text = self._kinds[i], self._texts[i]
-                return self.source[pos + 1:m.start()].strip()
-        raise ParseFailure(self._point(pos), "unterminated '{' block", LEX_ERROR)
+                self.text = self._texts[i]
+                return source[pos + 1:m.start()].strip()
+        raise ParseFailure(_point(source, pos), "unterminated '{' block", LEX_ERROR)
+
+    # A token's kind follows from its text: an identifier starts with a
+    # letter, a string with '"', and no two kinds share a text.
 
     def at_punct(self, text: str) -> bool:
-        return self.kind == PUNCT and self.text == text
+        return self.text == text
 
     def at_kw(self, word: str) -> bool:
-        return self.kind == IDENT and self.text.lower() == word
+        return self.text.lower() == word
 
     def accept_punct(self, text: str) -> bool:
-        if self.at_punct(text):
+        if self.text == text:
             self.advance()
             return True
         return False
 
     def accept_kw(self, word: str) -> bool:
-        if self.at_kw(word):
+        if self.text.lower() == word:
             self.advance()
             return True
         return False
 
     def expect_punct(self, text: str) -> int:
-        if not self.at_punct(text):
+        if self.text != text:
             raise self.expected(f"'{text}'")
         return self.advance()
 
     def expect_kw(self, word: str) -> int:
-        if not self.at_kw(word):
+        if self.text.lower() != word:
             raise self.expected(f"'{word}'")
         return self.advance()
 
     def expect_ident(self, what: str) -> str:
-        if self.kind != IDENT:
+        text = self.text
+        if not text[:1].isalpha():
             raise self.expected(what)
-        return self._texts[self.advance()]
+        self.advance()
+        return text
 
     def expect_file_name(self) -> str:
-        if self.kind != STRING:
+        text = self.text
+        if text[:1] != '"':
             raise self.expected("a quoted file name")
-        return self._texts[self.advance()]
+        self.advance()
+        return text[1:-1]
 
     def expect_idents(self, what: str) -> list[str]:
         """IDENT ("," IDENT)*: the texts of one or more comma-separated
@@ -276,7 +392,7 @@ class TokenStream:
         """item ("," item)*, each item read by read(), or no item when the
         current token is not an identifier.  A comma is always followed
         by an item, so a list takes no trailing comma."""
-        if self.kind != IDENT:
+        if not self.text[:1].isalpha():
             return []
         out = [read()]
         while self.accept_punct(","):
@@ -285,8 +401,11 @@ class TokenStream:
 
     def expect_eof(self, after: str) -> None:
         """Nothing may follow the closing word after."""
-        if self.kind != EOF:
-            raise self.error(f"unexpected '{self.text}' after {after}")
+        text = self.text
+        if text or self.failure is not None:
+            # a string literal is named without its quotes
+            name = text[1:-1] if text[:1] == '"' else text
+            raise self.error(f"unexpected '{name}' after {after}")
 
     def sections(self, what: str, handlers: dict[str, Callable[[], object]],
                  repeatable: frozenset[str] = frozenset()) -> tuple[dict[str, object], int]:
@@ -296,12 +415,12 @@ class TokenStream:
         index of the "end" token."""
         found: dict[str, object] = {}
         while not self.at_kw("end"):
-            if self.kind == EOF:
+            if not self.text:
                 raise self.error("missing 'end'")
             part = self.text.lower()
             if part in found and part not in repeatable:
                 raise self.error(f"section '{part}' appears twice")
-            handler = handlers.get(part) if self.kind == IDENT else None
+            handler = handlers.get(part)
             if handler is None:
                 raise self.expected(f"a {what} section")
             self.advance()

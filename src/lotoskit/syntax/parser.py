@@ -37,9 +37,11 @@ an instantiation.  Send offers "!v" are resolved against the declared sort
 values at parse time; unknown names become variable references and are
 checked later by the validator.
 
-Each node's ``loc`` is the offset of its token, read from the stream's
-list of token starts, so parsing works out no line or column; the
-specification, its processes and its sorts keep the text (see ``ast``).
+Each node's ``loc`` is the index of its token in the stream, so parsing
+works out no offset, line or column; the specification, its processes
+and its sorts keep the text (see ``ast``).  A token's kind follows from
+its text: an identifier starts with a letter, and a string keeps its
+quotes, so no punctuation or keyword test can take a string.
 
 A LOTOS "library" clause after ":=" is rejected at its keyword, like any
 other shape the parser does not read, but with its own code
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 from . import ast
 from .diagnostics import LIBRARY_NOT_SUPPORTED, Diagnostic
-from .lexer import IDENT, PUNCT, ParseFailure, TokenStream, parse_or_bail
+from .lexer import ParseFailure, TokenStream, parse_or_bail
 
 _FUNCTIONALITIES = ("noexit", "exit")
 # identifiers that end an action prefix chain rather than name an action
@@ -89,13 +91,13 @@ class _Parser:
 
     def _sorts_section(self) -> list[ast.SortDecl]:
         decls: list[ast.SortDecl] = []
-        while self.ts.kind == IDENT and not self.ts.at_kw("behaviour") and not self.ts.at_kw("behavior"):
+        while self.ts.text[:1].isalpha() and not self.ts.at_kw("behaviour") and not self.ts.at_kw("behavior"):
             name, at = self.ts.text, self.ts.advance()
             self.ts.expect_punct("=")
             self.ts.expect_punct("{")
             values = self.ts.expect_idents("a value name")
             self.ts.expect_punct("}")
-            decls.append(ast.SortDecl(name, tuple(values), self.ts._starts[at], self.ts.source))
+            decls.append(ast.SortDecl(name, tuple(values), at, self.ts.source))
             for v in values:
                 self.value_sorts.setdefault(v, name)
         if not decls:
@@ -114,14 +116,14 @@ class _Parser:
         ")", "hide" at the first token after an operand that is no binary
         operator, and the enclosing frame reads that token again."""
         ts = self.ts
-        # pending holds (left operand, (level, node class, parallel kind), gates, offset)
+        # pending holds (left operand, (level, node class, parallel kind), gates, token index)
         frames, pending = [], []
         while True:
             actions: list[ast.ActionExpr] = []
             operand = self._prefix(actions)
             if operand is None:
                 at, gates = ts.advance(), None
-                if ts._kinds[at] == IDENT:
+                if ts._texts[at] != "(":
                     gates = frozenset(ts.expect_idents("a gate name"))
                     ts.expect_kw("in")
                 frames.append((at, gates, actions, pending))
@@ -131,7 +133,7 @@ class _Parser:
                 while actions:
                     action = actions.pop()
                     operand = ast.Prefix(action, operand, action.loc)
-                entry = ast.OPERATORS.get(ts.text) if ts.kind == PUNCT else None
+                entry = ast.OPERATORS.get(ts.text)
                 # any other token ends the frame's expression: reduce it all
                 level = entry[0] if entry else 0
                 while pending and pending[-1][1][0] >= level:
@@ -146,8 +148,8 @@ class _Parser:
                 if gates is None:
                     ts.expect_punct(")")
                 else:
-                    operand = ast.Hide(gates, operand, ts._starts[at])
-            loc, gates = ts._starts[ts.advance()], frozenset()
+                    operand = ast.Hide(gates, operand, at)
+            loc, gates = ts.advance(), frozenset()
             if entry[2] is ast.ParKind.GATES:
                 gates = frozenset(ts.expect_idents("a gate name"))
                 ts.expect_punct("]|")
@@ -158,33 +160,31 @@ class _Parser:
         return the operand they prefix, or None where "(" or "hide" opens it."""
         ts = self.ts
         while True:
-            if ts.kind != IDENT or ts.text.lower() in _BEHAVIOUR_KEYWORDS:
+            if not ts.text[:1].isalpha() or ts.text.lower() in _BEHAVIOUR_KEYWORDS:
                 if ts.at_kw("stop"):
-                    return ast.Stop(ts._starts[ts.advance()])
+                    return ast.Stop(ts.advance())
                 if ts.at_kw("exit"):
-                    return ast.Exit(ts._starts[ts.advance()])
+                    return ast.Exit(ts.advance())
                 if ts.at_punct("(") or ts.at_kw("hide"):
                     return None
                 raise ts.expected("a behaviour expression")
             # identifier: action prefix or process instantiation
             name, at = ts.text, ts.advance()
-            follow = ts.text if ts.kind == PUNCT else None
-            if follow == ";":
+            if ts.text == ";":
                 ts.advance()
-                loc = ts._starts[at]
-                actions.append(ast.InternalAction(loc) if name == "i" else ast.Comm(name, (), loc))
-            elif follow in ("!", "?"):
+                actions.append(ast.InternalAction(at) if name == "i" else ast.Comm(name, (), at))
+            elif ts.text in ("!", "?"):
                 actions.append(self._finish_action(name, at))
                 ts.expect_punct(";")
             else:
-                return ast.Inst(name, self._gate_list(empty_brackets_ok=False), ts._starts[at])
+                return ast.Inst(name, self._gate_list(empty_brackets_ok=False), at)
 
     def _finish_action(self, gate: str, at: int) -> ast.Comm:
         ts = self.ts
         offers: list[ast.Offer] = []
-        while (offer := ts.text if ts.kind == PUNCT else None) in ("!", "?"):
+        while (offer := ts.text) in ("!", "?"):
             ts.advance()
-            loc = ts._starts[ts.i]
+            loc = ts.i
             if offer == "!":
                 name = ts.expect_ident("a value or variable name")
                 if name in self.value_sorts:
@@ -197,7 +197,7 @@ class _Parser:
                 ts.expect_punct(":")
                 sort = ts.expect_ident("a sort name")
                 offers.append(ast.Receive(name, sort, loc))
-        return ast.Comm(gate, tuple(offers), ts._starts[at])
+        return ast.Comm(gate, tuple(offers), at)
 
     # ------------------------------------------------------------------
     # top level
@@ -239,7 +239,7 @@ class _Parser:
             sorts=tuple(sorts),
             processes=tuple(processes),
             top_behavior=top,
-            loc=self.ts._starts[head],
+            loc=head,
             source=self.ts.source,
         )
 
@@ -253,7 +253,7 @@ class _Parser:
         body = self.behaviour()
         if not (self.ts.accept_kw("endproc") or self.ts.accept_kw("endprocess")):
             raise self.ts.expected("'endproc'")
-        return ast.ProcessDef(name, gates, func, body, self.ts._starts[head], self.ts.source)
+        return ast.ProcessDef(name, gates, func, body, head, self.ts.source)
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,8 @@ a gate name.  Transition labels are text whose first word is the gate,
 action or as successful termination.
 
 The checks pass nodes around and record a diagnostic with its node's
-offset and the text of the definition that holds it; the locations are
-worked out at the end, in one pass over each text.  A node built in
+token index and the text of the definition that holds it; the locations
+are worked out at the end, in one pass over each text.  A node built in
 code, or one whose definition keeps no text, is reported at 1:1.
 """
 from __future__ import annotations
@@ -44,10 +44,10 @@ def validate_spec(spec: ast.Specification) -> list[Diagnostic]:
 class _Validator:
     def __init__(self, spec: ast.Specification):
         self.spec = spec
-        # (message, offset, the text it indexes into, code) per diagnostic
+        # (message, token index, the text it indexes into, code) per diagnostic
         self.found: list[tuple[str, int | None, str | None, str]] = []
         self.values = spec.value_sorts()
-        # the text the offsets of the definition being checked index into
+        # the text the token indices of the definition being checked index into
         self.source: str | None = None
 
     def _err(self, message: str, node: ast.Node, code: str) -> None:
@@ -70,11 +70,11 @@ class _Validator:
             self.source = p._source
             self._check_behavior(p.body, frozenset(p.formal_gates), {})
 
-        offsets: dict[str, list[int]] = {}
+        indices: dict[str, list[int]] = {}
         for _, loc, source, _ in self.found:
             if loc is not None and source is not None:
-                offsets.setdefault(source, []).append(loc)
-        spans = {source: locate_all(source, locs) for source, locs in offsets.items()}
+                indices.setdefault(source, []).append(loc)
+        spans = {source: locate_all(source, locs) for source, locs in indices.items()}
         return [error(message, spans.get(source, {}).get(loc), code)
                 for message, loc, source, code in self.found]
 

@@ -253,9 +253,13 @@ def parse_monitor(text: str) -> tuple[Monitor | None, list[Diagnostic]]:
     a ...", "trans src dst label-pattern"; '#' starts a comment."""
     states: list[str] = []
     initial: str | None = None
-    bad: set[str] = set()
     rules: list[tuple[str, str, LabelPattern]] = []
     diags: list[Diagnostic] = []
+    # the line that names each state: the initial's, each bad state's
+    # first, and each rule's
+    initial_line = 0
+    bad: dict[str, int] = {}
+    rule_lines: list[int] = []
 
     def fail(line_no: int, message: str) -> tuple[None, list[Diagnostic]]:
         diags.append(error(message, Span.point(line_no, 1), SYNTAX_ERROR))
@@ -275,9 +279,10 @@ def parse_monitor(text: str) -> tuple[Monitor | None, list[Diagnostic]]:
             names = rest.split()
             if len(names) != 1:
                 return fail(line_no, "initial takes exactly one state")
-            initial = names[0]
+            initial, initial_line = names[0], line_no
         elif head == "bad":
-            bad.update(rest.split())
+            for name in rest.split():
+                bad.setdefault(name, line_no)
         elif head == "trans":
             fields = rest.split(None, 2)
             if len(fields) < 3:
@@ -288,15 +293,18 @@ def parse_monitor(text: str) -> tuple[Monitor | None, list[Diagnostic]]:
             except ValueError as exc:
                 return fail(line_no, str(exc))
             rules.append((src, dst, pat))
+            rule_lines.append(line_no)
         else:
             return fail(line_no, f"unknown directive '{head}'")
 
     if initial is None:
         return fail(1, "monitor has no initial state")
     known = set(states)
-    for name in [initial, *sorted(bad)] + [s for r in rules for s in r[:2]]:
+    named = [(initial, initial_line), *((name, bad[name]) for name in sorted(bad))]
+    named += [(name, line_no) for rule, line_no in zip(rules, rule_lines) for name in rule[:2]]
+    for name, line_no in named:
         if name not in known:
-            return fail(1, f"state '{name}' is not listed under 'states'")
+            return fail(line_no, f"state '{name}' is not listed under 'states'")
     return Monitor(tuple(states), initial, frozenset(bad), tuple(rules)), diags
 
 

@@ -47,20 +47,22 @@ from lotoskit.syntax.diagnostics import (
     UNKNOWN_QUERY_VARIABLE,
     error,
 )
-from lotoskit.syntax.lexer import (
-    _BRACE,
-    _CLOSERS,
-    _COMMENT,
-    _SPACE,
-    _TOKEN,
-    EOF,
-    IDENT,
-    PUNCT,
-    STRING,
-    ParseFailure,
-    parse_or_bail,
-)
+from lotoskit.syntax.lexer import EOF, IDENT, PUNCT, STRING, ParseFailure, parse_or_bail
 from lotoskit.syntax.parser import _FUNCTIONALITIES
+from lex_oracle import PUNCTUATION
+
+# The token pattern of the lexer that lexed one token at a time:
+# whitespace, then a token or a comment opener, the group names being the
+# token kinds; a comment opener comes before the punctuation "(".
+_CLOSERS = {"(*": "*)", "/*": "*/"}
+_SPACE = re.compile(r"[ \t\r\n]*")
+_COMMENT = "comment"
+_TOKEN = re.compile(
+    rf"{_SPACE.pattern}(?:(?P<{IDENT}>[A-Za-z][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*)"
+    rf'|(?P<{STRING}>"[^"\n]*")|(?P<{_COMMENT}>{"|".join(map(re.escape, _CLOSERS))})'
+    rf"|(?P<{PUNCT}>{'|'.join(map(re.escape, PUNCTUATION))}))"
+)
+_BRACE = re.compile(r"[{}]")
 
 
 class Token:

@@ -237,6 +237,16 @@ def write_chain(tmp_path, in_process=False):
     return deep
 
 
+def test_check_reads_5000_nested_hides_at_the_default_limit(capsys, tmp_path):
+    """No command hashes, compares or prints a deep syntax tree: records
+    do that through their fields, one level of recursion per level."""
+    deep = tmp_path / "hides.lot"
+    deep.write_text("specification S [g] : noexit :=\n  behaviour " + "hide g in " * 5000
+                    + "g; stop\nendspec\n")
+    code, out, err = run_at_default_limit(capsys, "check", str(deep))
+    assert (code, out, err) == (0, "S: ok (0 process(es), 0 sort(s))\n", "")
+
+
 def test_too_deep_input_is_operational_error(capsys, tmp_path):
     deep = tmp_path / "deep.lot"
     deep.write_text(
@@ -528,6 +538,22 @@ def test_verify_safety_bad_monitor(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "safety", corpus("multicast.lot"), str(mon))
     assert code == 2
     assert "not a valid monitor" in err
+
+
+@pytest.mark.parametrize("text, where", [
+    ("states a b\ninitial a\nbad c\n", "3:1: error[syntax-error]: state 'c'"),
+    ("states a b\n\ninitial c\nbad b\n", "3:1: error[syntax-error]: state 'c'"),
+    ("states a b\ninitial a\nbad b\n# a comment\ntrans a b g\ntrans b z g\n",
+     "6:1: error[syntax-error]: state 'z'"),
+], ids=["bad", "initial", "trans"])
+def test_an_unlisted_monitor_state_is_reported_where_it_is_named(capsys, tmp_path, text, where):
+    aut, mon = tmp_path / "x.aut", tmp_path / "bad.mon"
+    aut.write_text('des (0, 1, 2)\n(0, "a", 1)\n')
+    mon.write_text(text)
+    code, out, err = run(capsys, "verify", "safety", str(aut), str(mon))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"{mon}:{where} is not listed under 'states'",
+                                f"lotoskit: '{mon}' is not a valid monitor"]
 
 
 def test_verify_bisim(capsys):

@@ -1,12 +1,13 @@
 """Every diagnostic the command line prints for the corpus, its mutations
 and seeded invalid inputs, in text and in JSON, against the outputs kept
 in ``diagnostics_golden.txt``.  The library's diagnostics are kept there
-too, with their whole spans, end column included.
+too, with their whole spans, end column included.  The last case is a
+safety monitor that names a state it does not list.
 
-The golden file was written before source positions became offsets that
-are resolved only for a diagnostic, so it pins that no code, message,
-line or column moved.  To write it again (only for a change that means
-to alter a diagnostic, and say so)::
+The golden file was written before source positions became offsets, and
+then token indices, that are resolved only for a diagnostic, so it pins
+that no code, message, line or column moved.  To write it again (only
+for a change that means to alter a diagnostic, and say so)::
 
     PYTHONPATH=src python tests/test_diagnostics_golden.py > tests/diagnostics_golden.txt
 """
@@ -27,6 +28,7 @@ from lotoskit import cli
 from lotoskit.syntax import parse_spec, pretty_spec, validate_spec
 from lotoskit.syntax.adlparse import parse_adl
 from lotoskit.syntax.asc import parse_asc
+from lotoskit.verify import parse_monitor
 
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE.parent / "corpus"
@@ -80,6 +82,9 @@ INVALID_CONFIGS = {
     "lex": [("end", "end $")],
     "components-comma": [("terSrv]\n", "terSrv],\n")],
 }
+# a safety monitor whose bad state is not listed, checked against this system
+INVALID_MONITOR = "states a b\ninitial a\n# the bad state is not listed\nbad c\n"
+SAFETY_AUT = 'des (0, 1, 2)\n(0, "a", 1)\n'
 # edits that break a text: pieces inserted, and names an identifier may become
 SNIPPETS = ("@", '"', "(*", "/*", "*)", ";", "[]", "|[", "]|", "!", "?", ":", "(", ")",
             "hide", "stop", "exit", "endspec", "endproc", "process", "i", "\n", "\t")
@@ -173,6 +178,10 @@ def render(workdir: Path) -> str:
         path = f"seeded-{seed}.lot"
         (workdir / path).write_text(seeded_invalid_spec(seed))
         lines += _check_both(path)
+    (workdir / "safety.aut").write_text(SAFETY_AUT)
+    (workdir / "invalid-unlisted.mon").write_text(INVALID_MONITOR)
+    lines += _run(["verify", "safety", "safety.aut", "invalid-unlisted.mon"])
+    lines += _library(parse_monitor(INVALID_MONITOR)[1])
     return "\n".join(lines) + "\n"
 
 

@@ -1,12 +1,25 @@
 """The token stream against the character-by-character oracle, and the
 comment rules."""
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import parse_oracle
 from lex_oracle import PUNCTUATION, OracleLexer
-from lotoskit.syntax import ast
-from lotoskit.syntax.lexer import EOF, FAILED, PUNCT, ParseFailure, TokenStream, locate, locate_all
+from lotoskit.syntax import ast, lexer, parse_spec
+from lotoskit.syntax.lexer import (
+    _DEPTH,
+    EOF,
+    FAILED,
+    PUNCT,
+    STRING,
+    ParseFailure,
+    TokenStream,
+    locate,
+    locate_all,
+)
 
 ALPHABET = (
     "(*", "*)", "/*", "*/", '"', "{", "}", "\n", "\t", "\r", " ", "-", "_",
@@ -14,6 +27,29 @@ ALPHABET = (
 )
 
 texts = st.lists(st.sampled_from(ALPHABET), max_size=60).map("".join)
+
+# what the token pattern cannot read whole
+STRAYS = ("\v", "\f", "é", "@", '"', '"open\n', "(*", "/*", "(* open", "/* open")
+
+
+@st.composite
+def deep_comments(draw):
+    """A comment nested one or two levels deeper than the token pattern
+    reads, of one kind or with the other kind's markers inside, each
+    level with text of the alphabet around its nested comment; now and
+    then a level is left unterminated."""
+    opener = draw(st.sampled_from(("(*", "/*")))
+    closer = {"(*": "*)", "/*": "*/"}[opener]
+    body = ""
+    for _ in range(draw(st.integers(_DEPTH + 1, _DEPTH + 2))):
+        before = draw(texts.filter(lambda t: len(t) < 8))
+        after = draw(st.sampled_from(("", " ", "x", "*", "(", "/", "(*)")))
+        body = f"{opener}{before}{body}{after}" + ("" if draw(st.integers(0, 9)) == 0 else closer)
+    return body
+
+
+deep_texts = st.lists(st.one_of(st.sampled_from(ALPHABET + STRAYS), deep_comments()),
+                      max_size=16).map("".join)
 
 
 def fields(span):
@@ -26,11 +62,12 @@ def failure(exc):
 
 def stream_tokens(ts):
     """Every token from the cursor on: (kind, text, span fields), ending
-    with EOF or the stored lex failure."""
+    with EOF or the stored lex failure.  A string's text is given without
+    its quotes, as the oracle gives it."""
     out = []
     while ts.kind != EOF and ts.kind != FAILED:
         kind, text, i = ts.kind, ts.text, ts.advance()
-        out.append((kind, text, fields(ts.span(i))))
+        out.append((kind, text[1:-1] if kind == STRING else text, fields(ts.span(i))))
     if ts.kind == FAILED:
         return out + [failure(ts.failure)]
     return out + [(EOF, "", fields(ts.span(ts.i)))]
@@ -54,8 +91,42 @@ def test_token_stream_matches_oracle(text):
     assert stream_tokens(TokenStream(text)) == oracle_tokens(OracleLexer(text))
 
 
+@settings(max_examples=500, deadline=None)
+@given(deep_texts)
+def test_comments_nested_deeper_than_the_pattern_match_oracle(text):
+    """A comment nested past the pattern's depth is skipped by the loop,
+    and an unterminated one, a stray character or an open string fails
+    where the oracle fails."""
+    assert stream_tokens(TokenStream(text)) == oracle_tokens(OracleLexer(text))
+
+
 @settings(max_examples=300, deadline=None)
-@given(texts, st.lists(st.integers(0, 40), min_size=1, max_size=4))
+@given(deep_texts)
+@example("(*" * (_DEPTH + 1) + "*)" * (_DEPTH + 1) + ' "a b"\n"c d" e')
+def test_lexing_a_window_at_a_time_matches_oracle(text):
+    """After a comment the pattern cannot read, the rest is lexed a
+    window at a time, up to a line end; with a window of one character
+    each line is one, and the tokens, their spans and the failure are
+    still the oracle's."""
+    with mock.patch.object(lexer, "_WINDOW", 1):
+        assert stream_tokens(TokenStream(text)) == oracle_tokens(OracleLexer(text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(deep_texts)
+def test_a_syntax_error_before_a_lex_failure_is_reported(text):
+    """Whatever follows "endspec", the stray ";" before it is the error
+    reported; without it, the per-token parser's diagnostic is, the lex
+    failure if the text after "endspec" starts with one."""
+    head = "specification S [g] : noexit := behaviour g; ; stop\n endspec "
+    _, diags = parse_spec(head + text)
+    assert [(d.code, d.span[:2]) for d in diags] == [("syntax-error", (1, 46))]
+    mended = head.replace("; ;", ";") + text
+    assert parse_spec(mended)[1] == parse_oracle.parse_spec(mended)[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(texts, deep_texts), st.lists(st.integers(0, 40), min_size=1, max_size=4))
 def test_raw_brace_block_matches_oracle(text, counts):
     """After any number of consumed tokens, up to all before EOF or the
     lex failure, the block is read from the end of the last one, and the
@@ -84,14 +155,26 @@ def test_raw_brace_block_matches_oracle(text, counts):
 
 
 @settings(max_examples=300, deadline=None)
-@given(texts, st.lists(st.integers(0, 60), max_size=8))
-def test_locating_many_offsets_at_once_locates_each(text, offsets):
-    offsets = [min(offset, len(text)) for offset in offsets]
-    assert locate_all(text, offsets) == {offset: locate(text, offset) for offset in offsets}
-    for offset in offsets:
-        line, col = locate(text, offset)[:2]
-        before = text[:offset].split("\n")
-        assert (line, col) == (len(before), len(before[-1]) + 1)
+@given(st.one_of(texts, deep_texts), st.lists(st.integers(0, 40), max_size=8))
+def test_locating_many_tokens_at_once_locates_each(text, indices):
+    """locate_all gives each token index locate's span, the oracle's span
+    of that token; the end, and where lexing stops, are one character wide."""
+    tokens = oracle_tokens(OracleLexer(text))
+    want = [entry[1] if entry[0] == "failure" else entry[2] for entry in tokens]
+    indices = [index % len(want) for index in indices]
+    spans = locate_all(text, indices)
+    assert spans == {index: locate(text, index) for index in indices}
+    assert {i: fields(span) for i, span in spans.items()} == {i: want[i] for i in indices}
+
+
+def test_a_comment_nested_past_the_pattern_is_skipped_and_located_past():
+    deep = "(*" * (_DEPTH + 1) + " x " + "*)" * (_DEPTH + 1)
+    text = f"a {deep} b\n{deep}c"
+    ts = TokenStream(text)
+    assert [ts.expect_ident("a name") for _ in range(3)] == ["a", "b", "c"]
+    want = {0: (1, 1), 1: (1, len(deep) + 4), 2: (2, len(deep) + 1), 3: (2, len(deep) + 2)}
+    for spans in (ts.spans(range(4)), locate_all(text, range(4))):
+        assert {i: span[:2] for i, span in spans.items()} == want
 
 
 def test_each_comment_kind_nests_only_its_own_opener():

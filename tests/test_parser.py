@@ -75,7 +75,9 @@ def test_lexer_string_token():
     ts = TokenStream('use "dir/file.lot"')
     assert ts.text == "use"
     ts.advance()
-    assert ts.kind == STRING and ts.text == "dir/file.lot"
+    # the raw token text keeps its quotes; the file name is what is inside
+    assert ts.kind == STRING and ts.text == '"dir/file.lot"'
+    assert ts.expect_file_name() == "dir/file.lot"
 
 
 def test_lexer_hyphenated_identifier():
@@ -517,7 +519,7 @@ def node_locs(value, text=None):
     the specification's, sorts' and processes' own.  A contract has none.
 
     The per-token parsers' nodes hold spans.  With text, the value is a
-    reader's: each loc must be an offset, and is resolved to a span
+    reader's: each loc must be a token index, and is resolved to a span
     through the text its definition keeps (a bare behaviour's is text)."""
 
     def at(nodes, source):
