@@ -98,8 +98,6 @@ _TOKEN = re.compile(rf"{_TRIVIA}({_WHOLE}|[^ \t\r\n](?s:.*)|\Z)")
 # the rest.  No token spans a line end, and a comment that spans a
 # window's end is read by the loop.
 _WINDOW = 1 << 12
-# trivia, then a whole token if there is one
-_AT = re.compile(f"{_TRIVIA}({_WHOLE})?")
 _BRACE = re.compile(r"[{}]")
 
 Value = TypeVar("Value")
@@ -112,6 +110,13 @@ def _skip(n: int) -> re.Pattern[str]:
     comment nested past _DEPTH.  _starts asks for fewer than 32, 32 or
     1024 tokens, so at most 33 patterns are kept."""
     return re.compile(f"(?:{_TRIVIA}(?:{_WHOLE})){{{n}}}")
+
+
+@cache
+def _at() -> re.Pattern[str]:
+    """Trivia, then a whole token if there is one.  Only locating a token
+    reads it, so it is compiled on first use, not by every command."""
+    return re.compile(f"{_TRIVIA}({_WHOLE})?")
 
 
 def locate(text: str, index: int) -> Span:
@@ -142,6 +147,7 @@ def _starts(source: str, segments: list[tuple[int, int]], last: int,
     nor at the end."""
     out = []
     todo = sorted(set(indices), reverse=True)
+    token_at = _at().match
     for s, (at, pos) in enumerate(segments):
         end = segments[s + 1][0] if s + 1 < len(segments) else len(source) + 1
         while todo and todo[-1] < end:
@@ -153,7 +159,7 @@ def _starts(source: str, segments: list[tuple[int, int]], last: int,
                 if m is None:
                     return None
                 pos, at = m.end(), at + n
-            m = _AT.match(source, pos)
+            m = token_at(source, pos)
             token = m.group(1)
             if token:
                 out.append((i, m.start(1), len(token)))

@@ -532,6 +532,17 @@ def test_violation_within_budget_is_reported(capsys):
                    "(stopped after 5 states and 4 transitions at depth 4)\n")
 
 
+def test_a_monitor_with_no_bad_state_says_so(capsys, tmp_path):
+    aut, mon = tmp_path / "g.aut", tmp_path / "m.mon"
+    aut.write_text('des (0, 2, 2)\n(0, "a", 1)\n(1, "b", 0)\n')
+    mon.write_text("states a\ninitial a\n")
+    code, out, err = run(capsys, "verify", "safety", str(aut), str(mon))
+    assert (code, out, err) == (0, "safety: ok (monitor has no bad state)\n", "")
+    code, out, _ = run(capsys, "verify", "safety", str(aut), str(mon), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["detail"] == "monitor has no bad state"
+
+
 def test_verify_safety_bad_monitor(capsys, tmp_path):
     mon = tmp_path / "bad.mon"
     mon.write_text("states a\n")
