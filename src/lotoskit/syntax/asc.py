@@ -68,7 +68,17 @@ _IC_SECTIONS = {
 class _AscParser:
     def __init__(self, stream: TokenStream):
         self.ts = stream
+        # (message, token index, code) per diagnostic, located after the parse
+        self.found: list[tuple[str, int, str]] = []
         self.diagnostics: list[Diagnostic] = []
+
+    def read(self) -> AscContract:
+        """The contract, with every diagnostic found located by one pass
+        over the text."""
+        contract = self.contract()
+        spans = self.ts.spans(at for _, at, _ in self.found)
+        self.diagnostics += [error(message, spans[at], code) for message, at, code in self.found]
+        return contract
 
     # ------------------------------------------------------------------
 
@@ -102,9 +112,7 @@ class _AscParser:
         declared = set()
         for k, v in enumerate(variables):
             if v in declared:
-                self.diagnostics.append(
-                    error(f"variable '{v}' is declared twice", self.ts.span(first + 2 * k), DUPLICATE_DEFINITION)
-                )
+                self.found.append((f"variable '{v}' is declared twice", first + 2 * k, DUPLICATE_DEFINITION))
             declared.add(v)
 
         atoms = [self._atom(declared)]
@@ -114,12 +122,8 @@ class _AscParser:
         used = {t.name for a in atoms for t in a.args if isinstance(t, Var)}
         for k, v in enumerate(variables):
             if v not in used:
-                self.diagnostics.append(
-                    error(
-                        f"variable '{v}' does not occur in the query",
-                        self.ts.span(first + 2 * k),
-                        UNKNOWN_QUERY_VARIABLE,
-                    )
+                self.found.append(
+                    (f"variable '{v}' does not occur in the query", first + 2 * k, UNKNOWN_QUERY_VARIABLE)
                 )
         return Query(tuple(variables), tuple(atoms))
 
@@ -136,11 +140,9 @@ class _AscParser:
 
         arity = PREDICATES.get(pred)
         if arity is None:
-            self.diagnostics.append(error(f"unknown predicate '{pred}'", self.ts.span(at), UNKNOWN_PREDICATE))
+            self.found.append((f"unknown predicate '{pred}'", at, UNKNOWN_PREDICATE))
         elif arity != len(terms):
-            self.diagnostics.append(
-                error(f"'{pred}' takes {arity} argument(s), got {len(terms)}", self.ts.span(at), BAD_ARITY)
-            )
+            self.found.append((f"'{pred}' takes {arity} argument(s), got {len(terms)}", at, BAD_ARITY))
         return Atom(pred, tuple(terms))
 
     def _term(self, variables: set[str]) -> Term:
@@ -158,7 +160,7 @@ class _AscParser:
                 raise self.ts.expected(f"one of {', '.join(_IC_SECTIONS)}")
             at = self.ts.advance()
             if section in parts:
-                self.diagnostics.append(error(f"'{section}' appears twice", self.ts.span(at), MALFORMED_IC))
+                self.found.append((f"'{section}' appears twice", at, MALFORMED_IC))
             self.ts.expect_punct("{")
             shape = _IC_SECTIONS[section]
             parts[section] = tuple(self.ts.items(lambda: self._entry(shape)))
@@ -189,4 +191,4 @@ def parse_asc(text: str) -> tuple[AscContract | None, list[Diagnostic]]:
     """Parse a contract file.  Returns (contract, diagnostics); the
     contract is None exactly when there is a diagnostic."""
     parser = _AscParser(TokenStream(text))
-    return parse_or_bail(parser.contract, parser.diagnostics)
+    return parse_or_bail(parser.read, parser.diagnostics)

@@ -18,17 +18,16 @@ its text.  A syntax node keeps its token's index; ``spans`` and
 ``locate`` read the text again to find a token's line and columns, for a
 diagnostic or a caller that asks.
 
-A token the pattern cannot read whole takes the rest of the stretch
-being lexed, so no character is passed over unseen.  A comment nested
-deeper than the pattern reads is skipped by ``_skip_comment`` and the
-rest lexed again, a window of lines at a time, so that each such comment
-copies at most a window.  An unterminated comment or string, or a
-character that starts no token, ends the list in "" and is held as the
-lex failure, raised only when a parser rejects that "", so an error
-earlier in the text is reported first, as if the text were lexed token
-by token.  An ``assert { ... }`` block of an .asc file is free text:
-``raw_brace_block`` reads it from the source where the current token
-starts, and lexes the text after it again.
+A token the pattern cannot read whole takes the rest of the text, so no
+character is passed over unseen.  From there on the text is lexed a
+token at a time, each token's offset kept: a comment nested deeper than
+the pattern reads is skipped by ``_skip_comment``.  An unterminated
+comment or string, or a character that starts no token, ends the list
+in "" and is held as the lex failure, raised only when a parser rejects
+that "", so an error earlier in the text is reported first, as if the
+text were lexed token by token.  An ``assert { ... }`` block of an .asc
+file is free text: ``raw_brace_block`` reads it from the source where
+the current token starts, and lexes the text after it a token at a time.
 
 ``TokenStream`` also checks the end of input and reads the keyword-led
 sections of .asc and .adl files and their comma lists, and
@@ -38,6 +37,7 @@ when there are no diagnostics, and a bail-out as one diagnostic.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections.abc import Callable, Iterable
 from functools import cache
 from typing import TypeVar
@@ -89,15 +89,9 @@ _WHOLE = f"{_IDENT}|{_STRING}|{_PUNCT}"
 _WHOLE_TOKEN = re.compile(_WHOLE)
 # Trivia, then a token, the one group: one read whole, or what starts
 # none, such as the opener of a comment the trivia could not read, with
-# the rest of the stretch lexed (which "(?s:.*)" reaches in one step);
-# at the end, "".
+# the rest of the text (which "(?s:.*)" reaches in one step); at the
+# end, "".
 _TOKEN = re.compile(rf"{_TRIVIA}({_WHOLE}|[^ \t\r\n](?s:.*)|\Z)")
-# After a comment the pattern could not read, the text is lexed a window
-# of at least this many characters, up to a line end, at a time, so that
-# each such comment copies no more than a window as the token that takes
-# the rest.  No token spans a line end, and a comment that spans a
-# window's end is read by the loop.
-_WINDOW = 1 << 12
 _BRACE = re.compile(r"[{}]")
 
 Value = TypeVar("Value")
@@ -114,8 +108,9 @@ def _skip(n: int) -> re.Pattern[str]:
 
 @cache
 def _at() -> re.Pattern[str]:
-    """Trivia, then a whole token if there is one.  Only locating a token
-    reads it, so it is compiled on first use, not by every command."""
+    """Trivia, then a whole token if there is one.  Locating a token reads
+    it, and so does lexing past what the token pattern could not read,
+    so it is compiled on first use, not by every command."""
     return re.compile(f"{_TRIVIA}({_WHOLE})?")
 
 
@@ -133,41 +128,36 @@ def locate_all(text: str, indices: Iterable[int]) -> dict[int, Span]:
     up to the last.  Only where a comment nests past what the token
     pattern reads, or the index is where lexing stops or past the end,
     is text lexed first."""
-    indices = list(indices)
-    starts = _starts(text, [(0, 0)], -1, indices)
+    indices = sorted(set(indices))
+    starts = _starts(text, indices)
     return TokenStream(text).spans(indices) if starts is None else _spans(text, starts)
 
 
-def _starts(source: str, segments: list[tuple[int, int]], last: int,
-            indices: Iterable[int]) -> list[tuple[int, int, int]] | None:
-    """(index, offset, width) of each of indices in ascending order, from
-    one pass over each segment of source up to the last index wanted
-    there, reading the tokens before a wanted one a stride at a time.
-    None where no whole token stands at an index that is neither last
-    nor at the end."""
+def _starts(source: str, indices: list[int]) -> list[tuple[int, int, int]] | None:
+    """(index, offset, width) of each of indices, ascending, from one pass
+    over source up to the last, reading the tokens before each a stride
+    at a time.  None where no whole token stands at an index that is not
+    at the end."""
     out = []
-    todo = sorted(set(indices), reverse=True)
+    at = pos = 0
     token_at = _at().match
-    for s, (at, pos) in enumerate(segments):
-        end = segments[s + 1][0] if s + 1 < len(segments) else len(source) + 1
-        while todo and todo[-1] < end:
-            i = todo.pop()
-            while at < i:
-                gap = i - at
-                n = 1024 if gap >= 1024 else 32 if gap >= 32 else gap
-                m = _skip(n).match(source, pos)
-                if m is None:
-                    return None
-                pos, at = m.end(), at + n
-            m = token_at(source, pos)
-            token = m.group(1)
-            if token:
-                out.append((i, m.start(1), len(token)))
-            elif i == last or m.end() == len(source):
-                out.append((i, m.end(), 1))
-            else:
+    for i in indices:
+        while at < i:
+            gap = i - at
+            n = 1024 if gap >= 1024 else 32 if gap >= 32 else gap
+            m = _skip(n).match(source, pos)
+            if m is None:
                 return None
-            pos, at = m.end(), i + 1
+            pos, at = m.end(), at + n
+        m = token_at(source, pos)
+        token = m.group(1)
+        if token:
+            out.append((i, m.start(1), len(token)))
+        elif m.end() == len(source):
+            out.append((i, m.end(), 1))
+        else:
+            return None
+        pos, at = m.end(), i + 1
     return out
 
 
@@ -206,52 +196,52 @@ class ParseFailure(Exception):
 class TokenStream:
     """A text lexed into one list of raw token texts, read through a
     cursor at token i.  The list ends with "", which no rule consumes.
-    Each stretch of the text lexed at once is a segment: the index of its
-    first token and the offset its lexing started from."""
+    The tokens before index _split were read by the token pattern from
+    offset 0 and are located by strides; each from there on, the "" at
+    the end at least, was lexed a token at a time, its offset kept in
+    _offsets."""
 
-    __slots__ = ("source", "text", "i", "failure", "_texts", "_segments")
+    __slots__ = ("source", "text", "i", "failure", "_texts", "_split", "_offsets")
 
     def __init__(self, source: str):
         self.source = source
-        self._texts: list[str] = []
-        self._segments: list[tuple[int, int]] = []
         self.failure: ParseFailure | None = None
-        self._lex(0)
-        self.i, self.text = 0, self._texts[0]
+        texts = self._texts = _TOKEN.findall(source)
+        texts.pop()  # the "" of the match at the end
+        if texts and not texts[-1]:
+            texts.pop()  # that of the trivia at the end
+        pos = len(source)
+        if texts and not _WHOLE_TOKEN.fullmatch(texts[-1]):
+            # a token that took the rest of the text
+            pos -= len(texts.pop())
+        self._split = len(texts)
+        self._offsets: list[int] = []
+        self._lex(pos)
+        self.i, self.text = 0, texts[0]
 
     def _lex(self, pos: int) -> None:
-        """Append the tokens from offset pos on, then ""."""
-        source, texts = self.source, self._texts
-        end = len(source)
-        while True:
-            self._segments.append((len(texts), pos))
-            texts += _TOKEN.findall(source, pos, end)
-            if len(texts) > 1 and not texts[-2]:
-                # trivia at the end: the match that read it, and one more at the end
-                texts.pop()
-            last = texts[-2] if len(texts) > 1 else ""
-            if not last or _WHOLE_TOKEN.fullmatch(last):
-                if end == len(source):
-                    return
-                texts.pop()
-                pos, end = end, source.find("\n", end + _WINDOW) + 1 or len(source)
-                continue
-            # a token that took the rest of the window
-            del texts[-2:]
-            pos = end - len(last)
-            if last[:2] in _CLOSERS:
+        """Append the tokens from offset pos on, a token at a time, with
+        their offsets, then ""."""
+        source, texts, offsets = self.source, self._texts, self._offsets
+        while pos < len(source):
+            m = _at().match(source, pos)
+            token, pos = m.group(1), m.end()
+            if token:
+                texts.append(token)
+                offsets.append(m.start(1))
+            elif pos < len(source):
+                if source[pos:pos + 2] not in _CLOSERS:
+                    message = ("unterminated string literal" if source[pos] == '"'
+                               else f"unexpected character {source[pos]!r}")
+                    self.failure = ParseFailure(_point(source, pos), message, LEX_ERROR)
+                    break
                 try:
                     pos = self._skip_comment(pos)
-                    end = source.find("\n", pos + _WINDOW) + 1 or len(source)
-                    continue
                 except ParseFailure as exc:
                     self.failure = exc
-            else:
-                message = ("unterminated string literal" if last[0] == '"'
-                           else f"unexpected character {last[0]!r}")
-                self.failure = ParseFailure(_point(source, pos), message, LEX_ERROR)
-            texts.append("")
-            return
+                    break
+        texts.append("")
+        offsets.append(pos)
 
     @property
     def kind(self) -> str:
@@ -273,10 +263,18 @@ class TokenStream:
     def spans(self, indices: Iterable[int]) -> dict[int, Span]:
         """The span of each token of indices, by index; the end and the
         failure are one character wide."""
-        starts = _starts(self.source, self._segments, len(self._texts) - 1, indices)
+        return _spans(self.source, self._locate(indices))
+
+    def _locate(self, indices: Iterable[int]) -> list[tuple[int, int, int]]:
+        """(index, offset, width) of each of indices, ascending: by strides
+        before _split, from _offsets on."""
+        split, texts = self._split, self._texts
+        indices = sorted(set(indices))
+        k = bisect_left(indices, split)
+        starts = _starts(self.source, indices[:k])
         if starts is None:
             raise IndexError("no such token")
-        return _spans(self.source, starts)
+        return starts + [(i, self._offsets[i - split], len(texts[i]) or 1) for i in indices[k:]]
 
     def span(self, i: int) -> Span:
         return self.spans((i,))[i]
@@ -319,11 +317,11 @@ class TokenStream:
     def raw_brace_block(self) -> str:
         """Read a ``{ ... }`` block as raw text (used for stored-not-parsed
         sections) where the last consumed token's trivia end, which is
-        where the current token starts, then lex what follows it again,
-        from the cursor on.  Braces inside must balance; everything else
-        is free text.  Returns the inner text, stripped."""
+        where the current token starts, then lex what follows it a token
+        at a time, from the cursor on.  Braces inside must balance;
+        everything else is free text.  Returns the inner text, stripped."""
         i = self.i
-        [(_, pos, _)] = _starts(self.source, self._segments, i, (i,))
+        [(_, pos, _)] = self._locate((i,))
         source = self.source
         if not source.startswith("{", pos):
             # only the token of an unterminated comment starts at an opener
@@ -333,8 +331,8 @@ class TokenStream:
         for m in _BRACE.finditer(source, pos):
             depth += 1 if m.group() == "{" else -1
             if depth == 0:
-                del self._texts[i:]
-                self._segments = [segment for segment in self._segments if segment[0] < i]
+                split = self._split = min(self._split, i)
+                del self._texts[i:], self._offsets[i - split:]
                 self.failure = None
                 self._lex(m.end())
                 self.text = self._texts[i]

@@ -122,8 +122,8 @@ class _Parser:
             actions: list[ast.ActionExpr] = []
             operand = self._prefix(actions)
             if operand is None:
-                at, gates = ts.advance(), None
-                if ts._texts[at] != "(":
+                opener, at, gates = ts.text, ts.advance(), None
+                if opener != "(":
                     gates = frozenset(ts.expect_idents("a gate name"))
                     ts.expect_kw("in")
                 frames.append((at, gates, actions, pending))

@@ -3,7 +3,7 @@ comment rules."""
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parse_oracle
@@ -100,16 +100,25 @@ def test_comments_nested_deeper_than_the_pattern_match_oracle(text):
     assert stream_tokens(TokenStream(text)) == oracle_tokens(OracleLexer(text))
 
 
-@settings(max_examples=300, deadline=None)
-@given(deep_texts)
-@example("(*" * (_DEPTH + 1) + "*)" * (_DEPTH + 1) + ' "a b"\n"c d" e')
-def test_lexing_a_window_at_a_time_matches_oracle(text):
-    """After a comment the pattern cannot read, the rest is lexed a
-    window at a time, up to a line end; with a window of one character
-    each line is one, and the tokens, their spans and the failure are
-    still the oracle's."""
-    with mock.patch.object(lexer, "_WINDOW", 1):
-        assert stream_tokens(TokenStream(text)) == oracle_tokens(OracleLexer(text))
+@pytest.mark.parametrize("between", ["\n", " "])
+def test_a_text_is_scanned_once_however_many_deep_comments(between):
+    """Past the first comment the token pattern cannot read, the text is
+    lexed a token at a time, on 50 lines or on one, and never scanned
+    again; the tokens and their spans are still the oracle's."""
+    deep = "(*" * (_DEPTH + 1) + " deep " + "*)" * (_DEPTH + 1)
+    text = between.join(f"a{k} {deep}" for k in range(50)) + ' "s" }'
+    scans = []
+
+    class Counting:
+        def findall(self, *args):
+            scans.append(args)
+            return token.findall(*args)
+
+    token = lexer._TOKEN
+    with mock.patch.object(lexer, "_TOKEN", Counting()):
+        ts = TokenStream(text)
+    assert len(scans) == 1
+    assert stream_tokens(ts) == oracle_tokens(OracleLexer(text))
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,7 @@
 import random
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from lotoskit.syntax import ast, locate, parse_behavior, parse_spec, pretty_beha
 from lotoskit.syntax.adlparse import parse_adl
 from lotoskit.syntax.asc import parse_asc
 from lotoskit.syntax.diagnostics import LEX_ERROR
-from lotoskit.syntax.lexer import EOF, FAILED, IDENT, PUNCT, STRING, TokenStream
+from lotoskit.syntax.lexer import _DEPTH, EOF, FAILED, IDENT, PUNCT, STRING, TokenStream
 
 
 # ----------------------------------------------------------------------
@@ -562,6 +563,32 @@ def test_corpus_parses_as_the_per_token_parsers_parse():
         for reader in READERS:
             got, want = read_both(reader, text)
             assert got == want, (reader, text)
+
+
+def test_a_contract_locates_all_its_diagnostics_in_one_pass():
+    """Past an assert block and a comment nested past the token pattern's
+    depth, 200 conjuncts of unknown predicates and wrong arities, and a
+    duplicated and an unused variable, give the per-token parser's
+    diagnostics, located by one call of TokenStream.spans."""
+    atoms = ["bogus(x)", "class(x, y)", "inherit(y)", "class(x)"]
+    deep = "(*" * (_DEPTH + 1) + " deep " + "*)" * (_DEPTH + 1)
+    text = (f"component C where\n  assert {{ free {{ text }} }}\n  {deep}\n"
+            "  sc { exists x, y, x, z .\n    "
+            + " and\n    ".join(atoms[k % 4] for k in range(200)) + " }\nend\n")
+    calls = []
+    spans = TokenStream.spans
+
+    def counting(ts, indices):
+        calls.append(indices)
+        return spans(ts, indices)
+
+    with mock.patch.object(TokenStream, "spans", counting):
+        contract, diags = parse_asc(text)
+    assert len(calls) == 1
+    assert contract is None and len(diags) == 152
+    assert {d.code for d in diags} == {"unknown-predicate", "bad-arity", "duplicate-definition",
+                                       "unknown-query-variable"}
+    assert diags == parse_oracle.parse_asc(text)[1]
 
 
 # every comma list of an .asc or .adl file, read by one rule
