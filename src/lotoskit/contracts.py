@@ -29,7 +29,6 @@ from .syntax.diagnostics import (
     Violation,
     error,
 )
-from .syntax.lexer import parse_or_bail
 from .verify import LINE_BREAKS, VerifyResult, check_deadlock, format_trace
 
 # predicate name -> arity; the only predicates facts and queries may use
@@ -115,7 +114,7 @@ def parse_facts(text: str) -> tuple[FactBase | None, list[Diagnostic]]:
             diags.append(error(f"'{pred}' takes {arity} argument(s)", Span.point(line_no, 1), BAD_ARITY))
         else:
             table.setdefault(pred, set()).add(args)
-    return parse_or_bail(lambda: FactBase(table), diags)
+    return (None if diags else FactBase(table)), diags
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,7 @@ class _AdlParser:
     # ------------------------------------------------------------------
 
     def configuration(self) -> ArchConfig:
-        self.ts.expect_kw("configuration")
+        self.ts.expect("configuration")
         name = self.ts.expect_ident("a configuration name")
         uses: list[str] = []
         elements: list[ArchElement] = []
@@ -44,34 +44,35 @@ class _AdlParser:
             "composition": self._composition,
         }, repeatable=frozenset({"use"}))
         if "composition" not in parts:
-            raise ParseFailure(self.ts.span(end), "configuration has no composition section")
+            raise ParseFailure(end, "configuration has no composition section")
         return ArchConfig(name, tuple(uses), tuple(elements), parts["composition"],
                           self.ts.source)
 
     def _composition(self) -> ast.Behavior:
-        self.ts.expect_punct("{")
+        self.ts.expect("{")
         composition = _Parser(self.ts).behaviour()
-        self.ts.expect_punct("}")
+        self.ts.expect("}")
         return composition
 
     def _bindings(self, role: str) -> list[ArchElement]:
-        self.ts.expect_punct("{")
+        self.ts.expect("{")
         out = self.ts.items(lambda: self._binding(role))
-        self.ts.expect_punct("}")
+        self.ts.expect("}")
         return out
 
     def _binding(self, role: str) -> ArchElement:
         name = self.ts.expect_ident("an instance name")
-        self.ts.expect_punct("=")
+        self.ts.expect("=")
         process = self.ts.expect_ident("a process name")
         gates: tuple[str, ...] = ()
-        if self.ts.accept_punct("["):
+        if self.ts.accept("["):
             gates = tuple(self.ts.expect_idents("a gate name"))
-            self.ts.expect_punct("]")
+            self.ts.expect("]")
         return ArchElement(name, role, process, gates)
 
 
 def parse_adl(text: str) -> tuple[ArchConfig | None, list[Diagnostic]]:
     """Parse a configuration file.  Returns (config, diagnostics); the
     config is None exactly when there is a diagnostic."""
-    return parse_or_bail(_AdlParser(TokenStream(text)).configuration, [])
+    parser = _AdlParser(TokenStream(text))
+    return parse_or_bail(parser.configuration, parser.ts, [])

@@ -43,7 +43,6 @@ from .diagnostics import (
     MALFORMED_IC,
     UNKNOWN_PREDICATE,
     UNKNOWN_QUERY_VARIABLE,
-    error,
 )
 from .lexer import TokenStream, parse_or_bail
 
@@ -70,22 +69,13 @@ class _AscParser:
         self.ts = stream
         # (message, token index, code) per diagnostic, located after the parse
         self.found: list[tuple[str, int, str]] = []
-        self.diagnostics: list[Diagnostic] = []
-
-    def read(self) -> AscContract:
-        """The contract, with every diagnostic found located by one pass
-        over the text."""
-        contract = self.contract()
-        spans = self.ts.spans(at for _, at, _ in self.found)
-        self.diagnostics += [error(message, spans[at], code) for message, at, code in self.found]
-        return contract
 
     # ------------------------------------------------------------------
 
     def contract(self) -> AscContract:
-        self.ts.expect_kw("component")
+        self.ts.expect("component")
         name = self.ts.expect_ident("a contract name")
-        self.ts.expect_kw("where")
+        self.ts.expect("where")
         parts, _ = self.ts.sections("contract", {
             "assert": self.ts.raw_brace_block,
             "sc": self._sc,
@@ -98,17 +88,17 @@ class _AscParser:
     # ------------------------------------------------------------------
 
     def _sc(self) -> Query:
-        self.ts.expect_punct("{")
+        self.ts.expect("{")
         sc = self._query()
-        self.ts.expect_punct("}")
+        self.ts.expect("}")
         return sc
 
     def _query(self) -> Query:
         variables: list[str] = []
-        if self.ts.accept_kw("exists"):
+        if self.ts.accept("exists"):
             first = self.ts.i  # variable k is token first + 2k, between commas
             variables = self.ts.expect_idents("a variable name")
-            self.ts.expect_punct(".")
+            self.ts.expect(".")
         declared = set()
         for k, v in enumerate(variables):
             if v in declared:
@@ -116,7 +106,7 @@ class _AscParser:
             declared.add(v)
 
         atoms = [self._atom(declared)]
-        while self.ts.accept_kw("and"):
+        while self.ts.accept("and"):
             atoms.append(self._atom(declared))
 
         used = {t.name for a in atoms for t in a.args if isinstance(t, Var)}
@@ -130,13 +120,13 @@ class _AscParser:
     def _atom(self, variables: set[str]) -> Atom:
         at = self.ts.i
         pred = self.ts.expect_ident("a predicate name")
-        self.ts.expect_punct("(")
+        self.ts.expect("(")
         terms: list[Term] = []
-        if not self.ts.at_punct(")"):
+        if not self.ts.at(")"):
             terms.append(self._term(variables))
-            while self.ts.accept_punct(","):
+            while self.ts.accept(","):
                 terms.append(self._term(variables))
-        self.ts.expect_punct(")")
+        self.ts.expect(")")
 
         arity = PREDICATES.get(pred)
         if arity is None:
@@ -152,20 +142,20 @@ class _AscParser:
     # ------------------------------------------------------------------
 
     def _interface(self) -> InterfaceContract:
-        self.ts.expect_punct("{")
+        self.ts.expect("{")
         parts: dict[str, tuple] = {}
-        while not self.ts.at_punct("}"):
+        while not self.ts.at("}"):
             section = self.ts.text.lower()
             if section not in _IC_SECTIONS:
                 raise self.ts.expected(f"one of {', '.join(_IC_SECTIONS)}")
             at = self.ts.advance()
             if section in parts:
                 self.found.append((f"'{section}' appears twice", at, MALFORMED_IC))
-            self.ts.expect_punct("{")
+            self.ts.expect("{")
             shape = _IC_SECTIONS[section]
             parts[section] = tuple(self.ts.items(lambda: self._entry(shape)))
-            self.ts.expect_punct("}")
-        self.ts.expect_punct("}")
+            self.ts.expect("}")
+        self.ts.expect("}")
         return InterfaceContract(*(parts.get(section, ()) for section in _IC_SECTIONS))
 
     def _entry(self, shape: tuple[tuple[str, str], ...]) -> str | tuple[str, ...]:
@@ -174,16 +164,16 @@ class _AscParser:
         for what, after in shape:
             names.append(self.ts.expect_ident(what))
             if after:
-                self.ts.expect_punct(after)
+                self.ts.expect(after)
         return tuple(names) if len(names) > 1 else names[0]
 
     # ------------------------------------------------------------------
 
     def _bc(self) -> BcRef | None:
-        if self.ts.accept_kw("none"):
+        if self.ts.accept("none"):
             return None
         name = self.ts.expect_ident("a behaviour name")
-        self.ts.expect_kw("from")
+        self.ts.expect("from")
         return BcRef(name, self.ts.expect_file_name())
 
 
@@ -191,4 +181,4 @@ def parse_asc(text: str) -> tuple[AscContract | None, list[Diagnostic]]:
     """Parse a contract file.  Returns (contract, diagnostics); the
     contract is None exactly when there is a diagnostic."""
     parser = _AscParser(TokenStream(text))
-    return parse_or_bail(parser.read, parser.diagnostics)
+    return parse_or_bail(parser.contract, parser.ts, parser.found)

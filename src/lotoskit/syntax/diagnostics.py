@@ -31,6 +31,7 @@ UNKNOWN_PREDICATE = "unknown-predicate"
 BAD_ARITY = "bad-arity"
 MALFORMED_IC = "malformed-ic"
 UNKNOWN_QUERY_VARIABLE = "unknown-query-variable"
+UNKNOWN_STATE = "unknown-state"
 
 
 class Span(NamedTuple):

@@ -29,10 +29,12 @@ text were lexed token by token.  An ``assert { ... }`` block of an .asc
 file is free text: ``raw_brace_block`` reads it from the source where
 the current token starts, and lexes the text after it a token at a time.
 
-``TokenStream`` also checks the end of input and reads the keyword-led
-sections of .asc and .adl files and their comma lists, and
-``parse_or_bail`` gives every reader its one contract: a value exactly
-when there are no diagnostics, and a bail-out as one diagnostic.
+``TokenStream`` also tests the current token against a word (``at``,
+``accept``, ``expect``), checks the end of input and reads the
+keyword-led sections of .asc and .adl files and their comma lists.
+``parse_or_bail`` gives every token reader its one contract: a problem
+is kept as a token index, a bail-out is the only diagnostic, and one
+``spans`` pass after the parse locates them all.
 """
 from __future__ import annotations
 
@@ -43,14 +45,6 @@ from functools import cache
 from typing import TypeVar
 
 from .diagnostics import LEX_ERROR, SYNTAX_ERROR, Diagnostic, Span, error
-
-# the kinds of token, as TokenStream.kind reads them off a token's text
-IDENT = "ident"
-STRING = "string"
-PUNCT = "punct"
-EOF = "eof"
-# the kind of the "" that ends a text which stops lexing
-FAILED = "failed"
 
 # Longest match first.
 _PUNCTUATION = (
@@ -177,18 +171,15 @@ def _spans(source: str, starts: list[tuple[int, int, int]]) -> dict[int, Span]:
     return spans
 
 
-def _point(text: str, offset: int) -> Span:
-    """The one-character span at offset."""
-    return Span.point(text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
-
-
 class ParseFailure(Exception):
-    """Bail-out of the lexer or a parser; parse_or_bail turns it into one
-    diagnostic with the failure's code."""
+    """Bail-out of the lexer or a parser at token index; parse_or_bail
+    locates it and turns it into one diagnostic with the failure's code.
+    A lex failure stands at the "" that ends the text where lexing
+    stopped."""
 
-    def __init__(self, span: Span, message: str, code: str = SYNTAX_ERROR):
+    def __init__(self, index: int, message: str, code: str = SYNTAX_ERROR):
         super().__init__(message)
-        self.span = span
+        self.index = index
         self.message = message
         self.code = code
 
@@ -199,7 +190,8 @@ class TokenStream:
     The tokens before index _split were read by the token pattern from
     offset 0 and are located by strides; each from there on, the "" at
     the end at least, was lexed a token at a time, its offset kept in
-    _offsets."""
+    _offsets.  A failure keeps a token index; spans locates many at
+    once, after the parse."""
 
     __slots__ = ("source", "text", "i", "failure", "_texts", "_split", "_offsets")
 
@@ -230,28 +222,16 @@ class TokenStream:
                 texts.append(token)
                 offsets.append(m.start(1))
             elif pos < len(source):
-                if source[pos:pos + 2] not in _CLOSERS:
-                    message = ("unterminated string literal" if source[pos] == '"'
-                               else f"unexpected character {source[pos]!r}")
-                    self.failure = ParseFailure(_point(source, pos), message, LEX_ERROR)
-                    break
                 try:
+                    if source[pos:pos + 2] not in _CLOSERS:
+                        raise ParseFailure(len(texts), "unterminated string literal" if source[pos] == '"'
+                                           else f"unexpected character {source[pos]!r}", LEX_ERROR)
                     pos = self._skip_comment(pos)
                 except ParseFailure as exc:
                     self.failure = exc
                     break
         texts.append("")
         offsets.append(pos)
-
-    @property
-    def kind(self) -> str:
-        """The current token's kind, read off its text."""
-        text = self.text
-        if not text:
-            return EOF if self.failure is None else FAILED
-        if text[0] == '"':
-            return STRING
-        return IDENT if text[0].isalpha() else PUNCT
 
     def advance(self) -> int:
         """Move past the current token; returns its index."""
@@ -276,15 +256,12 @@ class TokenStream:
             raise IndexError("no such token")
         return starts + [(i, self._offsets[i - split], len(texts[i]) or 1) for i in indices[k:]]
 
-    def span(self, i: int) -> Span:
-        return self.spans((i,))[i]
-
     def error(self, message: str) -> ParseFailure:
         """The failure to raise for message at the current token; the lex
         failure instead when the cursor is on the token that holds it."""
         if not self.text and self.failure is not None:
             return self.failure
-        return ParseFailure(self.span(self.i), message)
+        return ParseFailure(self.i, message)
 
     def expected(self, what: str) -> ParseFailure:
         """The failure of a rule that wanted what at the current token,
@@ -303,7 +280,7 @@ class TokenStream:
         while True:
             close = text.find(closer, pos)
             if close < 0:
-                raise ParseFailure(_point(text, start),
+                raise ParseFailure(len(self._texts),
                                    f"unterminated comment ('{opener}' without '{closer}')", LEX_ERROR)
             # an opener may overlap the closer, as in "(*)", and wins
             nested = text.find(opener, pos, close + 1)
@@ -326,7 +303,7 @@ class TokenStream:
         if not source.startswith("{", pos):
             # only the token of an unterminated comment starts at an opener
             raise self.failure if source[pos:pos + 2] in _CLOSERS else ParseFailure(
-                _point(source, pos), "expected '{'", LEX_ERROR)
+                i, "expected '{'", LEX_ERROR)
         depth = 0
         for m in _BRACE.finditer(source, pos):
             depth += 1 if m.group() == "{" else -1
@@ -337,36 +314,26 @@ class TokenStream:
                 self._lex(m.end())
                 self.text = self._texts[i]
                 return source[pos + 1:m.start()].strip()
-        raise ParseFailure(_point(source, pos), "unterminated '{' block", LEX_ERROR)
+        raise ParseFailure(i, "unterminated '{' block", LEX_ERROR)
 
-    # A token's kind follows from its text: an identifier starts with a
-    # letter, a string with '"', and no two kinds share a text.
+    # A token is word as written (punctuation) or lowercased (a keyword),
+    # tested in that order; no two kinds of token share a text.  accept
+    # and expect write the test out, as they run per token.
 
-    def at_punct(self, text: str) -> bool:
-        return self.text == text
+    def at(self, word: str) -> bool:
+        text = self.text
+        return text == word or text.lower() == word
 
-    def at_kw(self, word: str) -> bool:
-        return self.text.lower() == word
-
-    def accept_punct(self, text: str) -> bool:
-        if self.text == text:
+    def accept(self, word: str) -> bool:
+        text = self.text
+        if text == word or text.lower() == word:
             self.advance()
             return True
         return False
 
-    def accept_kw(self, word: str) -> bool:
-        if self.text.lower() == word:
-            self.advance()
-            return True
-        return False
-
-    def expect_punct(self, text: str) -> int:
-        if self.text != text:
-            raise self.expected(f"'{text}'")
-        return self.advance()
-
-    def expect_kw(self, word: str) -> int:
-        if self.text.lower() != word:
+    def expect(self, word: str) -> int:
+        text = self.text
+        if text != word and text.lower() != word:
             raise self.expected(f"'{word}'")
         return self.advance()
 
@@ -388,7 +355,7 @@ class TokenStream:
         """IDENT ("," IDENT)*: the texts of one or more comma-separated
         identifiers, each described as what in a diagnostic."""
         names = [self.expect_ident(what)]
-        while self.accept_punct(","):
+        while self.accept(","):
             names.append(self.expect_ident(what))
         return names
 
@@ -399,7 +366,7 @@ class TokenStream:
         if not self.text[:1].isalpha():
             return []
         out = [read()]
-        while self.accept_punct(","):
+        while self.accept(","):
             out.append(read())
         return out
 
@@ -418,7 +385,7 @@ class TokenStream:
         repeatable.  Returns each section's last handler result, and the
         index of the "end" token."""
         found: dict[str, object] = {}
-        while not self.at_kw("end"):
+        while not self.at("end"):
             if not self.text:
                 raise self.error("missing 'end'")
             part = self.text.lower()
@@ -434,14 +401,15 @@ class TokenStream:
         return found, end
 
 
-def parse_or_bail(read: Callable[[], Value],
-                  diagnostics: list[Diagnostic]) -> tuple[Value | None, list[Diagnostic]]:
-    """The one contract of every reader: a value exactly when there are no
-    diagnostics.  read()'s value when it added nothing to diagnostics;
-    else no value and what it added, or the one diagnostic of a bail-out.
-    Never raises."""
+def parse_or_bail(read: Callable[[], Value], stream: TokenStream,
+                  found: list[tuple[str, int, str]]) -> tuple[Value | None, list[Diagnostic]]:
+    """The one contract of every token reader: a value exactly when there
+    are no diagnostics.  read() reads stream and appends to found each
+    problem as (message, token index, code); a bail-out is then the only
+    one.  One spans pass locates them all.  Never raises."""
     try:
         value = read()
     except ParseFailure as exc:
-        return None, [error(exc.message, exc.span, exc.code)]
-    return (None if diagnostics else value), diagnostics
+        value, found = None, [(exc.message, exc.index, exc.code)]
+    spans = stream.spans(at for _, at, _ in found)
+    return (None if found else value), [error(message, spans[at], code) for message, at, code in found]

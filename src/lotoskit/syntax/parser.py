@@ -75,28 +75,28 @@ class _Parser:
         In behaviour position "[]" is the choice operator, so instantiation
         sites pass empty_brackets_ok=False and "P [] Q" stays a choice.
         """
-        if empty_brackets_ok and self.ts.accept_punct("[]"):
+        if empty_brackets_ok and self.ts.accept("[]"):
             return ()
-        if not self.ts.accept_punct("[") or self.ts.accept_punct("]"):
+        if not self.ts.accept("[") or self.ts.accept("]"):
             return ()
         names = self.ts.expect_idents("a gate name")
-        self.ts.expect_punct("]")
+        self.ts.expect("]")
         return tuple(names)
 
     def _functionality(self) -> str:
         for f in _FUNCTIONALITIES:
-            if self.ts.accept_kw(f):
+            if self.ts.accept(f):
                 return f
         raise self.ts.expected("'noexit' or 'exit'")
 
     def _sorts_section(self) -> list[ast.SortDecl]:
         decls: list[ast.SortDecl] = []
-        while self.ts.text[:1].isalpha() and not self.ts.at_kw("behaviour") and not self.ts.at_kw("behavior"):
+        while self.ts.text[:1].isalpha() and not self.ts.at("behaviour") and not self.ts.at("behavior"):
             name, at = self.ts.text, self.ts.advance()
-            self.ts.expect_punct("=")
-            self.ts.expect_punct("{")
+            self.ts.expect("=")
+            self.ts.expect("{")
             values = self.ts.expect_idents("a value name")
-            self.ts.expect_punct("}")
+            self.ts.expect("}")
             decls.append(ast.SortDecl(name, tuple(values), at, self.ts.source))
             for v in values:
                 self.value_sorts.setdefault(v, name)
@@ -125,7 +125,7 @@ class _Parser:
                 opener, at, gates = ts.text, ts.advance(), None
                 if opener != "(":
                     gates = frozenset(ts.expect_idents("a gate name"))
-                    ts.expect_kw("in")
+                    ts.expect("in")
                 frames.append((at, gates, actions, pending))
                 pending = []
                 continue
@@ -146,13 +146,13 @@ class _Parser:
                     return operand
                 at, gates, actions, pending = frames.pop()
                 if gates is None:
-                    ts.expect_punct(")")
+                    ts.expect(")")
                 else:
                     operand = ast.Hide(gates, operand, at)
             loc, gates = ts.advance(), frozenset()
             if entry[2] is ast.ParKind.GATES:
                 gates = frozenset(ts.expect_idents("a gate name"))
-                ts.expect_punct("]|")
+                ts.expect("]|")
             pending.append((operand, entry, gates, loc))
 
     def _prefix(self, actions: list[ast.ActionExpr]) -> ast.Behavior | None:
@@ -161,11 +161,11 @@ class _Parser:
         ts = self.ts
         while True:
             if not ts.text[:1].isalpha() or ts.text.lower() in _BEHAVIOUR_KEYWORDS:
-                if ts.at_kw("stop"):
+                if ts.at("stop"):
                     return ast.Stop(ts.advance())
-                if ts.at_kw("exit"):
+                if ts.at("exit"):
                     return ast.Exit(ts.advance())
-                if ts.at_punct("(") or ts.at_kw("hide"):
+                if ts.at("(") or ts.at("hide"):
                     return None
                 raise ts.expected("a behaviour expression")
             # identifier: action prefix or process instantiation
@@ -175,7 +175,7 @@ class _Parser:
                 actions.append(ast.InternalAction(at) if name == "i" else ast.Comm(name, (), at))
             elif ts.text in ("!", "?"):
                 actions.append(self._finish_action(name, at))
-                ts.expect_punct(";")
+                ts.expect(";")
             else:
                 return ast.Inst(name, self._gate_list(empty_brackets_ok=False), at)
 
@@ -194,7 +194,7 @@ class _Parser:
                 offers.append(ast.Send(expr, loc))
             else:
                 name = ts.expect_ident("a variable name")
-                ts.expect_punct(":")
+                ts.expect(":")
                 sort = ts.expect_ident("a sort name")
                 offers.append(ast.Receive(name, sort, loc))
         return ast.Comm(gate, tuple(offers), at)
@@ -203,34 +203,34 @@ class _Parser:
     # top level
 
     def specification(self) -> ast.Specification:
-        head = self.ts.expect_kw("specification")
+        head = self.ts.expect("specification")
         name = self.ts.expect_ident("a specification name")
         gates = self._gate_list()
-        self.ts.expect_punct(":")
+        self.ts.expect(":")
         self._functionality()
-        self.ts.expect_punct(":=")
+        self.ts.expect(":=")
 
-        if self.ts.at_kw("library"):
-            raise ParseFailure(self.ts.span(self.ts.i),
+        if self.ts.at("library"):
+            raise ParseFailure(self.ts.i,
                                "library sections are not supported; declare finite sorts instead",
                                LIBRARY_NOT_SUPPORTED)
 
         sorts: list[ast.SortDecl] = []
-        if self.ts.accept_kw("sorts"):
+        if self.ts.accept("sorts"):
             sorts = self._sorts_section()
 
-        if not (self.ts.accept_kw("behaviour") or self.ts.accept_kw("behavior")):
+        if not (self.ts.accept("behaviour") or self.ts.accept("behavior")):
             raise self.ts.expected("'behaviour'")
         top = self.behaviour()
 
         processes: list[ast.ProcessDef] = []
-        if self.ts.accept_kw("where"):
-            while self.ts.at_kw("process"):
+        if self.ts.accept("where"):
+            while self.ts.at("process"):
                 processes.append(self._process_def())
             if not processes:
                 raise self.ts.expected("a process definition")
 
-        self.ts.expect_kw("endspec")
+        self.ts.expect("endspec")
         self.ts.expect_eof("endspec")
 
         return ast.Specification(
@@ -244,14 +244,14 @@ class _Parser:
         )
 
     def _process_def(self) -> ast.ProcessDef:
-        head = self.ts.expect_kw("process")
+        head = self.ts.expect("process")
         name = self.ts.expect_ident("a process name")
         gates = self._gate_list()
-        self.ts.expect_punct(":")
+        self.ts.expect(":")
         func = self._functionality()
-        self.ts.expect_punct(":=")
+        self.ts.expect(":=")
         body = self.behaviour()
-        if not (self.ts.accept_kw("endproc") or self.ts.accept_kw("endprocess")):
+        if not (self.ts.accept("endproc") or self.ts.accept("endprocess")):
             raise self.ts.expected("'endproc'")
         return ast.ProcessDef(name, gates, func, body, head, self.ts.source)
 
@@ -263,7 +263,8 @@ class _Parser:
 def parse_spec(text: str) -> tuple[ast.Specification | None, list[Diagnostic]]:
     """Parse a full specification.  Returns (spec, diagnostics); the spec
     is None exactly when there is a diagnostic.  Never raises."""
-    return parse_or_bail(_Parser(TokenStream(text)).specification, [])
+    parser = _Parser(TokenStream(text))
+    return parse_or_bail(parser.specification, parser.ts, [])
 
 
 def parse_behavior(
@@ -280,4 +281,4 @@ def parse_behavior(
         parser.ts.expect_eof("behaviour")
         return b
 
-    return parse_or_bail(read, [])
+    return parse_or_bail(read, parser.ts, [])

@@ -42,7 +42,7 @@ from typing import Callable, Iterable
 
 from .record import Record
 from .semantics import Lts
-from .syntax.diagnostics import Diagnostic, SYNTAX_ERROR, Span, error
+from .syntax.diagnostics import Diagnostic, SYNTAX_ERROR, Span, UNKNOWN_STATE, error
 
 # ----------------------------------------------------------------------
 # label patterns
@@ -250,20 +250,20 @@ class Monitor(Record):
 
 def parse_monitor(text: str) -> tuple[Monitor | None, list[Diagnostic]]:
     """Line format: "states a b ...", "initial a" (exactly once), "bad
-    a ...", "trans src dst label-pattern"; '#' starts a comment."""
+    a ...", "trans src dst label-pattern"; '#' starts a comment.  A line
+    reader: every problem is reported at its line, in line order, and
+    then there is no monitor."""
     states: list[str] = []
     initial: str | None = None
+    initial_line = 0
+    bad: set[str] = set()
     rules: list[tuple[str, str, LabelPattern]] = []
     diags: list[Diagnostic] = []
-    # the line that names each state: the initial's, each bad state's
-    # first, and each rule's
-    initial_line = 0
-    bad: dict[str, int] = {}
-    rule_lines: list[int] = []
+    # each state an initial, bad or trans line names -> the first such line
+    named: dict[str, int] = {}
 
-    def fail(line_no: int, message: str) -> tuple[None, list[Diagnostic]]:
-        diags.append(error(message, Span.point(line_no, 1), SYNTAX_ERROR))
-        return None, diags
+    def fail(line_no: int, message: str, code: str = SYNTAX_ERROR) -> None:
+        diags.append(error(message, Span.point(line_no, 1), code))
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -273,39 +273,44 @@ def parse_monitor(text: str) -> tuple[Monitor | None, list[Diagnostic]]:
         head, rest = parts[0], parts[1] if len(parts) > 1 else ""
         if head == "states":
             states.extend(rest.split())
-        elif head == "initial":
-            if initial is not None:
-                return fail(line_no, "initial appears twice")
-            names = rest.split()
+            continue
+        names = rest.split()
+        if head == "initial":
+            if initial_line:
+                fail(line_no, "initial appears twice")
+                continue
+            initial_line = line_no
             if len(names) != 1:
-                return fail(line_no, "initial takes exactly one state")
-            initial, initial_line = names[0], line_no
+                fail(line_no, "initial takes exactly one state")
+                continue
+            initial = names[0]
         elif head == "bad":
-            for name in rest.split():
-                bad.setdefault(name, line_no)
+            bad.update(names)
         elif head == "trans":
             fields = rest.split(None, 2)
             if len(fields) < 3:
-                return fail(line_no, "trans needs: source, target, label pattern")
-            src, dst, pat_text = fields
+                fail(line_no, "trans needs: source, target, label pattern")
+                continue
             try:
-                pat = parse_label_pattern(pat_text)
+                rules.append((fields[0], fields[1], parse_label_pattern(fields[2])))
             except ValueError as exc:
-                return fail(line_no, str(exc))
-            rules.append((src, dst, pat))
-            rule_lines.append(line_no)
+                fail(line_no, str(exc))
+                continue
+            names = fields[:2]
         else:
-            return fail(line_no, f"unknown directive '{head}'")
+            fail(line_no, f"unknown directive '{head}'")
+            continue
+        for name in names:
+            named.setdefault(name, line_no)
 
-    if initial is None:
-        return fail(1, "monitor has no initial state")
+    if not initial_line:
+        fail(1, "monitor has no initial state")
     known = set(states)
-    named = [(initial, initial_line), *((name, bad[name]) for name in sorted(bad))]
-    named += [(name, line_no) for rule, line_no in zip(rules, rule_lines) for name in rule[:2]]
-    for name, line_no in named:
+    for name, line_no in named.items():
         if name not in known:
-            return fail(line_no, f"state '{name}' is not listed under 'states'")
-    return Monitor(tuple(states), initial, frozenset(bad), tuple(rules)), diags
+            fail(line_no, f"state '{name}' is not listed under 'states'", UNKNOWN_STATE)
+    diags.sort(key=lambda d: d.span.line)
+    return (None if diags else Monitor(tuple(states), initial, frozenset(bad), tuple(rules))), diags
 
 
 def check_safety(lts: Lts, monitor: Monitor) -> VerifyResult:

@@ -2,16 +2,23 @@
 
 Deliberately written the slow, obvious way: it steps one character at a
 time, keeps the line and column as it goes, and tries punctuation with
-``startswith`` in a loop, longest first.  It shares only ``Span``, the
-failure class and the kind names with the real lexer; tokens are plain
-(kind, text, span) tuples.
+``startswith`` in a loop, longest first.  It shares only ``Span`` with
+the real lexer; tokens are plain (kind, text, span) tuples, and a
+failure carries its span.
 """
 from __future__ import annotations
 
 import re
 
-from lotoskit.syntax.diagnostics import LEX_ERROR, Span
-from lotoskit.syntax.lexer import EOF, IDENT, PUNCT, STRING, ParseFailure
+from lotoskit.syntax.diagnostics import LEX_ERROR, SYNTAX_ERROR, Span
+
+# the kinds of token
+IDENT = "ident"
+STRING = "string"
+PUNCT = "punct"
+EOF = "eof"
+# the kind of the "" that ends a text which stops lexing
+FAILED = "failed"
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*")
 
@@ -20,6 +27,27 @@ PUNCTUATION = (
     "|||", ":=", "[>", "[]", "|[", "]|", ">>", "->", "||",
     "[", "]", "(", ")", "{", "}", ";", ":", ",", "!", "?", "=", ".",
 )
+
+
+class OracleFailure(Exception):
+    """A lex or parse failure at span, with its diagnostic's code."""
+
+    def __init__(self, span: Span, message: str, code: str = SYNTAX_ERROR):
+        super().__init__(message)
+        self.span = span
+        self.message = message
+        self.code = code
+
+
+def stream_kind(ts) -> str:
+    """The kind of a lotoskit TokenStream's current token, read off its
+    text."""
+    text = ts.text
+    if not text:
+        return EOF if ts.failure is None else FAILED
+    if text[0] == '"':
+        return STRING
+    return IDENT if text[0].isalpha() else PUNCT
 
 
 class OracleLexer:
@@ -64,7 +92,7 @@ class OracleLexer:
                     return
             else:
                 self.advance(1)
-        raise ParseFailure(start, f"unterminated comment ('{opener}' without '{closer}')", LEX_ERROR)
+        raise OracleFailure(start, f"unterminated comment ('{opener}' without '{closer}')", LEX_ERROR)
 
     def next_token(self) -> tuple[str, str, Span]:
         self._skip_trivia()
@@ -83,7 +111,7 @@ class OracleLexer:
             while self.pos < len(self.text) and self.text[self.pos] not in '"\n':
                 self.advance(1)
             if self.pos >= len(self.text) or self.text[self.pos] != '"':
-                raise ParseFailure(Span.point(line, col), "unterminated string literal", LEX_ERROR)
+                raise OracleFailure(Span.point(line, col), "unterminated string literal", LEX_ERROR)
             value = self.text[chunk_start:self.pos]
             self.advance(1)
             return STRING, value, Span(line, col, self.line, self.col)
@@ -93,14 +121,20 @@ class OracleLexer:
                 self.advance(len(p))
                 return PUNCT, p, Span(line, col, self.line, self.col)
 
-        raise ParseFailure(Span.point(line, col),
+        raise OracleFailure(Span.point(line, col),
                            f"unexpected character {self.text[self.pos]!r}", LEX_ERROR)
 
     def raw_brace_block(self) -> tuple[str, Span]:
         self._skip_trivia()
         open_span = Span.point(self.line, self.col)
         if self.pos >= len(self.text) or self.text[self.pos] != "{":
-            raise ParseFailure(open_span, "expected '{'", LEX_ERROR)
+            # at the token there; one character wide at the end, or where
+            # a character starts none
+            try:
+                open_span = self.next_token()[2]
+            except OracleFailure:
+                pass
+            raise OracleFailure(open_span, "expected '{'", LEX_ERROR)
         self.advance(1)
         depth = 1
         chunk_start = self.pos
@@ -117,4 +151,4 @@ class OracleLexer:
                     return body.strip(), Span(open_span.line, open_span.col,
                                               end.line, end.col)
             self.advance(1)
-        raise ParseFailure(open_span, "unterminated '{' block", LEX_ERROR)
+        raise OracleFailure(open_span, "unterminated '{' block", LEX_ERROR)

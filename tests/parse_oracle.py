@@ -47,9 +47,8 @@ from lotoskit.syntax.diagnostics import (
     UNKNOWN_QUERY_VARIABLE,
     error,
 )
-from lotoskit.syntax.lexer import EOF, IDENT, PUNCT, STRING, ParseFailure, parse_or_bail
 from lotoskit.syntax.parser import _FUNCTIONALITIES
-from lex_oracle import PUNCTUATION
+from lex_oracle import EOF, IDENT, PUNCT, PUNCTUATION, STRING, OracleFailure
 
 # The token pattern of the lexer that lexed one token at a time:
 # whitespace, then a token or a comment opener, the group names being the
@@ -112,7 +111,7 @@ class Lexer:
         while True:
             close = text.find(closer, pos)
             if close < 0:
-                raise ParseFailure(self._point(start),
+                raise OracleFailure(self._point(start),
                                    f"unterminated comment ('{opener}' without '{closer}')", LEX_ERROR)
             # an opener may overlap the closer, as in "(*)", and wins
             nested = text.find(opener, pos, close + 1)
@@ -133,7 +132,7 @@ class Lexer:
             if pos == len(text):
                 return Token(EOF, "", self._point(pos))
             ch = text[pos]
-            raise ParseFailure(self._point(pos), "unterminated string literal" if ch == '"'
+            raise OracleFailure(self._point(pos), "unterminated string literal" if ch == '"'
                                else f"unexpected character {ch!r}", LEX_ERROR)
         kind = m.lastgroup
         value = m.group(kind)
@@ -152,7 +151,13 @@ class Lexer:
         pos = self._skip_trivia()
         open_span = self._point(pos)
         if not self.text.startswith("{", pos):
-            raise ParseFailure(open_span, "expected '{'", LEX_ERROR)
+            # at the token there; one character wide at the end, or where
+            # a character starts none
+            try:
+                open_span = self.next_token().span
+            except OracleFailure:
+                pass
+            raise OracleFailure(open_span, "expected '{'", LEX_ERROR)
         depth = 0
         for m in _BRACE.finditer(self.text, pos):
             depth += 1 if m.group() == "{" else -1
@@ -161,7 +166,7 @@ class Lexer:
                 close = self._point(end)
                 return self.text[pos + 1:m.start()].strip(), Span(
                     open_span.line, open_span.col, close.line, close.col)
-        raise ParseFailure(open_span, "unterminated '{' block", LEX_ERROR)
+        raise OracleFailure(open_span, "unterminated '{' block", LEX_ERROR)
 
 
 class TokenStream:
@@ -205,25 +210,25 @@ class TokenStream:
     def expect_punct(self, text: str) -> Token:
         tok = self.peek()
         if not self.at_punct(text):
-            raise ParseFailure(tok.span, f"expected '{text}', found {tok}")
+            raise OracleFailure(tok.span, f"expected '{text}', found {tok}")
         return self.next()
 
     def expect_kw(self, word: str) -> Token:
         tok = self.peek()
         if not self.at_kw(word):
-            raise ParseFailure(tok.span, f"expected '{word}', found {tok}")
+            raise OracleFailure(tok.span, f"expected '{word}', found {tok}")
         return self.next()
 
     def expect_ident(self, what: str) -> Token:
         tok = self.peek()
         if tok.kind != IDENT:
-            raise ParseFailure(tok.span, f"expected {what}, found {tok}")
+            raise OracleFailure(tok.span, f"expected {what}, found {tok}")
         return self.next()
 
     def expect_file_name(self) -> str:
         tok = self.peek()
         if tok.kind != STRING:
-            raise ParseFailure(tok.span, f"expected a quoted file name, found {tok}")
+            raise OracleFailure(tok.span, f"expected a quoted file name, found {tok}")
         return self.next().text
 
     def expect_idents(self, what: str) -> list[str]:
@@ -238,7 +243,7 @@ class TokenStream:
         """Nothing may follow the closing word after."""
         tail = self.peek()
         if tail.kind != EOF:
-            raise ParseFailure(tail.span, f"unexpected '{tail.text}' after {after}")
+            raise OracleFailure(tail.span, f"unexpected '{tail.text}' after {after}")
 
     def sections(self, what: str, handlers: dict[str, Callable[[], object]],
                  repeatable: frozenset[str] = frozenset()) -> tuple[dict[str, object], Token]:
@@ -250,13 +255,13 @@ class TokenStream:
         while not self.at_kw("end"):
             tok = self.peek()
             if tok.kind == EOF:
-                raise ParseFailure(tok.span, "missing 'end'")
+                raise OracleFailure(tok.span, "missing 'end'")
             part = tok.text.lower()
             if part in found and part not in repeatable:
-                raise ParseFailure(tok.span, f"section '{part}' appears twice")
+                raise OracleFailure(tok.span, f"section '{part}' appears twice")
             handler = handlers.get(part) if tok.kind == IDENT else None
             if handler is None:
-                raise ParseFailure(tok.span, f"expected a {what} section, found {tok}")
+                raise OracleFailure(tok.span, f"expected a {what} section, found {tok}")
             self.next()
             found[part] = handler()
         end = self.next()
@@ -299,7 +304,7 @@ class _Parser:
         for f in _FUNCTIONALITIES:
             if self.ts.accept_kw(f):
                 return f
-        raise ParseFailure(tok.span, f"expected 'noexit' or 'exit', found {tok}")
+        raise OracleFailure(tok.span, f"expected 'noexit' or 'exit', found {tok}")
 
     def _sorts_section(self) -> list[ast.SortDecl]:
         decls: list[ast.SortDecl] = []
@@ -313,7 +318,7 @@ class _Parser:
             for v in values:
                 self.value_sorts.setdefault(v, name_tok.text)
         if not decls:
-            raise ParseFailure(self.ts.peek().span, "expected at least one sort declaration")
+            raise OracleFailure(self.ts.peek().span, "expected at least one sort declaration")
         return decls
 
     # ------------------------------------------------------------------
@@ -412,7 +417,7 @@ class _Parser:
             inner = self.behaviour()
             self.ts.expect_punct(")")
             return inner
-        raise ParseFailure(tok.span, f"expected a behaviour expression, found {tok}")
+        raise OracleFailure(tok.span, f"expected a behaviour expression, found {tok}")
 
     # ------------------------------------------------------------------
     # top level
@@ -426,7 +431,7 @@ class _Parser:
         self.ts.expect_punct(":=")
 
         if self.ts.at_kw("library"):
-            raise ParseFailure(self.ts.peek().span,
+            raise OracleFailure(self.ts.peek().span,
                                "library sections are not supported; declare finite sorts instead",
                                LIBRARY_NOT_SUPPORTED)
 
@@ -436,7 +441,7 @@ class _Parser:
 
         if not (self.ts.accept_kw("behaviour") or self.ts.accept_kw("behavior")):
             tok = self.ts.peek()
-            raise ParseFailure(tok.span, f"expected 'behaviour', found {tok}")
+            raise OracleFailure(tok.span, f"expected 'behaviour', found {tok}")
         top = self.behaviour()
 
         processes: list[ast.ProcessDef] = []
@@ -445,7 +450,7 @@ class _Parser:
                 processes.append(self._process_def())
             if not processes:
                 tok = self.ts.peek()
-                raise ParseFailure(tok.span, f"expected a process definition, found {tok}")
+                raise OracleFailure(tok.span, f"expected a process definition, found {tok}")
 
         self.ts.expect_kw("endspec")
         self.ts.expect_eof("endspec")
@@ -469,7 +474,7 @@ class _Parser:
         body = self.behaviour()
         if not (self.ts.accept_kw("endproc") or self.ts.accept_kw("endprocess")):
             tok = self.ts.peek()
-            raise ParseFailure(tok.span, f"expected 'endproc', found {tok}")
+            raise OracleFailure(tok.span, f"expected 'endproc', found {tok}")
         return ast.ProcessDef(name.text, gates, func, body, loc=head.span)
 
 
@@ -565,7 +570,7 @@ class _AscParser:
         while not self.ts.at_punct("}"):
             tok = self.ts.peek()
             if tok.kind != IDENT or tok.text.lower() not in _IC_SECTIONS:
-                raise ParseFailure(
+                raise OracleFailure(
                     tok.span,
                     f"expected one of {', '.join(_IC_SECTIONS)}, found {tok}",
                 )
@@ -657,7 +662,7 @@ class _AdlParser:
             "composition": self._composition,
         }, repeatable=frozenset({"use"}))
         if "composition" not in parts:
-            raise ParseFailure(end.span, "configuration has no composition section")
+            raise OracleFailure(end.span, "configuration has no composition section")
         return ArchConfig(name.text, tuple(uses), tuple(elements), parts["composition"])
 
     def _composition(self) -> ast.Behavior:
@@ -685,6 +690,17 @@ class _AdlParser:
             gates = tuple(self.ts.expect_idents("a gate name"))
             self.ts.expect_punct("]")
         return ArchElement(name.text, role, process.text, gates)
+
+
+def parse_or_bail(read: Callable[[], object],
+                  diagnostics: list[Diagnostic]) -> tuple[object | None, list[Diagnostic]]:
+    """read()'s value when it added nothing to diagnostics; else no value
+    and what it added, or the one diagnostic of a bail-out."""
+    try:
+        value = read()
+    except OracleFailure as exc:
+        return None, [error(exc.message, exc.span, exc.code)]
+    return (None if diagnostics else value), diagnostics
 
 
 def parse_spec(text: str) -> tuple[ast.Specification | None, list[Diagnostic]]:

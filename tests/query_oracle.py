@@ -25,7 +25,6 @@ from lotoskit.syntax.diagnostics import (
     Span,
     error,
 )
-from lotoskit.syntax.lexer import parse_or_bail
 
 
 def _holds(atom: Atom, env: dict[str, str], fb: FactBase) -> bool:
@@ -111,4 +110,4 @@ def parse_facts(text: str) -> tuple[FactBase | None, list[Diagnostic]]:
             diags.append(error(f"'{pred}' takes {arity} argument(s)", Span.point(line_no, 1), BAD_ARITY))
         else:
             table.setdefault(pred, set()).add(args)
-    return parse_or_bail(lambda: FactBase(table), diags)
+    return (None if diags else FactBase(table)), diags

@@ -552,10 +552,10 @@ def test_verify_safety_bad_monitor(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("text, where", [
-    ("states a b\ninitial a\nbad c\n", "3:1: error[syntax-error]: state 'c'"),
-    ("states a b\n\ninitial c\nbad b\n", "3:1: error[syntax-error]: state 'c'"),
+    ("states a b\ninitial a\nbad c\n", "3:1: error[unknown-state]: state 'c'"),
+    ("states a b\n\ninitial c\nbad b\n", "3:1: error[unknown-state]: state 'c'"),
     ("states a b\ninitial a\nbad b\n# a comment\ntrans a b g\ntrans b z g\n",
-     "6:1: error[syntax-error]: state 'z'"),
+     "6:1: error[unknown-state]: state 'z'"),
 ], ids=["bad", "initial", "trans"])
 def test_an_unlisted_monitor_state_is_reported_where_it_is_named(capsys, tmp_path, text, where):
     aut, mon = tmp_path / "x.aut", tmp_path / "bad.mon"

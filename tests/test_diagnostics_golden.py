@@ -2,7 +2,8 @@
 and seeded invalid inputs, in text and in JSON, against the outputs kept
 in ``diagnostics_golden.txt``.  The library's diagnostics are kept there
 too, with their whole spans, end column included.  The last case is a
-safety monitor that names a state it does not list.
+safety monitor that names states it does not list and has an unknown
+directive.
 
 The golden file was written before source positions became offsets, and
 then token indices, that are resolved only for a diagnostic, so it pins
@@ -82,8 +83,10 @@ INVALID_CONFIGS = {
     "lex": [("end", "end $")],
     "components-comma": [("terSrv]\n", "terSrv],\n")],
 }
-# a safety monitor whose bad state is not listed, checked against this system
-INVALID_MONITOR = "states a b\ninitial a\n# the bad state is not listed\nbad c\n"
+# a safety monitor with a bad state and a target not listed, the first
+# named twice, and an unknown directive, checked against this system
+INVALID_MONITOR = ("states a b\ninitial a\n# the bad state is not listed\nbad c\n"
+                   "trans a c g\ntrans b d g\nfoo\n")
 SAFETY_AUT = 'des (0, 1, 2)\n(0, "a", 1)\n'
 # edits that break a text: pieces inserted, and names an identifier may become
 SNIPPETS = ("@", '"', "(*", "/*", "*)", ";", "[]", "|[", "]|", "!", "?", ":", "(", ")",

@@ -7,19 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parse_oracle
-from lex_oracle import PUNCTUATION, OracleLexer
+from lex_oracle import EOF, FAILED, PUNCT, PUNCTUATION, STRING, OracleFailure, OracleLexer, stream_kind
 from lotoskit.syntax import ast, lexer, parse_spec
-from lotoskit.syntax.lexer import (
-    _DEPTH,
-    EOF,
-    FAILED,
-    PUNCT,
-    STRING,
-    ParseFailure,
-    TokenStream,
-    locate,
-    locate_all,
-)
+from lotoskit.syntax.lexer import _DEPTH, ParseFailure, TokenStream, locate, locate_all
 
 ALPHABET = (
     "(*", "*)", "/*", "*/", '"', "{", "}", "\n", "\t", "\r", " ", "-", "_",
@@ -56,8 +46,13 @@ def fields(span):
     return (span.line, span.col, span.end_line, span.end_col)
 
 
-def failure(exc):
-    return ("failure", fields(exc.span), exc.message, exc.code)
+def failure(exc, span):
+    return ("failure", fields(span), exc.message, exc.code)
+
+
+def stream_failure(ts, exc):
+    """A stream's failure, located at its token index."""
+    return failure(exc, ts.spans((exc.index,))[exc.index])
 
 
 def stream_tokens(ts):
@@ -65,12 +60,14 @@ def stream_tokens(ts):
     with EOF or the stored lex failure.  A string's text is given without
     its quotes, as the oracle gives it."""
     out = []
-    while ts.kind != EOF and ts.kind != FAILED:
-        kind, text, i = ts.kind, ts.text, ts.advance()
-        out.append((kind, text[1:-1] if kind == STRING else text, fields(ts.span(i))))
-    if ts.kind == FAILED:
-        return out + [failure(ts.failure)]
-    return out + [(EOF, "", fields(ts.span(ts.i)))]
+    while (kind := stream_kind(ts)) != EOF and kind != FAILED:
+        text, i = ts.text, ts.advance()
+        out.append((kind, text[1:-1] if kind == STRING else text, i))
+    spans = ts.spans([i for _, _, i in out] + [ts.i])
+    out = [(kind, text, fields(spans[i])) for kind, text, i in out]
+    if kind == FAILED:
+        return out + [stream_failure(ts, ts.failure)]
+    return out + [(EOF, "", fields(spans[ts.i]))]
 
 
 def oracle_tokens(oracle):
@@ -81,8 +78,8 @@ def oracle_tokens(oracle):
             out.append((kind, text, fields(span)))
             if kind == EOF:
                 return out
-    except ParseFailure as exc:
-        return out + [failure(exc)]
+    except OracleFailure as exc:
+        return out + [failure(exc, exc.span)]
 
 
 @settings(max_examples=800, deadline=None)
@@ -151,13 +148,13 @@ def test_raw_brace_block_matches_oracle(text, counts):
         try:
             body = ts.raw_brace_block()
         except ParseFailure as exc:
-            got = failure(exc)
+            got = stream_failure(ts, exc)
         else:
             got = body, stream_tokens(ts)
         try:
             body, _ = oracle.raw_brace_block()
-        except ParseFailure as exc:
-            want = failure(exc)
+        except OracleFailure as exc:
+            want = failure(exc, exc.span)
         else:
             want = body, oracle_tokens(oracle)
         assert got == want
@@ -192,7 +189,7 @@ def test_each_comment_kind_nests_only_its_own_opener():
         assert [TokenStream(text).text] == ["a"], text
     for text in ("/* /* */ a", "(* (* *) a"):
         ts = TokenStream(text)
-        assert ts.kind == FAILED
+        assert stream_kind(ts) == FAILED
         assert "unterminated comment" in ts.failure.message
 
 
@@ -200,6 +197,6 @@ def test_each_comment_kind_nests_only_its_own_opener():
 def test_every_operator_lexes_as_one_token(token):
     ts = TokenStream(f"P {token} Q")
     ts.advance()
-    assert (ts.kind, ts.text) == (PUNCT, token)
+    assert (stream_kind(ts), ts.text) == (PUNCT, token)
     ts.advance()
     assert ts.text == "Q"

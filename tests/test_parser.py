@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 
 import parse_oracle
 from behavior_gen import GATES, SORT, gen_behavior, gen_system
+from lex_oracle import EOF, FAILED, IDENT, PUNCT, STRING, stream_kind
 from lotoskit.adl import ArchConfig
 from lotoskit.syntax import ast, locate, parse_behavior, parse_spec, pretty_behavior, pretty_spec
 from lotoskit.syntax.adlparse import parse_adl
 from lotoskit.syntax.asc import parse_asc
 from lotoskit.syntax.diagnostics import LEX_ERROR
-from lotoskit.syntax.lexer import _DEPTH, EOF, FAILED, IDENT, PUNCT, STRING, TokenStream
+from lotoskit.syntax.lexer import _DEPTH, TokenStream
 
 
 # ----------------------------------------------------------------------
@@ -24,7 +26,7 @@ from lotoskit.syntax.lexer import _DEPTH, EOF, FAILED, IDENT, PUNCT, STRING, Tok
 def texts_to_end(ts):
     """The texts of the tokens from the cursor to EOF."""
     out = []
-    while ts.kind != EOF:
+    while stream_kind(ts) != EOF:
         out.append(ts.text)
         ts.advance()
     return out
@@ -32,16 +34,18 @@ def texts_to_end(ts):
 
 def test_lexer_kinds_and_spans():
     ts = TokenStream("alpha |[ beta\n]| ;")
-    assert ts.kind == IDENT and ts.text == "alpha"
-    assert ts.span(ts.advance())[:2] == (1, 1)
+    assert stream_kind(ts) == IDENT and ts.text == "alpha"
+    i = ts.advance()
+    assert ts.spans((i,))[i][:2] == (1, 1)
     assert ts.text == "|["
     ts.advance()
-    assert ts.span(ts.advance())[:2] == (1, 10)
+    i = ts.advance()
+    assert ts.spans((i,))[i][:2] == (1, 10)
     assert ts.text == "]|"
     ts.advance()
-    assert ts.kind == PUNCT
+    assert stream_kind(ts) == PUNCT
     ts.advance()
-    assert ts.kind == EOF
+    assert stream_kind(ts) == EOF
 
 
 def test_lexer_maximal_munch():
@@ -51,7 +55,7 @@ def test_lexer_maximal_munch():
 def test_lexer_rejects_lone_bar():
     ts = TokenStream("a | b")
     ts.advance()
-    assert ts.kind == FAILED and ts.failure.code == LEX_ERROR
+    assert stream_kind(ts) == FAILED and ts.failure.code == LEX_ERROR
 
 
 def test_lexer_nested_comments():
@@ -61,14 +65,14 @@ def test_lexer_nested_comments():
 
 def test_lexer_unterminated_comment():
     ts = TokenStream("(* never closed")
-    assert ts.kind == FAILED
+    assert stream_kind(ts) == FAILED
     assert "unterminated" in ts.failure.message
 
 
 def test_lexer_rejects_stray_character():
     ts = TokenStream("a @ b")
     ts.advance()
-    assert ts.kind == FAILED
+    assert stream_kind(ts) == FAILED
     assert "@" in ts.failure.message
 
 
@@ -77,7 +81,7 @@ def test_lexer_string_token():
     assert ts.text == "use"
     ts.advance()
     # the raw token text keeps its quotes; the file name is what is inside
-    assert ts.kind == STRING and ts.text == '"dir/file.lot"'
+    assert stream_kind(ts) == STRING and ts.text == '"dir/file.lot"'
     assert ts.expect_file_name() == "dir/file.lot"
 
 
@@ -565,16 +569,34 @@ def test_corpus_parses_as_the_per_token_parsers_parse():
             assert got == want, (reader, text)
 
 
-def test_a_contract_locates_all_its_diagnostics_in_one_pass():
-    """Past an assert block and a comment nested past the token pattern's
-    depth, 200 conjuncts of unknown predicates and wrong arities, and a
-    duplicated and an unused variable, give the per-token parser's
-    diagnostics, located by one call of TokenStream.spans."""
-    atoms = ["bogus(x)", "class(x, y)", "inherit(y)", "class(x)"]
-    deep = "(*" * (_DEPTH + 1) + " deep " + "*)" * (_DEPTH + 1)
-    text = (f"component C where\n  assert {{ free {{ text }} }}\n  {deep}\n"
+DEEP = "(*" * (_DEPTH + 1) + " deep " + "*)" * (_DEPTH + 1)
+# per token reader: a text whose diagnostics lie past a comment nested
+# past the token pattern's depth, with their codes, and a clean text
+ONE_PASS = {
+    # an assert block, then 200 conjuncts of unknown predicates and wrong
+    # arities, and a duplicated and an unused variable
+    "asc": (f"component C where\n  assert {{ free {{ text }} }}\n  {DEEP}\n"
             "  sc { exists x, y, x, z .\n    "
-            + " and\n    ".join(atoms[k % 4] for k in range(200)) + " }\nend\n")
+            + " and\n    ".join(["bogus(x)", "class(x, y)", "inherit(y)", "class(x)"][k % 4]
+                                 for k in range(200)) + " }\nend\n",
+            {"unknown-predicate": 50, "bad-arity": 100, "duplicate-definition": 1,
+             "unknown-query-variable": 1},
+            (CORPUS / "observer.asc").read_text()),
+    "spec": (f"specification S [g] : noexit :=\n  behaviour {DEEP}\n  g; ; stop\nendspec\n",
+             {"syntax-error": 1}, (CORPUS / "client_server.lot").read_text()),
+    # a lex failure, where the parser wants an operand
+    "behaviour": (f"g; {DEEP}\n  h; stop |||\n  @", {"lex-error": 1}, "g; stop"),
+    # no composition: an error at "end"
+    "adl": (f"configuration K\n  components {{ c = C [a] }}\n  {DEEP}\nend\n",
+            {"syntax-error": 1}, (CORPUS / "client_server.adl").read_text()),
+}
+
+
+@pytest.mark.parametrize("reader", ONE_PASS)
+def test_each_reader_locates_all_its_diagnostics_in_one_pass(reader):
+    """The per-token parser's diagnostics, located by one call of
+    TokenStream.spans; a clean text makes one call too."""
+    text, codes, clean = ONE_PASS[reader]
     calls = []
     spans = TokenStream.spans
 
@@ -582,13 +604,20 @@ def test_a_contract_locates_all_its_diagnostics_in_one_pass():
         calls.append(indices)
         return spans(ts, indices)
 
+    read = READERS[reader][0]
     with mock.patch.object(TokenStream, "spans", counting):
-        contract, diags = parse_asc(text)
-    assert len(calls) == 1
-    assert contract is None and len(diags) == 152
-    assert {d.code for d in diags} == {"unknown-predicate", "bad-arity", "duplicate-definition",
-                                       "unknown-query-variable"}
-    assert diags == parse_oracle.parse_asc(text)[1]
+        value, diags = read(text)
+        assert len(calls) == 1
+        assert read(clean)[1] == [] and len(calls) == 2
+    assert value is None
+    assert Counter(d.code for d in diags) == codes
+    assert diags == READERS[reader][1](text)[1]
+
+
+def test_expected_brace_spans_the_token_found():
+    _, diags = parse_asc("component C where assert abc end")
+    assert [(tuple(d.span), d.code, d.message) for d in diags] == [
+        ((1, 26, 1, 29), "lex-error", "expected '{'")]
 
 
 # every comma list of an .asc or .adl file, read by one rule

@@ -261,6 +261,21 @@ def test_monitor_with_two_initial_lines_is_an_error():
         (3, "syntax-error", "initial appears twice")]
 
 
+def test_a_monitor_reports_every_problem_at_its_line():
+    # each unlisted state once, at the first line that names it, and the
+    # reading goes on past each problem
+    mon, diags = parse_monitor("states a\ninitial a\nbad c\ntrans a b g\nfoo\n"
+                               "trans c b g\ninitial a\ntrans a\n")
+    assert mon is None
+    assert [(d.span.line, d.code, d.message) for d in diags] == [
+        (3, "unknown-state", "state 'c' is not listed under 'states'"),
+        (4, "unknown-state", "state 'b' is not listed under 'states'"),
+        (5, "syntax-error", "unknown directive 'foo'"),
+        (7, "syntax-error", "initial appears twice"),
+        (8, "syntax-error", "trans needs: source, target, label pattern"),
+    ]
+
+
 def test_safety_holds(client_server_lts):
     # terClt only ever carries r1, so watching for r2 never trips
     mon, _ = parse_monitor(
