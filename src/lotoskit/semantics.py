@@ -28,7 +28,9 @@ system carries: "i" for the internal action, "exit" for successful
 termination, and "g !v1 !v2" for gate g with its offered values.  The text
 is built once, where the step is made.  The validator reserves "i" and
 "exit" as gate names, so the first word of a label tells the three apart
-and names the gate that hide and gate-set parallel test.
+and names the gate that hide and gate-set parallel test.  Labels and gate
+sets are few, so that test is made once per gate set and label, in a
+table per gate set that lives as long as the exploration.
 
 Value offers are expanded when an action prefix fires: a receive "?x: S"
 yields one step per value of S, with the chosen value substituted into the
@@ -144,7 +146,24 @@ def _rewrite_action(
     return ast.Comm(gate, tuple(offers)), rest_env
 
 
+class _Memo(dict):
+    """A dict that works out the value of a missing key once, by of(key);
+    a hit is a plain dict lookup."""
+
+    __slots__ = ("of",)
+
+    def __init__(self, of):
+        super().__init__()
+        self.of = of
+
+    def __missing__(self, key):
+        value = self[key] = self.of(key)
+        return value
+
+
 _INTERNAL = ast.InternalAction()
+# the gates that interleaving synchronises on besides exit
+_NONE: frozenset[str] = frozenset()
 # marks an entry of the interning stack whose children are done
 _BUILD = object()
 _EMPTY = ast.Specification("", (), (), (), ast.Stop())
@@ -187,7 +206,9 @@ class _Terms:
     interned first, so no lookup walks a subterm.  ``text`` maps the id
     of every interned term to its printed form.  ``steps`` memoises the
     steps of each subterm; a state's own are computed by ``successors``
-    when it is expanded, and then dropped."""
+    when it is expanded, and then dropped.  ``in_gates[G][a]`` says
+    whether label a's gate is in gate set G, worked out on first use; it
+    decides both synchronisation at ``|[G]|`` and hiding by ``hide G``."""
 
     def __init__(self, spec: ast.Specification):
         self.spec = spec
@@ -196,6 +217,9 @@ class _Terms:
         self._steps: dict[int, list[tuple[str, ast.Behavior]]] = {}
         # the processes being unfolded on the current path of ``steps``
         self._unfolding: set[str] = set()
+        # gate set -> label -> whether the label's gate is in the set
+        self.in_gates: _Memo = _Memo(
+            lambda gates: _Memo(lambda label: label.partition(" ")[0] in gates))
         self.stop = self.intern(ast.Stop())
         self.initial = self.intern(self.spec.top_behavior)
 
@@ -335,9 +359,10 @@ class _Terms:
                 return self._par_steps(b)
 
             if isinstance(b, ast.Hide):
+                hidden = self.in_gates[b.gates]
                 out = []
                 for a, nxt in self.steps(b.body):
-                    if a.partition(" ")[0] in b.gates:
+                    if hidden[a]:
                         a = "i"
                     out.append((a, self.hide(b.gates, nxt)))
                 return out
@@ -400,28 +425,27 @@ class _Terms:
         return out
 
     def _par_steps(self, b: ast.Par) -> list[tuple[str, ast.Behavior]]:
+        # every parallel operator synchronises on exit; besides it, |||
+        # on nothing, || on every gate and |[G]| on the gates of G
         if b.kind is ast.ParKind.INTERLEAVE:
-            def syncs(a: str) -> bool:
-                return a == "exit"
+            syncs = _NONE.__contains__
         elif b.kind is ast.ParKind.FULL:
-            def syncs(a: str) -> bool:
-                return a != "i"
+            syncs = "i".__ne__
         else:
-            def syncs(a: str) -> bool:
-                return a == "exit" or a.partition(" ")[0] in b.gates
+            syncs = self.in_gates[b.gates].__getitem__
 
         left_steps = self.steps(b.left)
         right_steps = self.steps(b.right)
 
         out: list[tuple[str, ast.Behavior]] = []
         for a, nxt in left_steps:
-            if not syncs(a):
+            if a != "exit" and not syncs(a):
                 out.append((a, self.par(nxt, b.kind, b.gates, b.right)))
         for a, nxt in right_steps:
-            if not syncs(a):
+            if a != "exit" and not syncs(a):
                 out.append((a, self.par(b.left, b.kind, b.gates, nxt)))
         for a, lnxt in left_steps:
-            if not syncs(a):
+            if a != "exit" and not syncs(a):
                 continue
             for c, rnxt in right_steps:
                 if a == c:

@@ -10,9 +10,12 @@ follows the precedence levels of ``ast.OPERATORS``, the parser's table
 
 Binary operators are printed left-associatively; ``hide ... in`` extends
 maximally to the right and is therefore parenthesized whenever anything
-could follow it.  Gate sets print in sorted order so output is canonical.
+could follow it.  Gate sets print in sorted order so output is canonical;
+a gate set's text is composed once and then looked up.
 """
 from __future__ import annotations
+
+import functools
 
 from . import ast
 
@@ -46,6 +49,10 @@ def pretty_action(a: ast.ActionExpr) -> str:
     return " ".join(parts)
 
 
+# A specification has few gate sets, met again at every node an exploration
+# prints, so each one's text is composed once; the cache is bounded, as
+# re bounds its pattern cache.
+@functools.lru_cache(maxsize=512)
 def _gate_set(gates: frozenset[str]) -> str:
     return ", ".join(sorted(gates))
 

@@ -21,6 +21,7 @@ from lotoskit import (
 )
 from lotoskit.semantics import normalize, strip_hiding
 from lotoskit.syntax import ast, parse_behavior
+from lotoskit.syntax.printer import pretty_behavior
 
 
 EMPTY = ast.Specification("T", (), (), (), ast.Stop())
@@ -611,6 +612,33 @@ def test_oracle_agrees_on_random_terms_with_offers():
     for _ in range(150):
         term = gen_behavior(rng, rng.randint(0, 4), values=True, sends=True)
         assert_graph_equal(wrap(term))
+
+
+# Steps on gates g and gg, with and without an offer, and i and exit.  One
+# gate name is a prefix of the other, which the random terms never have
+# (behavior_gen.GATES is "a", "b", "c"), so a test of a gate-name prefix
+# shows here.
+GATE_WORDS = "g; stop [] gg; stop [] g !v; stop [] gg !v; stop [] i; stop [] exit"
+GATE_WORD_SPEC = ast.Specification("T", ("g", "gg"), (ast.SortDecl("V", ("v",)),), (), ast.Stop())
+
+
+@pytest.mark.parametrize("shape", [
+    "({0}) |[g]| ({0})",
+    "({0}) || ({0})",
+    "({0}) ||| ({0})",
+    "hide g in ({0})",
+    # one label meets two gate sets in one exploration, so an answer kept
+    # per label alone shows
+    "(({0}) |[g]| ({0})) |[gg]| ({0})",
+    "hide gg in (({0}) |[g]| ({0}))",
+])
+def test_each_operator_decides_on_the_exact_gate_word(shape):
+    b = behavior(shape.format(GATE_WORDS), value_sorts={"v": "V"})
+    sorts = {s.name: s for s in GATE_WORD_SPEC.sorts}
+    got = [(a, pretty_behavior(t)) for a, t in successors(b, GATE_WORD_SPEC)]
+    want = [(a, pretty_behavior(t)) for a, t in sos_oracle.steps(b, {}, sorts)]
+    assert got == want
+    assert_graph_equal(ast.Specification("T", ("g", "gg"), GATE_WORD_SPEC.sorts, (), b))
 
 
 # ----------------------------------------------------------------------
