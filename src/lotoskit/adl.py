@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .record import Record
+from .record import Record, by_name
 from .syntax import ast
 from .syntax.diagnostics import Violation
 
@@ -50,30 +50,43 @@ class ArchConfig(Record):
         object.__setattr__(self, "_source", source)
 
     def element(self, name: str) -> ArchElement | None:
-        # the table is built on first use; on a duplicate name the first
-        # declaration wins
-        try:
-            table = self._element_table
-        except AttributeError:
-            table = {e.name: e for e in reversed(self.elements)}
-            object.__setattr__(self, "_element_table", table)
-        return table.get(name)
+        return by_name(self, "_element_table", self.elements).get(name)
 
 
 # ----------------------------------------------------------------------
 # validation
 
 
-def validate_config(config: ArchConfig, sources: list[ast.Specification]) -> list[Violation]:
-    out: list[Violation] = []
-
+def _merge(sources: list[ast.Specification]) -> tuple[
+        dict[str, ast.SortDecl], dict[str, ast.ProcessDef], list[Violation]]:
+    """The sources' sorts and processes by name, the first of a name kept,
+    and a duplicate-name violation for each process two sources define,
+    sort two sources declare differently, and value two sorts declare."""
+    sorts: dict[str, ast.SortDecl] = {}
     processes: dict[str, ast.ProcessDef] = {}
+    value_sorts: dict[str, str] = {}
+    out: list[Violation] = []
     for spec in sources:
+        for s in spec.sorts:
+            first = sorts.setdefault(s.name, s)
+            if first.values != s.values:
+                out.append(Violation("duplicate-name",
+                                     f"sort '{s.name}' is declared differently by more than one source"))
+            elif first is s:
+                for v in s.values:
+                    if (other := value_sorts.setdefault(v, s.name)) != s.name:
+                        out.append(Violation("duplicate-name",
+                                             f"value '{v}' is declared in sorts '{other}' and '{s.name}'"))
         for p in spec.processes:
             if p.name in processes:
                 out.append(Violation("duplicate-name", f"process '{p.name}' is defined by more than one source"))
             else:
                 processes[p.name] = p
+    return sorts, processes, out
+
+
+def validate_config(config: ArchConfig, sources: list[ast.Specification]) -> list[Violation]:
+    _, processes, out = _merge(sources)
 
     seen: set[str] = set()
     for e in config.elements:
@@ -230,15 +243,7 @@ def flatten(config: ArchConfig, sources: list[ast.Specification]) -> ast.Specifi
                 top_gates[b.action.gate] = None
         todo.extend((c, hidden) for c in reversed(ast.children(b)))
 
-    # on a name declared by more than one source the first wins
-    sorts: dict[str, ast.SortDecl] = {}
-    processes: dict[str, ast.ProcessDef] = {}
-    for spec in sources:
-        for s in spec.sorts:
-            sorts.setdefault(s.name, s)
-        for p in spec.processes:
-            processes.setdefault(p.name, p)
-
+    sorts, processes, _ = _merge(sources)
     return ast.Specification(
         name=config.name,
         top_gates=tuple(top_gates),

@@ -137,10 +137,12 @@ def _system(path: str, args: argparse.Namespace, whole: bool = False) -> semanti
         raise CliError(2, f"'{path}': {exc}") from exc
 
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str], diags: Sequence[Diagnostic] = ()) -> None:
+    """Print payload as JSON, or else the diags of args.file on stderr, then text_lines."""
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
+        _print_diags(diags, args.file)
         for line in text_lines:
             print(line)
 
@@ -151,24 +153,18 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
 
 def _cmd_check(args: argparse.Namespace) -> int:
     spec, diags = _checked_spec(_read_file(args.file))
-    ok = not diags
-    if args.format == "json":
-        payload = {
-            "command": "check",
-            "ok": ok,
-            "name": spec.name if spec else None,
-            "diagnostics": [_diag_json(d) for d in diags],
-        }
-        print(json.dumps(payload, indent=2))
+    payload = {
+        "command": "check",
+        "ok": spec is not None,
+        "name": spec.name if spec else None,
+        "diagnostics": [_diag_json(d) for d in diags],
+    }
+    if spec is not None:
+        lines = [f"{spec.name}: ok ({len(spec.processes)} process(es), {len(spec.sorts)} sort(s))"]
     else:
-        _print_diags(diags, args.file)
-        if ok:
-            assert spec is not None
-            print(f"{spec.name}: ok ({len(spec.processes)} process(es), "
-                  f"{len(spec.sorts)} sort(s))")
-        else:
-            print(f"{args.file}: {len(diags)} error(s)")
-    return 0 if ok else 1
+        lines = [f"{args.file}: {len(diags)} error(s)"]
+    _emit(args, payload, lines, diags)
+    return 0 if spec is not None else 1
 
 
 def _cmd_lts(args: argparse.Namespace) -> int:
@@ -253,18 +249,25 @@ def _cmd_adl(args: argparse.Namespace) -> int:
 
     violations = adlmod.validate_config(config, sources)
     ok = not violations
-
-    flattened_to = None
-    if ok and args.flatten:
+    flattened_to = args.flatten if ok else None
+    if ok:
         flat = adlmod.flatten(config, sources)
         problems = validate_spec(flat)
         if problems:
-            # the composition's spans are positions in the configuration
-            _print_diags(problems, args.file)
+            # a span is a position in the configuration or in a use file
+            paths = {spec._source: str(base / use) for spec, use in zip(sources, config.uses)}
+            for d in problems:
+                print(f"{paths.get(d._source, args.file)}:{d}", file=sys.stderr)
             raise CliError(2, "flattened specification is not valid")
-        _write_file(args.flatten, pretty_spec(flat))
-        flattened_to = args.flatten
-
+        components = sum(1 for e in config.elements if e.role == adlmod.COMPONENT)
+        connectors = sum(1 for e in config.elements if e.role == adlmod.CONNECTOR)
+        lines = [f"{config.name}: ok ({components} component(s), {connectors} connector(s))"]
+        if flattened_to:
+            _write_file(flattened_to, pretty_spec(flat))
+            lines.append(f"flattened -> {flattened_to}")
+    else:
+        lines = [f"{config.name}: {len(violations)} violation(s)"]
+        lines.extend(f"  {v}" for v in violations)
     payload = {
         "command": "adl",
         "ok": ok,
@@ -272,15 +275,6 @@ def _cmd_adl(args: argparse.Namespace) -> int:
         "violations": list(map(fields, violations)),
         "flattened": flattened_to,
     }
-    components = sum(1 for e in config.elements if e.role == adlmod.COMPONENT)
-    connectors = sum(1 for e in config.elements if e.role == adlmod.CONNECTOR)
-    if ok:
-        lines = [f"{config.name}: ok ({components} component(s), {connectors} connector(s))"]
-        if flattened_to:
-            lines.append(f"flattened -> {flattened_to}")
-    else:
-        lines = [f"{config.name}: {len(violations)} violation(s)"]
-        lines.extend(f"  {v}" for v in violations)
     _emit(args, payload, lines)
     return 0 if ok else 1
 

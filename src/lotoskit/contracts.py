@@ -162,6 +162,11 @@ def eval_query(fb: FactBase, query: Query) -> dict[str, str] | None:
     the first witness of each group, and a group without one ends the
     search without re-binding the groups before it.
 
+    A conjunct whose variables earlier ones all bind matches at most one
+    fact, so it only filters: it is tested right after the conjunct that
+    binds the last of them, which drops only bindings that would fail
+    later and keeps the first witness.
+
     A conjunct reads only the facts that agree with its bound positions,
     the constants and the variables bound by earlier conjuncts: the
     shortest of their index lists, or every fact of its predicate when
@@ -184,7 +189,9 @@ def eval_query(fb: FactBase, query: Query) -> dict[str, str] | None:
 
     steps = []
     owners = []  # per conjunct, the root of its first variable, or None
-    for atom in query.atoms:
+    binder: dict[int, int] = {}  # a variable's slot -> the conjunct that binds it
+    after = []  # per conjunct, the conjunct it is tested with: itself or a filter's binder
+    for k, atom in enumerate(query.atoms):
         rows = fb.rows(atom.predicate)
         if not rows:  # no witness; an unknown predicate has no facts
             return None
@@ -213,6 +220,8 @@ def eval_query(fb: FactBase, query: Query) -> dict[str, str] | None:
         for root in own[1:]:
             parent[root] = own[0]
         owners.append(own[0] if own else None)
+        after.append(k if binds else max((binder[s] for _, s in checks if s in binder), default=k))
+        binder.update((slot, k) for _, slot in binds)
 
     # conjunct k's group: the root of its variables, or a key of its own
     groups: dict[int, list[int]] = {}
@@ -235,6 +244,7 @@ def eval_query(fb: FactBase, query: Query) -> dict[str, str] | None:
                 yield
 
     for group in groups.values():
+        group.sort(key=after.__getitem__)  # stable: a filter follows its binder
         # stack[k] has just bound the group's conjunct k; an exhausted
         # iterator backtracks
         stack: list[Iterator[None]] = []

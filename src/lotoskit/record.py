@@ -74,3 +74,13 @@ def fields(record: Record) -> dict[str, object]:
     """The record's fields by name, in order: the record as a JSON object
     shows it."""
     return dict(zip(record._fields, record._values(record)))
+
+
+def by_name(owner: Record, slot: str, items: tuple) -> dict:
+    """A table from name to the first of items with that name, as a linear
+    scan finds it: built on first use and kept in owner's hidden slot."""
+    try:
+        return getattr(owner, slot)
+    except AttributeError:
+        _setattr(owner, slot, {x.name: x for x in reversed(items)})
+        return getattr(owner, slot)

@@ -30,7 +30,7 @@ import enum
 from collections.abc import Callable, Iterator
 from operator import is_not
 
-from ..record import Record
+from ..record import Record, by_name
 
 
 class Node(Record):
@@ -297,23 +297,11 @@ class Specification(Node):
         _set_loc(self, loc)
         _setattr(self, "_source", source)
 
-    # The tables are built on first use and kept in their slots; on a
-    # duplicate name the first declaration wins, as for a linear scan.
     def process(self, name: str) -> ProcessDef | None:
-        try:
-            table = self._process_table
-        except AttributeError:
-            table = {p.name: p for p in reversed(self.processes)}
-            _setattr(self, "_process_table", table)
-        return table.get(name)
+        return by_name(self, "_process_table", self.processes).get(name)
 
     def sort(self, name: str) -> SortDecl | None:
-        try:
-            table = self._sort_table
-        except AttributeError:
-            table = {s.name: s for s in reversed(self.sorts)}
-            _setattr(self, "_sort_table", table)
-        return table.get(name)
+        return by_name(self, "_sort_table", self.sorts).get(name)
 
     def value_sorts(self) -> dict[str, str]:
         """Map each declared value to its sort.  Values are required to be

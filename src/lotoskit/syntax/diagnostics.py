@@ -54,19 +54,25 @@ class Span(NamedTuple):
 
 class Diagnostic(Record):
     """An error found in an input text; every reader and check reports
-    errors only, so a reader's value is None exactly when it reports any."""
+    errors only, so a reader's value is None exactly when it reports any.
+    validate_spec keeps the text the span is in, which may be one of
+    several, in the hidden slot _source; it is None otherwise."""
 
-    __slots__ = ("span", "message", "code")
+    __slots__ = ("span", "message", "code", "_source")
     span: Span
     message: str
     code: str
+
+    def __init__(self, span: Span, message: str, code: str, source: str | None = None):
+        super().__init__(span, message, code)
+        object.__setattr__(self, "_source", source)
 
     def __str__(self) -> str:
         return f"{self.span}: error[{self.code}]: {self.message}"
 
 
-def error(message: str, span: Span | None, code: str) -> Diagnostic:
-    return Diagnostic(span or Span.point(1, 1), message, code)
+def error(message: str, span: Span | None, code: str, source: str | None = None) -> Diagnostic:
+    return Diagnostic(span or Span.point(1, 1), message, code, source)
 
 
 class Violation(Record):

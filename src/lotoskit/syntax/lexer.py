@@ -56,7 +56,7 @@ _CLOSERS = {"(*": "*)", "/*": "*/"}
 # how deep the token pattern reads nested comments, the outermost counted
 _DEPTH = 3
 _SPACE = "[ \t\r\n]"
-_IDENT = r"[A-Za-z][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*"
+IDENT = r"[A-Za-z][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*"
 _STRING = r'"[^"\n]*"'
 # the "(" of a comment opener is no token
 _PUNCT = "|".join(r"\((?!\*)" if p == "(" else re.escape(p) for p in _PUNCTUATION)
@@ -79,7 +79,7 @@ def _comment(opener: str, depth: int) -> str:
 
 _TRIVIA = rf"{_SPACE}*(?:(?:{_comment('(*', _DEPTH)}|{_comment('/*', _DEPTH)}){_SPACE}*)*"
 # a token read whole
-_WHOLE = f"{_IDENT}|{_STRING}|{_PUNCT}"
+_WHOLE = f"{IDENT}|{_STRING}|{_PUNCT}"
 _WHOLE_TOKEN = re.compile(_WHOLE)
 # Trivia, then a token, the one group: one read whole, or what starts
 # none, such as the opener of a comment the trivia could not read, with

@@ -10,7 +10,8 @@ action or as successful termination.
 The checks pass nodes around and record a diagnostic with its node's
 token index and the text of the definition that holds it; the locations
 are worked out at the end, in one pass over each text.  A node built in
-code, or one whose definition keeps no text, is reported at 1:1.
+code, or one whose definition keeps no text, is reported at 1:1.  Each
+diagnostic keeps that text, so a caller can name the file it is in.
 """
 from __future__ import annotations
 
@@ -75,7 +76,7 @@ class _Validator:
             if loc is not None and source is not None:
                 indices.setdefault(source, []).append(loc)
         spans = {source: locate_all(source, locs) for source, locs in indices.items()}
-        return [error(message, spans.get(source, {}).get(loc), code)
+        return [error(message, spans.get(source, {}).get(loc), code, source)
                 for message, loc, source, code in self.found]
 
     def _check_declarations(self) -> None:

@@ -43,6 +43,7 @@ from typing import Callable, Iterable
 from .record import Record
 from .semantics import Lts
 from .syntax.diagnostics import Diagnostic, SYNTAX_ERROR, Span, UNKNOWN_STATE, error
+from .syntax.lexer import IDENT
 
 # ----------------------------------------------------------------------
 # label patterns
@@ -75,23 +76,20 @@ class LabelPattern(Record):
         return " ".join([self.gate] + [f"!{o}" for o in self.offers])
 
 
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*\Z")
-
-
 def parse_label_pattern(text: str) -> LabelPattern:
     """Parse "gate !v !*" style pattern text; raises ValueError."""
     parts = text.split()
     if not parts:
         raise ValueError("empty label pattern")
     gate = parts[0]
-    if gate != _WILDCARD and not _IDENT.match(gate):
+    if gate != _WILDCARD and not re.fullmatch(IDENT, gate):
         raise ValueError(f"bad gate pattern '{gate}'")
     offers = []
     for p in parts[1:]:
         if not p.startswith("!"):
             raise ValueError(f"offer pattern '{p}' must start with '!'")
         v = p[1:]
-        if v != _WILDCARD and not _IDENT.match(v):
+        if v != _WILDCARD and not re.fullmatch(IDENT, v):
             raise ValueError(f"bad offer pattern '{p}'")
         offers.append(v)
     if gate in ("i", "exit") and offers:
@@ -140,12 +138,12 @@ def _search(lts: Lts, start: object, step: Callable[[object, str], object],
     text = lts.label_text
     # observers are numbered as met, and a pair is keyed as the int
     # observer number * n + state, for an n above every state number;
-    # moves[k][label id] is the number of observer k's move on that
-    # label, None until first needed
+    # moves[k] maps a label id to the number of observer k's move on that
+    # label, filled as first needed
     n = lts.state_bound
     observers = [start]
     number = {start: 0}
-    moves: list[list[int | None]] = [[None] * len(text)]
+    moves: list[dict[int, int]] = [{}]
     root = lts.initial
     # each pair but the root was first reached from parent[pair] by a step
     # labelled via[pair]; two dicts of ints make no tuple per pair
@@ -158,18 +156,14 @@ def _search(lts: Lts, start: object, step: Callable[[object, str], object],
         k, s = divmod(key, n)
         memo = moves[k]
         for lab, dst in lts.row(s):
-            try:
-                j = memo[lab]
-            except IndexError:  # a label met after the memo was made
-                memo.extend([None] * (len(text) - len(memo)))
-                j = None
+            j = memo.get(lab)
             if j is None:
                 nobs = step(observers[k], text[lab])
                 j = number.get(nobs)
                 if j is None:
                     j = number[nobs] = len(observers)
                     observers.append(nobs)
-                    moves.append([None] * len(text))
+                    moves.append({})
                 memo[lab] = j
             nxt = j * n + dst
             if nxt in parent:

@@ -141,6 +141,32 @@ def test_duplicate_process_across_sources():
     assert "duplicate-name" in out
 
 
+def sorted_source(sorts):
+    return spec_of(f"specification Values [g] : noexit := sorts {sorts} behaviour stop endspec")
+
+
+def test_sort_declared_differently_across_sources():
+    # the first declaration no longer wins without a word
+    for other in ("S = { u, w }", "S = { w, v }", "S = { v }"):
+        out = [str(v) for v in validate_config(config_of(GOOD), [PROCS, sorted_source("S = { v, w }"),
+                                                                 sorted_source(other)])]
+        assert out == ["[duplicate-name] sort 'S' is declared differently by more than one source"], other
+
+
+def test_value_declared_in_two_sorts_across_sources():
+    out = validate_config(config_of(GOOD), [PROCS, sorted_source("S1 = { v }"),
+                                            sorted_source("S2 = { v, w }")])
+    assert [str(v) for v in out] == ["[duplicate-name] value 'v' is declared in sorts 'S1' and 'S2'"]
+
+
+def test_sort_declared_identically_across_sources_is_one_sort():
+    sources = [PROCS, sorted_source("S = { v, w }"), sorted_source("S = { v, w }")]
+    assert codes(config_of(GOOD), sources) == []
+    flat = flatten(config_of(GOOD), sources)
+    assert [s.name for s in flat.sorts] == ["S"]
+    assert not validate_spec(flat)
+
+
 def test_too_few_components():
     text = GOOD.replace("left = Client [la, lb],\n    right = Server [ra, rb]",
                         "left = Client [la, lb]")

@@ -834,6 +834,101 @@ def test_adl_flatten_diagnostics_point_into_the_configuration(capsys, tmp_path):
     assert not flat.exists()
 
 
+# two use files: a source, a link and the sort S, and a sink K that
+# receives a value of its own sort
+TWO_USES = {
+    "a.lot": """specification A [p, q] : noexit :=
+  sorts S = { v }
+  behaviour stop
+  where
+    process Src [g] : noexit := g !v; Src [g] endproc
+    process Link [a, b] : noexit := a ?x: S; b !x; Link [a, b] endproc
+endspec
+""",
+    "b.lot": """specification B [y] : noexit :=
+  sorts T = { u, w }
+  behaviour K [y]
+  where
+    process K [g] : noexit := g ?z: T; K [g] endproc
+endspec
+""",
+    "c.adl": """configuration C
+  use "a.lot"
+  use "b.lot"
+  components {
+    src = Src [p],
+    k = K [q]
+  }
+  connectors {
+    link = Link [p, q]
+  }
+  composition {
+    ( src ||| k ) |[p, q]| link
+  }
+end
+""",
+}
+
+
+def two_uses(tmp_path, **edits):
+    """The configuration c.adl and its use files in tmp_path, each file's
+    text with the (old, new) replacement edits names for it."""
+    for name, text in TWO_USES.items():
+        old, new = edits.get(name.replace(".", "_"), ("", ""))
+        (tmp_path / name).write_text(text.replace(old, new))
+    return tmp_path / "c.adl"
+
+
+def test_adl_two_uses_flatten(capsys, tmp_path):
+    config = two_uses(tmp_path)
+    flat = tmp_path / "flat.lot"
+    code, out, err = run(capsys, "adl", str(config), "--flatten", str(flat))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["C: ok (2 component(s), 1 connector(s))", f"flattened -> {flat}"]
+
+
+def test_adl_sort_declared_differently_is_a_violation(capsys, tmp_path):
+    # the first declaration of S used to win, so K offered a's value v
+    config = two_uses(tmp_path, b_lot=("sorts T = { u, w }", "sorts S = { u, w }"))
+    (tmp_path / "b.lot").write_text((tmp_path / "b.lot").read_text().replace("?z: T", "?z: S"))
+    flat = tmp_path / "flat.lot"
+    code, out, err = run(capsys, "adl", str(config), "--flatten", str(flat))
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "C: 1 violation(s)",
+        "  [duplicate-name] sort 'S' is declared differently by more than one source",
+    ]
+    assert not flat.exists()
+
+
+def test_adl_value_in_two_sorts_is_a_violation(capsys, tmp_path):
+    config = two_uses(tmp_path, b_lot=("sorts T = { u, w }", "sorts T = { v, w }"))
+    code, out, err = run(capsys, "adl", str(config), "--flatten", str(tmp_path / "flat.lot"))
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1] == "  [duplicate-name] value 'v' is declared in sorts 'S' and 'T'"
+
+
+@pytest.mark.parametrize("flatten", [False, True])
+def test_adl_verdict_does_not_depend_on_flatten(capsys, tmp_path, flatten):
+    # a receive variable of b.lot named like a value of a.lot, and an
+    # instance wired to the gate exit: the architectural checks pass, the
+    # flattened specification's validation does not, with or without
+    # --flatten; each diagnostic names the file its position is in
+    config = two_uses(tmp_path, b_lot=("?z: T", "?v: T"),
+                      c_adl=("k = K [q]", "k = K [exit]"))
+    flat = tmp_path / "flat.lot"
+    code, out, err = run(capsys, "adl", str(config), *(["--flatten", str(flat)] if flatten else []))
+    assert (code, out) == (2, "")
+    # the derived top gate list has no position of its own
+    assert err.splitlines() == [
+        f"{config}:1:1: error[reserved-name]: 'exit' is reserved for successful termination",
+        f"{config}:12:15: error[reserved-name]: 'exit' is reserved for successful termination",
+        f"{tmp_path / 'b.lot'}:5:34: error[shadows-value]: variable 'v' shadows a declared value",
+        "lotoskit: flattened specification is not valid",
+    ]
+    assert not flat.exists()
+
+
 def test_adl_violations_exit_code(capsys, tmp_path):
     bad = tmp_path / "coupled.adl"
     bad.write_text("""

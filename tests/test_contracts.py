@@ -16,7 +16,7 @@ from lotoskit import (
     validate_spec,
 )
 from lotoskit.cli import main
-from lotoskit.contracts import Atom, Const, InterfaceContract, Query, Var
+from lotoskit.contracts import Atom, Const, FactBase, InterfaceContract, Query, Var
 from lotoskit.contracts import PREDICATES
 
 
@@ -253,7 +253,7 @@ def queries(draw):
         st.lists(
             st.sampled_from(QUERY_PREDICATES).flatmap(lambda p: _terms(p, term)).map(lambda pa: Atom(*pa)),
             min_size=1,
-            max_size=4,
+            max_size=6,
         )
     )
     # as parse_asc makes them: every declared variable occurs
@@ -286,6 +286,12 @@ def fact_base(facts):
     q(["y", "x"], a("class", "x"), a("inherit", "x", "y")),
 )
 @example([("class", ("A",))], q(["x"], a("class", "x"), a("abstract_aspect", "x")))  # absent
+@example(  # a filter written two conjuncts after the one binding its last variable
+    [("class", ("A",)), ("class", ("B",)), ("class", ("C",)), ("inherit", ("B", "A")),
+     ("associate", ("C", "C"))],
+    q(["x", "y", "z"], a("class", "x"), a("class", "y"), a("class", "z"), a("associate", "z", "z"),
+      a("inherit", "y", "x")),
+)
 def test_agrees_with_first_witness(facts, query):
     fb = fact_base(facts)
     assert in_order(eval_query(fb, query)) == in_order(query_oracle.first_witness(fb, query))
@@ -297,7 +303,9 @@ def grouped_queries(draw):
     order: a chain of three or four conjuncts written in any order, each
     sharing a variable with the one before and bringing one fresh
     variable, or two for "new", or a ground conjunct.  A chain's
-    conjuncts may also test a variable against a unary predicate."""
+    conjuncts may also test a variable against a unary predicate, or two
+    of its variables against a binary one; written after the conjuncts
+    that bind their variables, often well after, those are filters."""
     groups = []
     for g in range(draw(st.integers(2, 4))):
         if draw(st.integers(0, 3)) == 0:
@@ -315,6 +323,8 @@ def grouped_queries(draw):
                                   draw(st.permutations(names[-2:]))))
         chain += [Atom(draw(st.sampled_from(("class", "aspect"))), (v,))
                   for v in draw(st.lists(st.sampled_from(names), max_size=2))]
+        chain += [Atom(draw(st.sampled_from(("inherit", "associate"))), tuple(draw(st.permutations(names))[:2]))
+                  for _ in range(draw(st.integers(0, 1)))]
         groups.append(draw(st.permutations(chain)))
     # interleave the groups, keeping each group's order
     atoms = []
@@ -354,6 +364,57 @@ def test_independent_groups_are_searched_one_at_a_time():
     assert eval_query(fb, query) is None
     witness = {v: "C00" for v in variables}
     fb = base(*(f"class(C{k:02})." for k in range(40)), "inherit(C00, C00).")
+    assert eval_query(fb, query) == witness
+
+
+class CountingFacts(FactBase):
+    """A fact base that counts the facts handed out by iterating its rows
+    and index lists, and stops the search once more than limit are."""
+
+    def __init__(self, fb, limit):
+        super().__init__(fb._args)
+        self.tried, self.limit = 0, limit
+
+    def _counted(self, rows):
+        base = self
+
+        class Counted(list):
+            def __iter__(self):
+                for row in list.__iter__(self):
+                    base.tried += 1
+                    assert base.tried <= base.limit, "the search tried too many facts"
+                    yield row
+
+        return Counted(rows)
+
+    def rows(self, predicate):
+        return self._counted(super().rows(predicate))
+
+    def _column(self, predicate, position):
+        return {value: self._counted(rows) for value, rows in super()._column(predicate, position).items()}
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_a_filter_is_tested_as_soon_as_its_variables_are_bound(n):
+    # n class conjuncts, then the chain inherit(x0, x1) and ... among
+    # classes, over 40 classes and an inherit chain no class is on: the
+    # search in written order tried every binding of x0..x(n-1) before
+    # the first inherit conjunct (40^4 at n = 4, 40^6 at n = 6)
+    fb = base(*(f"class(C{k:02})." for k in range(40)), "inherit(D1, D2).", "inherit(D2, D3).")
+    variables = [f"x{k}" for k in range(n)]
+    query = q(variables, *(a("class", v) for v in variables),
+              *(a("inherit", f"x{k}", f"x{k + 1}") for k in range(n - 1)))
+    counting = CountingFacts(fb, limit=10_000)
+    assert eval_query(counting, query) is None
+    # 40 classes for x0, 40 for x1 with each, and the 4 facts read to
+    # build the two inherit indexes; inherit(x0, x1) then fails every pair
+    assert counting.tried == 40 + 40 * 40 + 4
+    # with a chain that holds, the first witness is the one in written order
+    fb = base(*(f"class(C{k:02})." for k in range(40)),
+              *(f"inherit(C{k + 1:02}, C{k:02})." for k in range(n - 1)))
+    query = q(variables, *(a("class", v) for v in variables),
+              *(a("inherit", f"x{k + 1}", f"x{k}") for k in range(n - 1)))
+    witness = {v: f"C{k:02}" for k, v in enumerate(variables)}
     assert eval_query(fb, query) == witness
 
 
